@@ -79,17 +79,8 @@ def validate(scenario_file):
     default=None,
     help=f"Output directory (default: ${OUT_DIR_ENV} or the current directory).",
 )
-@click.option("--threads", type=int, default=None, help="Cap BLAS/worker threads.")
-@click.option(
-    "--deterministic/--no-deterministic",
-    default=True,
-    help="Deterministic reduction mode (byte-identical reruns).",
-)
-def run(scenario_file, seed, out_dir, threads, deterministic):
+def run(scenario_file, seed, out_dir):
     """Run a scenario and write CSV/JSON outputs plus a manifest."""
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
     scenario, text = _load(scenario_file)
     out_dir = Path(out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -111,7 +102,7 @@ def run(scenario_file, seed, out_dir, threads, deterministic):
             writer = csv.DictWriter(fh, fieldnames=outcome.columns)
             writer.writeheader()
             for row in outcome.rows:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+                writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
         written.append(str(csv_path))
     report_path = out_dir / f"{stem}.json"
     with open(report_path, "w") as fh:
@@ -123,7 +114,6 @@ def run(scenario_file, seed, out_dir, threads, deterministic):
         "scenario_file": str(scenario_file),
         "kind": scenario.kind,
         "seed": effective_seed,
-        "deterministic": deterministic,
         "parameter_hash": hashlib.sha256(text.encode()).hexdigest(),
         "qphase_version": __version__,
         "diverged": outcome.report.get("diverged", 0),

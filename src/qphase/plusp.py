@@ -1,17 +1,17 @@
 """Positive-P stochastic evolution in the doubled phase space.
 
-Trajectories carry independent complex vectors (alpha, beta) plus a
-gauge weight Omega (identity gauge ships enabled).  Initial conditions
-come from the constructive canonical distribution
+Trajectories carry independent complex vectors (alpha, beta) and evolve
+in the identity gauge, so every trajectory has unit weight.  Initial
+conditions come from the constructive canonical distribution
 P ~ exp(-|alpha - beta*|^2 / 4) <mu|rho|mu>, mu = (alpha + beta*)/2,
-and normally ordered operator moments are plain weighted averages of
+and normally ordered operator moments are plain averages of
 beta...alpha products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .stochastic import (
     EnsembleResult,
     MomentAccumulator,
     SdeScheme,
-    gaussian_field_noise,
     noise_block,
     run_ensemble,
 )
@@ -42,7 +41,6 @@ class PlusPEnsemble:
 
     alpha: np.ndarray
     beta: np.ndarray
-    omega: np.ndarray  # gauge weights, identically 1 for the identity gauge
 
     @property
     def trajectories(self) -> int:
@@ -90,7 +88,7 @@ def sample_canonical(
             raise ValueError("delta width only represents coherent states")
         alpha0 = np.atleast_1d(np.asarray(state["alpha"], dtype=complex))
         alpha = np.tile(alpha0, (trajectories, 1))
-        return PlusPEnsemble(alpha, alpha.conj().copy(), np.ones(trajectories, dtype=complex))
+        return PlusPEnsemble(alpha, alpha.conj().copy())
     if width != "canonical":
         raise ValueError(f"unknown canonical width {width!r}")
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0x9E3779B9], dtype=np.uint64)))
@@ -100,7 +98,7 @@ def sample_canonical(
     gamma = math.sqrt(2.0) * (noise[..., 0] + 1j * noise[..., 1])
     alpha = mu + 0.5 * gamma
     beta = np.conj(mu - 0.5 * gamma)
-    return PlusPEnsemble(alpha, beta, np.ones(trajectories, dtype=complex))
+    return PlusPEnsemble(alpha, beta)
 
 
 def canonical_sampler(state: dict, width: str = "canonical"):
@@ -125,6 +123,8 @@ class KerrPlusP:
     with 2M real noises of variance delta_mm' / (dV dt) per step.  The
     Stratonovich-corrected drift (for the midpoint scheme) subtracts the
     analytic Ito term (i chi / 2) alpha (and conjugate-role for beta).
+    From ``reverse_step`` on, the Hamiltonian changes sign (chi and
+    omega are negated), which runs the dynamics backwards in time.
     """
 
     chi: float
@@ -133,27 +133,27 @@ class KerrPlusP:
     cell_volume: float = 1.0
     seed: int = 0
     interpretation: str = "stratonovich"
-    sign: float = 1.0  # -1 flips the Hamiltonian (time reversal)
     reverse_step: int = None  # flip sign at this step index, if set
 
-    _noise_cache: dict = field(default_factory=dict, repr=False)
+    def __post_init__(self):
+        if self.interpretation not in ("ito", "stratonovich"):
+            raise ValueError(f"unknown interpretation {self.interpretation!r}")
 
-    def derivative(self, state: np.ndarray, t: float, step_index: int) -> np.ndarray:
-        n_traj = state.shape[0]
+    def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
+        """The 2M real noises of a step: xi1 in columns :M, xi2 in M:."""
+        raw = noise_block(self.seed, step_index, n_traj, 2 * self.modes)
+        return raw * (1.0 / math.sqrt(self.cell_volume * dt))
+
+    def derivative(self, state: np.ndarray, step_index: int, noise: np.ndarray) -> np.ndarray:
         m = self.modes
         alpha = state[:, :m]
         beta = state[:, m:]
-        sign = self.sign
+        sign = 1.0
         if self.reverse_step is not None and step_index >= self.reverse_step:
-            sign = -sign
+            sign = -1.0
         chi = sign * self.chi
-        key = (step_index, n_traj)
-        if key not in self._noise_cache:
-            self._noise_cache.clear()
-            self._noise_cache[key] = noise_block(self.seed, step_index, n_traj, 2 * m)
-        raw = self._noise_cache[key]
-        xi1 = raw[:, :m] * self._noise_scale
-        xi2 = raw[:, m:] * self._noise_scale
+        xi1 = noise[:, :m]
+        xi2 = noise[:, m:]
         root_pos = np.sqrt(1j * chi + 0j)
         root_neg = np.sqrt(-1j * chi + 0j)
         cross = chi * alpha * beta
@@ -168,22 +168,18 @@ class KerrPlusP:
             d_beta += -0.5j * chi * beta
         return np.concatenate([d_alpha, d_beta], axis=1)
 
-    def set_dt(self, dt: float):
-        self._noise_scale = 1.0 / math.sqrt(self.cell_volume * dt)
-        return self
-
 
 def normally_ordered_moment(
     ensemble: PlusPEnsemble, creation_modes, annihilation_modes
 ) -> tuple[complex, float]:
-    """<a_m^dag ... a_n> = weighted mean of beta_m ... alpha_n products."""
+    """<a_m^dag ... a_n> = mean of beta_m ... alpha_n products."""
     vals = np.ones(ensemble.trajectories, dtype=complex)
     for m in creation_modes:
         vals = vals * ensemble.beta[:, m]
     for m in annihilation_modes:
         vals = vals * ensemble.alpha[:, m]
     acc = MomentAccumulator()
-    acc.add(vals, ensemble.omega)
+    acc.add(vals)
     return acc.mean, acc.error
 
 
@@ -213,8 +209,7 @@ def run_kerr_plusp(
     extra_observables: dict = None,
 ) -> EnsembleResult:
     modes = len(np.atleast_1d(state.get("alpha", state.get("nbar", state.get("n", [0])))))
-    sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=midpoint_iters,
-                    interpretation=interpretation)
+    sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=midpoint_iters)
     reverse_step = None
     if reverse_at is not None:
         reverse_step = int(round(reverse_at / dt))
@@ -227,13 +222,13 @@ def run_kerr_plusp(
         seed=seed,
         interpretation=interpretation,
         reverse_step=reverse_step,
-    ).set_dt(dt)
+    )
     observables = {"X": quadrature_x(0, modes)}
     if extra_observables:
         observables.update(extra_observables)
     return run_ensemble(
         canonical_sampler(state, width),
-        model.derivative,
+        model,
         observables,
         trajectory_count,
         times,

@@ -4,31 +4,33 @@ Noise is counter-based (Philox) and addressed by (master_seed, step,
 trajectory, slot), so the values a trajectory sees never depend on worker
 assignment or evaluation order.  All steppers operate on arrays with a
 leading trajectory axis, so a whole ensemble advances in vectorized form.
+
+`evolve` is the one time loop.  It drives a model that provides
+
+    noise(step_index, n_traj, dt) -> this step's scaled noise (or None)
+    derivative(state, step_index, noise) -> dy/dt including that noise
+
+and draws the noise once per step, so every midpoint iteration of the
+step sees the same object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NoiseStream",
     "noise_block",
-    "gaussian_field_noise",
     "complex_field_noise",
     "MomentAccumulator",
     "SdeScheme",
     "step",
+    "evolve",
     "EnsembleResult",
     "run_ensemble",
 ]
-
-
-def _step_generator(master_seed: int, step_index: int) -> np.random.Generator:
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, step_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -> np.ndarray:
@@ -38,33 +40,9 @@ def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -
     the flat Philox-keyed stream for (seed, step).  Adding trajectories
     extends the block without changing existing rows.
     """
-    gen = _step_generator(master_seed, step_index)
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, step_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     return gen.standard_normal((n_traj, per_traj))
-
-
-@dataclass(frozen=True)
-class NoiseStream:
-    """Single-trajectory view of the counter-based noise source."""
-
-    master_seed: int
-    trajectory_index: int
-
-    def normals(self, step_index: int, count: int) -> np.ndarray:
-        """The `count` standard normals this trajectory owns at a step."""
-        gen = _step_generator(self.master_seed, step_index)
-        flat = gen.standard_normal((self.trajectory_index + 1) * count)
-        return flat[self.trajectory_index * count :]
-
-
-def gaussian_field_noise(normals: np.ndarray, cell_volume: float, dt: float) -> np.ndarray:
-    """Scale unit normals to discrete delta-correlated real noise.
-
-    Per mode per step the variance is 1 / (cell_volume * dt), the lattice
-    discretization of <xi(t) xi(t')> = delta(t - t') / dV.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return normals / math.sqrt(cell_volume * dt)
 
 
 def complex_field_noise(normals: np.ndarray, cell_volume: float, dt: float) -> np.ndarray:
@@ -82,29 +60,20 @@ def complex_field_noise(normals: np.ndarray, cell_volume: float, dt: float) -> n
 
 @dataclass
 class MomentAccumulator:
-    """Running weighted mean / CLT error bar with loss-free merging."""
+    """Running mean / CLT error bar with loss-free merging."""
 
-    weight_sum: complex = 0.0
     value_sum: complex = 0.0
     abs2_sum: float = 0.0
     count: int = 0
 
-    def add(self, values: np.ndarray, weights=None) -> None:
+    def add(self, values: np.ndarray) -> None:
         values = np.asarray(values)
-        if weights is None:
-            self.weight_sum += values.size
-            self.value_sum += complex(values.sum())
-            self.abs2_sum += float((np.abs(values) ** 2).sum())
-        else:
-            weights = np.asarray(weights)
-            self.weight_sum += complex(weights.sum())
-            self.value_sum += complex((weights * values).sum())
-            self.abs2_sum += float((np.abs(weights) * np.abs(values) ** 2).sum())
+        self.value_sum += complex(values.sum())
+        self.abs2_sum += float((np.abs(values) ** 2).sum())
         self.count += values.size
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         return MomentAccumulator(
-            self.weight_sum + other.weight_sum,
             self.value_sum + other.value_sum,
             self.abs2_sum + other.abs2_sum,
             self.count + other.count,
@@ -114,15 +83,14 @@ class MomentAccumulator:
     def mean(self) -> complex:
         if self.count == 0:
             raise ValueError("empty accumulator")
-        return self.value_sum / self.weight_sum
+        return self.value_sum / self.count
 
     @property
     def error(self) -> float:
         """Sample standard deviation of the mean (CLT bar)."""
         if self.count < 2:
             return math.inf
-        w = abs(self.weight_sum)
-        var = self.abs2_sum / w - abs(self.value_sum / self.weight_sum) ** 2
+        var = self.abs2_sum / self.count - abs(self.value_sum / self.count) ** 2
         var = max(var, 0.0) * self.count / (self.count - 1)
         return math.sqrt(var / self.count)
 
@@ -131,21 +99,18 @@ class MomentAccumulator:
 class SdeScheme:
     """Integration scheme selection.
 
-    ``interpretation`` records which stochastic calculus the supplied
-    drift corresponds to; engines apply the analytic Ito->Stratonovich
-    correction before handing drifts to the midpoint scheme.
+    The stochastic calculus of a drift is the model's own business: the
+    engines apply the analytic Ito->Stratonovich correction before
+    handing drifts to the midpoint scheme.
     """
 
     scheme: str = "midpoint"  # "euler" | "midpoint"
     dt: float = 1e-3
     midpoint_iters: int = 4
-    interpretation: str = "stratonovich"  # "ito" | "stratonovich"
 
     def __post_init__(self):
         if self.scheme not in ("euler", "midpoint"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.interpretation not in ("ito", "stratonovich"):
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.midpoint_iters < 1:
@@ -170,6 +135,32 @@ def step(state, t, derivative, scheme: SdeScheme):
     return 2.0 * mid - state
 
 
+def evolve(state, model, scheme: SdeScheme, n_steps: int, divergence_ceiling: float = 1e6):
+    """Yield (step index, state, alive mask) at step 0 and after each step.
+
+    Each step draws `model.noise` once and passes it to every
+    `model.derivative` call of that step.  Trajectories whose state
+    leaves the divergence ceiling (or turns non-finite) are marked dead in
+    the mask and frozen at zero.  The mask is updated in place, so a
+    consumer that keeps it past the next step must copy it.
+    """
+    n_traj = state.shape[0]
+    alive = np.ones(n_traj, dtype=bool)
+    yield 0, state, alive
+    for step_idx in range(n_steps):
+        noise = model.noise(step_idx, n_traj, scheme.dt)
+        t = step_idx * scheme.dt
+        state = step(state, t, lambda y, tt: model.derivative(y, step_idx, noise), scheme)
+        flat = state.reshape(n_traj, -1)
+        bad = ~np.isfinite(flat).all(axis=1) | (np.abs(flat).max(axis=1) > divergence_ceiling)
+        newly_dead = bad & alive
+        if newly_dead.any():
+            alive &= ~newly_dead
+            # freeze dead trajectories so NaNs cannot poison the others
+            state = np.where(alive.reshape((-1,) + (1,) * (state.ndim - 1)), state, 0.0)
+        yield step_idx + 1, state, alive
+
+
 @dataclass
 class EnsembleResult:
     times: np.ndarray
@@ -187,24 +178,20 @@ class EnsembleResult:
 
 def run_ensemble(
     sampler,
-    derivative,
+    model,
     observables: dict,
     trajectory_count: int,
     times,
     scheme: SdeScheme,
     seed: int,
-    weights_fn=None,
     divergence_ceiling: float = 1e6,
-    event_hooks=None,
 ):
     """Evolve an ensemble and accumulate observable means with CLT bars.
 
     sampler(seed, n) -> initial state array with leading trajectory axis.
-    derivative(state, t, step_index) -> dy/dt including discrete noise.
+    model: provides noise(step_index, n_traj, dt) and
+    derivative(state, step_index, noise), as driven by `evolve`.
     observables: name -> fn(state) -> per-trajectory complex values.
-    weights_fn: optional fn(state) -> per-trajectory weights (gauge Omega).
-    event_hooks: optional {step_index: fn(state) -> state} applied after
-    the step (used e.g. for a Hamiltonian sign flip mid-run).
 
     Trajectories whose state leaves the divergence ceiling (or turns
     non-finite) are excluded from all later statistics and counted.
@@ -224,40 +211,18 @@ def run_ensemble(
     for idx, s in enumerate(meas_steps):
         meas_lookup.setdefault(int(s), []).append(idx)
 
-    state = sampler(seed, trajectory_count)
-    alive = np.ones(trajectory_count, dtype=bool)
     series = {
         name: {"mean": np.zeros(len(times), dtype=complex), "error": np.zeros(len(times))}
         for name in observables
     }
-
-    def flatten(arr):
-        return arr.reshape(trajectory_count, -1)
-
-    def record(step_idx):
+    initial = sampler(seed, trajectory_count)
+    for step_idx, state, alive in evolve(initial, model, scheme, n_steps, divergence_ceiling):
         for t_idx in meas_lookup.get(step_idx, []):
             for name, fn in observables.items():
                 acc = MomentAccumulator()
-                vals = np.asarray(fn(state))[alive]
-                w = None if weights_fn is None else np.asarray(weights_fn(state))[alive]
-                acc.add(vals, w)
+                acc.add(np.asarray(fn(state))[alive])
                 series[name]["mean"][t_idx] = acc.mean
                 series[name]["error"][t_idx] = acc.error
-
-    record(0)
-    for step_idx in range(n_steps):
-        t = step_idx * scheme.dt
-        state = step(state, t, lambda y, tt: derivative(y, tt, step_idx), scheme)
-        if event_hooks and (step_idx + 1) in event_hooks:
-            state = event_hooks[step_idx + 1](state)
-        flat = flatten(state)
-        bad = ~np.isfinite(flat).all(axis=1) | (np.abs(flat).max(axis=1) > divergence_ceiling)
-        newly_dead = bad & alive
-        if newly_dead.any():
-            alive &= ~newly_dead
-            # freeze dead trajectories so NaNs cannot poison the others
-            state = np.where(alive.reshape((-1,) + (1,) * (state.ndim - 1)), state, 0.0)
-        record(step_idx + 1)
 
     diverged = int(trajectory_count - alive.sum())
     result = EnsembleResult(

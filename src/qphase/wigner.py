@@ -11,7 +11,7 @@ physical observable (spin moments, xi^2 squeezing) is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,9 +19,9 @@ import numpy as np
 from .stochastic import (
     SdeScheme,
     complex_field_noise,
+    evolve,
     noise_block,
     run_ensemble,
-    step,
 )
 
 __all__ = [
@@ -107,14 +107,19 @@ class WignerModel:
     seed: int = 0
     interpretation: str = "stratonovich"
 
-    _noise_cache: dict = field(default_factory=dict, repr=False)
+    def __post_init__(self):
+        if self.interpretation not in ("ito", "stratonovich"):
+            raise ValueError(f"unknown interpretation {self.interpretation!r}")
 
-    def set_dt(self, dt: float):
-        self._dt = dt
-        return self
+    def noise(self, step_index: int, n_traj: int, dt: float):
+        """One complex noise zeta_l per loss channel, or None without losses."""
+        if not self.channels:
+            return None
+        raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))
+        return complex_field_noise(raw, self.cell_volume, dt)
 
-    def derivative(self, fields: np.ndarray, t: float, step_index: int) -> np.ndarray:
-        n_traj, n_comp = fields.shape
+    def derivative(self, fields: np.ndarray, step_index: int, zeta) -> np.ndarray:
+        n_comp = fields.shape[1]
         d = np.zeros_like(fields)
         if self.omega is not None:
             if callable(self.omega):
@@ -125,27 +130,17 @@ class WignerModel:
             chi = np.asarray(self.chi)
             density = np.abs(fields) ** 2
             d += -1j * (density @ chi.T) * fields
-        if self.channels:
-            key = (step_index, n_traj)
-            if key not in self._noise_cache:
-                self._noise_cache.clear()
-                self._noise_cache[key] = noise_block(
-                    self.seed, step_index, n_traj, 2 * len(self.channels)
-                )
-            zeta = complex_field_noise(
-                self._noise_cache[key], self.cell_volume, self._dt
-            )
-            for l, ch in enumerate(self.channels):
-                mono = _monomial(fields, ch.powers)
-                grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]
-                for s in range(n_comp):
-                    d[:, s] += -ch.rate * np.conj(grads[s]) * mono
-                    d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
-                    if self.interpretation == "stratonovich":
-                        # subtract the Ito->Stratonovich drift shift
-                        for t2 in range(n_comp):
-                            hess = _monomial_hess(fields, ch.powers, s, t2)
-                            d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t2]
+        for l, ch in enumerate(self.channels):
+            mono = _monomial(fields, ch.powers)
+            grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]
+            for s in range(n_comp):
+                d[:, s] += -ch.rate * np.conj(grads[s]) * mono
+                d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
+                if self.interpretation == "stratonovich":
+                    # subtract the Ito->Stratonovich drift shift
+                    for t2 in range(n_comp):
+                        hess = _monomial_hess(fields, ch.powers, s, t2)
+                        d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t2]
         return d
 
 
@@ -168,11 +163,11 @@ def run_wigner_x(
         channels=tuple(channels),
         components=alpha0.size,
         seed=seed,
-    ).set_dt(dt)
+    )
     sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=4)
     return run_ensemble(
         lambda s, n: sample_wigner_coherent(alpha0, s, n),
-        model.derivative,
+        model,
         {"X": lambda f: f[:, 0].real, "n_w": lambda f: np.abs(f[:, 0]) ** 2},
         trajectory_count,
         times,
@@ -191,21 +186,16 @@ def evolve_snapshots(
     """Advance fields, returning copies at the requested step indices.
 
     Needed for nonlinear ensemble functionals (xi^2) that cannot be
-    expressed as per-trajectory means.
+    expressed as per-trajectory means.  Each snapshot holds only the
+    trajectories that have not diverged by that step.
     """
-    model.set_dt(dt)
     sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=4)
-    snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
-    out = {}
-    if snapshot_steps and snapshot_steps[0] == 0:
-        out[0] = fields.copy()
-    last = snapshot_steps[-1] if snapshot_steps else 0
-    for step_idx in range(last):
-        t = step_idx * dt
-        fields = step(fields, t, lambda y, tt: model.derivative(y, tt, step_idx), sde)
-        if (step_idx + 1) in snapshot_steps:
-            out[step_idx + 1] = fields.copy()
-    return out
+    wanted = set(int(s) for s in snapshot_steps)
+    return {
+        step_idx: state[alive]
+        for step_idx, state, alive in evolve(fields, model, sde, max(wanted, default=0))
+        if step_idx in wanted
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -129,30 +129,29 @@ def test_ito_and_stratonovich_agree():
     assert diff <= 3.0 * bar + 5e-3
 
 
-def test_noise_cache_reuse_within_midpoint():
-    """Repeated derivative calls at one step index see identical noise,
-    so the midpoint iteration converges on a fixed equation."""
-    model = KerrPlusP(chi=0.1, modes=1, seed=5).set_dt(0.01)
-    state = np.ones((50, 2), dtype=complex)
-    d1 = model.derivative(state, 0.0, 4)
-    d2 = model.derivative(state, 0.0, 4)
-    assert np.array_equal(d1, d2)
-    d3 = model.derivative(state, 0.0, 5)
-    assert not np.array_equal(d1, d3)
+def test_models_reject_unknown_interpretation():
+    with pytest.raises(ValueError):
+        KerrPlusP(chi=0.1, interpretation="fisk")
+    with pytest.raises(ValueError):
+        run_kerr_plusp({"kind": "coherent", "alpha": 1.0}, 0.1, [0.0, 0.1], 10, 0,
+                       dt=0.05, interpretation="fisk")
 
 
 def test_reverse_step_flips_dynamics():
     """Past the reversal step the drift equals that of a sign-flipped
     Hamiltonian with the same per-step noise."""
     state = np.full((4, 2), 1.0 + 0.5j)
-    reversing = KerrPlusP(chi=0.1, modes=1, seed=5, reverse_step=10).set_dt(0.01)
-    flipped = KerrPlusP(chi=0.1, modes=1, seed=5, sign=-1.0).set_dt(0.01)
-    forward = KerrPlusP(chi=0.1, modes=1, seed=5).set_dt(0.01)
+    omega = np.array([[0.3]])
+    reversing = KerrPlusP(chi=0.1, modes=1, omega=omega, seed=5, reverse_step=10)
+    flipped = KerrPlusP(chi=-0.1, modes=1, omega=-omega, seed=5)
+    forward = KerrPlusP(chi=0.1, modes=1, omega=omega, seed=5)
+    xi10 = forward.noise(10, 4, 0.01)
+    xi9 = forward.noise(9, 4, 0.01)
     assert np.array_equal(
-        reversing.derivative(state, 0.0, 10), flipped.derivative(state, 0.0, 10)
+        reversing.derivative(state, 10, xi10), flipped.derivative(state, 10, xi10)
     )
     assert np.array_equal(
-        reversing.derivative(state, 0.0, 9), forward.derivative(state, 0.0, 9)
+        reversing.derivative(state, 9, xi9), forward.derivative(state, 9, xi9)
     )
 
 

@@ -210,6 +210,21 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
     assert header == "t,re_x,error,diverged_count"
 
 
+def test_cli_csv_cells_parse_as_floats(tmp_path):
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text(
+        "kind: plusp\nseed: 4\nstate: {kind: coherent, alpha: 2.0}\n"
+        "chi: 0.05\ntrajectories: 50\ndt: 0.01\ntimes: {stop: 0.02, points: 3}\n"
+    )
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "tiny.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
     scenario = tmp_path / "tiny.yaml"
     scenario.write_text(
@@ -218,7 +233,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     )
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
-        proc = _run_cli("run", str(scenario), "--out", str(out), "--threads", "1")
+        proc = _run_cli("run", str(scenario), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     assert (out1 / "tiny.csv").read_bytes() == (out2 / "tiny.csv").read_bytes()
     assert (out1 / "tiny.json").read_bytes() == (out2 / "tiny.json").read_bytes()

@@ -7,14 +7,25 @@ from hypothesis import strategies as st
 
 from qphase.stochastic import (
     MomentAccumulator,
-    NoiseStream,
     SdeScheme,
     complex_field_noise,
-    gaussian_field_noise,
     noise_block,
     run_ensemble,
     step,
 )
+
+
+class Linear:
+    """Noise-free model dy/dt = rate * y."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def noise(self, step_index, n_traj, dt):
+        return None
+
+    def derivative(self, state, step_index, noise):
+        return self.rate * state
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +45,6 @@ def test_noise_block_is_deterministic_and_extends():
     assert not np.array_equal(noise_block(18, 3, 5, 4), a)
 
 
-def test_noise_stream_matches_block_rows():
-    block = noise_block(99, 12, 6, 3)
-    for traj in range(6):
-        stream = NoiseStream(master_seed=99, trajectory_index=traj)
-        assert np.array_equal(stream.normals(12, 3)[:3], block[traj])
-
-
 def test_noise_block_statistics():
     block = noise_block(0, 0, 20000, 4)
     assert abs(block.mean()) < 0.02
@@ -50,12 +54,8 @@ def test_noise_block_statistics():
 def test_field_noise_scaling():
     normals = noise_block(1, 0, 50000, 2)
     dv, dt = 0.5, 0.01
-    real = gaussian_field_noise(normals, dv, dt)
-    assert real.var() == pytest.approx(1.0 / (dv * dt), rel=0.03)
     z = complex_field_noise(normals, dv, dt)
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0 / (dv * dt), rel=0.03)
-    with pytest.raises(ValueError):
-        gaussian_field_noise(normals, dv, 0.0)
     with pytest.raises(ValueError):
         complex_field_noise(np.zeros((3, 3)), dv, dt)
 
@@ -94,12 +94,6 @@ def test_accumulator_merge_equals_bulk_add(seed, split):
     assert merged.count == bulk.count
 
 
-def test_accumulator_weighted_mean():
-    acc = MomentAccumulator()
-    acc.add(np.array([1.0, 3.0]), weights=np.array([3.0, 1.0]))
-    assert acc.mean == pytest.approx(1.5)
-
-
 def test_accumulator_empty_and_single():
     acc = MomentAccumulator()
     with pytest.raises(ValueError):
@@ -118,8 +112,6 @@ def test_scheme_validation():
         SdeScheme(scheme="rk4")
     with pytest.raises(ValueError):
         SdeScheme(dt=-1.0)
-    with pytest.raises(ValueError):
-        SdeScheme(interpretation="fisk")
     with pytest.raises(ValueError):
         SdeScheme(midpoint_iters=0)
 
@@ -147,7 +139,7 @@ def test_run_ensemble_exponential_decay():
     scheme = SdeScheme(scheme="midpoint", dt=0.01)
     result = run_ensemble(
         sampler=lambda seed, n: np.ones((n, 1), dtype=complex),
-        derivative=lambda y, t, k: -y,
+        model=Linear(-1.0),
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=4,
         times=times,
@@ -166,7 +158,7 @@ def test_run_ensemble_masks_divergent_trajectories():
 
     result = run_ensemble(
         sampler=sampler,
-        derivative=lambda y, t, k: y,  # exponential growth
+        model=Linear(1.0),  # exponential growth
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=8,
         times=np.linspace(0.0, 1.0, 3),
@@ -180,35 +172,55 @@ def test_run_ensemble_masks_divergent_trajectories():
     assert result.mean("y")[-1].real == pytest.approx(math.e, rel=1e-3)
 
 
-def test_run_ensemble_event_hook_flips_sign():
-    times = np.array([0.0, 0.5, 1.0])
-    result = run_ensemble(
-        sampler=lambda seed, n: np.full((n, 1), 2.0, dtype=complex),
-        derivative=lambda y, t, k: -y,
+def test_run_ensemble_draws_noise_once_per_step():
+    """Every midpoint iteration of a step sees the one noise object drawn
+    for that step."""
+
+    class Counting:
+        def __init__(self):
+            self.drawn = []  # (step index, noise) per noise call
+            self.seen = []  # (step index, noise) per derivative call
+
+        def noise(self, step_index, n_traj, dt):
+            xi = noise_block(0, step_index, n_traj, 1) / math.sqrt(dt)
+            self.drawn.append((step_index, xi))
+            return xi
+
+        def derivative(self, state, step_index, noise):
+            self.seen.append((step_index, noise))
+            return -state + noise
+
+    model = Counting()
+    run_ensemble(
+        sampler=lambda seed, n: np.ones((n, 1)),
+        model=model,
         observables={"y": lambda s: s[:, 0]},
-        trajectory_count=2,
-        times=times,
-        scheme=SdeScheme(scheme="midpoint", dt=0.01),
+        trajectory_count=4,
+        times=np.array([0.0, 0.5]),
+        scheme=SdeScheme(scheme="midpoint", dt=0.1, midpoint_iters=3),
         seed=0,
-        event_hooks={50: lambda s: -s},
     )
-    assert result.mean("y")[1].real == pytest.approx(-2.0 * math.exp(-0.5), rel=1e-4)
+    assert [k for k, _ in model.drawn] == list(range(5))
+    assert len(model.seen) == 5 * 3
+    for k, xi in model.drawn:
+        calls = [noise for j, noise in model.seen if j == k]
+        assert len(calls) == 3 and all(noise is xi for noise in calls)
 
 
 def test_run_ensemble_validates_schedule():
     scheme = SdeScheme(dt=0.01)
     with pytest.raises(ValueError):
         run_ensemble(
-            lambda s, n: np.ones((n, 1)), lambda y, t, k: y, {}, 2,
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
             np.array([0.1, 0.2]), scheme, 0,
         )
     with pytest.raises(ValueError):
         run_ensemble(
-            lambda s, n: np.ones((n, 1)), lambda y, t, k: y, {}, 2,
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
             np.array([0.0, 0.015]), scheme, 0,
         )
     with pytest.raises(ValueError):
         run_ensemble(
-            lambda s, n: np.ones((n, 1)), lambda y, t, k: y, {}, 1,
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 1,
             np.array([0.0, 0.01]), scheme, 0,
         )

@@ -9,6 +9,7 @@ from qphase.fock import (
     coherent_state,
     kerr_oracle,
 )
+from qphase.stochastic import MomentAccumulator
 from qphase.wigner import (
     LossChannel,
     WignerModel,
@@ -132,6 +133,41 @@ def test_two_body_loss_preserves_unaffected_mode():
     n0_after = np.mean(np.abs(snaps[50][:, 0]) ** 2) - 0.5
     assert n1_after == pytest.approx(n1_before, abs=0.05)
     assert n0_after < 0.8 * n0_before  # two-body decay really happens
+
+
+def test_model_rejects_unknown_interpretation():
+    with pytest.raises(ValueError):
+        WignerModel(interpretation="fisk")
+
+
+def test_diverged_trajectory_leaves_later_snapshots():
+    """A trajectory far outside the midpoint step's stable range diverges
+    on the first step; later snapshots hold only the survivors, which
+    evolve exactly as they would without it."""
+    model = WignerModel(chi=np.array([[1.0]]), seed=4)
+    fields = sample_wigner_coherent([1.0], seed=4, trajectories=50)
+    fields[3] = 100.0
+    snaps = evolve_snapshots(fields, model, dt=0.01, snapshot_steps=[0, 1, 5])
+    assert snaps[0].shape == (50, 1)
+    assert snaps[1].shape == snaps[5].shape == (49, 1)
+    clean = evolve_snapshots(np.delete(fields, 3, axis=0), model, dt=0.01, snapshot_steps=[5])
+    assert np.array_equal(snaps[5], clean[5])
+
+
+def test_snapshot_mean_equals_run_ensemble_mean():
+    """Snapshots and run_ensemble share one time loop: on the same seeded
+    lossy model the snapshot mean of X is the ensemble mean bit for bit."""
+    alpha, chi, seed, dt, n = [1.5, 1.0], [[0.1, 0.05], [0.05, 0.1]], 12, 0.01, 500
+    channels = (LossChannel((1, 0), 0.1), LossChannel((1, 1), 0.02))
+    times = np.array([0.0, 0.1, 0.2])
+    res = run_wigner_x(alpha, chi, times, n, seed, dt, channels=channels)
+    model = WignerModel(chi=np.asarray(chi), channels=channels, components=2, seed=seed)
+    fields = sample_wigner_coherent(alpha, seed, n)
+    snaps = evolve_snapshots(fields, model, dt, snapshot_steps=[10, 20])
+    for i, k in ((1, 10), (2, 20)):
+        acc = MomentAccumulator()
+        acc.add(snaps[k][:, 0].real)
+        assert acc.mean == res.mean("X")[i]
 
 
 def test_squeezing_coherent_state_is_unity():
