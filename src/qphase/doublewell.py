@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy import special
 
 from . import spins
 from .fock import FockBasis, StateVector, coherent_state, well_hamiltonian_diagonal
@@ -37,10 +37,21 @@ def rb_interaction_matrix() -> np.ndarray:
 
 
 def poisson_cutoff(nbar: float, eps: float = 1e-12) -> int:
-    """Occupation cutoff keeping all but ~eps of a Poisson(nbar) state."""
+    """Occupation cutoff keeping all but ~eps of a Poisson(nbar) state.
+
+    The quantile is scipy's ``poisson.isf(eps, nbar)``, computed the way
+    scipy does it: ``special.pdtrik`` stepped down by one where the CDF
+    already reaches 1 - eps.  Importing scipy's stats package for it more
+    than doubled the cold import of this module (1.3 s against 0.5 s).
+    """
     if nbar == 0:
         return 1
-    return int(poisson.isf(eps, nbar)) + 5
+    q = 1.0 - eps
+    k = math.ceil(special.pdtrik(q, nbar))
+    below = max(k - 1, 0)
+    if special.pdtr(below, nbar) >= q:
+        k = below
+    return k + 5
 
 
 @dataclass
@@ -82,11 +93,10 @@ class DoubleWellPoint:
     e_sum: float
 
 
-def _bilinear_mean(state: StateVector) -> complex:
-    """<a2^dag a1> on a 2-mode well state."""
-    ev = spins.ProductEvaluator(state, state)
+def _bilinear_mean(evaluator: spins.ProductEvaluator) -> complex:
+    """<a2^dag a1> of well A."""
     op = spins.op_mul(spins.op_elementary(0, 1, True), spins.op_elementary(0, 0, False))
-    return ev(op)
+    return evaluator(op)
 
 
 def _best_product_theta(moments: spins.SpinMoments, grid: int = 720) -> float:
@@ -124,9 +134,8 @@ def doublewell_scan(
     for tau in np.atleast_1d(taus):
         t = tau / (chi[0, 0] * atoms_total) if atoms_total > 0 else 0.0
         state = evo.at_time(t)
-        mean_bilinear = _bilinear_mean(state)
-        delta_theta = math.pi / 2 - cmath.phase(mean_bilinear)
         evaluator = spins.ProductEvaluator(state, state)
+        delta_theta = math.pi / 2 - cmath.phase(_bilinear_mean(evaluator))
         pre = spins.spin_moments(evaluator, delta_theta)
         theta, _ = spins.optimal_theta(pre, well=0)
         n0_well = 0.5 * abs(pre.mean(0, 2))

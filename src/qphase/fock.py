@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -44,6 +45,8 @@ class FockBasis:
 
     ``cutoffs[i]`` is the largest occupation kept in mode i (inclusive).
     With ``total_number`` set, only states with sum(n) == N are kept.
+    States are enumerated in ``itertools.product`` order, so in an
+    unrestricted basis mode m has index stride prod_{k>m}(cutoff_k + 1).
     """
 
     def __init__(self, cutoffs, total_number=None):
@@ -70,7 +73,12 @@ class FockBasis:
             if occs.size == 0:
                 raise ValueError("number sector is empty for these cutoffs")
         self.occupations = occs
-        self.index = {tuple(row): i for i, row in enumerate(occs)}
+        self._annihilators = {}
+
+    @cached_property
+    def index(self) -> dict:
+        """Occupation tuple -> basis index, built on first use."""
+        return {tuple(row): i for i, row in enumerate(self.occupations.tolist())}
 
     @property
     def mode_count(self) -> int:
@@ -82,6 +90,16 @@ class FockBasis:
 
     def state_index(self, occupation) -> int:
         return self.index[tuple(occupation)]
+
+    def annihilation(self, mode: int) -> sp.csr_matrix:
+        """a_mode, built once per basis and shared by every caller.
+
+        The returned matrix is the cached object itself: treat it as
+        read-only.
+        """
+        if mode not in self._annihilators:
+            self._annihilators[mode] = annihilation_operator(self, mode)
+        return self._annihilators[mode]
 
 
 @dataclass
@@ -133,21 +151,24 @@ def coherent_state(alphas, basis: FockBasis) -> StateVector:
 
 
 def annihilation_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
-    """a_mode in the given basis; requires an unrestricted basis."""
+    """a_mode in the given basis; requires an unrestricted basis.
+
+    In product order lowering mode m is a fixed index offset, so row r
+    holds sqrt(n_m + 1) at column r + stride_m whenever n_m(r) is below
+    the cutoff.  Use ``basis.annihilation(mode)`` for the shared copy.
+    """
     if basis.total_number is not None:
         raise ValueError("annihilation operators leave a fixed-number sector")
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.occupations):
-        n = occ[mode]
-        if n == 0:
-            continue
-        target = list(occ)
-        target[mode] = n - 1
-        rows.append(basis.state_index(target))
-        cols.append(col)
-        vals.append(math.sqrt(n))
+    if not 0 <= mode < basis.mode_count:
+        raise IndexError(f"mode {mode} outside 0..{basis.mode_count - 1}")
+    stride = math.prod(c + 1 for c in basis.cutoffs[mode + 1:])
+    occ = basis.occupations[:, mode]
+    raisable = occ < basis.cutoffs[mode]
+    indptr = np.concatenate(([0], np.cumsum(raisable)))
+    indices = np.flatnonzero(raisable) + stride
+    data = np.sqrt(occ[raisable] + 1.0).astype(complex)
     return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
+        (data, indices, indptr), shape=(basis.dimension, basis.dimension)
     )
 
 

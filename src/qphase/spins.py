@@ -101,6 +101,16 @@ def beam_splitter_map(op, mixing_angle: float, phase: float = 0.0):
     return out
 
 
+def _ladder(basis):
+    """(mode, dag) -> a_mode or its dagger, for every mode of the basis."""
+    ops = {}
+    for m in range(basis.mode_count):
+        a = basis.annihilation(m)
+        ops[(m, False)] = a
+        ops[(m, True)] = a.conj().T
+    return ops
+
+
 class JointEvaluator:
     """Evaluates symbolic operators on an explicit 4-mode state vector.
 
@@ -109,28 +119,17 @@ class JointEvaluator:
     """
 
     def __init__(self, state):
-        from .fock import annihilation_operator
-
         self.psi = state.amplitudes
-        self._ann = {
-            (w, m): annihilation_operator(state.basis, 2 * w + m)
-            for w in (0, 1)
-            for m in (0, 1)
-        }
+        self._ops = _ladder(state.basis)
         self._cache = {}
-
-    def _matrix(self, symbol):
-        well, mode, dag = symbol
-        a = self._ann[(well, mode)]
-        return a.conj().T if dag else a
 
     def __call__(self, op) -> complex:
         total = 0.0 + 0.0j
         for coeff, factors in op:
             if factors not in self._cache:
                 vec = self.psi
-                for symbol in reversed(factors):
-                    vec = self._matrix(symbol) @ vec
+                for well, mode, dag in reversed(factors):
+                    vec = self._ops[(2 * well + mode, dag)] @ vec
                 self._cache[factors] = complex(np.vdot(self.psi, vec))
             total += coeff * self._cache[factors]
         return total
@@ -141,26 +140,23 @@ class ProductEvaluator:
 
     Each well state lives on its own 2-mode Fock basis, so cross-well
     expectation values factorize exactly; this is what makes the
-    large-atom-number double-well runs tractable.
+    large-atom-number double-well runs tractable.  The ladder operators
+    are the per-basis shared ones from ``FockBasis.annihilation``, so
+    evaluators built on the same basis (one per time point of a scan)
+    never rebuild them; each dagger is formed once here.
     """
 
     def __init__(self, state_a, state_b):
-        from .fock import annihilation_operator
-
         self.psis = (state_a.amplitudes, state_b.amplitudes)
-        self._ann = (
-            {m: annihilation_operator(state_a.basis, m) for m in (0, 1)},
-            {m: annihilation_operator(state_b.basis, m) for m in (0, 1)},
-        )
+        self._ops = (_ladder(state_a.basis), _ladder(state_b.basis))
         self._cache = ({}, {})
 
     def _well_expect(self, well: int, factors) -> complex:
         cache = self._cache[well]
         if factors not in cache:
             vec = self.psis[well]
-            for mode, dag in reversed(factors):
-                a = self._ann[well][mode]
-                vec = (a.conj().T if dag else a) @ vec
+            for symbol in reversed(factors):
+                vec = self._ops[well][symbol] @ vec
             cache[factors] = complex(np.vdot(self.psis[well], vec))
         return cache[factors]
 

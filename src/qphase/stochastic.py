@@ -117,8 +117,8 @@ class SdeScheme:
             raise ValueError("midpoint_iters must be >= 1")
 
 
-def step(state, t, derivative, scheme: SdeScheme):
-    """Advance one step of dy/dt = derivative(y, t).
+def step(state, derivative, scheme: SdeScheme):
+    """Advance one step of dy/dt = derivative(y).
 
     `derivative` already contains the discretized noise term for this
     step (drift + B(y) xi with xi of variance 1/dt), so the midpoint
@@ -127,11 +127,10 @@ def step(state, t, derivative, scheme: SdeScheme):
     """
     dt = scheme.dt
     if scheme.scheme == "euler":
-        return state + dt * derivative(state, t)
+        return state + dt * derivative(state)
     mid = state
-    t_mid = t + 0.5 * dt
     for _ in range(scheme.midpoint_iters):
-        mid = state + 0.5 * dt * derivative(mid, t_mid)
+        mid = state + 0.5 * dt * derivative(mid)
     return 2.0 * mid - state
 
 
@@ -149,8 +148,7 @@ def evolve(state, model, scheme: SdeScheme, n_steps: int, divergence_ceiling: fl
     yield 0, state, alive
     for step_idx in range(n_steps):
         noise = model.noise(step_idx, n_traj, scheme.dt)
-        t = step_idx * scheme.dt
-        state = step(state, t, lambda y, tt: model.derivative(y, step_idx, noise), scheme)
+        state = step(state, lambda y: model.derivative(y, step_idx, noise), scheme)
         flat = state.reshape(n_traj, -1)
         bad = ~np.isfinite(flat).all(axis=1) | (np.abs(flat).max(axis=1) > divergence_ceiling)
         newly_dead = bad & alive

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qphase.fock import (
     CapacityError,
@@ -60,6 +61,53 @@ def test_annihilation_commutator():
     comm = a @ a.conj().T - a.conj().T @ a
     # canonical commutator away from the truncation edge
     assert np.allclose(np.diag(comm)[:-1], 1.0)
+
+
+def _loop_annihilation(basis, mode):
+    """Reference build, one basis state at a time: a|n> = sqrt(n_m)|n - e_m>."""
+    rows, cols, vals = [], [], []
+    for col, occ in enumerate(basis.occupations):
+        n = occ[mode]
+        if n == 0:
+            continue
+        target = list(occ)
+        target[mode] = n - 1
+        rows.append(basis.state_index(target))
+        cols.append(col)
+        vals.append(math.sqrt(n))
+    return sp.csr_matrix(
+        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
+    )
+
+
+@pytest.mark.parametrize("cutoffs", [(6,), (3, 5), (2, 0, 4), (1, 3, 2, 4)])
+def test_annihilation_operator_matches_loop_build(cutoffs):
+    basis = FockBasis(cutoffs)
+    for mode in range(basis.mode_count):
+        got = annihilation_operator(basis, mode)
+        ref = _loop_annihilation(basis, mode)
+        assert got.dtype == complex and got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+
+def test_annihilation_operator_rejects_sector_and_bad_mode():
+    sector = FockBasis((3, 3), total_number=3)
+    with pytest.raises(ValueError):
+        annihilation_operator(sector, 0)
+    with pytest.raises(ValueError):
+        sector.annihilation(1)
+    for mode in (-1, 2):
+        with pytest.raises(IndexError):
+            annihilation_operator(FockBasis((3, 3)), mode)
+
+
+def test_basis_shares_one_annihilation_operator_per_mode():
+    basis = FockBasis((2, 3))
+    a1 = basis.annihilation(1)
+    assert basis.annihilation(1) is a1
+    assert (a1 != annihilation_operator(basis, 1)).nnz == 0
 
 
 def test_transfer_operator_matches_ladder_product():

@@ -139,6 +139,15 @@ def test_poisson_cutoff_covers_mass():
     assert poisson_cutoff(0.0) == 1
 
 
+def test_poisson_cutoff_matches_scipy_quantile():
+    from scipy.stats import poisson
+
+    grid = np.linspace(0.001, 3000.0, 30001)
+    expected = poisson.isf(1e-12, grid).astype(int) + 5
+    assert np.array_equal([poisson_cutoff(nbar) for nbar in grid], expected)
+    assert poisson_cutoff(0.0) == 1
+
+
 def test_rb_interaction_matrix_values():
     chi = rb_interaction_matrix()
     assert chi[0, 0] == 1.0
@@ -167,3 +176,19 @@ def test_doublewell_scan_time_normalization():
     # doubling every chi_ij halves t but keeps chi_ij * t fixed
     assert p1.s_db_theta == pytest.approx(p2.s_db_theta, abs=1e-8)
     assert p1.e_product == pytest.approx(p2.e_product, abs=1e-8)
+
+
+def test_doublewell_scan_builds_each_ladder_operator_once(monkeypatch):
+    """One build per mode of the one well basis, shared by every tau."""
+    from qphase import fock
+
+    built = []
+    original = fock.annihilation_operator
+
+    def counting(basis, mode):
+        built.append(mode)
+        return original(basis, mode)
+
+    monkeypatch.setattr(fock, "annihilation_operator", counting)
+    doublewell_scan(20.0, [1, 5, 10])
+    assert sorted(built) == [0, 1]

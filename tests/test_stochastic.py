@@ -122,7 +122,7 @@ def test_midpoint_step_second_order_on_rotation():
     dt = 1e-2
     scheme = SdeScheme(scheme="midpoint", dt=dt, midpoint_iters=50)
     y = np.array([1.0 + 0.0j])
-    out = step(y, 0.0, lambda s, t: -1j * s, scheme)
+    out = step(y, lambda s: -1j * s, scheme)
     cayley = (1 - 0.5j * dt) / (1 + 0.5j * dt)
     assert out[0] == pytest.approx(cayley, rel=1e-12)
     assert abs(out[0] - math.cos(dt) - 1j * -math.sin(dt)) < dt**3
@@ -130,7 +130,7 @@ def test_midpoint_step_second_order_on_rotation():
 
 def test_euler_step():
     scheme = SdeScheme(scheme="euler", dt=0.1)
-    out = step(np.array([2.0]), 0.0, lambda s, t: -s, scheme)
+    out = step(np.array([2.0]), lambda s: -s, scheme)
     assert out[0] == pytest.approx(1.8)
 
 
