@@ -2,7 +2,7 @@
 
 Modules
 -------
-lattice          momentum-space lattice models and Hilbert-space counting
+lattice          many-body Hilbert-space dimension counting
 fock             exact few-mode Fock-basis states and propagation
 spins            Schwinger spin moments, squeezing, entanglement criteria
 doublewell       the two-well two-spin squeezing/entanglement pipeline

@@ -26,9 +26,6 @@ from scipy.linalg import expm, logm
 
 __all__ = [
     "GaussianPhasePoint",
-    "mu_from_n",
-    "n_from_mu",
-    "normalization",
     "inner_product",
     "log_inner_product",
     "RenyiResult",
@@ -51,38 +48,6 @@ class GaussianPhasePoint:
         if self.statistics not in ("boson", "fermion"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
         self.n = np.atleast_2d(np.asarray(self.n, dtype=complex))
-
-
-def mu_from_n(n: np.ndarray, statistics: str) -> np.ndarray:
-    """Kernel variable mu of the Gaussian operator, from n.
-
-    boson: mu = (I + n)^{-T}; fermion: mu = 2I - n^{-T}.  (For fermions
-    the conventional "n" entering this map is the hole function; every
-    inner-product determinant below is symmetric under n <-> I - n, so
-    observables do not depend on that labeling.)
-    """
-    n = np.atleast_2d(np.asarray(n, dtype=complex))
-    eye = np.eye(n.shape[0])
-    if statistics == "boson":
-        return np.linalg.inv(eye + n).T
-    return 2.0 * eye - np.linalg.inv(n).T
-
-
-def n_from_mu(mu: np.ndarray, statistics: str) -> np.ndarray:
-    mu = np.atleast_2d(np.asarray(mu, dtype=complex))
-    eye = np.eye(mu.shape[0])
-    if statistics == "boson":
-        return np.linalg.inv(mu.T) - eye
-    return np.linalg.inv((2.0 * eye - mu).T)
-
-
-def normalization(n: np.ndarray, statistics: str) -> complex:
-    """Trace of the unnormalized Gaussian kernel exp[a^dag ln(I-mu) a]-form."""
-    n = np.atleast_2d(np.asarray(n, dtype=complex))
-    eye = np.eye(n.shape[0])
-    if statistics == "boson":
-        return complex(np.linalg.det(eye + n))
-    return complex(np.linalg.det(2.0 * eye - mu_from_n(n, statistics)))
 
 
 def log_inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint) -> complex:

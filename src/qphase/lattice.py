@@ -1,214 +1,16 @@
-"""Lattice discretization of the second-quantized Hamiltonian.
+"""Many-body Hilbert-space dimension counting.
 
-A uniform box with periodic boundaries is discretized into M cells per
-axis.  Mode operators live either on the spatial lattice or in momentum
-space, connected by a unitary discrete Fourier transform.  The kinetic
-energy is diagonal in momentum space with eigenvalue hbar k^2 / 2m.
+The number of Fock states of N particles in M modes sets the cost of an
+exact basis and is what makes phase-space methods necessary beyond a
+few modes.  ``hilbert_dimension`` counts it exactly while the integer
+stays cheap to build, and gives its log10 scale beyond that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
 
-import numpy as np
-
-__all__ = [
-    "LatticeSpec",
-    "HubbardModel",
-    "build_dispersion",
-    "mode_transform",
-    "mode_transform_inverse",
-    "hilbert_dimension",
-]
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Geometry of the mode lattice.
-
-    ``dims`` holds the cell count per spatial axis (1 to 3 axes),
-    ``box_lengths`` the box length per axis.  ``units`` selects either
-    dimensionless conventions (hbar = 1) or SI.
-    """
-
-    dims: tuple[int, ...]
-    box_lengths: tuple[float, ...]
-    spin_count: int = 1
-    masses: tuple[float, ...] = (1.0,)
-    units: str = "dimensionless"
-
-    def __post_init__(self):
-        if not 1 <= len(self.dims) <= 3:
-            raise ValueError("lattice must have 1-3 spatial axes")
-        if len(self.box_lengths) != len(self.dims):
-            raise ValueError("box_lengths must match dims axis count")
-        if any(m < 1 for m in self.dims):
-            raise ValueError("cells per axis must be positive")
-        if any(length <= 0 for length in self.box_lengths):
-            raise ValueError("box lengths must be positive")
-        if self.spin_count < 1:
-            raise ValueError("spin_count must be positive")
-        if len(self.masses) != self.spin_count:
-            raise ValueError("one mass per spin species required")
-        if self.units not in ("dimensionless", "si"):
-            raise ValueError(f"unknown units mode {self.units!r}")
-
-    @property
-    def hbar(self) -> float:
-        return 1.0 if self.units == "dimensionless" else 1.054571817e-34
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.box_lengths))
-
-    @property
-    def cell_volume(self) -> float:
-        return self.volume / self.cell_count
-
-    @property
-    def momentum_spacing(self) -> tuple[float, ...]:
-        return tuple(2.0 * math.pi / length for length in self.box_lengths)
-
-    @property
-    def mode_count(self) -> int:
-        return self.spin_count * self.cell_count
-
-    def kinetic_eigenvalues(self, spin: int) -> np.ndarray:
-        """hbar k^2 / 2m per momentum mode, FFT ordering, flattened.
-
-        Momentum components are taken in the symmetric window
-        (-M/2, M/2] * dk so the dispersion is minimal-band.
-        """
-        ksq_axes = []
-        for m_cells, dk in zip(self.dims, self.momentum_spacing):
-            j = np.fft.fftfreq(m_cells, d=1.0 / m_cells)  # integer indices
-            ksq_axes.append((dk * j) ** 2)
-        grids = np.meshgrid(*ksq_axes, indexing="ij")
-        ksq = reduce(np.add, grids).ravel()
-        return self.hbar * ksq / (2.0 * self.masses[spin])
-
-
-@dataclass
-class HubbardModel:
-    """Lattice Bose-Hubbard model shared by all engines.
-
-    The kinetic part is stored as its momentum-space diagonal, the
-    potential pointwise on the lattice.  ``interaction`` is the local
-    spin-coupling matrix chi_ss', ``coupling`` an optional caller-supplied
-    time-dependent Rabi matrix Omega(t) -> (S, S) array.
-    """
-
-    lattice: LatticeSpec
-    kinetic_diag: np.ndarray  # (S, cells) real, k-space
-    potential: np.ndarray  # (S, cells) real, x-space
-    interaction: np.ndarray  # (S, S) real symmetric
-    internal_energies: np.ndarray = field(default=None)  # (S,)
-    coupling: object = None  # callable t -> (S, S) Hermitian, or None
-
-    def __post_init__(self):
-        s = self.lattice.spin_count
-        self.kinetic_diag = np.asarray(self.kinetic_diag, dtype=float)
-        self.potential = np.asarray(self.potential, dtype=float)
-        self.interaction = np.asarray(self.interaction, dtype=float)
-        if self.internal_energies is None:
-            self.internal_energies = np.zeros(s)
-        self.internal_energies = np.asarray(self.internal_energies, dtype=float)
-        if self.kinetic_diag.shape != (s, self.lattice.cell_count):
-            raise ValueError("kinetic_diag shape mismatch")
-        if self.potential.shape != (s, self.lattice.cell_count):
-            raise ValueError("potential shape mismatch")
-        if self.interaction.shape != (s, s):
-            raise ValueError("interaction must be (S, S)")
-        if not np.allclose(self.interaction, self.interaction.T):
-            raise ValueError("interaction matrix must be symmetric")
-
-    def omega_matrix(self) -> np.ndarray:
-        """Dense single-particle matrix omega_nn' over all modes.
-
-        Ordering is spin-major: mode index n = spin * cells + site.
-        Only intended for small lattices (tests, exact work).
-        """
-        lat = self.lattice
-        cells = lat.cell_count
-        s_count = lat.spin_count
-        dft = _dft_matrix(lat)
-        total = lat.mode_count
-        omega = np.zeros((total, total), dtype=complex)
-        for s in range(s_count):
-            block = dft @ np.diag(self.kinetic_diag[s]) @ dft.conj().T
-            block += np.diag(self.potential[s] + self.internal_energies[s])
-            sl = slice(s * cells, (s + 1) * cells)
-            omega[sl, sl] = block
-        return omega
-
-    def apply_single_particle(self, sites: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """omega @ field for an (S, cells) site-space field, spectrally."""
-        sites = np.asarray(sites, dtype=complex)
-        out = np.empty_like(sites)
-        for s in range(self.lattice.spin_count):
-            kspace = mode_transform_inverse(sites[s], self.lattice)
-            out[s] = mode_transform(self.kinetic_diag[s] * kspace, self.lattice)
-        out += (self.potential + self.internal_energies[:, None]) * sites
-        if self.coupling is not None:
-            out += np.asarray(self.coupling(t), dtype=complex) @ sites
-        return out
-
-
-def build_dispersion(lattice: LatticeSpec, potential) -> HubbardModel:
-    """Build a HubbardModel whose kinetic part has plane-wave eigenvalue
-    hbar k^2 / 2m and whose potential acts pointwise."""
-    pot = np.asarray(potential, dtype=float)
-    if pot.size != lattice.mode_count:
-        raise ValueError(
-            f"potential has {pot.size} entries, lattice needs {lattice.mode_count}"
-        )
-    pot = pot.reshape(lattice.spin_count, lattice.cell_count)
-    kin = np.stack([lattice.kinetic_eigenvalues(s) for s in range(lattice.spin_count)])
-    chi = np.zeros((lattice.spin_count, lattice.spin_count))
-    return HubbardModel(lattice, kin, pot, chi)
-
-
-def _dft_matrix(lattice: LatticeSpec) -> np.ndarray:
-    """Unitary k->x transform matrix for one spin block (small lattices)."""
-    cells = lattice.cell_count
-    eye = np.eye(cells, dtype=complex)
-    cols = [mode_transform(eye[:, j], lattice) for j in range(cells)]
-    return np.stack(cols, axis=1)
-
-
-def _reshape_spatial(field: np.ndarray, lattice: LatticeSpec):
-    field = np.asarray(field, dtype=complex)
-    if field.shape[-1] != lattice.cell_count:
-        raise ValueError(
-            f"field has {field.shape[-1]} cells, lattice has {lattice.cell_count}"
-        )
-    return field.reshape(field.shape[:-1] + tuple(lattice.dims))
-
-
-def mode_transform(kfield: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Momentum-space amplitudes to site amplitudes (unitary DFT).
-
-    a_n = M^{-d/2} sum_k a~_k exp[2 pi i k.n / (dk M)].  Accepts leading
-    batch axes; the last axis is the flattened cell index.
-    """
-    arr = _reshape_spatial(kfield, lattice)
-    axes = tuple(range(arr.ndim - len(lattice.dims), arr.ndim))
-    out = np.fft.ifftn(arr, axes=axes) * math.sqrt(lattice.cell_count)
-    return out.reshape(kfield.shape)
-
-
-def mode_transform_inverse(sites: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Site amplitudes back to momentum space (inverse of mode_transform)."""
-    arr = _reshape_spatial(sites, lattice)
-    axes = tuple(range(arr.ndim - len(lattice.dims), arr.ndim))
-    out = np.fft.fftn(arr, axes=axes) / math.sqrt(lattice.cell_count)
-    return out.reshape(np.asarray(sites).shape)
+__all__ = ["hilbert_dimension"]
 
 
 EXACT_DIGIT_LIMIT = 10_000

@@ -120,7 +120,7 @@ class KerrPlusP:
     -i d(beta_m)/dt = omega_mn beta_n + [chi alpha_m beta_m
                         + sqrt(-i chi) xi2_m] beta_m
 
-    with 2M real noises of variance delta_mm' / (dV dt) per step.  The
+    with 2M real noises of variance delta_mm' / dt per step.  The
     Stratonovich-corrected drift (for the midpoint scheme) subtracts the
     analytic Ito term (i chi / 2) alpha (and conjugate-role for beta).
     From ``reverse_step`` on, the Hamiltonian changes sign (chi and
@@ -130,7 +130,6 @@ class KerrPlusP:
     chi: float
     modes: int = 1
     omega: np.ndarray = None  # (M, M) single-particle matrix or None
-    cell_volume: float = 1.0
     seed: int = 0
     interpretation: str = "stratonovich"
     reverse_step: int = None  # flip sign at this step index, if set
@@ -142,7 +141,7 @@ class KerrPlusP:
     def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
         """The 2M real noises of a step: xi1 in columns :M, xi2 in M:."""
         raw = noise_block(self.seed, step_index, n_traj, 2 * self.modes)
-        return raw * (1.0 / math.sqrt(self.cell_volume * dt))
+        return raw * (1.0 / math.sqrt(dt))
 
     def derivative(self, state: np.ndarray, step_index: int, noise: np.ndarray) -> np.ndarray:
         m = self.modes
@@ -201,15 +200,13 @@ def run_kerr_plusp(
     dt: float,
     omega=None,
     width: str = "canonical",
-    scheme: str = "midpoint",
     interpretation: str = "stratonovich",
-    midpoint_iters: int = 4,
     divergence_ceiling: float = 1e6,
     reverse_at: float = None,
     extra_observables: dict = None,
 ) -> EnsembleResult:
     modes = len(np.atleast_1d(state.get("alpha", state.get("nbar", state.get("n", [0])))))
-    sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=midpoint_iters)
+    sde = SdeScheme(dt=dt)
     reverse_step = None
     if reverse_at is not None:
         reverse_step = int(round(reverse_at / dt))

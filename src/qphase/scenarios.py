@@ -60,13 +60,17 @@ def _as_complex(value, path, errors):
     return 0j
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(cfg, key, errors, default=None, required=False, positive=False, minimum=None):
     if key not in cfg:
         if required:
             errors.append((key, "required key missing"))
         return default
     value = cfg[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         errors.append((key, f"expected a number, got {type(value).__name__}"))
         return default
     if positive and value <= 0:
@@ -207,7 +211,7 @@ def _validate_wigner(cfg, errors):
         channels.append((tuple(powers), rate or 0.0))
     return {
         "alpha0": alpha0,
-        "chi": _number(cfg, "chi", errors, default=0.0),
+        "chi": _wigner_chi(cfg, len(alpha0), errors),
         "channels": channels,
         "trajectories": _integer(cfg, "trajectories", errors, default=1000, positive=True),
         "dt": _number(cfg, "dt", errors, default=1e-3, positive=True),
@@ -215,11 +219,31 @@ def _validate_wigner(cfg, errors):
     }
 
 
+def _wigner_chi(cfg, components, errors):
+    """chi as a number (one component) or an S x S list of numbers; None if omitted."""
+    if "chi" not in cfg:
+        return None
+    value = cfg["chi"]
+    if components == 1 and _is_number(value):
+        return value
+    rows = value if isinstance(value, list) and len(value) == components else []
+    if rows and all(
+        isinstance(row, list) and len(row) == components and all(map(_is_number, row))
+        for row in rows
+    ):
+        return np.asarray(rows, dtype=float)
+    if components == 1:
+        errors.append(("chi", "expected a number or a 1x1 list of numbers"))
+    else:
+        errors.append(("chi", f"expected a {components}x{components} list of numbers"))
+    return None
+
+
 def _validate_plusp(cfg, errors):
     _check_unknown(
         cfg,
         _COMMON_KEYS
-        | {"state", "chi", "trajectories", "dt", "times", "canonical_width", "gauge", "divergence_ceiling"},
+        | {"state", "chi", "trajectories", "dt", "times", "canonical_width", "divergence_ceiling"},
         errors,
     )
     state_cfg = cfg.get("state")
@@ -256,7 +280,6 @@ def _validate_plusp(cfg, errors):
         "dt": _number(cfg, "dt", errors, default=1e-3, positive=True),
         "times": _times(cfg, errors),
         "width": _choice(cfg, "canonical_width", errors, {"canonical", "delta"}, default="canonical"),
-        "gauge": _choice(cfg, "gauge", errors, {"identity"}, default="identity"),
         "divergence_ceiling": _number(cfg, "divergence_ceiling", errors, default=1e6, positive=True),
     }
 

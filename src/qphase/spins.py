@@ -143,13 +143,16 @@ class ProductEvaluator:
     large-atom-number double-well runs tractable.  The ladder operators
     are the per-basis shared ones from ``FockBasis.annihilation``, so
     evaluators built on the same basis (one per time point of a scan)
-    never rebuild them; each dagger is formed once here.
+    never rebuild them; each dagger is formed once here.  When both
+    wells are the same state object, they share one expectation cache.
     """
 
     def __init__(self, state_a, state_b):
         self.psis = (state_a.amplitudes, state_b.amplitudes)
-        self._ops = (_ladder(state_a.basis), _ladder(state_b.basis))
-        self._cache = ({}, {})
+        ops, cache = _ladder(state_a.basis), {}
+        same = state_b is state_a
+        self._ops = (ops, ops if same else _ladder(state_b.basis))
+        self._cache = (cache, cache if same else {})
 
     def _well_expect(self, well: int, factors) -> complex:
         cache = self._cache[well]
@@ -202,10 +205,6 @@ class SpinMoments:
 
     def mean(self, well: int, component: int) -> float:
         return float(self.means[3 * well + component])
-
-    def well_cov3(self, well: int) -> np.ndarray:
-        sl = slice(3 * well, 3 * well + 3)
-        return self.covariance[sl, sl]
 
     def variance(self, theta: float, well: int) -> float:
         return spin_variance(self, theta, well)

@@ -45,8 +45,8 @@ def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -
     return gen.standard_normal((n_traj, per_traj))
 
 
-def complex_field_noise(normals: np.ndarray, cell_volume: float, dt: float) -> np.ndarray:
-    """Pairs of unit normals -> complex noise with <z z*> = 1/(dV dt).
+def complex_field_noise(normals: np.ndarray, dt: float) -> np.ndarray:
+    """Pairs of unit normals -> complex noise with <z z*> = 1/dt.
 
     The last axis of `normals` must have even length; consecutive pairs
     become real and imaginary quadratures.
@@ -55,7 +55,7 @@ def complex_field_noise(normals: np.ndarray, cell_volume: float, dt: float) -> n
         raise ValueError("need an even number of normals for complex noise")
     re = normals[..., 0::2]
     im = normals[..., 1::2]
-    return (re + 1j * im) / math.sqrt(2.0 * cell_volume * dt)
+    return (re + 1j * im) / math.sqrt(2.0 * dt)
 
 
 @dataclass
@@ -97,20 +97,17 @@ class MomentAccumulator:
 
 @dataclass(frozen=True)
 class SdeScheme:
-    """Integration scheme selection.
+    """Step size and iteration count of the semi-implicit midpoint scheme.
 
     The stochastic calculus of a drift is the model's own business: the
     engines apply the analytic Ito->Stratonovich correction before
     handing drifts to the midpoint scheme.
     """
 
-    scheme: str = "midpoint"  # "euler" | "midpoint"
     dt: float = 1e-3
     midpoint_iters: int = 4
 
     def __post_init__(self):
-        if self.scheme not in ("euler", "midpoint"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.midpoint_iters < 1:
@@ -126,8 +123,6 @@ def step(state, derivative, scheme: SdeScheme):
     the Stratonovich solution for multiplicative noise.
     """
     dt = scheme.dt
-    if scheme.scheme == "euler":
-        return state + dt * derivative(state)
     mid = state
     for _ in range(scheme.midpoint_iters):
         mid = state + 0.5 * dt * derivative(mid)

@@ -182,6 +182,10 @@ def tikhonov_solve(v: np.ndarray, dx: np.ndarray, h_vec: np.ndarray, dt: float, 
     return dx + np.linalg.solve(shifted, residual)
 
 
+# halvings of a failing step before propagate gives up
+MAX_HALVINGS = 6
+
+
 def propagate(
     state: VariationalState,
     ham: PolynomialHamiltonian,
@@ -190,12 +194,11 @@ def propagate(
     lam: float = 1e-4,
     iters: int = 4,
     record_every: int = 1,
-    max_halvings: int = 6,
 ):
     """Iterated-midpoint propagation; X(t + dt) = X0 + 2 dX.
 
     A step producing non-finite parameters is retried with a halved
-    substep (up to ``max_halvings``); persistent failure raises.
+    substep (up to ``MAX_HALVINGS`` times); persistent failure raises.
     Returns (times, states) sampled every ``record_every`` steps.
     """
     members, modes = state.members, state.modes
@@ -216,7 +219,7 @@ def propagate(
             new = np.full_like(x, np.nan)
         if np.isfinite(new).all():
             return new
-        if depth >= max_halvings:
+        if depth >= MAX_HALVINGS:
             raise FloatingPointError("variational step failed after halvings")
         half = robust_step(x, h / 2, depth + 1)
         return robust_step(half, h / 2, depth + 1)

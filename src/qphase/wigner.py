@@ -93,17 +93,16 @@ class WignerModel:
     d phi_s/dt = -i (omega_ss' phi_s' + chi_ss' |phi_s'|^2 phi_s)
                  - sum_l Gamma_s^l + sum_l beta_s^l zeta_l
 
-    ``omega`` may be an (S, S) matrix or a callable fields -> omega.fields
-    (used for lattice kinetic action).  The loss SDEs are Ito; the
-    analytic Stratonovich correction is subtracted so the midpoint
-    scheme reproduces the Ito solution.
+    ``omega`` is the (S, S) linear coupling matrix (Rabi coupling and
+    internal energies) or None.  The loss SDEs are Ito; the analytic
+    Stratonovich correction is subtracted so the midpoint scheme
+    reproduces the Ito solution.
     """
 
     chi: np.ndarray = None  # (S, S) symmetric interaction matrix, or None
-    omega: object = None
+    omega: np.ndarray = None  # (S, S) linear coupling matrix, or None
     channels: tuple = ()
     components: int = 1
-    cell_volume: float = 1.0
     seed: int = 0
     interpretation: str = "stratonovich"
 
@@ -116,16 +115,13 @@ class WignerModel:
         if not self.channels:
             return None
         raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))
-        return complex_field_noise(raw, self.cell_volume, dt)
+        return complex_field_noise(raw, dt)
 
     def derivative(self, fields: np.ndarray, step_index: int, zeta) -> np.ndarray:
         n_comp = fields.shape[1]
         d = np.zeros_like(fields)
         if self.omega is not None:
-            if callable(self.omega):
-                d += -1j * self.omega(fields)
-            else:
-                d += -1j * fields @ np.asarray(self.omega).T
+            d += -1j * fields @ np.asarray(self.omega).T
         if self.chi is not None:
             chi = np.asarray(self.chi)
             density = np.abs(fields) ** 2
@@ -153,7 +149,6 @@ def run_wigner_x(
     dt: float,
     omega=None,
     channels=(),
-    scheme: str = "midpoint",
 ):
     """Time series of <X> = Re <a> for the first component, with bars."""
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
@@ -164,7 +159,7 @@ def run_wigner_x(
         components=alpha0.size,
         seed=seed,
     )
-    sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=4)
+    sde = SdeScheme(dt=dt)
     return run_ensemble(
         lambda s, n: sample_wigner_coherent(alpha0, s, n),
         model,
@@ -181,7 +176,6 @@ def evolve_snapshots(
     model: WignerModel,
     dt: float,
     snapshot_steps,
-    scheme: str = "midpoint",
 ) -> dict:
     """Advance fields, returning copies at the requested step indices.
 
@@ -189,7 +183,7 @@ def evolve_snapshots(
     expressed as per-trajectory means.  Each snapshot holds only the
     trajectories that have not diverged by that step.
     """
-    sde = SdeScheme(scheme=scheme, dt=dt, midpoint_iters=4)
+    sde = SdeScheme(dt=dt)
     wanted = set(int(s) for s in snapshot_steps)
     return {
         step_idx: state[alive]

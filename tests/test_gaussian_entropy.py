@@ -11,28 +11,8 @@ from qphase.gaussian_entropy import (
     fermion_gaussian_matrix,
     fock_inner_product,
     inner_product,
-    mu_from_n,
-    n_from_mu,
     renyi_entropy,
 )
-
-
-@given(
-    statistics=st.sampled_from(["boson", "fermion"]),
-    vals=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
-)
-@settings(max_examples=40, deadline=None)
-def test_mu_n_round_trip(statistics, vals):
-    n = np.diag(vals)
-    mu = mu_from_n(n, statistics)
-    back = n_from_mu(mu, statistics)
-    assert np.allclose(back, n, atol=1e-12)
-
-
-def test_mu_n_round_trip_nondiagonal():
-    n = np.array([[0.4, 0.1 - 0.05j], [0.1 + 0.05j, 0.7]])
-    for stats in ("boson", "fermion"):
-        assert np.allclose(n_from_mu(mu_from_n(n, stats), stats), n, atol=1e-12)
 
 
 def test_phase_point_validation():

@@ -1,103 +1,11 @@
 import math
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qphase.lattice import (
-    HubbardModel,
-    LatticeSpec,
-    build_dispersion,
-    hilbert_dimension,
-    mode_transform,
-    mode_transform_inverse,
-)
-
-
-def test_lattice_spec_geometry():
-    spec = LatticeSpec(dims=(4, 2), box_lengths=(8.0, 2.0))
-    assert spec.cell_count == 8
-    assert spec.volume == 16.0
-    assert spec.cell_volume == 2.0
-    assert spec.momentum_spacing == (2 * math.pi / 8.0, 2 * math.pi / 2.0)
-
-
-def test_lattice_spec_rejects_bad_input():
-    with pytest.raises(ValueError):
-        LatticeSpec(dims=(), box_lengths=())
-    with pytest.raises(ValueError):
-        LatticeSpec(dims=(4,), box_lengths=(-1.0,))
-    with pytest.raises(ValueError):
-        LatticeSpec(dims=(4,), box_lengths=(1.0,), spin_count=2, masses=(1.0,))
-    with pytest.raises(ValueError):
-        LatticeSpec(dims=(4,), box_lengths=(1.0,), units="cgs")
-
-
-def test_kinetic_eigenvalues_quadratic_dispersion():
-    spec = LatticeSpec(dims=(8,), box_lengths=(2 * math.pi,))
-    # dk = 1, so eigenvalues are j^2/2 for j in the symmetric window
-    vals = spec.kinetic_eigenvalues(0)
-    j = np.fft.fftfreq(8, d=1.0 / 8)
-    assert np.allclose(vals, j**2 / 2.0)
-    # minimal band: largest |j| is M/2, not M-1
-    assert vals.max() == pytest.approx(8.0)
-
-
-@given(
-    dims=st.sampled_from([(4,), (8,), (2, 3), (2, 2, 2)]),
-    seed=st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=25, deadline=None)
-def test_mode_transform_round_trip_and_unitarity(dims, seed):
-    spec = LatticeSpec(dims=dims, box_lengths=tuple(1.0 for _ in dims))
-    rng = np.random.default_rng(seed)
-    field = rng.standard_normal(spec.cell_count) + 1j * rng.standard_normal(spec.cell_count)
-    sites = mode_transform(field, spec)
-    back = mode_transform_inverse(sites, spec)
-    assert np.allclose(back, field, atol=1e-12)
-    # unitary: norms agree
-    assert np.linalg.norm(sites) == pytest.approx(np.linalg.norm(field))
-
-
-def test_mode_transform_plane_wave():
-    spec = LatticeSpec(dims=(6,), box_lengths=(6.0,))
-    kfield = np.zeros(6, dtype=complex)
-    kfield[1] = 1.0  # single momentum mode k = dk
-    sites = mode_transform(kfield, spec)
-    n = np.arange(6)
-    expected = np.exp(2j * math.pi * n / 6) / math.sqrt(6)
-    assert np.allclose(sites, expected)
-
-
-def test_hubbard_model_single_particle_matrix_matches_spectral_apply():
-    spec = LatticeSpec(dims=(4,), box_lengths=(4.0,), spin_count=2, masses=(1.0, 2.0))
-    rng = np.random.default_rng(3)
-    model = build_dispersion(spec, rng.standard_normal(spec.mode_count))
-    omega = model.omega_matrix()
-    assert np.allclose(omega, omega.conj().T, atol=1e-12)
-    field = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    via_matrix = (omega @ field.ravel()).reshape(2, 4)
-    assert np.allclose(model.apply_single_particle(field), via_matrix, atol=1e-12)
-
-
-def test_hubbard_model_validates_shapes():
-    spec = LatticeSpec(dims=(4,), box_lengths=(4.0,))
-    with pytest.raises(ValueError):
-        HubbardModel(
-            spec,
-            kinetic_diag=np.zeros((1, 3)),
-            potential=np.zeros((1, 4)),
-            interaction=np.zeros((1, 1)),
-        )
-    with pytest.raises(ValueError):
-        HubbardModel(
-            spec,
-            kinetic_diag=np.zeros((1, 4)),
-            potential=np.zeros((1, 4)),
-            interaction=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        )
+from qphase.lattice import hilbert_dimension
 
 
 def _brute_boson(n, m):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qphase.scenarios import (
@@ -12,6 +13,7 @@ from qphase.scenarios import (
     parse_scenario,
     run_scenario,
 )
+from qphase.wigner import LossChannel, run_wigner_x
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -268,3 +270,63 @@ def test_cli_inconclusive_exit_code(tmp_path):
     proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
     assert proc.returncode == 4
     assert "inconclusive" in proc.stderr
+
+
+_TWO_COMPONENT_WIGNER = """kind: wigner
+seed: 5
+alpha0: [[3.0, 0.0], [3.0, 0.0]]
+{chi}
+losses:
+  - {{powers: [1, 0], rate: 0.05}}
+  - {{powers: [0, 1], rate: 0.05}}
+  - {{powers: [2, 0], rate: 0.002}}
+  - {{powers: [1, 1], rate: 0.002}}
+trajectories: 200
+dt: 0.01
+times: {{stop: 0.1, points: 3}}
+"""
+
+
+def test_cli_two_component_wigner_matches_library(tmp_path):
+    chi = [[0.01, 0.005], [0.005, 0.01]]
+    scenario = tmp_path / "two.yaml"
+    scenario.write_text(_TWO_COMPONENT_WIGNER.format(chi=f"chi: {chi}"))
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+    times = np.array([0, 5, 10]) * 0.01
+    channels = [
+        LossChannel(powers, rate)
+        for powers, rate in [((1, 0), 0.05), ((0, 1), 0.05), ((2, 0), 0.002), ((1, 1), 0.002)]
+    ]
+    result = run_wigner_x([3.0, 3.0], np.array(chi), times, 200, 5, 0.01, channels=channels)
+    expected = []
+    for name in ("X", "n_w"):
+        for i, t in enumerate(times):
+            mean, error = result.mean(name)[i].real, result.error(name)[i]
+            expected.append([repr(float(t)), name, repr(float(mean)), repr(float(error))])
+    rows = [line.split(",") for line in (tmp_path / "two.csv").read_text().splitlines()[1:]]
+    assert rows == expected
+
+
+def test_cli_two_component_wigner_rejects_scalar_chi(tmp_path):
+    scenario = tmp_path / "two.yaml"
+    scenario.write_text(_TWO_COMPONENT_WIGNER.format(chi="chi: 0.01"))
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "chi:" in proc.stderr
+
+
+def test_wigner_chi_forms():
+    base = "kind: wigner\nalpha0: {alpha}\ntimes: [0.0, 0.1]\n"
+    one = parse_scenario(base.format(alpha="2.0") + "chi: 0.5\n")
+    assert one.params["chi"] == 0.5
+    one_list = parse_scenario(base.format(alpha="2.0") + "chi: [[0.5]]\n")
+    assert np.array_equal(one_list.params["chi"], [[0.5]])
+    assert parse_scenario(base.format(alpha="2.0")).params["chi"] is None
+    two = "[[2.0, 0.0], [1.0, 0.0]]"
+    assert parse_scenario(base.format(alpha=two)).params["chi"] is None
+    for bad in ("[[1.0, 0.0]]", "[[1.0, 0.0], [0.0]]", "[[1.0, x], [0.0, 1.0]]", "true"):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(base.format(alpha=two) + f"chi: {bad}\n")
+        assert [p for p, _ in err.value.errors] == ["chi"]

@@ -11,7 +11,7 @@ from qphase.doublewell import (
     poisson_cutoff,
     rb_interaction_matrix,
 )
-from qphase.fock import FockBasis, beam_splitter, coherent_state
+from qphase.fock import FockBasis, StateVector, beam_splitter, coherent_state
 
 
 def _small_alpha_setup(t=0.35):
@@ -29,8 +29,6 @@ def _small_alpha_setup(t=0.35):
     diag = well_hamiltonian_diagonal(chi, joint_basis, modes=[0, 1])
     diag += well_hamiltonian_diagonal(chi, joint_basis, modes=[2, 3])
     amps = np.exp(-1j * diag * t) * joint.amplitudes
-    from qphase.fock import StateVector
-
     joint_t = StateVector(joint_basis, amps)
     return well, joint_t
 
@@ -65,6 +63,56 @@ def test_product_evaluator_matches_joint_evaluator():
     mj = spins.spin_moments(post_j, 0.3)
     assert np.allclose(mp.means, mj.means, atol=1e-8)
     assert np.allclose(mp.covariance, mj.covariance, atol=1e-8)
+
+
+def test_product_evaluator_matches_joint_evaluator_for_distinct_wells():
+    """Two different well states against the explicit 4-mode product state
+    |psi_A> x |psi_B>, before and after the Heisenberg beam splitter."""
+    chi = rb_interaction_matrix()
+    well_a = WellEvolution.prepare(0.7, 0.4j, chi, cutoff=7).at_time(0.8)
+    well_b = WellEvolution.prepare(0.3 - 0.2j, 0.6, chi, cutoff=7).at_time(1.9)
+    joint_t = StateVector(
+        FockBasis((7, 7, 7, 7)), np.kron(well_a.amplitudes, well_b.amplitudes)
+    )
+    prod = spins.ProductEvaluator(well_a, well_b)
+    joint = spins.JointEvaluator(joint_t)
+    for mixing in (0.0, math.pi / 4):
+        def post_p(op):
+            return prod(spins.beam_splitter_map(op, mixing, 0.1))
+
+        def post_j(op):
+            return joint(spins.beam_splitter_map(op, mixing, 0.1))
+
+        mp = spins.spin_moments(post_p, 0.3)
+        mj = spins.spin_moments(post_j, 0.3)
+        assert np.allclose(mp.means, mj.means, atol=1e-8)
+        assert np.allclose(mp.covariance, mj.covariance, atol=1e-8)
+    # the wells really differ, so a swapped well would be caught
+    moments = spins.spin_moments(prod, 0.3)
+    assert abs(moments.mean(0, 0) - moments.mean(1, 0)) > 0.05
+
+
+def test_product_evaluator_shares_one_cache_for_equal_wells(monkeypatch):
+    """ProductEvaluator(s, s) computes each well expectation once; a
+    distinct but equal state for well B computes every one twice."""
+    well, _ = _small_alpha_setup()
+    twin = StateVector(well.basis, well.amplitudes.copy())
+    calls = []
+    original = np.vdot
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(np, "vdot", counting)
+    shared = spins.spin_moments(spins.ProductEvaluator(well, well), 0.3)
+    shared_calls = len(calls)
+    calls.clear()
+    separate = spins.spin_moments(spins.ProductEvaluator(well, twin), 0.3)
+    assert shared_calls > 0
+    assert len(calls) == 2 * shared_calls
+    assert np.array_equal(shared.means, separate.means)
+    assert np.array_equal(shared.covariance, separate.covariance)
 
 
 def test_heisenberg_map_equals_schroedinger_splitter():

@@ -53,11 +53,11 @@ def test_noise_block_statistics():
 
 def test_field_noise_scaling():
     normals = noise_block(1, 0, 50000, 2)
-    dv, dt = 0.5, 0.01
-    z = complex_field_noise(normals, dv, dt)
-    assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0 / (dv * dt), rel=0.03)
+    dt = 0.01
+    z = complex_field_noise(normals, dt)
+    assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0 / dt, rel=0.03)
     with pytest.raises(ValueError):
-        complex_field_noise(np.zeros((3, 3)), dv, dt)
+        complex_field_noise(np.zeros((3, 3)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,6 @@ def test_accumulator_empty_and_single():
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
-        SdeScheme(scheme="rk4")
-    with pytest.raises(ValueError):
         SdeScheme(dt=-1.0)
     with pytest.raises(ValueError):
         SdeScheme(midpoint_iters=0)
@@ -120,7 +118,7 @@ def test_midpoint_step_second_order_on_rotation():
     """One midpoint step of dy/dt = -i y is the Cayley transform, exact
     through O(dt^2)."""
     dt = 1e-2
-    scheme = SdeScheme(scheme="midpoint", dt=dt, midpoint_iters=50)
+    scheme = SdeScheme(dt=dt, midpoint_iters=50)
     y = np.array([1.0 + 0.0j])
     out = step(y, lambda s: -1j * s, scheme)
     cayley = (1 - 0.5j * dt) / (1 + 0.5j * dt)
@@ -128,15 +126,9 @@ def test_midpoint_step_second_order_on_rotation():
     assert abs(out[0] - math.cos(dt) - 1j * -math.sin(dt)) < dt**3
 
 
-def test_euler_step():
-    scheme = SdeScheme(scheme="euler", dt=0.1)
-    out = step(np.array([2.0]), lambda s: -s, scheme)
-    assert out[0] == pytest.approx(1.8)
-
-
 def test_run_ensemble_exponential_decay():
     times = np.linspace(0.0, 1.0, 5)
-    scheme = SdeScheme(scheme="midpoint", dt=0.01)
+    scheme = SdeScheme(dt=0.01)
     result = run_ensemble(
         sampler=lambda seed, n: np.ones((n, 1), dtype=complex),
         model=Linear(-1.0),
@@ -162,7 +154,7 @@ def test_run_ensemble_masks_divergent_trajectories():
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=8,
         times=np.linspace(0.0, 1.0, 3),
-        scheme=SdeScheme(scheme="midpoint", dt=0.05),
+        scheme=SdeScheme(dt=0.05),
         seed=0,
         divergence_ceiling=1e3,
     )
@@ -197,7 +189,7 @@ def test_run_ensemble_draws_noise_once_per_step():
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=4,
         times=np.array([0.0, 0.5]),
-        scheme=SdeScheme(scheme="midpoint", dt=0.1, midpoint_iters=3),
+        scheme=SdeScheme(dt=0.1, midpoint_iters=3),
         seed=0,
     )
     assert [k for k, _ in model.drawn] == list(range(5))

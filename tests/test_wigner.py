@@ -101,6 +101,21 @@ def test_kerr_mean_field_short_time():
     assert res.diverged == 0
 
 
+def test_matrix_omega_rotates_every_trajectory():
+    """Without chi or losses every trajectory rotates as phi0 e^{-i omega t},
+    so <X> = Re(mean(phi0) e^{-i omega t}) up to the midpoint phase error
+    of (omega dt)^3 / 12 per step."""
+    alpha0, omega, dt, seed, n = 1.0 + 0.5j, 0.7, 0.005, 4, 50
+    times = np.array([0.0, 1.0, 2.0])
+    res = run_wigner_x([alpha0], None, times, n, seed, dt, omega=[[omega]])
+    phi0 = sample_wigner_coherent([alpha0], seed, n)[:, 0].mean()
+    expected = np.real(phi0 * np.exp(-1j * omega * times))
+    tol = 2.0 * abs(phi0) * (times / dt) * (omega * dt) ** 3 / 12 + 1e-12
+    assert np.all(np.abs(res.mean("X").real - expected) <= tol)
+    # the rotation is what is being checked: the field really moves
+    assert abs(expected[-1] - expected[0]) > 0.1
+
+
 def test_one_body_loss_decay():
     kappa, alpha0 = 0.4, 1.8
     times = np.linspace(0.0, 1.0, 5)
