@@ -36,17 +36,22 @@ def rb_interaction_matrix() -> np.ndarray:
     return np.array([[a11, a12], [a12, a22]]) / a11
 
 
-def poisson_cutoff(nbar: float, eps: float = 1e-12) -> int:
-    """Occupation cutoff keeping all but ~eps of a Poisson(nbar) state.
+# Poisson tail weight that poisson_cutoff leaves out.
+POISSON_TAIL = 1e-12
 
-    The quantile is scipy's ``poisson.isf(eps, nbar)``, computed the way
-    scipy does it: ``special.pdtrik`` stepped down by one where the CDF
-    already reaches 1 - eps.  Importing scipy's stats package for it more
-    than doubled the cold import of this module (1.3 s against 0.5 s).
+
+def poisson_cutoff(nbar: float) -> int:
+    """Occupation cutoff keeping all but ~POISSON_TAIL of a Poisson(nbar) state.
+
+    The quantile is scipy's ``poisson.isf(POISSON_TAIL, nbar)``, computed
+    the way scipy does it: ``special.pdtrik`` stepped down by one where
+    the CDF already reaches 1 - POISSON_TAIL.  Importing scipy's stats
+    package for it more than doubled the cold import of this module
+    (1.3 s against 0.5 s).
     """
     if nbar == 0:
         return 1
-    q = 1.0 - eps
+    q = 1.0 - POISSON_TAIL
     k = math.ceil(special.pdtrik(q, nbar))
     below = max(k - 1, 0)
     if special.pdtr(below, nbar) >= q:
@@ -99,15 +104,19 @@ def _bilinear_mean(evaluator: spins.ProductEvaluator) -> complex:
     return evaluator(op)
 
 
-def _best_product_theta(moments: spins.SpinMoments, grid: int = 720) -> float:
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, grid, endpoint=False)
-    best_theta, best = 0.0, math.inf
-    for th in thetas:
-        vm, vp = spins.cross_variances(moments, th)
-        val = vm * vp
-        if val < best:
-            best, best_theta = val, th
-    return best_theta
+def _best_product_theta(moments: spins.SpinMoments) -> float:
+    """Grid angle minimizing the product of ``spins.cross_variances``."""
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, 720, endpoint=False)
+    zero = np.zeros_like(thetas)
+
+    def directional(th, sign):
+        # rows are the spins.cross_variances direction vectors, one per angle
+        c, s = np.cos(th), np.sin(th)
+        u = np.stack([c, s, zero, sign * c, sign * s, zero], axis=1)
+        return np.einsum("gi,ij,gj->g", u, moments.covariance, u)
+
+    products = directional(thetas, -1.0) * directional(thetas + math.pi / 2, +1.0)
+    return thetas[np.argmin(products)]
 
 
 def doublewell_scan(

@@ -306,20 +306,19 @@ def kerr_oracle(alphas, chi, t: float) -> dict:
 
 
 def beam_splitter(
-    state: StateVector, mixing_angle: float, spin_index=None, phase: float = 0.0
+    state: StateVector, mixing_angle: float, phase: float = 0.0
 ) -> StateVector:
     """Inter-well mode rotation a_i -> cos(theta) a_i + e^{i phi} sin(theta) b_i.
 
-    Acts on a 4-mode state ordered (a1, a2, b1, b2); ``spin_index`` of
-    0 or 1 rotates a single spin component, None rotates both.
+    Acts on a 4-mode state ordered (a1, a2, b1, b2) and rotates both spin
+    components.
     """
     if state.basis.mode_count != 4:
         raise ValueError("beam splitter expects a 4-mode state")
     if mixing_angle == 0.0:
         return StateVector(state.basis, state.amplitudes.copy(), state.truncation_loss)
-    spins = [0, 1] if spin_index is None else [spin_index]
     psi = state.amplitudes
-    for i in spins:
+    for i in (0, 1):
         hop = transfer_operator(state.basis, i, i + 2)  # a_i^dag b_i
         gen = np.exp(1j * phase) * hop - np.exp(-1j * phase) * hop.conj().T
         psi = expm_multiply(mixing_angle * gen, psi)

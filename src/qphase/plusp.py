@@ -18,7 +18,6 @@ import numpy as np
 from .stochastic import (
     EnsembleResult,
     MomentAccumulator,
-    SdeScheme,
     noise_block,
     run_ensemble,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "canonical_sampler",
     "KerrPlusP",
     "normally_ordered_moment",
-    "quadrature_x",
     "TimeReversalReport",
     "time_reversal_test",
 ]
@@ -73,6 +71,10 @@ def _husimi_samples(state: dict, gen: np.random.Generator, n: int, modes: int) -
     raise ValueError(f"unsupported state family {kind!r}")
 
 
+def _mode_count(state: dict) -> int:
+    return len(np.atleast_1d(state.get("alpha", state.get("nbar", state.get("n", [0])))))
+
+
 def sample_canonical(
     state: dict, seed: int, trajectories: int, width: str = "canonical"
 ) -> PlusPEnsemble:
@@ -82,7 +84,7 @@ def sample_canonical(
     (only valid for coherent states, where the delta distribution is
     also an exact positive-P representation).
     """
-    modes = len(np.atleast_1d(state.get("alpha", state.get("nbar", state.get("n", [0])))))
+    modes = _mode_count(state)
     if width == "delta":
         if state["kind"] != "coherent":
             raise ValueError("delta width only represents coherent states")
@@ -120,9 +122,10 @@ class KerrPlusP:
     -i d(beta_m)/dt = omega_mn beta_n + [chi alpha_m beta_m
                         + sqrt(-i chi) xi2_m] beta_m
 
-    with 2M real noises of variance delta_mm' / dt per step.  The
-    Stratonovich-corrected drift (for the midpoint scheme) subtracts the
-    analytic Ito term (i chi / 2) alpha (and conjugate-role for beta).
+    with 2M real noises of variance delta_mm' / dt per step.  These are
+    Ito equations; the model integrates them through the midpoint scheme
+    by adding the Ito->Stratonovich drift correction +(i chi / 2) alpha
+    (and -(i chi / 2) beta).
     From ``reverse_step`` on, the Hamiltonian changes sign (chi and
     omega are negated), which runs the dynamics backwards in time.
     """
@@ -131,12 +134,7 @@ class KerrPlusP:
     modes: int = 1
     omega: np.ndarray = None  # (M, M) single-particle matrix or None
     seed: int = 0
-    interpretation: str = "stratonovich"
     reverse_step: int = None  # flip sign at this step index, if set
-
-    def __post_init__(self):
-        if self.interpretation not in ("ito", "stratonovich"):
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
 
     def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
         """The 2M real noises of a step: xi1 in columns :M, xi2 in M:."""
@@ -162,9 +160,8 @@ class KerrPlusP:
             omega = sign * np.asarray(self.omega)
             d_alpha += -1j * alpha @ omega.T
             d_beta += +1j * beta @ omega.T
-        if self.interpretation == "stratonovich":
-            d_alpha += 0.5j * chi * alpha
-            d_beta += -0.5j * chi * beta
+        d_alpha += 0.5j * chi * alpha
+        d_beta += -0.5j * chi * beta
         return np.concatenate([d_alpha, d_beta], axis=1)
 
 
@@ -182,15 +179,6 @@ def normally_ordered_moment(
     return acc.mean, acc.error
 
 
-def quadrature_x(mode: int = 0, modes: int = 1):
-    """Per-trajectory estimator of X = <a + a^dag>/2 on packed states."""
-
-    def observable(state):
-        return 0.5 * (state[:, mode] + state[:, modes + mode])
-
-    return observable
-
-
 def run_kerr_plusp(
     state: dict,
     chi: float,
@@ -200,13 +188,11 @@ def run_kerr_plusp(
     dt: float,
     omega=None,
     width: str = "canonical",
-    interpretation: str = "stratonovich",
     divergence_ceiling: float = 1e6,
     reverse_at: float = None,
     extra_observables: dict = None,
 ) -> EnsembleResult:
-    modes = len(np.atleast_1d(state.get("alpha", state.get("nbar", state.get("n", [0])))))
-    sde = SdeScheme(dt=dt)
+    modes = _mode_count(state)
     reverse_step = None
     if reverse_at is not None:
         reverse_step = int(round(reverse_at / dt))
@@ -217,10 +203,10 @@ def run_kerr_plusp(
         modes=modes,
         omega=omega,
         seed=seed,
-        interpretation=interpretation,
         reverse_step=reverse_step,
     )
-    observables = {"X": quadrature_x(0, modes)}
+    # X = <a + a^dag>/2 of the first mode, from alpha_0 and beta_0
+    observables = {"X": lambda s: 0.5 * (s[:, 0] + s[:, modes])}
     if extra_observables:
         observables.update(extra_observables)
     return run_ensemble(
@@ -229,7 +215,7 @@ def run_kerr_plusp(
         observables,
         trajectory_count,
         times,
-        sde,
+        dt,
         seed,
         divergence_ceiling=divergence_ceiling,
     )

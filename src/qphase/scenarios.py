@@ -60,6 +60,23 @@ def _as_complex(value, path, errors):
     return 0j
 
 
+def _amplitudes(raw, path, errors):
+    """One complex amplitude per component.
+
+    A list holds one entry per component, each a number, 're+imj'
+    string or [re, im] pair; any other value is a single amplitude.
+    """
+    if raw is None:
+        errors.append((path, "required key missing"))
+        return [0j]
+    if not isinstance(raw, list):
+        return [_as_complex(raw, path, errors)]
+    if not raw:
+        errors.append((path, "expected at least one amplitude"))
+        return [0j]
+    return [_as_complex(v, f"{path}[{i}]", errors) for i, v in enumerate(raw)]
+
+
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -185,16 +202,7 @@ def _validate_exact_doublewell(cfg, errors):
 
 def _validate_wigner(cfg, errors):
     _check_unknown(cfg, _COMMON_KEYS | {"alpha0", "chi", "losses", "trajectories", "dt", "times"}, errors)
-    alpha_raw = cfg.get("alpha0")
-    if alpha_raw is None:
-        errors.append(("alpha0", "required key missing"))
-        alpha0 = [0j]
-    elif isinstance(alpha_raw, list) and alpha_raw and all(
-        isinstance(v, list) for v in alpha_raw
-    ):
-        alpha0 = [_as_complex(v, f"alpha0[{i}]", errors) for i, v in enumerate(alpha_raw)]
-    else:
-        alpha0 = [_as_complex(alpha_raw, "alpha0", errors)]
+    alpha0 = _amplitudes(cfg.get("alpha0"), "alpha0", errors)
     channels = []
     for i, ch in enumerate(cfg.get("losses") or []):
         if not isinstance(ch, dict):
@@ -253,11 +261,9 @@ def _validate_plusp(cfg, errors):
     else:
         kind = _choice(state_cfg, "kind", errors, {"coherent", "thermal", "fock"}, required=True)
         if kind == "coherent":
-            raw = state_cfg.get("alpha")
-            vals = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
             state = {
                 "kind": "coherent",
-                "alpha": [_as_complex(v, f"state.alpha[{i}]", errors) for i, v in enumerate(vals)],
+                "alpha": _amplitudes(state_cfg.get("alpha"), "state.alpha", errors),
             }
         elif kind == "thermal":
             raw = state_cfg.get("nbar")

@@ -25,7 +25,6 @@ __all__ = [
     "noise_block",
     "complex_field_noise",
     "MomentAccumulator",
-    "SdeScheme",
     "step",
     "evolve",
     "EnsembleResult",
@@ -95,26 +94,12 @@ class MomentAccumulator:
         return math.sqrt(var / self.count)
 
 
-@dataclass(frozen=True)
-class SdeScheme:
-    """Step size and iteration count of the semi-implicit midpoint scheme.
-
-    The stochastic calculus of a drift is the model's own business: the
-    engines apply the analytic Ito->Stratonovich correction before
-    handing drifts to the midpoint scheme.
-    """
-
-    dt: float = 1e-3
-    midpoint_iters: int = 4
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.midpoint_iters < 1:
-            raise ValueError("midpoint_iters must be >= 1")
+# Iterations of the semi-implicit midpoint step (Drummond & Mortimer,
+# J. Comput. Phys. 93, 5, 1991).
+MIDPOINT_ITERS = 4
 
 
-def step(state, derivative, scheme: SdeScheme):
+def step(state, derivative, dt: float):
     """Advance one step of dy/dt = derivative(y).
 
     `derivative` already contains the discretized noise term for this
@@ -122,14 +107,13 @@ def step(state, derivative, scheme: SdeScheme):
     iteration evaluates both parts at the midpoint, which converges to
     the Stratonovich solution for multiplicative noise.
     """
-    dt = scheme.dt
     mid = state
-    for _ in range(scheme.midpoint_iters):
+    for _ in range(MIDPOINT_ITERS):
         mid = state + 0.5 * dt * derivative(mid)
     return 2.0 * mid - state
 
 
-def evolve(state, model, scheme: SdeScheme, n_steps: int, divergence_ceiling: float = 1e6):
+def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6):
     """Yield (step index, state, alive mask) at step 0 and after each step.
 
     Each step draws `model.noise` once and passes it to every
@@ -138,12 +122,14 @@ def evolve(state, model, scheme: SdeScheme, n_steps: int, divergence_ceiling: fl
     the mask and frozen at zero.  The mask is updated in place, so a
     consumer that keeps it past the next step must copy it.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     n_traj = state.shape[0]
     alive = np.ones(n_traj, dtype=bool)
     yield 0, state, alive
     for step_idx in range(n_steps):
-        noise = model.noise(step_idx, n_traj, scheme.dt)
-        state = step(state, lambda y: model.derivative(y, step_idx, noise), scheme)
+        noise = model.noise(step_idx, n_traj, dt)
+        state = step(state, lambda y: model.derivative(y, step_idx, noise), dt)
         flat = state.reshape(n_traj, -1)
         bad = ~np.isfinite(flat).all(axis=1) | (np.abs(flat).max(axis=1) > divergence_ceiling)
         newly_dead = bad & alive
@@ -175,7 +161,7 @@ def run_ensemble(
     observables: dict,
     trajectory_count: int,
     times,
-    scheme: SdeScheme,
+    dt: float,
     seed: int,
     divergence_ceiling: float = 1e6,
 ):
@@ -191,14 +177,16 @@ def run_ensemble(
     """
     if trajectory_count < 2:
         raise ValueError("need at least 2 trajectories")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("measurement schedule must start at t=0")
-    n_steps = int(round(times[-1] / scheme.dt))
-    if not math.isclose(n_steps * scheme.dt, times[-1], rel_tol=1e-9, abs_tol=1e-12):
+    n_steps = int(round(times[-1] / dt))
+    if not math.isclose(n_steps * dt, times[-1], rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("final time must be a multiple of dt")
-    meas_steps = np.rint(times / scheme.dt).astype(int)
-    if not np.allclose(meas_steps * scheme.dt, times, atol=1e-9):
+    meas_steps = np.rint(times / dt).astype(int)
+    if not np.allclose(meas_steps * dt, times, atol=1e-9):
         raise ValueError("measurement times must lie on the step grid")
     meas_lookup = {}
     for idx, s in enumerate(meas_steps):
@@ -209,7 +197,7 @@ def run_ensemble(
         for name in observables
     }
     initial = sampler(seed, trajectory_count)
-    for step_idx, state, alive in evolve(initial, model, scheme, n_steps, divergence_ceiling):
+    for step_idx, state, alive in evolve(initial, model, dt, n_steps, divergence_ceiling):
         for t_idx in meas_lookup.get(step_idx, []):
             for name, fn in observables.items():
                 acc = MomentAccumulator()

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .stochastic import (
-    SdeScheme,
     complex_field_noise,
     evolve,
     noise_block,
@@ -94,21 +93,18 @@ class WignerModel:
                  - sum_l Gamma_s^l + sum_l beta_s^l zeta_l
 
     ``omega`` is the (S, S) linear coupling matrix (Rabi coupling and
-    internal energies) or None.  The loss SDEs are Ito; the analytic
-    Stratonovich correction is subtracted so the midpoint scheme
-    reproduces the Ito solution.
+    internal energies) or None.  The loss SDEs are Ito equations; the
+    model integrates them through the midpoint scheme by subtracting
+    the analytic Ito->Stratonovich drift shift.
     """
 
     chi: np.ndarray = None  # (S, S) symmetric interaction matrix, or None
     omega: np.ndarray = None  # (S, S) linear coupling matrix, or None
     channels: tuple = ()
+    # Never read (the field array sets the component count); kept because
+    # the wigner-loss workload in perfbench/workloads.py passes it.
     components: int = 1
     seed: int = 0
-    interpretation: str = "stratonovich"
-
-    def __post_init__(self):
-        if self.interpretation not in ("ito", "stratonovich"):
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
 
     def noise(self, step_index: int, n_traj: int, dt: float):
         """One complex noise zeta_l per loss channel, or None without losses."""
@@ -132,11 +128,10 @@ class WignerModel:
             for s in range(n_comp):
                 d[:, s] += -ch.rate * np.conj(grads[s]) * mono
                 d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
-                if self.interpretation == "stratonovich":
-                    # subtract the Ito->Stratonovich drift shift
-                    for t2 in range(n_comp):
-                        hess = _monomial_hess(fields, ch.powers, s, t2)
-                        d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t2]
+                # subtract the Ito->Stratonovich drift shift
+                for t2 in range(n_comp):
+                    hess = _monomial_hess(fields, ch.powers, s, t2)
+                    d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t2]
         return d
 
 
@@ -159,14 +154,13 @@ def run_wigner_x(
         components=alpha0.size,
         seed=seed,
     )
-    sde = SdeScheme(dt=dt)
     return run_ensemble(
         lambda s, n: sample_wigner_coherent(alpha0, s, n),
         model,
         {"X": lambda f: f[:, 0].real, "n_w": lambda f: np.abs(f[:, 0]) ** 2},
         trajectory_count,
         times,
-        sde,
+        dt,
         seed,
     )
 
@@ -183,11 +177,10 @@ def evolve_snapshots(
     expressed as per-trajectory means.  Each snapshot holds only the
     trajectories that have not diverged by that step.
     """
-    sde = SdeScheme(dt=dt)
     wanted = set(int(s) for s in snapshot_steps)
     return {
         step_idx: state[alive]
-        for step_idx, state, alive in evolve(fields, model, sde, max(wanted, default=0))
+        for step_idx, state, alive in evolve(fields, model, dt, max(wanted, default=0))
         if step_idx in wanted
     }
 
@@ -335,11 +328,15 @@ def _xi2_from_samples(a: np.ndarray, b: np.ndarray) -> tuple:
     return total * min_var / norm**2, means, min_var, total
 
 
-def squeezing_xi2(a: np.ndarray, b: np.ndarray, blocks: int = 16) -> SqueezingResult:
+# Trajectory blocks behind the error bar of squeezing_xi2.
+XI2_BLOCKS = 16
+
+
+def squeezing_xi2(a: np.ndarray, b: np.ndarray) -> SqueezingResult:
     """Spin squeezing xi^2 = N min Var(S_perp) / |<S>|^2 with block bars."""
     xi2, means, min_var, total = _xi2_from_samples(a, b)
     n = a.shape[0]
-    blocks = min(blocks, n)
+    blocks = min(XI2_BLOCKS, n)
     edges = np.linspace(0, n, blocks + 1, dtype=int)
     vals = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -110,31 +108,21 @@ def test_plusp_canonical_width_matches_oracle():
     assert np.all(diff <= 4.0 * bars + 5e-3)
 
 
-def test_ito_and_stratonovich_agree():
-    """The analytic interpretation correction keeps both calculi on the
-    same physics (means agree within bars)."""
-    times = np.array([0.0, 0.2])
-    kw = dict(
-        state={"kind": "coherent", "alpha": [2.0]},
-        chi=0.05,
-        times=times,
-        trajectory_count=20_000,
-        seed=23,
-        dt=0.001,
+def test_drift_carries_the_stratonovich_correction():
+    """At zero noise the drift is the Ito drift plus the Ito->Stratonovich
+    correction: (-i chi alpha^2 beta + i chi alpha / 2,
+    +i chi alpha beta^2 - i chi beta / 2)."""
+    chi = 0.3
+    rng = np.random.default_rng(2)
+    alpha = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+    beta = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+    d = KerrPlusP(chi=chi).derivative(
+        np.concatenate([alpha, beta], axis=1), 0, np.zeros((6, 2))
     )
-    strat = run_kerr_plusp(**kw, interpretation="stratonovich")
-    ito = run_kerr_plusp(**kw, interpretation="ito")
-    diff = abs(strat.mean("X")[-1].real - ito.mean("X")[-1].real)
-    bar = math.hypot(strat.error("X")[-1], ito.error("X")[-1])
-    assert diff <= 3.0 * bar + 5e-3
-
-
-def test_models_reject_unknown_interpretation():
-    with pytest.raises(ValueError):
-        KerrPlusP(chi=0.1, interpretation="fisk")
-    with pytest.raises(ValueError):
-        run_kerr_plusp({"kind": "coherent", "alpha": 1.0}, 0.1, [0.0, 0.1], 10, 0,
-                       dt=0.05, interpretation="fisk")
+    expected_alpha = -1j * chi * alpha**2 * beta + 0.5j * chi * alpha
+    expected_beta = 1j * chi * alpha * beta**2 - 0.5j * chi * beta
+    assert np.allclose(d[:, :1], expected_alpha, rtol=1e-14, atol=1e-15)
+    assert np.allclose(d[:, 1:], expected_beta, rtol=1e-14, atol=1e-15)
 
 
 def test_reverse_step_flips_dynamics():

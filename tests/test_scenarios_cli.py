@@ -107,6 +107,28 @@ def test_complex_number_forms():
     assert s.params["alpha0"][0] == 1 + 2j
 
 
+def test_amplitude_list_holds_one_entry_per_component():
+    wigner = parse_scenario("kind: wigner\nalpha0: [3.0, 3.0]\ntimes: [0, 0.1]\n")
+    assert wigner.params["alpha0"] == [3.0, 3.0]
+    plusp = parse_scenario(
+        "kind: plusp\nstate: {kind: coherent, alpha: [3.0, 3.0]}\ntimes: [0, 0.1]\n"
+    )
+    assert plusp.params["state"]["alpha"] == [3.0, 3.0]
+    mixed = parse_scenario('kind: wigner\nalpha0: [2.0, "1+2j", [0.5, -1.0]]\ntimes: [0, 0.1]\n')
+    assert mixed.params["alpha0"] == [2.0, 1 + 2j, 0.5 - 1j]
+    for text, path in (
+        ("kind: wigner\nalpha0: [3.0, bogus]\ntimes: [0, 0.1]\n", "alpha0[1]"),
+        ("kind: wigner\nalpha0: []\ntimes: [0, 0.1]\n", "alpha0"),
+        (
+            "kind: plusp\nstate: {kind: coherent, alpha: [1.0, [2.0]]}\ntimes: [0, 0.1]\n",
+            "state.alpha[1]",
+        ),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert [p for p, _ in err.value.errors] == [path]
+
+
 # ---------------------------------------------------------------------------
 # running scenarios in-process
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qphase.stochastic import (
+    MIDPOINT_ITERS,
     MomentAccumulator,
-    SdeScheme,
     complex_field_noise,
+    evolve,
     noise_block,
     run_ensemble,
     step,
@@ -108,34 +109,36 @@ def test_accumulator_empty_and_single():
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
-        SdeScheme(dt=-1.0)
-    with pytest.raises(ValueError):
-        SdeScheme(midpoint_iters=0)
+    for dt in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            next(evolve(np.ones((2, 1)), Linear(1.0), dt, 1))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            run_ensemble(
+                lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2, np.array([0.0, 1.0]), dt, 0
+            )
 
 
 def test_midpoint_step_second_order_on_rotation():
-    """One midpoint step of dy/dt = -i y is the Cayley transform, exact
+    """One midpoint step of dy/dt = -i y: the fixed point iteration gives
+    mid = sum_{j <= MIDPOINT_ITERS} (-i dt/2)^j, and the step is exact
     through O(dt^2)."""
     dt = 1e-2
-    scheme = SdeScheme(dt=dt, midpoint_iters=50)
     y = np.array([1.0 + 0.0j])
-    out = step(y, lambda s: -1j * s, scheme)
-    cayley = (1 - 0.5j * dt) / (1 + 0.5j * dt)
-    assert out[0] == pytest.approx(cayley, rel=1e-12)
+    out = step(y, lambda s: -1j * s, dt)
+    closed = 2.0 * sum((-0.5j * dt) ** j for j in range(MIDPOINT_ITERS + 1)) - 1.0
+    assert out[0] == pytest.approx(closed, rel=1e-14)
     assert abs(out[0] - math.cos(dt) - 1j * -math.sin(dt)) < dt**3
 
 
 def test_run_ensemble_exponential_decay():
     times = np.linspace(0.0, 1.0, 5)
-    scheme = SdeScheme(dt=0.01)
     result = run_ensemble(
         sampler=lambda seed, n: np.ones((n, 1), dtype=complex),
         model=Linear(-1.0),
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=4,
         times=times,
-        scheme=scheme,
+        dt=0.01,
         seed=0,
     )
     assert np.allclose(result.mean("y").real, np.exp(-times), atol=1e-4)
@@ -154,7 +157,7 @@ def test_run_ensemble_masks_divergent_trajectories():
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=8,
         times=np.linspace(0.0, 1.0, 3),
-        scheme=SdeScheme(dt=0.05),
+        dt=0.05,
         seed=0,
         divergence_ceiling=1e3,
     )
@@ -189,30 +192,30 @@ def test_run_ensemble_draws_noise_once_per_step():
         observables={"y": lambda s: s[:, 0]},
         trajectory_count=4,
         times=np.array([0.0, 0.5]),
-        scheme=SdeScheme(dt=0.1, midpoint_iters=3),
+        dt=0.1,
         seed=0,
     )
     assert [k for k, _ in model.drawn] == list(range(5))
-    assert len(model.seen) == 5 * 3
+    assert len(model.seen) == 5 * MIDPOINT_ITERS
     for k, xi in model.drawn:
         calls = [noise for j, noise in model.seen if j == k]
-        assert len(calls) == 3 and all(noise is xi for noise in calls)
+        assert len(calls) == MIDPOINT_ITERS and all(noise is xi for noise in calls)
 
 
 def test_run_ensemble_validates_schedule():
-    scheme = SdeScheme(dt=0.01)
+    dt = 0.01
     with pytest.raises(ValueError):
         run_ensemble(
             lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
-            np.array([0.1, 0.2]), scheme, 0,
+            np.array([0.1, 0.2]), dt, 0,
         )
     with pytest.raises(ValueError):
         run_ensemble(
             lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
-            np.array([0.0, 0.015]), scheme, 0,
+            np.array([0.0, 0.015]), dt, 0,
         )
     with pytest.raises(ValueError):
         run_ensemble(
             lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 1,
-            np.array([0.0, 0.01]), scheme, 0,
+            np.array([0.0, 0.01]), dt, 0,
         )

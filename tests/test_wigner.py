@@ -150,9 +150,16 @@ def test_two_body_loss_preserves_unaffected_mode():
     assert n0_after < 0.8 * n0_before  # two-body decay really happens
 
 
-def test_model_rejects_unknown_interpretation():
-    with pytest.raises(ValueError):
-        WignerModel(interpretation="fisk")
+def test_loss_drift_carries_the_stratonovich_correction():
+    """At zero noise a two-body loss channel phi^2 at rate kappa drifts by
+    -2 kappa |phi|^2 phi (Ito) - 2 kappa phi (Ito->Stratonovich shift)."""
+    kappa = 0.3
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+    model = WignerModel(channels=(LossChannel((2,), kappa),))
+    d = model.derivative(phi, 0, np.zeros((6, 1), dtype=complex))
+    expected = -2.0 * kappa * np.abs(phi) ** 2 * phi - 2.0 * kappa * phi
+    assert np.allclose(d, expected, rtol=1e-14, atol=1e-15)
 
 
 def test_diverged_trajectory_leaves_later_snapshots():
