@@ -4,13 +4,17 @@
 Propagates a ring of coherent components through one revival period of
 H = (chi/2) adag^2 a^2 and compares <a>(t) against the closed-form
 coherent-state solution, printing the trace and the worst-case error.
+A step that fails even after halving ends the run with one line on
+stderr and exit code 3, as ``qphase run`` does.
 
 Usage: python3 scripts/variational_revival.py [--components 16]
 """
 
 import argparse
 import math
+import sys
 
+from qphase.cli import EXIT_RUNTIME
 from qphase.fock import kerr_oracle
 from qphase.variational import (
     expectation,
@@ -33,9 +37,13 @@ def main():
     dt = 2.0 * math.pi / args.steps
     state = ring_initial_state([args.alpha], args.components, radius=args.radius)
     ham = kerr_hamiltonian(args.chi, modes=1)
-    times, states = propagate(
-        state, ham, dt, args.steps, lam=1e-4, record_every=args.steps // 20
-    )
+    try:
+        times, states = propagate(
+            state, ham, dt, args.steps, lam=1e-4, record_every=args.steps // 20
+        )
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_RUNTIME)
 
     print(f"# components={args.components} alpha={args.alpha:.4f} chi={args.chi}")
     print(f"{'t':>8}  {'Re<a>':>10}  {'Im<a>':>10}  {'exact Re':>10}  {'norm':>8}")

@@ -1,9 +1,9 @@
-"""qphase: exact and phase-space quantum dynamics for lattice Bose gases.
+"""qphase: exact and phase-space quantum dynamics for interacting Bose gases.
 
 Modules
 -------
 lattice          many-body Hilbert-space dimension counting
-fock             exact few-mode Fock-basis states and propagation
+fock             Fock-basis states, ladder operators, Kerr oracle
 spins            Schwinger spin moments, squeezing, entanglement criteria
 doublewell       the two-well two-spin squeezing/entanglement pipeline
 stochastic       counter-based noise, SDE stepping, moment accumulation

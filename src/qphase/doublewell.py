@@ -148,8 +148,8 @@ def doublewell_scan(
         pre = spins.spin_moments(evaluator, delta_theta)
         theta, _ = spins.optimal_theta(pre, well=0)
         n0_well = 0.5 * abs(pre.mean(0, 2))
-        var_theta = pre.variance(theta, 0)
-        var_conj = pre.variance(theta + math.pi / 2, 0)
+        var_theta = spins.spin_variance(pre, theta, 0)
+        var_conj = spins.spin_variance(pre, theta + math.pi / 2, 0)
         vm_pre, vp_pre = spins.cross_variances(pre, theta)
         n0_pair = 0.5 * (abs(pre.mean(0, 2)) + abs(pre.mean(1, 2)))
 

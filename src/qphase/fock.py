@@ -1,9 +1,9 @@
 """Exact few-mode quantum dynamics in a truncated number-state basis.
 
 Covers the two-well, two-spin BEC entanglement study: Fock bases with
-per-mode cutoffs and optional total-number sectors, coherent-state
-preparation, Hamiltonian construction, unitary propagation, and the
-closed-form Kerr oracle used to verify everything else.
+per-mode cutoffs, coherent-state preparation, ladder operators, the
+diagonal of the Kerr well Hamiltonian, and the closed-form Kerr oracle
+used to verify everything else.
 """
 
 from __future__ import annotations
@@ -11,74 +11,47 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "CapacityError",
     "FockBasis",
     "StateVector",
     "coherent_state",
-    "transfer_operator",
     "annihilation_operator",
     "well_hamiltonian_diagonal",
-    "build_hamiltonian",
-    "evolve",
     "kerr_oracle",
-    "beam_splitter",
 ]
 
 MAX_MODES = 6
-DENSE_DIAG_LIMIT = 2000
 
 
 class CapacityError(Exception):
-    """Requested basis or Hamiltonian exceeds the exact-method budget."""
+    """Requested basis exceeds the exact-method budget."""
 
 
 class FockBasis:
     """Occupation-number basis with per-mode cutoffs.
 
     ``cutoffs[i]`` is the largest occupation kept in mode i (inclusive).
-    With ``total_number`` set, only states with sum(n) == N are kept.
-    States are enumerated in ``itertools.product`` order, so in an
-    unrestricted basis mode m has index stride prod_{k>m}(cutoff_k + 1).
+    States are enumerated in ``itertools.product`` order, so mode m has
+    index stride prod_{k>m}(cutoff_k + 1).
     """
 
-    def __init__(self, cutoffs, total_number=None):
+    def __init__(self, cutoffs):
         cutoffs = tuple(int(c) for c in cutoffs)
         if not 1 <= len(cutoffs) <= MAX_MODES:
             raise CapacityError(f"mode count must be 1-{MAX_MODES}")
         if any(c < 0 for c in cutoffs):
             raise ValueError("cutoffs must be non-negative")
         self.cutoffs = cutoffs
-        self.total_number = total_number
-        if total_number is None:
-            occs = np.array(
-                list(product(*(range(c + 1) for c in cutoffs))), dtype=np.int64
-            )
-        else:
-            occs = np.array(
-                [
-                    occ
-                    for occ in product(*(range(c + 1) for c in cutoffs))
-                    if sum(occ) == total_number
-                ],
-                dtype=np.int64,
-            )
-            if occs.size == 0:
-                raise ValueError("number sector is empty for these cutoffs")
-        self.occupations = occs
+        self.occupations = np.array(
+            list(product(*(range(c + 1) for c in cutoffs))), dtype=np.int64
+        )
         self._annihilators = {}
-
-    @cached_property
-    def index(self) -> dict:
-        """Occupation tuple -> basis index, built on first use."""
-        return {tuple(row): i for i, row in enumerate(self.occupations.tolist())}
 
     @property
     def mode_count(self) -> int:
@@ -87,9 +60,6 @@ class FockBasis:
     @property
     def dimension(self) -> int:
         return len(self.occupations)
-
-    def state_index(self, occupation) -> int:
-        return self.index[tuple(occupation)]
 
     def annihilation(self, mode: int) -> sp.csr_matrix:
         """a_mode, built once per basis and shared by every caller.
@@ -112,16 +82,6 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (self.basis.dimension,):
             raise ValueError("amplitude vector does not match basis dimension")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def expect(self, op) -> complex:
-        return complex(np.vdot(self.amplitudes, op @ self.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2
 
 
 def coherent_state(alphas, basis: FockBasis) -> StateVector:
@@ -151,14 +111,12 @@ def coherent_state(alphas, basis: FockBasis) -> StateVector:
 
 
 def annihilation_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
-    """a_mode in the given basis; requires an unrestricted basis.
+    """a_mode in the given basis.
 
     In product order lowering mode m is a fixed index offset, so row r
     holds sqrt(n_m + 1) at column r + stride_m whenever n_m(r) is below
     the cutoff.  Use ``basis.annihilation(mode)`` for the shared copy.
     """
-    if basis.total_number is not None:
-        raise ValueError("annihilation operators leave a fixed-number sector")
     if not 0 <= mode < basis.mode_count:
         raise IndexError(f"mode {mode} outside 0..{basis.mode_count - 1}")
     stride = math.prod(c + 1 for c in basis.cutoffs[mode + 1:])
@@ -169,32 +127,6 @@ def annihilation_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     data = np.sqrt(occ[raisable] + 1.0).astype(complex)
     return sp.csr_matrix(
         (data, indices, indptr), shape=(basis.dimension, basis.dimension)
-    )
-
-
-def transfer_operator(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
-    """Number-conserving bilinear a_i^dag a_j; valid on sector bases too."""
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.occupations):
-        if i == j:
-            if occ[i]:
-                rows.append(col)
-                cols.append(col)
-                vals.append(float(occ[i]))
-            continue
-        if occ[j] == 0 or occ[i] >= basis.cutoffs[i]:
-            continue
-        target = list(occ)
-        target[j] -= 1
-        target[i] += 1
-        key = tuple(target)
-        if key not in basis.index:
-            continue
-        rows.append(basis.index[key])
-        cols.append(col)
-        vals.append(math.sqrt(occ[j] * (occ[i] + 1)))
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
     )
 
 
@@ -213,69 +145,6 @@ def well_hamiltonian_diagonal(chi: np.ndarray, basis: FockBasis, modes=None) -> 
             else:
                 diag += 0.5 * chi[a, b] * occ[:, a] * occ[:, b]
     return diag
-
-
-def build_hamiltonian(omega: float, chi, basis: FockBasis) -> sp.csr_matrix:
-    """Two-well four-mode Hamiltonian, modes ordered (a1, a2, b1, b2).
-
-    H = omega sum_i (a_i^dag b_i + h.c.)
-        + (1/2) sum_ij chi_ij a_i^dag a_j^dag a_j a_i  + {a -> b}.
-    """
-    chi = np.atleast_2d(np.asarray(chi, dtype=float))
-    if basis.mode_count != 4:
-        raise ValueError("two-well Hamiltonian needs exactly 4 modes")
-    if chi.shape != (2, 2) or not np.allclose(chi, chi.T):
-        raise ValueError("chi must be a symmetric 2x2 matrix")
-    if basis.dimension > 4_000_000:
-        raise CapacityError(f"basis dimension {basis.dimension} exceeds capacity")
-    diag = well_hamiltonian_diagonal(chi, basis, modes=[0, 1])
-    diag += well_hamiltonian_diagonal(chi, basis, modes=[2, 3])
-    ham = sp.diags(diag).tocsr().astype(complex)
-    if omega != 0.0:
-        for i in range(2):
-            hop = transfer_operator(basis, i, i + 2)
-            ham = ham + omega * (hop + hop.conj().T)
-    return ham
-
-
-def _is_diagonal(ham) -> bool:
-    if sp.issparse(ham):
-        coo = ham.tocoo()
-        return bool(np.all(coo.row == coo.col))
-    return bool(np.count_nonzero(ham - np.diag(np.diag(ham))) == 0)
-
-
-def _check_hermitian(ham) -> None:
-    if sp.issparse(ham):
-        delta = (ham - ham.conj().T).tocoo()
-        scale = max(abs(ham).max(), 1e-300)
-        if delta.nnz and np.abs(delta.data).max() > 1e-10 * scale:
-            raise ValueError("Hamiltonian is not Hermitian")
-    else:
-        if not np.allclose(ham, np.conj(ham.T), atol=1e-10 * max(np.abs(ham).max(), 1)):
-            raise ValueError("Hamiltonian is not Hermitian")
-
-
-def evolve(state: StateVector, ham, t: float) -> StateVector:
-    """exp(-i H t) |psi>, choosing diagonal / dense / Krylov propagation."""
-    _check_hermitian(ham)
-    psi = state.amplitudes
-    if t == 0.0:
-        return StateVector(state.basis, psi.copy(), state.truncation_loss)
-    if _is_diagonal(ham):
-        diag = ham.diagonal() if sp.issparse(ham) else np.diag(ham)
-        out = np.exp(-1j * diag.real * t) * psi
-    elif state.basis.dimension <= DENSE_DIAG_LIMIT:
-        dense = ham.toarray() if sp.issparse(ham) else np.asarray(ham)
-        evals, evecs = np.linalg.eigh(dense)
-        out = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
-    else:
-        op = ham if sp.issparse(ham) else sp.csr_matrix(ham)
-        out = expm_multiply(-1j * t * op, psi)
-    norm = np.linalg.norm(out)
-    if abs(norm - state.norm) > 1e-8 * max(state.norm, 1.0):
-        warnings.warn(f"evolution norm drift {abs(norm - state.norm):.2e}", stacklevel=2)
-    return StateVector(state.basis, out, state.truncation_loss)
 
 
 def kerr_oracle(alphas, chi, t: float) -> dict:
@@ -304,22 +173,3 @@ def kerr_oracle(alphas, chi, t: float) -> dict:
     number_corr = np.outer(n_mean, n_mean) + np.diag(n_mean)
     return {"a": means, "adag_a": second, "n_n": number_corr}
 
-
-def beam_splitter(
-    state: StateVector, mixing_angle: float, phase: float = 0.0
-) -> StateVector:
-    """Inter-well mode rotation a_i -> cos(theta) a_i + e^{i phi} sin(theta) b_i.
-
-    Acts on a 4-mode state ordered (a1, a2, b1, b2) and rotates both spin
-    components.
-    """
-    if state.basis.mode_count != 4:
-        raise ValueError("beam splitter expects a 4-mode state")
-    if mixing_angle == 0.0:
-        return StateVector(state.basis, state.amplitudes.copy(), state.truncation_loss)
-    psi = state.amplitudes
-    for i in (0, 1):
-        hop = transfer_operator(state.basis, i, i + 2)  # a_i^dag b_i
-        gen = np.exp(1j * phase) * hop - np.exp(-1j * phase) * hop.conj().T
-        psi = expm_multiply(mixing_angle * gen, psi)
-    return StateVector(state.basis, psi, state.truncation_loss)

@@ -15,19 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochastic import (
-    EnsembleResult,
-    MomentAccumulator,
-    noise_block,
-    run_ensemble,
-)
+from .stochastic import EnsembleResult, noise_block, run_ensemble
 
 __all__ = [
     "PlusPEnsemble",
     "sample_canonical",
     "canonical_sampler",
     "KerrPlusP",
-    "normally_ordered_moment",
     "TimeReversalReport",
     "time_reversal_test",
 ]
@@ -39,10 +33,6 @@ class PlusPEnsemble:
 
     alpha: np.ndarray
     beta: np.ndarray
-
-    @property
-    def trajectories(self) -> int:
-        return self.alpha.shape[0]
 
 
 def _husimi_samples(state: dict, gen: np.random.Generator, n: int, modes: int) -> np.ndarray:
@@ -163,20 +153,6 @@ class KerrPlusP:
         d_alpha += 0.5j * chi * alpha
         d_beta += -0.5j * chi * beta
         return np.concatenate([d_alpha, d_beta], axis=1)
-
-
-def normally_ordered_moment(
-    ensemble: PlusPEnsemble, creation_modes, annihilation_modes
-) -> tuple[complex, float]:
-    """<a_m^dag ... a_n> = mean of beta_m ... alpha_n products."""
-    vals = np.ones(ensemble.trajectories, dtype=complex)
-    for m in creation_modes:
-        vals = vals * ensemble.beta[:, m]
-    for m in annihilation_modes:
-        vals = vals * ensemble.alpha[:, m]
-    acc = MomentAccumulator()
-    acc.add(vals)
-    return acc.mean, acc.error
 
 
 def run_kerr_plusp(

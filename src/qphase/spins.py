@@ -1,9 +1,8 @@
 """Schwinger spin moments, squeezing angles, and entanglement criteria.
 
 Spin operators are built symbolically as sums of products of elementary
-mode operators, so the same code evaluates them on an explicit 4-mode
-state vector or on a product of two independent well states, before or
-after a Heisenberg-picture beam splitter.
+mode operators and evaluated on a product of two independent well
+states, before or after a Heisenberg-picture beam splitter.
 
 Symbol convention: (well, mode, dag) with well 0 = A, 1 = B and mode
 0, 1 the two spin components of that well.
@@ -25,7 +24,6 @@ __all__ = [
     "op_mul",
     "op_dagger",
     "beam_splitter_map",
-    "JointEvaluator",
     "ProductEvaluator",
     "spin_moments",
     "optimal_theta",
@@ -111,30 +109,6 @@ def _ladder(basis):
     return ops
 
 
-class JointEvaluator:
-    """Evaluates symbolic operators on an explicit 4-mode state vector.
-
-    Mode layout of the basis is (a1, a2, b1, b2): joint mode index
-    = 2 * well + mode.
-    """
-
-    def __init__(self, state):
-        self.psi = state.amplitudes
-        self._ops = _ladder(state.basis)
-        self._cache = {}
-
-    def __call__(self, op) -> complex:
-        total = 0.0 + 0.0j
-        for coeff, factors in op:
-            if factors not in self._cache:
-                vec = self.psi
-                for well, mode, dag in reversed(factors):
-                    vec = self._ops[(2 * well + mode, dag)] @ vec
-                self._cache[factors] = complex(np.vdot(self.psi, vec))
-            total += coeff * self._cache[factors]
-        return total
-
-
 class ProductEvaluator:
     """Evaluates symbolic operators on a product state |psi_A> x |psi_B>.
 
@@ -205,9 +179,6 @@ class SpinMoments:
 
     def mean(self, well: int, component: int) -> float:
         return float(self.means[3 * well + component])
-
-    def variance(self, theta: float, well: int) -> float:
-        return spin_variance(self, theta, well)
 
 
 def spin_moments(expect, delta_theta: float) -> SpinMoments:

@@ -198,7 +198,8 @@ def propagate(
     """Iterated-midpoint propagation; X(t + dt) = X0 + 2 dX.
 
     A step producing non-finite parameters is retried with a halved
-    substep (up to ``MAX_HALVINGS`` times); persistent failure raises.
+    substep (up to ``MAX_HALVINGS`` times); persistent failure raises a
+    ``FloatingPointError`` naming ``dt`` and the smallest substep tried.
     Returns (times, states) sampled every ``record_every`` steps.
     """
     members, modes = state.members, state.modes
@@ -220,7 +221,10 @@ def propagate(
         if np.isfinite(new).all():
             return new
         if depth >= MAX_HALVINGS:
-            raise FloatingPointError("variational step failed after halvings")
+            raise FloatingPointError(
+                f"variational step dt={dt:g} failed: parameters stay non-finite"
+                f" down to substep {h:g}"
+            )
         half = robust_step(x, h / 2, depth + 1)
         return robust_step(half, h / 2, depth + 1)
 

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,3 +21,13 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"qphase.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_cli_and_doublewell_do_not_import_sparse_linalg():
+    """The exact stack needs no Krylov or expm code, so a cold import of
+    the command line and the double-well pipeline skips scipy.sparse.linalg."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(qphase.__path__[0]))
+    code = "import sys, qphase.cli, qphase.doublewell; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

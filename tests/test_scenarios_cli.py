@@ -282,6 +282,14 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert "runtime failure" in proc.stderr
 
 
+def test_cli_variational_step_failure_names_step_size(tmp_path):
+    scenario = tmp_path / "coarse.yaml"
+    scenario.write_text("kind: variational\ndt: 0.314\n")
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 3
+    assert "runtime failure" in proc.stderr and "dt=0.314" in proc.stderr
+
+
 def test_cli_inconclusive_exit_code(tmp_path):
     scenario = tmp_path / "hopeless.yaml"
     scenario.write_text(

@@ -11,7 +11,9 @@ from qphase.doublewell import (
     poisson_cutoff,
     rb_interaction_matrix,
 )
-from qphase.fock import FockBasis, StateVector, beam_splitter, coherent_state
+from qphase.fock import FockBasis, StateVector, coherent_state
+
+from oracles import beam_splitter, joint_evaluator
 
 
 def _small_alpha_setup(t=0.35):
@@ -47,7 +49,7 @@ def test_product_evaluator_matches_joint_evaluator():
     4-mode evaluation, including after the Heisenberg beam splitter."""
     well, joint_t = _small_alpha_setup()
     prod = spins.ProductEvaluator(well, well)
-    joint = spins.JointEvaluator(joint_t)
+    joint = joint_evaluator(joint_t)
     pre_p = spins.spin_moments(prod, 0.3)
     pre_j = spins.spin_moments(joint, 0.3)
     assert np.allclose(pre_p.means, pre_j.means, atol=1e-8)
@@ -75,7 +77,7 @@ def test_product_evaluator_matches_joint_evaluator_for_distinct_wells():
         FockBasis((7, 7, 7, 7)), np.kron(well_a.amplitudes, well_b.amplitudes)
     )
     prod = spins.ProductEvaluator(well_a, well_b)
-    joint = spins.JointEvaluator(joint_t)
+    joint = joint_evaluator(joint_t)
     for mixing in (0.0, math.pi / 4):
         def post_p(op):
             return prod(spins.beam_splitter_map(op, mixing, 0.1))
@@ -120,9 +122,9 @@ def test_heisenberg_map_equals_schroedinger_splitter():
     through the beam-splitter unitary."""
     well, joint_t = _small_alpha_setup()
     theta, phi = 0.6, 0.25
-    joint = spins.JointEvaluator(joint_t)
+    joint = joint_evaluator(joint_t)
     rotated = beam_splitter(joint_t, theta, phase=phi)
-    joint_rot = spins.JointEvaluator(rotated)
+    joint_rot = joint_evaluator(rotated)
     for op in (
         spins.op_elementary(0, 0, False),
         spins.op_mul(spins.op_elementary(0, 1, True), spins.op_elementary(1, 1, False)),
