@@ -126,33 +126,35 @@ class KerrPlusP:
     seed: int = 0
     reverse_step: int = None  # flip sign at this step index, if set
 
+    def _sign(self, step_index: int) -> float:
+        return -1.0 if self.reverse_step is not None and step_index >= self.reverse_step else 1.0
+
     def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
-        """The 2M real noises of a step: xi1 in columns :M, xi2 in M:."""
-        raw = noise_block(self.seed, step_index, n_traj, 2 * self.modes)
-        return raw * (1.0 / math.sqrt(dt))
+        """sqrt(i chi) xi1 in columns :M, sqrt(-i chi) xi2 in M:, with the
+        step's sign on chi and 2M real noises xi of variance 1/dt."""
+        chi = self._sign(step_index) * self.chi
+        roots = np.repeat([np.sqrt(1j * chi + 0j), np.sqrt(-1j * chi + 0j)], self.modes)
+        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes) * (1.0 / math.sqrt(dt))
+        return roots * xi
 
     def derivative(self, state: np.ndarray, step_index: int, noise: np.ndarray) -> np.ndarray:
         m = self.modes
-        alpha = state[:, :m]
-        beta = state[:, m:]
-        sign = 1.0
-        if self.reverse_step is not None and step_index >= self.reverse_step:
-            sign = -1.0
+        sign = self._sign(step_index)
         chi = sign * self.chi
-        xi1 = noise[:, :m]
-        xi2 = noise[:, m:]
-        root_pos = np.sqrt(1j * chi + 0j)
-        root_neg = np.sqrt(-1j * chi + 0j)
-        cross = chi * alpha * beta
-        d_alpha = -1j * (cross + root_pos * xi1) * alpha
-        d_beta = +1j * (cross + root_neg * xi2) * beta
-        if self.omega is not None:
-            omega = sign * np.asarray(self.omega)
-            d_alpha += -1j * alpha @ omega.T
-            d_beta += +1j * beta @ omega.T
-        d_alpha += 0.5j * chi * alpha
-        d_beta += -0.5j * chi * beta
-        return np.concatenate([d_alpha, d_beta], axis=1)
+        out = np.empty(state.shape, dtype=complex)
+        cross = chi * state[:, :m]
+        cross *= state[:, m:]
+        # in place, reusing cross: temporaries of this size dominate the cost
+        halves = ((slice(None, m), -1j, 0.5j), (slice(m, None), 1j, -0.5j))
+        for cols, rot, _ in halves:
+            d, y = out[:, cols], state[:, cols]
+            np.multiply(rot, np.add(cross, noise[:, cols], out=d), out=d)
+            d *= y
+            if self.omega is not None:
+                d += rot * y @ (sign * np.asarray(self.omega)).T
+        for cols, _, strat in halves:  # cross is free now
+            out[:, cols] += np.multiply(strat * chi, state[:, cols], out=cross)
+        return out
 
 
 def run_kerr_plusp(
@@ -208,6 +210,7 @@ class TimeReversalReport:
     error_growth: bool
     diverged: int
     inconclusive: bool
+    diverged_count: np.ndarray  # trajectories dead by each measurement time
 
 
 def time_reversal_test(
@@ -258,4 +261,5 @@ def time_reversal_test(
         error_growth=bool(x_err[-1] > x_err[idx_before]),
         diverged=result.diverged,
         inconclusive=bar_end > error_ceiling,
+        diverged_count=result.diverged_count,
     )

@@ -90,7 +90,7 @@ def _number(cfg, key, errors, default=None, required=False, positive=False, mini
     if not _is_number(value):
         errors.append((key, f"expected a number, got {type(value).__name__}"))
         return default
-    if positive and value <= 0:
+    if positive and not value > 0:  # NaN too
         errors.append((key, "must be positive"))
         return default
     if minimum is not None and value < minimum:
@@ -521,7 +521,7 @@ def _run_plusp(p, seed):
             "t": t,
             "re_x": result.mean("X")[i].real,
             "error": result.error("X")[i],
-            "diverged_count": result.diverged,
+            "diverged_count": int(result.diverged_count[i]),
         }
         for i, t in enumerate(times)
     ]
@@ -555,7 +555,7 @@ def _run_plusp_reverse(p, seed):
             "t": t,
             "re_x": report_obj.x_mean[i],
             "error": report_obj.x_error[i],
-            "diverged_count": report_obj.diverged,
+            "diverged_count": int(report_obj.diverged_count[i]),
         }
         for i, t in enumerate(report_obj.times)
     ]

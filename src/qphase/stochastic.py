@@ -7,11 +7,13 @@ leading trajectory axis, so a whole ensemble advances in vectorized form.
 
 `evolve` is the one time loop.  It drives a model that provides
 
-    noise(step_index, n_traj, dt) -> this step's scaled noise (or None)
-    derivative(state, step_index, noise) -> dy/dt including that noise
+    noise(step_index, n_traj, dt) -> this step's noise term (or None)
+    derivative(state, step_index, noise) -> dy/dt with that noise, a fresh array
 
-and draws the noise once per step, so every midpoint iteration of the
-step sees the same object.
+and draws the noise once per step, so every midpoint iteration sees the
+same object, already scaled by 1/sqrt(dt) and any factor fixed for the
+step (+P's sqrt(+-i chi)).  A trajectory dies when any component of its
+state is non-finite or exceeds the divergence ceiling in modulus.
 """
 
 from __future__ import annotations
@@ -107,34 +109,35 @@ def step(state, derivative, dt: float):
     iteration evaluates both parts at the midpoint, which converges to
     the Stratonovich solution for multiplicative noise.
     """
-    mid = state
-    for _ in range(MIDPOINT_ITERS):
-        mid = state + 0.5 * dt * derivative(mid)
-    return 2.0 * mid - state
+    mid = state + 0.5 * dt * derivative(state)  # step-local buffer
+    for _ in range(MIDPOINT_ITERS - 1):
+        np.multiply(derivative(mid), 0.5 * dt, out=mid)
+        mid += state
+    return np.subtract(np.multiply(2.0, mid, out=mid), state, out=mid)
 
 
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6):
     """Yield (step index, state, alive mask) at step 0 and after each step.
 
     Each step draws `model.noise` once and passes it to every
-    `model.derivative` call of that step.  Trajectories whose state
-    leaves the divergence ceiling (or turns non-finite) are marked dead in
-    the mask and frozen at zero.  The mask is updated in place, so a
-    consumer that keeps it past the next step must copy it.
+    `model.derivative` call of that step.  Dead trajectories (see the
+    module docstring) are marked in the mask and frozen at zero.  The mask
+    is updated in place, so a consumer that keeps it past the next step
+    must copy it; each yielded state is a fresh array.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    ceiling = min(divergence_ceiling, np.finfo(float).max)  # inf rows die even at inf
     n_traj = state.shape[0]
     alive = np.ones(n_traj, dtype=bool)
     yield 0, state, alive
     for step_idx in range(n_steps):
         noise = model.noise(step_idx, n_traj, dt)
         state = step(state, lambda y: model.derivative(y, step_idx, noise), dt)
-        flat = state.reshape(n_traj, -1)
-        bad = ~np.isfinite(flat).all(axis=1) | (np.abs(flat).max(axis=1) > divergence_ceiling)
-        newly_dead = bad & alive
-        if newly_dead.any():
-            alive &= ~newly_dead
+        # NaN compares false and inf exceeds the ceiling: one test each
+        within = np.abs(state.reshape(n_traj, -1)) <= ceiling
+        if not within.all():
+            alive &= within.all(axis=1)
             # freeze dead trajectories so NaNs cannot poison the others
             state = np.where(alive.reshape((-1,) + (1,) * (state.ndim - 1)), state, 0.0)
         yield step_idx + 1, state, alive
@@ -144,9 +147,10 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
 class EnsembleResult:
     times: np.ndarray
     observables: dict  # name -> dict(mean=array, error=array)
-    diverged: int = 0
+    diverged: int = 0  # total by the final step
     trajectories: int = 0
     unreliable: bool = False
+    diverged_count: np.ndarray = None  # trajectories dead by each measurement time
 
     def mean(self, name):
         return self.observables[name]["mean"]
@@ -172,8 +176,8 @@ def run_ensemble(
     derivative(state, step_index, noise), as driven by `evolve`.
     observables: name -> fn(state) -> per-trajectory complex values.
 
-    Trajectories whose state leaves the divergence ceiling (or turns
-    non-finite) are excluded from all later statistics and counted.
+    Trajectories that die (see `evolve`) are excluded from all later
+    statistics and counted by each measurement time.
     """
     if trajectory_count < 2:
         raise ValueError("need at least 2 trajectories")
@@ -196,21 +200,23 @@ def run_ensemble(
         name: {"mean": np.zeros(len(times), dtype=complex), "error": np.zeros(len(times))}
         for name in observables
     }
+    diverged_count = np.zeros(len(times), dtype=int)
     initial = sampler(seed, trajectory_count)
     for step_idx, state, alive in evolve(initial, model, dt, n_steps, divergence_ceiling):
         for t_idx in meas_lookup.get(step_idx, []):
+            diverged_count[t_idx] = trajectory_count - alive.sum()
             for name, fn in observables.items():
                 acc = MomentAccumulator()
                 acc.add(np.asarray(fn(state))[alive])
                 series[name]["mean"][t_idx] = acc.mean
                 series[name]["error"][t_idx] = acc.error
 
-    diverged = int(trajectory_count - alive.sum())
-    result = EnsembleResult(
+    diverged = int(diverged_count[-1])
+    return EnsembleResult(
         times=times,
         observables=series,
         diverged=diverged,
         trajectories=trajectory_count,
         unreliable=diverged > 0.01 * trajectory_count,
+        diverged_count=diverged_count,
     )
-    return result

@@ -69,20 +69,28 @@ def _monomial(fields: np.ndarray, powers) -> np.ndarray:
     return out
 
 
-def _monomial_grad(fields: np.ndarray, powers, s: int) -> np.ndarray:
-    if powers[s] == 0:
-        return np.zeros(fields.shape[0], dtype=complex)
-    reduced = list(powers)
-    reduced[s] -= 1
-    return powers[s] * _monomial(fields, reduced)
+@lru_cache(maxsize=None)
+def _loss_terms(channel_powers: tuple) -> tuple:
+    """Compile monomial loss operators into the distinct monomials they need
+    and their nonzero derivative terms (every term left out is zero).
 
-
-def _monomial_hess(fields: np.ndarray, powers, s: int, t: int) -> np.ndarray:
-    if powers[s] == 0:
-        return np.zeros(fields.shape[0], dtype=complex)
-    reduced = list(powers)
-    reduced[s] -= 1
-    return powers[s] * _monomial_grad(fields, reduced, t)
+    Returns (exponents, channels), with phi^[i] the monomial of exponents[i].
+    Channel l is (v, terms) with O_l = phi^[v]; terms holds (s, l_s, g, hess)
+    per l_s > 0, where dO_l/dphi_s = l_s phi^[g], and hess holds (t, e_t, h)
+    per e_t > 0, where d(phi^[g])/dphi_t = e_t phi^[h].
+    """
+    index = {}  # exponent tuple -> its position in `exponents`
+    channels = []
+    for powers in channel_powers:
+        terms = []
+        for s, l_s in enumerate(powers):
+            if l_s:
+                e = powers[:s] + (l_s - 1,) + powers[s + 1:]
+                hess = tuple((t, e_t, index.setdefault(e[:t] + (e_t - 1,) + e[t + 1:], len(index)))
+                             for t, e_t in enumerate(e) if e_t)
+                terms.append((s, l_s, index.setdefault(e, len(index)), hess))
+        channels.append((index.setdefault(powers, len(index)), tuple(terms)))
+    return tuple(index), tuple(channels)
 
 
 @dataclass
@@ -114,24 +122,22 @@ class WignerModel:
         return complex_field_noise(raw, dt)
 
     def derivative(self, fields: np.ndarray, step_index: int, zeta) -> np.ndarray:
-        n_comp = fields.shape[1]
         d = np.zeros_like(fields)
         if self.omega is not None:
             d += -1j * fields @ np.asarray(self.omega).T
         if self.chi is not None:
-            chi = np.asarray(self.chi)
-            density = np.abs(fields) ** 2
-            d += -1j * (density @ chi.T) * fields
-        for l, ch in enumerate(self.channels):
-            mono = _monomial(fields, ch.powers)
-            grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]
-            for s in range(n_comp):
-                d[:, s] += -ch.rate * np.conj(grads[s]) * mono
+            # no named density: it would stay alive through the loss loop
+            d += -1j * (np.abs(fields) ** 2 @ np.asarray(self.chi).T) * fields
+        exponents, compiled = _loss_terms(tuple(tuple(ch.powers) for ch in self.channels))
+        mono = [_monomial(fields, e) for e in exponents]  # each one once per call
+        for l, (ch, (v, terms)) in enumerate(zip(self.channels, compiled)):
+            grads = {s: l_s * mono[g] for s, l_s, g, _ in terms}
+            for s, l_s, _, hess_terms in terms:
+                d[:, s] += -ch.rate * np.conj(grads[s]) * mono[v]
                 d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
                 # subtract the Ito->Stratonovich drift shift
-                for t2 in range(n_comp):
-                    hess = _monomial_hess(fields, ch.powers, s, t2)
-                    d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t2]
+                for t, e_t, h in hess_terms:
+                    d[:, s] += -0.5 * ch.rate * np.conj(l_s * (e_t * mono[h])) * grads[t]
         return d
 
 

@@ -1,8 +1,11 @@
-"""Explicit 4-mode references for the factorized double-well code.
+"""Explicit references for code that computes the same thing faster.
 
-Modes are ordered (a1, a2, b1, b2), so the symbolic operator factor
-(well, mode, dag) of ``qphase.spins`` acts on joint mode 2 * well + mode.
+In the 4-mode double-well references modes are ordered (a1, a2, b1, b2),
+so the symbolic operator factor (well, mode, dag) of ``qphase.spins``
+acts on joint mode 2 * well + mode.
 """
+
+import math
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
@@ -40,3 +43,50 @@ def beam_splitter(state: StateVector, mixing_angle: float, phase: float = 0.0) -
         gen = np.exp(1j * phase) * hop - np.exp(-1j * phase) * hop.conj().T
         psi = expm_multiply(mixing_angle * gen, psi)
     return StateVector(state.basis, psi, state.truncation_loss)
+
+
+def _monomial(fields, powers):
+    out = np.ones(fields.shape[0], dtype=complex)
+    for s, l in enumerate(powers):
+        if l:
+            out = out * fields[:, s] ** l
+    return out
+
+
+def _monomial_grad(fields, powers, s):
+    if powers[s] == 0:
+        return np.zeros(fields.shape[0], dtype=complex)
+    reduced = list(powers)
+    reduced[s] -= 1
+    return powers[s] * _monomial(fields, reduced)
+
+
+def _monomial_hess(fields, powers, s, t):
+    if powers[s] == 0:
+        return np.zeros(fields.shape[0], dtype=complex)
+    reduced = list(powers)
+    reduced[s] -= 1
+    return powers[s] * _monomial_grad(fields, reduced, t)
+
+
+def wigner_derivative(model, fields, zeta):
+    """Truncated Wigner drift with every loss channel's gradient and
+    Hessian rebuilt per component, zero terms included; the reference for
+    ``wigner.WignerModel.derivative``."""
+    n_comp = fields.shape[1]
+    d = np.zeros_like(fields)
+    if model.omega is not None:
+        d += -1j * fields @ np.asarray(model.omega).T
+    if model.chi is not None:
+        density = np.abs(fields) ** 2
+        d += -1j * (density @ np.asarray(model.chi).T) * fields
+    for l, ch in enumerate(model.channels):
+        mono = _monomial(fields, ch.powers)
+        grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]
+        for s in range(n_comp):
+            d[:, s] += -ch.rate * np.conj(grads[s]) * mono
+            d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
+            for t in range(n_comp):
+                hess = _monomial_hess(fields, ch.powers, s, t)
+                d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t]
+    return d

@@ -54,6 +54,7 @@ seed: not-an-int
 state: {kind: coherent, alpha: bogus}
 chi: []
 trajectories: -5
+divergence_ceiling: .nan
 mystery_key: 1
 times: {stop: -1}
 """
@@ -61,7 +62,7 @@ times: {stop: -1}
         parse_scenario(text)
     paths = {p for p, _ in err.value.errors}
     # one entry per independent problem, with key paths
-    assert {"seed", "chi", "trajectories", "mystery_key"} <= paths
+    assert {"seed", "chi", "trajectories", "divergence_ceiling", "mystery_key"} <= paths
     assert any(p.startswith("state.alpha") for p in paths)
     assert len(err.value.errors) >= 5
 
@@ -161,6 +162,19 @@ def test_run_variational_scenario_short():
     assert outcome.columns == ["t", "x", "y", "norm", "energy"]
     assert outcome.report["norm_drift"] < 1e-3
     assert outcome.report["energy_drift"] < 1e-3
+
+
+def test_plusp_rows_count_divergence_at_their_own_time():
+    """Each CSV row carries the trajectories dead by its time; the report
+    keeps the final total."""
+    scenario = parse_scenario(
+        "kind: plusp\nseed: 4\nstate: {kind: coherent, alpha: 2.0}\nchi: 0.05\n"
+        "trajectories: 200\ndt: 0.01\ntimes: {stop: 0.2, points: 5}\ndivergence_ceiling: 4.0\n"
+    )
+    outcome = run_scenario(scenario)
+    counts = [row["diverged_count"] for row in outcome.rows]
+    assert counts[0] == 0 and counts == sorted(counts)
+    assert counts[-1] == outcome.report["diverged"] > counts[1]
 
 
 def test_run_seed_override_changes_sampling():

@@ -167,6 +167,69 @@ def test_run_ensemble_masks_divergent_trajectories():
     assert result.mean("y")[-1].real == pytest.approx(math.e, rel=1e-3)
 
 
+def test_run_ensemble_counts_divergence_by_measurement_time():
+    """diverged_count holds the trajectories dead by each measurement time,
+    not the final total repeated."""
+
+    def sampler(seed, n):
+        init = np.ones((n, 1), dtype=complex)
+        init[0] = 500.0  # crosses 1e3 at t = ln 2, between t = 0.5 and 1
+        return init
+
+    result = run_ensemble(
+        sampler=sampler,
+        model=Linear(1.0),
+        observables={"y": lambda s: s[:, 0]},
+        trajectory_count=8,
+        times=np.array([0.0, 0.5, 1.0]),
+        dt=0.05,
+        seed=0,
+        divergence_ceiling=1e3,
+    )
+    assert result.diverged_count.tolist() == [0, 0, 1]
+    assert result.diverged == 1
+
+
+class ZeroDrift:
+    def noise(self, step_index, n_traj, dt):
+        return None
+
+    def derivative(self, state, step_index, noise):
+        return np.zeros_like(state)
+
+
+@pytest.mark.parametrize("ceiling", [1e3, np.inf])
+def test_divergence_mask_edge_rows(ceiling):
+    """One comparison |y| <= ceiling kills the same rows as the per-row
+    test: non-finite, or largest modulus above the ceiling."""
+    # the step maps inf to NaN (2 inf - inf); 1.5e308 overflows to inf in it
+    rows = [np.nan, np.inf, complex(1, np.inf), 1.5e308, 1 + 1.5e308j,
+            ceiling, np.nextafter(ceiling, np.inf), 2.0]
+    state = np.array([[v, 1.0] for v in rows], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = step(state, np.zeros_like, 0.01)
+        expected_dead = ~np.isfinite(stepped).all(1) | (np.abs(stepped).max(1) > ceiling)
+        _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling)
+    assert np.isposinf(stepped[3, 0].real) and np.isposinf(stepped[4, 0].imag)
+    assert np.array_equal(~alive, expected_dead)
+    # a row exactly at a finite ceiling lives; at an infinite one it is inf
+    assert expected_dead.tolist() == [True] * 5 + [math.isinf(ceiling), True, False]
+
+    clean = np.array([[2.0, 1.0], [1e2, -3j]])
+    *_, (_, _, alive) = evolve(clean, ZeroDrift(), 0.01, 5, divergence_ceiling=ceiling)
+    assert alive.all()
+
+
+def test_evolve_keeps_yielded_states_intact():
+    """A state yielded at step k is not overwritten by later steps."""
+    kept = []
+    for k, state, _ in evolve(np.ones((3, 2), dtype=complex), Linear(-1.0), 0.1, 5):
+        kept.append((state, state.copy()))
+    for state, copy in kept:
+        assert np.array_equal(state, copy)
+    assert not np.array_equal(kept[1][0], kept[-1][0])
+
+
 def test_run_ensemble_draws_noise_once_per_step():
     """Every midpoint iteration of a step sees the one noise object drawn
     for that step."""

@@ -24,6 +24,8 @@ from qphase.wigner import (
     squeezing_xi2,
 )
 
+from oracles import wigner_derivative
+
 
 def test_sampling_half_quantum_width():
     alpha0 = 1.5 - 0.5j
@@ -161,6 +163,23 @@ def test_loss_drift_carries_the_stratonovich_correction():
     d = model.derivative(phi, 0, np.zeros((6, 1), dtype=complex))
     expected = -2.0 * kappa * np.abs(phi) ** 2 * phi - 2.0 * kappa * phi
     assert np.allclose(d, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_loss_drift_equals_the_per_channel_reference_bit_for_bit():
+    """Skipping the zero gradient and Hessian terms and sharing monomials
+    between channels leaves every bit of the drift unchanged."""
+    rng = np.random.default_rng(11)
+    fields = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
+    channels = tuple(
+        LossChannel(powers, rate)
+        for powers, rate in [((1, 0, 0), 0.3), ((0, 2, 0), 0.05), ((1, 1, 0), 0.02), ((2, 1, 1), 0.01)]
+    )
+    chi = np.array([[0.1, 0.03, 0.02], [0.03, 0.2, 0.01], [0.02, 0.01, 0.15]])
+    omega = np.array([[0.0, 0.4, 0.0], [0.4, 0.1, 0.2], [0.0, 0.2, -0.3]])
+    for model in (WignerModel(chi=chi, channels=channels), WignerModel(chi=chi, omega=omega, channels=channels)):
+        zeta = model.noise(5, fields.shape[0], 0.01)
+        d = model.derivative(fields, 5, zeta)
+        assert d.tobytes() == wigner_derivative(model, fields, zeta).tobytes()
 
 
 def test_diverged_trajectory_leaves_later_snapshots():
