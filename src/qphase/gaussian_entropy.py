@@ -12,8 +12,11 @@ which reduces to mode-space determinants:
     boson:    det[I + n_i + n_j]^{-1}
     fermion:  det[(I - n_i)(I - n_j) + n_i n_j]
 
-and S_2 = -ln Tr rho^2.  Brute-force truncated-Fock constructions of
-Lambda(n) back every determinant identity.
+and S_2 = -ln Tr rho^2.  The inner products broadcast over stacked
+points: a GaussianPhasePoint whose n has shape (..., M, M) stands for a
+stack of points, so one call evaluates a whole block of pairs.
+Brute-force truncated-Fock constructions of Lambda(n) back every
+determinant identity.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 __all__ = [
     "GaussianPhasePoint",
@@ -38,7 +40,11 @@ __all__ = [
 
 @dataclass
 class GaussianPhasePoint:
-    """One Gaussian operator: statistics, Green's function, weight."""
+    """One Gaussian operator: statistics, Green's function, weight.
+
+    ``n`` may also be a stack of shape (..., M, M), one Green's function
+    per point; the inner products then pair the stacks element by element.
+    """
 
     statistics: str  # "boson" | "fermion"
     n: np.ndarray  # (M, M) complex Green's function <a_i^dag a_j>-like
@@ -50,11 +56,15 @@ class GaussianPhasePoint:
         self.n = np.atleast_2d(np.asarray(self.n, dtype=complex))
 
 
-def log_inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint) -> complex:
-    """log Tr[Lambda(n1) Lambda(n2)] via slogdet (overflow-safe)."""
+def log_inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint):
+    """log Tr[Lambda(n1) Lambda(n2)] via slogdet (overflow-safe).
+
+    Broadcasts over the leading stack axes of ``n``: stacked points give
+    an array with one value per pair, a single pair a complex scalar.
+    """
     if p1.statistics != p2.statistics:
         raise ValueError("cannot pair boson with fermion points")
-    eye = np.eye(p1.n.shape[0])
+    eye = np.eye(p1.n.shape[-1])
     if p1.statistics == "boson":
         sign, logabs = np.linalg.slogdet(eye + p1.n + p2.n)
         return -(np.log(sign.astype(complex)) + logabs)
@@ -62,8 +72,25 @@ def log_inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint) -> complex
     return np.log(sign.astype(complex)) + logabs
 
 
-def inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint) -> complex:
-    return complex(np.exp(log_inner_product(p1, p2)))
+def inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint):
+    """Tr[Lambda(n1) Lambda(n2)]: a Python complex for one (M, M) pair,
+    an array with one value per pair for stacked points."""
+    value = np.exp(log_inner_product(p1, p2))
+    return complex(value) if value.ndim == 0 else value
+
+
+def _product(a, b):
+    """Elementwise a * b.  Complex products use the four-multiply formula
+    with every product rounded, as Python's and NumPy's scalar complex
+    arithmetic do; NumPy's vectorized complex multiply may fuse a
+    multiply-add and round differently.  Real products stay real, which
+    keeps the temporaries of real-weighted ensembles small."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = np.real(a) * np.real(b) - np.imag(a) * np.imag(b)
+    out.imag = np.real(a) * np.imag(b) + np.imag(a) * np.real(b)
+    return out
 
 
 @dataclass
@@ -76,6 +103,11 @@ class RenyiResult:
     sign_problem: bool
 
 
+# pairs per inner_product call in renyi_entropy; bounds the temporaries
+# of the stacked determinants (a few (PAIR_BLOCK, M, M) arrays)
+PAIR_BLOCK = 512
+
+
 def renyi_entropy(points, pairing: str = "disjoint") -> RenyiResult:
     """S_2 = -ln <w_i w_j Tr[Lambda_i Lambda_j]> / <w>^2 over point pairs.
 
@@ -86,41 +118,48 @@ def renyi_entropy(points, pairing: str = "disjoint") -> RenyiResult:
     O(count^2) and biased for sampled ensembles.  A sign problem is
     flagged when the purity estimate is not dominated by its positive
     real part.
+
+    The points' Green's functions are stacked once and the pairs are
+    evaluated by ``inner_product`` in blocks of ``PAIR_BLOCK``, so memory
+    stays bounded however many pairs there are (count^2 / 2 for ``all``).
+    Every point must have the same statistics and mode count.
     """
     points = list(points)
     if len(points) < 2:
         raise ValueError("need at least two phase-space points")
+    statistics = points[0].statistics
+    if any(p.statistics != statistics for p in points):
+        raise ValueError("cannot pair boson with fermion points")
+    weights = np.array([p.weight for p in points])
     if pairing == "disjoint":
-        idx_pairs = [(2 * k, 2 * k + 1) for k in range(len(points) // 2)]
-        pair_weights = np.array(
-            [points[i].weight * points[j].weight for i, j in idx_pairs]
-        )
+        left = np.arange(0, len(points) - 1, 2)
+        right = left + 1
+        pair_weights = _product(weights[left], weights[right])
     elif pairing == "all":
-        idx_pairs = [
-            (i, j) for i in range(len(points)) for j in range(i, len(points))
-        ]
+        left, right = np.triu_indices(len(points))
         # unordered pairs stand in for both (i, j) and (j, i)
-        pair_weights = np.array(
-            [
-                (1.0 if i == j else 2.0) * points[i].weight * points[j].weight
-                for i, j in idx_pairs
-            ]
+        pair_weights = _product(
+            _product(np.where(left == right, 1.0, 2.0), weights[left]), weights[right]
         )
     else:
         raise ValueError(f"unknown pairing {pairing!r}")
-    vals = np.empty(len(idx_pairs), dtype=complex)
-    for k, (i, j) in enumerate(idx_pairs):
-        vals[k] = pair_weights[k] * inner_product(points[i], points[j])
-    weights = np.array([p.weight for p in points])
+    stack = np.stack([p.n for p in points])
+    vals = np.empty(len(left), dtype=complex)
+    for start in range(0, len(left), PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        vals[block] = _product(
+            pair_weights[block],
+            inner_product(
+                GaussianPhasePoint(statistics, stack[left[block]]),
+                GaussianPhasePoint(statistics, stack[right[block]]),
+            ),
+        )
     if pairing == "disjoint":
-        used = [i for pair in idx_pairs for i in pair]
-        w_mean = weights[used].mean()
+        w_mean = weights[: 2 * len(left)].mean()
         purity = complex(vals.mean() / w_mean**2)
-    else:
-        purity = complex(vals.sum() / weights.sum() ** 2)
-    if pairing == "disjoint":
         spread = float(np.std(vals.real) / math.sqrt(len(vals))) / abs(w_mean) ** 2
     else:
+        purity = complex(vals.sum() / weights.sum() ** 2)
         # approximate bar: treat unordered-pair terms as independent
         spread = float(np.std(vals.real) * math.sqrt(len(vals))) / abs(weights.sum()) ** 2
     sign_problem = bool(
@@ -137,7 +176,7 @@ def renyi_entropy(points, pairing: str = "disjoint") -> RenyiResult:
         purity=purity,
         error=spread,
         s2_error=s2_err,
-        pairs=len(idx_pairs),
+        pairs=len(left),
         sign_problem=sign_problem,
     )
 
@@ -154,6 +193,8 @@ def boson_gaussian_matrix(n: np.ndarray, cutoff: int) -> np.ndarray:
     n with spectrum in (0, ...) and accurate once x = n/(1+n) satisfies
     x^cutoff << 1.
     """
+    from scipy.linalg import expm, logm
+
     from .fock import FockBasis, annihilation_operator
 
     n = np.atleast_2d(np.asarray(n, dtype=complex))
@@ -188,6 +229,8 @@ def fermion_gaussian_matrix(n: np.ndarray) -> np.ndarray:
     Lambda = det(I - n) exp[a^dag ln(n (I - n)^{-1}) a] for Hermitian n
     with spectrum inside (0, 1).
     """
+    from scipy.linalg import expm, logm
+
     n = np.atleast_2d(np.asarray(n, dtype=complex))
     modes = n.shape[0]
     eye = np.eye(modes)

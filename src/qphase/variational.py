@@ -81,42 +81,55 @@ class PolynomialHamiltonian:
 
     ``terms`` is a list of (coeff, creation_modes, annihilation_modes).
     The pairwise symbol replaces adag_k -> conj(alpha_k^(m)) and
-    a_k -> alpha_k^(n).
+    a_k -> alpha_k^(n).  The terms are compiled once, on construction:
+    the symbol's mode tuples, and per mode k the terms that create k, each
+    with its coefficient times the number of k's and one k removed.
     """
 
     terms: list
     modes: int
 
+    def __post_init__(self):
+        self._symbol_terms = [(coeff, tuple(c), tuple(a)) for coeff, c, a in self.terms]
+        self._grad_terms = {}
+        for coeff, creation, annihilation in self._symbol_terms:
+            for k in dict.fromkeys(creation):
+                reduced = list(creation)
+                reduced.remove(k)
+                self._grad_terms.setdefault(k, []).append(
+                    (coeff * creation.count(k), tuple(reduced), annihilation)
+                )
+
     def symbol(self, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
         """H^(mn) for all pairs; bra_conj, ket of shape (N, M)."""
-        n = bra_conj.shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for coeff, creation, annihilation in self.terms:
-            term = np.full((n, n), coeff, dtype=complex)
-            for k in creation:
-                term *= bra_conj[:, k][:, None]
-            for k in annihilation:
-                term *= ket[:, k][None, :]
-            out += term
-        return out
+        return _pair_sum(self._symbol_terms, bra_conj, ket)
 
     def symbol_grad(self, bra_conj: np.ndarray, ket: np.ndarray, k: int) -> np.ndarray:
         """d H^(mn) / d conj(alpha_k^(m)) for all pairs."""
-        n = bra_conj.shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for coeff, creation, annihilation in self.terms:
-            count = creation.count(k)
-            if count == 0:
-                continue
-            term = np.full((n, n), coeff * count, dtype=complex)
-            reduced = list(creation)
-            reduced.remove(k)
-            for kk in reduced:
-                term *= bra_conj[:, kk][:, None]
-            for kk in annihilation:
-                term *= ket[:, kk][None, :]
-            out += term
-        return out
+        return _pair_sum(self._grad_terms.get(k, ()), bra_conj, ket)
+
+
+def _pair_sum(terms, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """sum_t c_t prod_{k in creation} bra_conj[m, k] prod_{k in annihilation} ket[n, k].
+
+    Each term's bra factors are multiplied on the (N,) vector before the
+    ket factors broadcast it to (N, N); that is the same sequence of
+    roundings per entry as multiplying them into a full (N, N) array.
+    """
+    n = bra_conj.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    for coeff, creation, annihilation in terms:
+        bra = np.full(n, coeff, dtype=complex)
+        for k in creation:
+            bra *= bra_conj[:, k]
+        if not annihilation:
+            out += bra[:, None]
+            continue
+        term = bra[:, None] * ket[:, annihilation[0]]
+        for k in annihilation[1:]:
+            term *= ket[:, k]
+        out += term
+    return out
 
 
 def kerr_hamiltonian(chi: float, modes: int = 1, omega=None) -> PolynomialHamiltonian:
@@ -171,15 +184,15 @@ def variational_system(state: VariationalState, ham: PolynomialHamiltonian):
     return v, h_vec.ravel()
 
 
-def tikhonov_solve(v: np.ndarray, dx: np.ndarray, h_vec: np.ndarray, dt: float, lam: float) -> np.ndarray:
+def tikhonov_solve(v: np.ndarray, dx: np.ndarray, h_vec: np.ndarray, dt: float, shift: np.ndarray) -> np.ndarray:
     """One regularized fixed-point refinement of the midpoint equation.
 
-    dX <- dX + [V + i lam I]^-1 [-i dt H/2 - V dX]; the i lam I shift
-    keeps the solve finite when coinciding components make V singular.
+    dX <- dX + [V + shift]^-1 [-i dt H/2 - V dX] with shift = i lam I;
+    the shift keeps the solve finite when coinciding components make V
+    singular.  ``propagate`` builds it once for all its solves.
     """
     residual = -0.5j * dt * h_vec - v @ dx
-    shifted = v + 1j * lam * np.eye(v.shape[0])
-    return dx + np.linalg.solve(shifted, residual)
+    return dx + np.linalg.solve(v + shift, residual)
 
 
 # halvings of a failing step before propagate gives up
@@ -203,13 +216,14 @@ def propagate(
     Returns (times, states) sampled every ``record_every`` steps.
     """
     members, modes = state.members, state.modes
+    shift = 1j * lam * np.eye(members * (modes + 1))
 
     def one_step(x, h):
         dx = np.zeros_like(x)
         for _ in range(iters):
             mid = VariationalState.unpack(x + dx, members, modes)
             v, h_vec = variational_system(mid, ham)
-            dx = tikhonov_solve(v, dx, h_vec, h, lam)
+            dx = tikhonov_solve(v, dx, h_vec, h, shift)
         return x + 2.0 * dx
 
     def robust_step(x, h, depth=0):

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
 from qphase.fock import StateVector
+from qphase.gaussian_entropy import RenyiResult, inner_product
 
 
 def joint_evaluator(state: StateVector):
@@ -90,3 +91,80 @@ def wigner_derivative(model, fields, zeta):
                 hess = _monomial_hess(fields, ch.powers, s, t)
                 d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t]
     return d
+
+
+def renyi_entropy(points, pairing="disjoint"):
+    """One scalar ``inner_product`` call per pair; the reference for the
+    blocked ``gaussian_entropy.renyi_entropy``."""
+    points = list(points)
+    if pairing == "disjoint":
+        idx_pairs = [(2 * k, 2 * k + 1) for k in range(len(points) // 2)]
+        pair_weights = np.array(
+            [points[i].weight * points[j].weight for i, j in idx_pairs]
+        )
+    else:
+        idx_pairs = [
+            (i, j) for i in range(len(points)) for j in range(i, len(points))
+        ]
+        pair_weights = np.array(
+            [
+                (1.0 if i == j else 2.0) * points[i].weight * points[j].weight
+                for i, j in idx_pairs
+            ]
+        )
+    vals = np.empty(len(idx_pairs), dtype=complex)
+    for k, (i, j) in enumerate(idx_pairs):
+        vals[k] = pair_weights[k] * inner_product(points[i], points[j])
+    weights = np.array([p.weight for p in points])
+    if pairing == "disjoint":
+        used = [i for pair in idx_pairs for i in pair]
+        w_mean = weights[used].mean()
+        purity = complex(vals.mean() / w_mean**2)
+        spread = float(np.std(vals.real) / math.sqrt(len(vals))) / abs(w_mean) ** 2
+    else:
+        purity = complex(vals.sum() / weights.sum() ** 2)
+        spread = float(np.std(vals.real) * math.sqrt(len(vals))) / abs(weights.sum()) ** 2
+    sign_problem = bool(
+        purity.real <= 0 or abs(purity.imag) > 3.0 * max(spread, 1e-300)
+        and abs(purity.imag) > 1e-10 * abs(purity.real)
+    )
+    if purity.real > 0:
+        s2, s2_err = -math.log(purity.real), spread / purity.real
+    else:
+        s2, s2_err = math.nan, math.inf
+    return RenyiResult(s2, purity, spread, s2_err, len(idx_pairs), sign_problem)
+
+
+def polynomial_symbol(terms, bra_conj, ket):
+    """H^(mn) built term by term on full (N, N) arrays; the reference for
+    ``variational.PolynomialHamiltonian.symbol``."""
+    n = bra_conj.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    for coeff, creation, annihilation in terms:
+        term = np.full((n, n), coeff, dtype=complex)
+        for k in creation:
+            term *= bra_conj[:, k][:, None]
+        for k in annihilation:
+            term *= ket[:, k][None, :]
+        out += term
+    return out
+
+
+def polynomial_symbol_grad(terms, bra_conj, ket, k):
+    """d H^(mn) / d conj(alpha_k^(m)) term by term; the reference for
+    ``variational.PolynomialHamiltonian.symbol_grad``."""
+    n = bra_conj.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    for coeff, creation, annihilation in terms:
+        count = creation.count(k)
+        if count == 0:
+            continue
+        term = np.full((n, n), coeff * count, dtype=complex)
+        reduced = list(creation)
+        reduced.remove(k)
+        for kk in reduced:
+            term *= bra_conj[:, kk][:, None]
+        for kk in annihilation:
+            term *= ket[:, kk][None, :]
+        out += term
+    return out

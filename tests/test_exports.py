@@ -23,11 +23,21 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def _loaded_on_cold_import(imports, module):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(qphase.__path__[0]))
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
 def test_cli_and_doublewell_do_not_import_sparse_linalg():
     """The exact stack needs no Krylov or expm code, so a cold import of
     the command line and the double-well pipeline skips scipy.sparse.linalg."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(qphase.__path__[0]))
-    code = "import sys, qphase.cli, qphase.doublewell; print('scipy.sparse.linalg' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert not _loaded_on_cold_import("qphase.cli, qphase.doublewell", "scipy.sparse.linalg")
+
+
+def test_gaussian_entropy_does_not_import_scipy_linalg():
+    """Only the brute-force Fock oracles need expm and logm, so a cold
+    import of the entropy module skips scipy.linalg."""
+    assert not _loaded_on_cold_import("qphase.gaussian_entropy", "scipy.linalg")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qphase.gaussian_entropy import (
+    PAIR_BLOCK,
     GaussianPhasePoint,
     boson_gaussian_matrix,
     fermion_gaussian_matrix,
@@ -131,3 +133,59 @@ def test_sign_problem_flag():
     res = renyi_entropy(points, pairing="disjoint")
     assert res.sign_problem
     assert math.isnan(res.s2)
+
+
+def _green_functions(rng, count, modes):
+    """Hermitian Green's functions with spectra in (0.05, 0.95)."""
+    a = rng.standard_normal((count, modes, modes)) + 1j * rng.standard_normal((count, modes, modes))
+    q, _ = np.linalg.qr(a)
+    spectra = rng.uniform(0.05, 0.95, (count, 1, modes))
+    return (q * spectra) @ q.conj().transpose(0, 2, 1)
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+def test_stacked_inner_product_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    for stats in ("boson", "fermion"):
+        n1, n2 = (_green_functions(rng, 6, 3).reshape(2, 3, 3, 3) for _ in range(2))
+        stacked = inner_product(GaussianPhasePoint(stats, n1), GaussianPhasePoint(stats, n2))
+        assert stacked.shape == (2, 3)
+        scalar = [
+            inner_product(GaussianPhasePoint(stats, a), GaussianPhasePoint(stats, b))
+            for a, b in zip(n1.reshape(-1, 3, 3), n2.reshape(-1, 3, 3))
+        ]
+        assert all(type(v) is complex for v in scalar)
+        assert _bits(stacked.ravel()) == _bits(scalar)
+
+
+@pytest.mark.parametrize("stats", ["boson", "fermion"])
+@pytest.mark.parametrize("pairing", ["all", "disjoint"])
+@pytest.mark.parametrize("complex_weights", [True, False])
+def test_blocked_renyi_matches_scalar_loop_bit_for_bit(stats, pairing, complex_weights):
+    """Odd point counts whose pair counts (561 and 513) are not a multiple
+    of PAIR_BLOCK, so the last block is partial."""
+    count = 33 if pairing == "all" else 2 * PAIR_BLOCK + 3
+    pairs = count * (count + 1) // 2 if pairing == "all" else count // 2
+    assert pairs > PAIR_BLOCK and pairs % PAIR_BLOCK
+    rng = np.random.default_rng(count)
+    weights = rng.uniform(0.5, 1.5, count)
+    if complex_weights:
+        weights = weights * np.exp(0.3j * rng.standard_normal(count))
+    points = [
+        GaussianPhasePoint(stats, n, complex(w) if complex_weights else float(w))
+        for n, w in zip(_green_functions(rng, count, 3), weights)
+    ]
+    new = renyi_entropy(points, pairing=pairing)
+    ref = oracles.renyi_entropy(points, pairing=pairing)
+    assert new.pairs == pairs
+    for field in ("s2", "purity", "error", "s2_error", "pairs", "sign_problem"):
+        assert _bits(getattr(new, field)) == _bits(getattr(ref, field)), field
+
+
+def test_renyi_rejects_mixed_statistics():
+    points = [GaussianPhasePoint("boson", [[0.5]]), GaussianPhasePoint("fermion", [[0.5]])]
+    with pytest.raises(ValueError, match="boson with fermion"):
+        renyi_entropy(points * 2, pairing="disjoint")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qphase.scenarios import (
     SCENARIO_KINDS,
@@ -65,6 +66,66 @@ times: {stop: -1}
     assert {"seed", "chi", "trajectories", "divergence_ceiling", "mystery_key"} <= paths
     assert any(p.startswith("state.alpha") for p in paths)
     assert len(err.value.errors) >= 5
+
+
+_ENTROPY = "kind: entropy\nspecies: fermion\npoints: [0.2, 0.7, 0.3]\n"
+
+
+@pytest.mark.parametrize(
+    "extra, path",
+    [
+        ('weights: ["x", 1.0, 1.0]\n', "weights[0]"),
+        ("weights: [[1.0], 1.0, 1.0]\n", "weights[0]"),
+        ("weights: [1.0, .nan, 1.0]\n", "weights[1]"),
+        ("weights: [1.0, 1.0, -.inf]\n", "weights[2]"),
+        ("weights: [0, 0.0, 0]\npairing: all\n", "weights"),
+        # disjoint pairing normalizes by the paired points (0, 1) only
+        ("weights: [1.0, -1.0, 5.0]\n", "weights"),
+        ("points: [0.2, .nan, 0.3]\n", "points[1]"),
+        ("points: [true, 0.7, 0.3]\n", "points[0]"),
+        ("points: [[[0.2, .inf], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]\n", "points[0]"),
+        ("points: [[[0.2, 0.1], [0.1]], [[0.5, 0.0], [0.0, 0.5]]]\n", "points[0]"),
+    ],
+)
+def test_entropy_rejects_non_finite_or_unnormalizable_inputs(extra, path):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(_ENTROPY + extra)
+    assert [p for p, _ in err.value.errors] == [path]
+
+
+def test_entropy_weights_keep_their_values():
+    scenario = parse_scenario(_ENTROPY + "weights: [1, 2.5, 1]\npairing: all\n")
+    assert scenario.params["weights"] == [1, 2.5, 1]
+
+
+def _entropy_ensemble_text(points):
+    rng = np.random.default_rng(3)
+    mats = [(0.1 * rng.standard_normal((4, 4)) + 0.5 * np.eye(4)).tolist() for _ in range(points)]
+    return yaml.safe_dump(
+        {"kind": "entropy", "species": "fermion", "points": mats,
+         "weights": rng.uniform(0.5, 1.5, points).tolist(), "pairing": "all"},
+        sort_keys=False,
+    )
+
+
+def test_libyaml_and_python_loaders_agree():
+    texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.yaml"))]
+    texts.append(_entropy_ensemble_text(300))
+    for text in texts:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_parse_scenario_falls_back_without_libyaml(monkeypatch):
+    texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.yaml"))]
+    texts.append(_entropy_ensemble_text(20))
+    expected = [parse_scenario(text) for text in texts]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    for text, want in zip(texts, expected):
+        got = parse_scenario(text)
+        assert (got.kind, got.seed, got.name, got.raw) == (want.kind, want.seed, want.name, want.raw)
+        np.testing.assert_equal(got.params, want.params)
+    with pytest.raises(ValidationError, match="not valid YAML"):
+        parse_scenario("kind: [unclosed")
 
 
 def test_unknown_kind_rejected():
@@ -282,6 +343,18 @@ def test_cli_out_dir_env(tmp_path):
     proc = _run_cli("run", str(scenario), env={"QPHASE_OUT_DIR": str(tmp_path)})
     assert proc.returncode == 0
     assert (tmp_path / "dimension-2-2.manifest.json").exists()
+
+
+def test_cli_bad_entropy_input_and_malformed_yaml_exit_2(tmp_path):
+    weights = tmp_path / "weights.yaml"
+    weights.write_text(_ENTROPY + 'weights: ["x", 1.0, 1.0]\n')
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("kind: [unclosed\n")
+    for scenario, message in ((weights, "weights[0]"), (malformed, "not valid YAML")):
+        proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_cli_runtime_failure_exit_code(tmp_path):

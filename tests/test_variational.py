@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import polynomial_symbol, polynomial_symbol_grad
 from qphase.fock import (
     FockBasis,
     annihilation_operator,
@@ -104,6 +105,20 @@ def test_polynomial_hamiltonian_symbol_and_grad():
     assert np.all(ham.symbol_grad(bra, ket, 0) == ham.symbol_grad(bra, ket, 0))
 
 
+def test_compiled_symbols_match_term_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    amps = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    bra, ket = amps.conj(), amps
+    kerr = kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms
+    cross = [(0.25, (0, 1), (1, 1)), (0.4 - 0.2j, (1, 1), (0, 0)), (0.3, (0,), ()), (-0.2j, (), (1,))]
+    for terms in (kerr + cross, []):
+        ham = PolynomialHamiltonian(terms=terms, modes=2)
+        assert ham.symbol(bra, ket).tobytes() == polynomial_symbol(terms, bra, ket).tobytes()
+        for k in (0, 1):
+            got = ham.symbol_grad(bra, ket, k)
+            assert got.tobytes() == polynomial_symbol_grad(terms, bra, ket, k).tobytes()
+
+
 def test_gram_matrix_single_member_example():
     """N=1: V = [[1, conj(alpha)], [alpha, 1 + |alpha|^2]] rho."""
     alpha = 0.7 + 0.3j
@@ -165,7 +180,7 @@ def test_tikhonov_solve_converges_to_midpoint_equation():
     dt = 0.01
     dx = np.zeros(dim, dtype=complex)
     for _ in range(30):
-        dx = tikhonov_solve(v, dx, h_vec, dt, lam=1e-12)
+        dx = tikhonov_solve(v, dx, h_vec, dt, 1j * 1e-12 * np.eye(dim))
     # fixed point: V dx = -i dt h / 2
     assert np.allclose(v @ dx, -0.5j * dt * h_vec, atol=1e-10)
 
