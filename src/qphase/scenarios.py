@@ -216,6 +216,9 @@ def _validate_wigner(cfg, errors):
         ):
             errors.append((f"losses[{i}].powers", "expected one non-negative integer per mode"))
             continue
+        if not any(powers):
+            errors.append((f"losses[{i}].powers", "all powers are zero: O = 1 removes no atoms"))
+            continue
         channels.append((tuple(powers), rate or 0.0))
     return {
         "alpha0": alpha0,

@@ -50,13 +50,11 @@ def complex_field_noise(normals: np.ndarray, dt: float) -> np.ndarray:
     """Pairs of unit normals -> complex noise with <z z*> = 1/dt.
 
     The last axis of `normals` must have even length; consecutive pairs
-    become real and imaginary quadratures.
+    become real and imaginary quadratures, read in place as complex.
     """
     if normals.shape[-1] % 2:
         raise ValueError("need an even number of normals for complex noise")
-    re = normals[..., 0::2]
-    im = normals[..., 1::2]
-    return (re + 1j * im) / math.sqrt(2.0 * dt)
+    return np.ascontiguousarray(normals, dtype=float).view(complex) / math.sqrt(2.0 * dt)
 
 
 @dataclass

@@ -2,8 +2,18 @@
 
 Fields are symmetric-ordering phase-space amplitudes phi with vacuum
 half-quantum noise (<|d phi|^2> = 1/2 per mode).  Loss channels follow
-the monomial-operator convention O = prod_s phi_s^{l_s} with drift
-Gamma_s = kappa (dO/dphi_s)* O and a shared complex noise per channel.
+the monomial-operator convention O = phi^l = prod_s phi_s^{l_s} at rate
+kappa_l with one shared complex noise zeta_l per channel.  The Ito drift
+-kappa (dO/dphi_s)* O and the Ito->Stratonovich shift
+-kappa/2 sum_t (d^2 O/dphi_s dphi_t)* dO/dphi_t are both phi_s times a
+real polynomial in the densities n_u = |phi_u|^2, so all channels
+together drift by -phi_s P_s(n) with
+
+    P_s(n) = sum_l kappa_l l_s [n^(l-e_s)
+             + 1/2 sum_t l_t (l_t - delta_st) n^(l-e_s-e_t)],
+
+e_s the unit exponent of component s and n^k = prod_u n_u^{k_u}.  The
+noise is sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l.
 Symmetric moments are converted to normally ordered ones before any
 physical observable (spin moments, xi^2 squeezing) is formed.
 """
@@ -61,36 +71,42 @@ class LossChannel:
     rate: float
 
 
-def _monomial(fields: np.ndarray, powers) -> np.ndarray:
-    out = np.ones(fields.shape[0], dtype=complex)
-    for s, l in enumerate(powers):
-        if l:
-            out = out * fields[:, s] ** l
-    return out
+@lru_cache(maxsize=256)  # keyed by rates too, so a rate sweep must not grow it forever
+def _compile_losses(channels: tuple) -> tuple:
+    """Compile ((powers, rate), ...) loss channels into the terms of the
+    closed-form drift and noise stated in ``WignerModel``.
 
-
-@lru_cache(maxsize=None)
-def _loss_terms(channel_powers: tuple) -> tuple:
-    """Compile monomial loss operators into the distinct monomials they need
-    and their nonzero derivative terms (every term left out is zero).
-
-    Returns (exponents, channels), with phi^[i] the monomial of exponents[i].
-    Channel l is (v, terms) with O_l = phi^[v]; terms holds (s, l_s, g, hess)
-    per l_s > 0, where dO_l/dphi_s = l_s phi^[g], and hess holds (t, e_t, h)
-    per e_t > 0, where d(phi^[g])/dphi_t = e_t phi^[h].
+    Returns (drift, noise).  drift holds (s, c, k), like terms merged, so
+    that P_s(n) = sum of c n^k over the terms of component s; noise holds
+    (s, l, c, e) for the term c conj(phi^e) zeta_l of component s.  Every
+    term left out is zero.
     """
-    index = {}  # exponent tuple -> its position in `exponents`
-    channels = []
-    for powers in channel_powers:
-        terms = []
+    drift = {}  # (s, density exponent) -> coefficient
+    noise = []
+    for l, (powers, rate) in enumerate(channels):
         for s, l_s in enumerate(powers):
-            if l_s:
-                e = powers[:s] + (l_s - 1,) + powers[s + 1:]
-                hess = tuple((t, e_t, index.setdefault(e[:t] + (e_t - 1,) + e[t + 1:], len(index)))
-                             for t, e_t in enumerate(e) if e_t)
-                terms.append((s, l_s, index.setdefault(e, len(index)), hess))
-        channels.append((index.setdefault(powers, len(index)), tuple(terms)))
-    return tuple(index), tuple(channels)
+            if not l_s:
+                continue
+            e = powers[:s] + (l_s - 1,) + powers[s + 1:]  # l - e_s
+            drift[s, e] = drift.get((s, e), 0.0) + rate * l_s
+            for t, e_t in enumerate(e):  # e_t = l_t - delta_st
+                if e_t:
+                    k = e[:t] + (e_t - 1,) + e[t + 1:]
+                    drift[s, k] = drift.get((s, k), 0.0) + 0.5 * rate * l_s * powers[t] * e_t
+            noise.append((s, l, math.sqrt(rate) * l_s, e))
+    return tuple((s, c, k) for (s, k), c in drift.items()), tuple(noise)
+
+
+def _power_product(base: np.ndarray, k: tuple, built: dict):
+    """prod_u base[:, u]**k_u, None for k = 0; each k is built once into `built`."""
+    if k not in built:
+        out = None
+        for u, k_u in enumerate(k):
+            if k_u:
+                factor = base[:, u] ** k_u if k_u > 1 else base[:, u]
+                out = factor if out is None else out * factor
+        built[k] = out
+    return built[k]
 
 
 @dataclass
@@ -98,12 +114,15 @@ class WignerModel:
     """Drift + loss noise for a multi-component single-site Bose field.
 
     d phi_s/dt = -i (omega_ss' phi_s' + chi_ss' |phi_s'|^2 phi_s)
-                 - sum_l Gamma_s^l + sum_l beta_s^l zeta_l
+                 - phi_s P_s(n)
+                 + sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l
 
     ``omega`` is the (S, S) linear coupling matrix (Rabi coupling and
     internal energies) or None.  The loss SDEs are Ito equations; the
-    model integrates them through the midpoint scheme by subtracting
-    the analytic Ito->Stratonovich drift shift.
+    model integrates them through the midpoint scheme, so the real
+    density polynomial P_s(n) (module docstring) holds both the Ito loss
+    drift and the analytic Ito->Stratonovich shift.  The channel tuple is
+    compiled once into the terms of P_s and of the noise sum.
     """
 
     chi: np.ndarray = None  # (S, S) symmetric interaction matrix, or None
@@ -128,16 +147,19 @@ class WignerModel:
         if self.chi is not None:
             # no named density: it would stay alive through the loss loop
             d += -1j * (np.abs(fields) ** 2 @ np.asarray(self.chi).T) * fields
-        exponents, compiled = _loss_terms(tuple(tuple(ch.powers) for ch in self.channels))
-        mono = [_monomial(fields, e) for e in exponents]  # each one once per call
-        for l, (ch, (v, terms)) in enumerate(zip(self.channels, compiled)):
-            grads = {s: l_s * mono[g] for s, l_s, g, _ in terms}
-            for s, l_s, _, hess_terms in terms:
-                d[:, s] += -ch.rate * np.conj(grads[s]) * mono[v]
-                d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
-                # subtract the Ito->Stratonovich drift shift
-                for t, e_t, h in hess_terms:
-                    d[:, s] += -0.5 * ch.rate * np.conj(l_s * (e_t * mono[h])) * grads[t]
+        if self.channels:
+            drift, noise = _compile_losses(tuple((tuple(ch.powers), ch.rate) for ch in self.channels))
+            density, built = np.abs(fields) ** 2, {}
+            poly = np.zeros(fields.shape)  # P_s(n), one column per component
+            for s, c, k in drift:
+                mono = _power_product(density, k, built)
+                poly[:, s] += c if mono is None else c * mono
+            d -= poly * fields
+            conj, built = fields.conj(), {}
+            for s, l, c, e in noise:
+                mono = _power_product(conj, e, built)
+                term = c * zeta[:, l]
+                d[:, s] += term if mono is None else term * mono
         return d
 
 
@@ -305,19 +327,27 @@ class SqueezingResult:
     total_number: float
 
 
-def _xi2_from_samples(a: np.ndarray, b: np.ndarray) -> tuple:
-    mom = WignerMoments(a, b)
+def _spin_products() -> tuple:
+    """(Sx, Sy, Sz), N and {(i, j): (S_i S_j, S_j S_i)} for i <= j."""
     sx, sy, sz, n_tot = spin_polynomials()
     ops = (sx, sy, sz)
+    pairs = {
+        (i, j): (poly_mul(ops[i], ops[j]), poly_mul(ops[j], ops[i]))
+        for i in range(3)
+        for j in range(i, 3)
+    }
+    return ops, n_tot, pairs
+
+
+def _xi2_from_samples(a: np.ndarray, b: np.ndarray, products: tuple) -> tuple:
+    """xi^2 pieces from one sample, with `products` from `_spin_products`."""
+    mom = WignerMoments(a, b)
+    ops, n_tot, pairs = products
     means = np.array([mom.expect(op).real for op in ops])
     cov = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            sym = 0.5 * (
-                mom.expect(poly_mul(ops[i], ops[j]))
-                + mom.expect(poly_mul(ops[j], ops[i]))
-            )
-            cov[i, j] = cov[j, i] = sym.real - means[i] * means[j]
+    for (i, j), (p_ij, p_ji) in pairs.items():
+        sym = 0.5 * (mom.expect(p_ij) + mom.expect(p_ji))
+        cov[i, j] = cov[j, i] = sym.real - means[i] * means[j]
     total = mom.expect(n_tot).real
     norm = np.linalg.norm(means)
     if norm < 1e-12:
@@ -340,7 +370,8 @@ XI2_BLOCKS = 16
 
 def squeezing_xi2(a: np.ndarray, b: np.ndarray) -> SqueezingResult:
     """Spin squeezing xi^2 = N min Var(S_perp) / |<S>|^2 with block bars."""
-    xi2, means, min_var, total = _xi2_from_samples(a, b)
+    products = _spin_products()  # shared by the full sample and every block
+    xi2, means, min_var, total = _xi2_from_samples(a, b, products)
     n = a.shape[0]
     blocks = min(XI2_BLOCKS, n)
     edges = np.linspace(0, n, blocks + 1, dtype=int)
@@ -348,7 +379,7 @@ def squeezing_xi2(a: np.ndarray, b: np.ndarray) -> SqueezingResult:
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo < 2:
             continue
-        v, _, _, _ = _xi2_from_samples(a[lo:hi], b[lo:hi])
+        v, _, _, _ = _xi2_from_samples(a[lo:hi], b[lo:hi], products)
         if math.isfinite(v):
             vals.append(v)
     err = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else math.inf

@@ -12,6 +12,13 @@ from scipy.sparse.linalg import expm_multiply
 
 from qphase.fock import StateVector
 from qphase.gaussian_entropy import RenyiResult, inner_product
+from qphase.wigner import (
+    XI2_BLOCKS,
+    SqueezingResult,
+    WignerMoments,
+    poly_mul,
+    spin_polynomials,
+)
 
 
 def joint_evaluator(state: StateVector):
@@ -73,7 +80,8 @@ def _monomial_hess(fields, powers, s, t):
 def wigner_derivative(model, fields, zeta):
     """Truncated Wigner drift with every loss channel's gradient and
     Hessian rebuilt per component, zero terms included; the reference for
-    ``wigner.WignerModel.derivative``."""
+    ``wigner.WignerModel.derivative``, which merges like terms of the
+    loss drift and so matches it to rounding, not bit for bit."""
     n_comp = fields.shape[1]
     d = np.zeros_like(fields)
     if model.omega is not None:
@@ -91,6 +99,50 @@ def wigner_derivative(model, fields, zeta):
                 hess = _monomial_hess(fields, ch.powers, s, t)
                 d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t]
     return d
+
+
+def _xi2_from_samples(a, b):
+    mom = WignerMoments(a, b)
+    sx, sy, sz, n_tot = spin_polynomials()
+    ops = (sx, sy, sz)
+    means = np.array([mom.expect(op).real for op in ops])
+    cov = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            sym = 0.5 * (
+                mom.expect(poly_mul(ops[i], ops[j]))
+                + mom.expect(poly_mul(ops[j], ops[i]))
+            )
+            cov[i, j] = cov[j, i] = sym.real - means[i] * means[j]
+    total = mom.expect(n_tot).real
+    norm = np.linalg.norm(means)
+    if norm < 1e-12:
+        return math.nan, means, math.nan, total
+    unit = means / norm
+    helper = np.eye(3)[np.argmin(np.abs(unit))]
+    e1 = np.cross(unit, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(unit, e1)
+    basis = np.stack([e1, e2], axis=1)
+    min_var = float(np.linalg.eigvalsh(basis.T @ cov @ basis)[0])
+    return total * min_var / norm**2, means, min_var, total
+
+
+def squeezing_xi2(a, b):
+    """xi^2 with the spin polynomials and their products rebuilt for the
+    full sample and for every block; the reference for
+    ``wigner.squeezing_xi2``, which builds them once per call."""
+    xi2, means, min_var, total = _xi2_from_samples(a, b)
+    edges = np.linspace(0, a.shape[0], min(XI2_BLOCKS, a.shape[0]) + 1, dtype=int)
+    vals = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo < 2:
+            continue
+        v = _xi2_from_samples(a[lo:hi], b[lo:hi])[0]
+        if math.isfinite(v):
+            vals.append(v)
+    err = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else math.inf
+    return SqueezingResult(float(xi2), err, means, min_var, total)
 
 
 def renyi_entropy(points, pairing="disjoint"):

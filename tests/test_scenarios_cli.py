@@ -434,6 +434,17 @@ def test_cli_two_component_wigner_rejects_scalar_chi(tmp_path):
     assert "chi:" in proc.stderr
 
 
+def test_cli_wigner_rejects_an_all_zero_loss_channel(tmp_path):
+    """O = 1 removes no atoms but would still cost a noise draw per step."""
+    scenario = tmp_path / "two.yaml"
+    text = _TWO_COMPONENT_WIGNER.format(chi="chi: [[0.01, 0.0], [0.0, 0.01]]")
+    scenario.write_text(text.replace("powers: [0, 1]", "powers: [0, 0]"))
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "losses[1].powers" in proc.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_wigner_chi_forms():
     base = "kind: wigner\nalpha0: {alpha}\ntimes: [0.0, 0.1]\n"
     one = parse_scenario(base.format(alpha="2.0") + "chi: 0.5\n")

@@ -61,6 +61,19 @@ def test_field_noise_scaling():
         complex_field_noise(np.zeros((3, 3)), dt)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_field_noise_equals_the_quadrature_sum_byte_for_byte(seed):
+    """Reading the normals in place as complex gives every bit of the
+    explicit re + 1j * im pairing, also for a strided input."""
+    normals = noise_block(seed, seed + 1, 300, 8)
+    dt = 0.01 * (seed + 1)
+    explicit = (normals[:, 0::2] + 1j * normals[:, 1::2]) / math.sqrt(2.0 * dt)
+    assert complex_field_noise(normals, dt).tobytes() == explicit.tobytes()
+    strided = normals[::2, :6]
+    explicit = (strided[:, 0::2] + 1j * strided[:, 1::2]) / math.sqrt(2.0 * dt)
+    assert complex_field_noise(strided, dt).tobytes() == explicit.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # moment accumulator
 # ---------------------------------------------------------------------------

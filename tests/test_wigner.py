@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qphase.fock import (
     FockBasis,
@@ -24,6 +26,7 @@ from qphase.wigner import (
     squeezing_xi2,
 )
 
+from oracles import squeezing_xi2 as per_block_xi2
 from oracles import wigner_derivative
 
 
@@ -165,21 +168,54 @@ def test_loss_drift_carries_the_stratonovich_correction():
     assert np.allclose(d, expected, rtol=1e-14, atol=1e-15)
 
 
-def test_loss_drift_equals_the_per_channel_reference_bit_for_bit():
-    """Skipping the zero gradient and Hessian terms and sharing monomials
-    between channels leaves every bit of the drift unchanged."""
+def _random_couplings(rng, components):
+    chi = rng.uniform(-0.2, 0.2, (components, components))
+    return chi + chi.T, rng.uniform(-0.5, 0.5, (components, components))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    components=st.integers(1, 3),
+    with_chi=st.booleans(),
+    with_omega=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi, with_omega, data):
+    """The compiled density-polynomial drift and noise agree with the
+    explicit per-channel gradient and Hessian products, to rounding: the
+    merged like terms are summed in another order."""
+    channel = st.builds(
+        LossChannel,
+        st.tuples(*[st.integers(0, 3)] * components),
+        st.sampled_from([0.0, 0.002, 0.05, 0.3, 1.7]),
+    )
+    channels = tuple(data.draw(st.lists(channel, min_size=1, max_size=4)))
+    rng = np.random.default_rng(seed)
+    chi, omega = _random_couplings(rng, components)
+    model = WignerModel(
+        chi=chi if with_chi else None,
+        omega=omega if with_omega else None,
+        channels=channels,
+        seed=seed,
+    )
+    fields = rng.standard_normal((16, components)) + 1j * rng.standard_normal((16, components))
+    zeta = model.noise(3, fields.shape[0], 0.01)
+    np.testing.assert_allclose(
+        model.derivative(fields, 3, zeta), wigner_derivative(model, fields, zeta), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_lossless_drift_equals_the_reference_byte_for_byte():
+    """Without loss channels the drift is the omega and chi terms alone,
+    bit for bit, and no noise is drawn."""
     rng = np.random.default_rng(11)
     fields = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    channels = tuple(
-        LossChannel(powers, rate)
-        for powers, rate in [((1, 0, 0), 0.3), ((0, 2, 0), 0.05), ((1, 1, 0), 0.02), ((2, 1, 1), 0.01)]
-    )
-    chi = np.array([[0.1, 0.03, 0.02], [0.03, 0.2, 0.01], [0.02, 0.01, 0.15]])
-    omega = np.array([[0.0, 0.4, 0.0], [0.4, 0.1, 0.2], [0.0, 0.2, -0.3]])
-    for model in (WignerModel(chi=chi, channels=channels), WignerModel(chi=chi, omega=omega, channels=channels)):
+    chi, omega = _random_couplings(rng, 3)
+    for model in (WignerModel(), WignerModel(chi=chi), WignerModel(omega=omega), WignerModel(chi=chi, omega=omega)):
         zeta = model.noise(5, fields.shape[0], 0.01)
-        d = model.derivative(fields, 5, zeta)
-        assert d.tobytes() == wigner_derivative(model, fields, zeta).tobytes()
+        assert zeta is None
+        assert model.derivative(fields, 5, zeta).tobytes() == wigner_derivative(model, fields, zeta).tobytes()
 
 
 def test_diverged_trajectory_leaves_later_snapshots():
@@ -234,3 +270,20 @@ def test_squeezing_one_axis_twisting_drops_below_shot_noise():
     result = squeezing_xi2(snaps[steps][:, 0], snaps[steps][:, 1])
     assert result.xi2 < 1.0 - 3.0 * result.error
     assert result.xi2 < 0.7
+
+
+def test_squeezing_equals_the_per_block_reference_byte_for_byte(monkeypatch):
+    """Building the spin products once per call changes no bit of the
+    result; poly_mul still runs on every call (12 products)."""
+    twisted = WignerModel(chi=np.array([[0.5, -0.5], [-0.5, 0.5]]), seed=8)
+    fields = sample_wigner_coherent([3.0, 2.5 + 0.5j], seed=8, trajectories=3000)
+    snaps = evolve_snapshots(fields, twisted, dt=1e-3, snapshot_steps=[0, 20])
+    calls = []
+    monkeypatch.setattr("qphase.wigner.poly_mul", lambda p1, p2: calls.append(1) or poly_mul(p1, p2))
+    samples = [snaps[0], snaps[20], snaps[20][:20], snaps[20][:3]]
+    for sample in samples:
+        a, b = sample[:, 0], sample[:, 1]
+        got, ref = squeezing_xi2(a, b), per_block_xi2(a, b)
+        for field in ("xi2", "error", "mean_spin", "min_variance", "total_number"):
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes()
+    assert len(calls) == 12 * len(samples)
