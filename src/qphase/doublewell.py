@@ -2,8 +2,9 @@
 
 With zero inter-well tunneling the two wells evolve independently, so a
 large-atom-number run is an exact product of two 2-mode Kerr evolutions.
-Beam-splitter mixing is handled in the Heisenberg picture by operator
-substitution, which keeps the computation in the per-well Fock spaces.
+Beam-splitter mixing is handled in the Heisenberg picture as a 4x4 map
+of the spin coefficient matrices, so one set of moment tensors per time,
+computed in the per-well Fock spaces, serves before and after it.
 """
 
 from __future__ import annotations
@@ -98,25 +99,11 @@ class DoubleWellPoint:
     e_sum: float
 
 
-def _bilinear_mean(evaluator: spins.ProductEvaluator) -> complex:
-    """<a2^dag a1> of well A."""
-    op = spins.op_mul(spins.op_elementary(0, 1, True), spins.op_elementary(0, 0, False))
-    return evaluator(op)
-
-
 def _best_product_theta(moments: spins.SpinMoments) -> float:
     """Grid angle minimizing the product of ``spins.cross_variances``."""
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 720, endpoint=False)
-    zero = np.zeros_like(thetas)
-
-    def directional(th, sign):
-        # rows are the spins.cross_variances direction vectors, one per angle
-        c, s = np.cos(th), np.sin(th)
-        u = np.stack([c, s, zero, sign * c, sign * s, zero], axis=1)
-        return np.einsum("gi,ij,gj->g", u, moments.covariance, u)
-
-    products = directional(thetas, -1.0) * directional(thetas + math.pi / 2, +1.0)
-    return thetas[np.argmin(products)]
+    var_minus, var_plus = spins.cross_variances(moments, thetas)
+    return thetas[np.argmin(var_minus * var_plus)]
 
 
 def doublewell_scan(
@@ -143,9 +130,10 @@ def doublewell_scan(
     for tau in np.atleast_1d(taus):
         t = tau / (chi[0, 0] * atoms_total) if atoms_total > 0 else 0.0
         state = evo.at_time(t)
-        evaluator = spins.ProductEvaluator(state, state)
-        delta_theta = math.pi / 2 - cmath.phase(_bilinear_mean(evaluator))
-        pre = spins.spin_moments(evaluator, delta_theta)
+        tensors = spins.ProductEvaluator(state, state)()
+        delta_theta = math.pi / 2 - cmath.phase(tensors[0][1, 0])  # <a2^dag a1> of well A
+        matrices = spins.spin_matrices(delta_theta)
+        pre = spins.spin_moments(matrices, tensors)
         theta, _ = spins.optimal_theta(pre, well=0)
         n0_well = 0.5 * abs(pre.mean(0, 2))
         var_theta = spins.spin_variance(pre, theta, 0)
@@ -153,10 +141,9 @@ def doublewell_scan(
         vm_pre, vp_pre = spins.cross_variances(pre, theta)
         n0_pair = 0.5 * (abs(pre.mean(0, 2)) + abs(pre.mean(1, 2)))
 
-        def post_expect(op):
-            return evaluator(spins.beam_splitter_map(op, mixing_angle, bs_phase))
-
-        post = spins.spin_moments(post_expect, delta_theta)
+        post = spins.spin_moments(
+            spins.beam_splitter_map(matrices, mixing_angle, bs_phase), tensors
+        )
         report = spins.entanglement_criteria(post, theta=_best_product_theta(post))
         out.append(
             DoubleWellPoint(

@@ -43,7 +43,7 @@ class Scenario:
 
 
 def _as_complex(value, path, errors):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if isinstance(value, str):
         try:
@@ -51,11 +51,8 @@ def _as_complex(value, path, errors):
         except ValueError:
             errors.append((path, f"cannot parse complex number from {value!r}"))
             return 0j
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+        return complex(float(value[0]), float(value[1]))
     errors.append((path, "expected a number, 're+imj' string, or [re, im] pair"))
     return 0j
 
@@ -79,6 +76,11 @@ def _amplitudes(raw, path, errors):
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    """A non-negative integer, YAML booleans excluded."""
+    return _is_number(value) and isinstance(value, int) and value >= 0
 
 
 def _number(cfg, key, errors, default=None, required=False, positive=False, minimum=None):
@@ -129,11 +131,10 @@ def _times(cfg, errors, key="times", default_stop=None):
             return None
         spec = {"stop": default_stop, "points": 51}
     if isinstance(spec, list):
-        try:
-            arr = np.asarray([float(v) for v in spec])
-        except (TypeError, ValueError):
+        if not all(map(_is_number, spec)):
             errors.append((key, "time list must contain numbers"))
             return None
+        arr = np.asarray([float(v) for v in spec])
         if arr.size < 2 or arr[0] != 0.0 or np.any(np.diff(arr) <= 0):
             errors.append((key, "time list must start at 0 and increase"))
             return None
@@ -172,7 +173,7 @@ def _validate_exact_doublewell(cfg, errors):
     if taus is None:
         errors.append(("taus", "required key missing"))
     elif isinstance(taus, list) and taus and all(
-        isinstance(v, (int, float)) and v > 0 for v in taus
+        _is_finite_number(v) and v > 0 for v in taus
     ):
         params["taus"] = np.asarray([float(v) for v in taus])
     elif isinstance(taus, dict):
@@ -182,21 +183,25 @@ def _validate_exact_doublewell(cfg, errors):
         start = _number(taus, "start", errors, default=0.0, minimum=0.0)
         stop = _number(taus, "stop", errors, required=True, positive=True)
         points = _integer(taus, "points", errors, default=21, positive=True)
-        if stop is not None and points is not None:
+        if stop is not None and not (math.isfinite(start) and math.isfinite(stop)):
+            errors.append(("taus", "start and stop must be finite"))
+        elif stop is not None and points is not None:
             grid = np.linspace(start, stop, points)
             params["taus"] = grid[grid > 0]
     else:
-        errors.append(("taus", "expected a list of positive taus or {start, stop, points}"))
+        errors.append(("taus", "expected a list of finite positive taus or {start, stop, points}"))
     ratios = cfg.get("chi_ratios")
     if ratios is None:
         params["chi"] = None
-    elif isinstance(ratios, list) and len(ratios) == 3 and all(
-        isinstance(v, (int, float)) for v in ratios
+    elif not (
+        isinstance(ratios, list) and len(ratios) == 3 and all(map(_is_finite_number, ratios))
     ):
+        errors.append(("chi_ratios", "expected [a11, a22, a12] finite numbers"))
+    elif not ratios[0] > 0:
+        errors.append(("chi_ratios", "a11 must be positive: taus are in units of chi_11"))
+    else:
         a11, a22, a12 = (float(v) for v in ratios)
         params["chi"] = np.array([[a11, a12], [a12, a22]]) / a11
-    else:
-        errors.append(("chi_ratios", "expected [a11, a22, a12] numbers"))
     return params
 
 
@@ -209,17 +214,18 @@ def _validate_wigner(cfg, errors):
             errors.append((f"losses[{i}]", "expected {powers, rate}"))
             continue
         _check_unknown(ch, {"powers", "rate"}, errors, prefix=f"losses[{i}].")
-        powers = ch.get("powers")
-        rate = _number(ch, "rate", errors, required=True, minimum=0.0)
+        powers, rate = ch.get("powers"), ch.get("rate")
+        if not (_is_number(rate) and rate > 0):
+            errors.append((f"losses[{i}].rate", "expected a positive number"))
         if not isinstance(powers, list) or len(powers) != len(alpha0) or not all(
-            isinstance(p, int) and p >= 0 for p in powers
+            map(_is_count, powers)
         ):
             errors.append((f"losses[{i}].powers", "expected one non-negative integer per mode"))
             continue
         if not any(powers):
             errors.append((f"losses[{i}].powers", "all powers are zero: O = 1 removes no atoms"))
             continue
-        channels.append((tuple(powers), rate or 0.0))
+        channels.append((tuple(powers), rate))
     return {
         "alpha0": alpha0,
         "chi": _wigner_chi(cfg, len(alpha0), errors),
@@ -271,14 +277,14 @@ def _validate_plusp(cfg, errors):
         elif kind == "thermal":
             raw = state_cfg.get("nbar")
             vals = raw if isinstance(raw, list) else [raw]
-            if not all(isinstance(v, (int, float)) and v >= 0 for v in vals):
-                errors.append(("state.nbar", "expected non-negative number(s)"))
+            if not all(_is_finite_number(v) and v >= 0 for v in vals):
+                errors.append(("state.nbar", "expected finite non-negative number(s)"))
             else:
                 state = {"kind": "thermal", "nbar": [float(v) for v in vals]}
         elif kind == "fock":
             raw = state_cfg.get("n")
             vals = raw if isinstance(raw, list) else [raw]
-            if not all(isinstance(v, int) and v >= 0 for v in vals):
+            if not all(map(_is_count, vals)):
                 errors.append(("state.n", "expected non-negative integer(s)"))
             else:
                 state = {"kind": "fock", "n": vals}

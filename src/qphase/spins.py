@@ -1,28 +1,23 @@
 """Schwinger spin moments, squeezing angles, and entanglement criteria.
 
-Spin operators are built symbolically as sums of products of elementary
-mode operators and evaluated on a product of two independent well
-states, before or after a Heisenberg-picture beam splitter.
-
-Symbol convention: (well, mode, dag) with well 0 = A, 1 = B and mode
-0, 1 the two spin components of that well.
+The joint modes of the two wells are c = (a1, a2, b1, b2): well A holds
+a1, a2 and well B holds b1, b2.  Every spin component is a bilinear
+J_k = c^dag M_k c with a 4x4 coefficient matrix M_k, and the beam
+splitter is a 4x4 mode transform c -> U c, so moments before and after
+it come from the same two moment tensors of the product state
+|psi_A> x |psi_B>, evaluated in the per-well Fock spaces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
 __all__ = [
     "SpinMoments",
-    "op_elementary",
-    "op_add",
-    "op_scale",
-    "op_mul",
-    "op_dagger",
+    "spin_matrices",
     "beam_splitter_map",
     "ProductEvaluator",
     "spin_moments",
@@ -37,66 +32,31 @@ __all__ = [
 _JZ, _JX, _JY = 0, 1, 2
 
 
-def op_elementary(well: int, mode: int, dag: bool):
-    return [(1.0 + 0.0j, ((well, mode, dag),))]
+def spin_matrices(delta_theta: float) -> np.ndarray:
+    """(6, 4, 4) matrices M_k of (JzA, JxA, JyA, JzB, JxB, JyB).
+
+    Per well, Jz = (n2 - n1)/2 and Jx + i Jy = e^{i delta_theta} a2^dag a1.
+    """
+    phase = np.exp(1j * delta_theta)
+    # Jz, Jx, Jy on one well's modes (1, 2); np.kron puts them on well A or B
+    one_well = 0.5 * np.array([
+        [[-1, 0], [0, 1]],
+        [[0, np.conj(phase)], [phase, 0]],
+        [[0, 1j * np.conj(phase)], [-1j * phase, 0]],
+    ])
+    return np.concatenate([np.kron(np.diag([1, 0]), one_well), np.kron(np.diag([0, 1]), one_well)])
 
 
-def op_scale(op, c):
-    return [(c * coeff, factors) for coeff, factors in op]
-
-
-def op_add(*ops):
-    out = []
-    for op in ops:
-        out.extend(op)
-    return out
-
-
-def op_mul(op1, op2):
-    return [
-        (c1 * c2, f1 + f2)
-        for c1, f1 in op1
-        for c2, f2 in op2
-    ]
-
-
-def op_dagger(op):
-    return [
-        (np.conj(c), tuple((w, m, not d) for (w, m, d) in reversed(factors)))
-        for c, factors in op
-    ]
-
-
-def beam_splitter_map(op, mixing_angle: float, phase: float = 0.0):
-    """Substitute the beam-splitter Heisenberg map into an operator.
+def beam_splitter_map(matrices, mixing_angle: float, phase: float = 0.0) -> np.ndarray:
+    """U^dag M U for the Heisenberg-picture beam splitter c -> U c,
 
     a_i -> cos(t) a_i + e^{i phi} sin(t) b_i,
-    b_i -> cos(t) b_i - e^{-i phi} sin(t) a_i  (daggers conjugated).
+    b_i -> cos(t) b_i - e^{-i phi} sin(t) a_i.
     """
-    cos_t = math.cos(mixing_angle)
-    sin_t = math.sin(mixing_angle)
-
-    def expand(symbol):
-        well, mode, dag = symbol
-        if well == 0:
-            terms = [(cos_t, (0, mode, dag)), (np.exp(1j * phase) * sin_t, (1, mode, dag))]
-        else:
-            terms = [(cos_t, (1, mode, dag)), (-np.exp(-1j * phase) * sin_t, (0, mode, dag))]
-        if dag:
-            terms = [(np.conj(c), s) for c, s in terms]
-        return terms
-
-    out = []
-    for coeff, factors in op:
-        expansions = [expand(s) for s in factors]
-        for combo in iproduct(*expansions):
-            c = coeff
-            syms = []
-            for part_c, part_s in combo:
-                c = c * part_c
-                syms.append(part_s)
-            out.append((c, tuple(syms)))
-    return out
+    cos_t, sin_t = math.cos(mixing_angle), math.sin(mixing_angle)
+    mix = np.array([[cos_t, np.exp(1j * phase) * sin_t], [-np.exp(-1j * phase) * sin_t, cos_t]])
+    u = np.kron(mix, np.eye(2))  # the same 2x2 mix of (a_i, b_i) for both i
+    return u.conj().T @ matrices @ u
 
 
 def _ladder(basis):
@@ -110,15 +70,16 @@ def _ladder(basis):
 
 
 class ProductEvaluator:
-    """Evaluates symbolic operators on a product state |psi_A> x |psi_B>.
+    """Moment tensors of a product state |psi_A> x |psi_B>.
 
-    Each well state lives on its own 2-mode Fock basis, so cross-well
-    expectation values factorize exactly; this is what makes the
-    large-atom-number double-well runs tractable.  The ladder operators
-    are the per-basis shared ones from ``FockBasis.annihilation``, so
-    evaluators built on the same basis (one per time point of a scan)
-    never rebuild them; each dagger is formed once here.  When both
-    wells are the same state object, they share one expectation cache.
+    Each well state lives on its own 2-mode Fock basis, so a joint
+    expectation factorizes into one ordered ladder string per well; this
+    is what makes the large-atom-number double-well runs tractable.  The
+    ladder operators are the per-basis shared ones from
+    ``FockBasis.annihilation``, so evaluators built on the same basis (one
+    per time point of a scan) never rebuild them; each dagger is formed
+    once here.  When both wells are the same state object, they share one
+    expectation cache.
     """
 
     def __init__(self, state_a, state_b):
@@ -137,32 +98,22 @@ class ProductEvaluator:
             cache[factors] = complex(np.vdot(self.psis[well], vec))
         return cache[factors]
 
-    def __call__(self, op) -> complex:
-        total = 0.0 + 0.0j
-        for coeff, factors in op:
-            part = {0: [], 1: []}
-            for well, mode, dag in factors:
-                part[well].append((mode, dag))
-            total += (
-                coeff
-                * self._well_expect(0, tuple(part[0]))
-                * self._well_expect(1, tuple(part[1]))
-            )
-        return total
+    def _expect(self, string) -> complex:
+        """<psi_A psi_B| product of (joint mode, dag) factors |psi_A psi_B>."""
+        part = ([], [])
+        for mode, dag in string:
+            part[mode // 2].append((mode % 2, dag))
+        return self._well_expect(0, tuple(part[0])) * self._well_expect(1, tuple(part[1]))
 
-
-def _spin_ops(well: int, delta_theta: float):
-    """Jz, Jx, Jy for one well with the phase shift applied to a2^dag a1."""
-    up = op_elementary(well, 1, True)  # a2^dag
-    down = op_elementary(well, 0, False)  # a1
-    bilinear = op_scale(op_mul(up, down), np.exp(1j * delta_theta))
-    bilinear_dag = op_dagger(bilinear)
-    jx = op_scale(op_add(bilinear, bilinear_dag), 0.5)
-    jy = op_scale(op_add(bilinear, op_scale(bilinear_dag, -1.0)), -0.5j)
-    n2 = op_mul(up, op_elementary(well, 1, False))
-    n1 = op_mul(op_elementary(well, 0, True), down)
-    jz = op_scale(op_add(n2, op_scale(n1, -1.0)), 0.5)
-    return jz, jx, jy
+    def __call__(self):
+        """(G1, G2) with G1[i, j] = <c_i^dag c_j> and
+        G2[i, j, p, q] = <c_i^dag c_j c_p^dag c_q>."""
+        g1 = [self._expect(((i, True), (j, False))) for i, j in np.ndindex(4, 4)]
+        g2 = [
+            self._expect(((i, True), (j, False), (p, True), (q, False)))
+            for i, j, p, q in np.ndindex(4, 4, 4, 4)
+        ]
+        return np.reshape(g1, (4, 4)), np.reshape(g2, (4, 4, 4, 4))
 
 
 @dataclass
@@ -173,7 +124,6 @@ class SpinMoments:
     cov(J_i, J_j) = <{J_i, J_j}>/2 - <J_i><J_j>.
     """
 
-    delta_theta: float
     means: np.ndarray  # (6,) real
     covariance: np.ndarray  # (6, 6) real symmetric
 
@@ -181,20 +131,19 @@ class SpinMoments:
         return float(self.means[3 * well + component])
 
 
-def spin_moments(expect, delta_theta: float) -> SpinMoments:
-    """Assemble SpinMoments from an expectation functional."""
-    ops = []
-    for well in (0, 1):
-        ops.extend(_spin_ops(well, delta_theta))
-    means = np.array([expect(op) for op in ops])
+def spin_moments(matrices, tensors) -> SpinMoments:
+    """Moments of J_k = c^dag M_k c from the tensors (G1, G2) of
+    ``ProductEvaluator``: <J_k> = sum M_k[i, j] G1[i, j] and
+    <J_k J_l> = sum M_k[i, j] M_l[p, q] G2[i, j, p, q]."""
+    g1, g2 = tensors
+    flat = np.reshape(matrices, (len(matrices), 16))
+    means = flat @ g1.reshape(16)
     if np.abs(means.imag).max() > 1e-8 * (1 + np.abs(means.real).max()):
         raise ValueError("spin means acquired an imaginary part")
-    cov = np.zeros((6, 6))
-    for i in range(6):
-        for j in range(i, 6):
-            sym = 0.5 * (expect(op_mul(ops[i], ops[j])) + expect(op_mul(ops[j], ops[i])))
-            cov[i, j] = cov[j, i] = sym.real - means[i].real * means[j].real
-    return SpinMoments(delta_theta=delta_theta, means=means.real, covariance=cov)
+    second = flat @ g2.reshape(16, 16) @ flat.T
+    sym = 0.5 * (second + second.T).real
+    cov = sym - np.outer(means.real, means.real)
+    return SpinMoments(means=means.real, covariance=cov)
 
 
 def spin_variance(moments: SpinMoments, theta: float, well: int) -> float:
@@ -209,15 +158,17 @@ def spin_variance(moments: SpinMoments, theta: float, well: int) -> float:
     )
 
 
-def cross_variances(moments: SpinMoments, theta: float) -> tuple[float, float]:
-    """(Delta^2(J_theta^A - J_theta^B), Delta^2(J_{theta+pi/2}^A + J_{theta+pi/2}^B))."""
+def cross_variances(moments: SpinMoments, theta):
+    """(Delta^2(J_theta^A - J_theta^B), Delta^2(J_{theta+pi/2}^A + J_{theta+pi/2}^B)).
+
+    ``theta`` may be an array of angles; both variances then have its shape.
+    """
 
     def directional(th, sign):
-        c, s = math.cos(th), math.sin(th)
-        u = np.zeros(6)
-        u[_JZ], u[_JX] = c, s
-        u[3 + _JZ], u[3 + _JX] = sign * c, sign * s
-        return float(u @ moments.covariance @ u)
+        c, s = np.cos(th), np.sin(th)
+        zero = np.zeros_like(c)
+        u = np.stack([c, s, zero, sign * c, sign * s, zero], axis=-1)
+        return np.einsum("...i,ij,...j->...", u, moments.covariance, u)
 
     return directional(theta, -1.0), directional(theta + math.pi / 2, +1.0)
 

@@ -1,8 +1,7 @@
 """Explicit references for code that computes the same thing faster.
 
 In the 4-mode double-well references modes are ordered (a1, a2, b1, b2),
-so the symbolic operator factor (well, mode, dag) of ``qphase.spins``
-acts on joint mode 2 * well + mode.
+the joint modes c of ``qphase.spins``.
 """
 
 import math
@@ -21,24 +20,21 @@ from qphase.wigner import (
 )
 
 
-def joint_evaluator(state: StateVector):
-    """Expectation functional of symbolic operators on a 4-mode state;
-    the reference for ``spins.ProductEvaluator``."""
-    psi, cache = state.amplitudes, {}
-
-    def expect(op) -> complex:
-        total = 0j
-        for coeff, factors in op:
-            if factors not in cache:
-                vec = psi
-                for well, mode, dag in reversed(factors):
-                    a = state.basis.annihilation(2 * well + mode)
-                    vec = (a.conj().T if dag else a) @ vec
-                cache[factors] = np.vdot(psi, vec)
-            total += coeff * cache[factors]
-        return complex(total)
-
-    return expect
+def joint_moments(state: StateVector):
+    """(G1, G2) with G1[i, j] = <c_i^dag c_j> and G2[i, j, p, q] =
+    <c_i^dag c_j c_p^dag c_q> on a 4-mode state, from the bilinears
+    applied to the full joint vector; the reference for
+    ``spins.ProductEvaluator``."""
+    psi = state.amplitudes
+    ladder = [state.basis.annihilation(m) for m in range(4)]
+    # hop[i][j] = c_i^dag c_j |psi>
+    hop = [[ladder[i].conj().T @ (ladder[j] @ psi) for j in range(4)] for i in range(4)]
+    g1 = np.array([[np.vdot(psi, hop[i][j]) for j in range(4)] for i in range(4)])
+    g2 = np.empty((4, 4, 4, 4), dtype=complex)
+    for i, j, p, q in np.ndindex(4, 4, 4, 4):
+        # <psi| c_i^dag c_j c_p^dag c_q |psi> = <c_j^dag c_i psi | c_p^dag c_q psi>
+        g2[i, j, p, q] = np.vdot(hop[j][i], hop[p][q])
+    return g1, g2
 
 
 def beam_splitter(state: StateVector, mixing_angle: float, phase: float = 0.0) -> StateVector:

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -41,3 +42,31 @@ def test_gaussian_entropy_does_not_import_scipy_linalg():
     """Only the brute-force Fock oracles need expm and logm, so a cold
     import of the entropy module skips scipy.linalg."""
     assert not _loaded_on_cold_import("qphase.gaussian_entropy", "scipy.linalg")
+
+
+def test_benchmark_tracer_installs_against_the_package():
+    """The benchmark's tracer wraps every traced function it names and
+    restores them all, so renaming or deleting one fails here too."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = {}
+    for target in tracer.TARGETS:
+        owner = importlib.import_module(target.module)
+        *path, attr = target.attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        originals[target.name] = (owner, attr, getattr(owner, attr))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        wrapped = [
+            name for name, (owner, attr, fn) in originals.items() if getattr(owner, attr) is not fn
+        ]
+    finally:
+        t.uninstall()
+    assert sorted(wrapped) == sorted(originals)
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in originals.values())

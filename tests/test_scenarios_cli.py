@@ -93,6 +93,61 @@ def test_entropy_rejects_non_finite_or_unnormalizable_inputs(extra, path):
     assert [p for p, _ in err.value.errors] == [path]
 
 
+_WIGNER_ONE = "kind: wigner\nalpha0: 2.0\ntimes: [0.0, 0.1]\n"
+_PLUSP_ONE = "kind: plusp\ntimes: [0.0, 0.1]\n"
+_DOUBLEWELL = "kind: exact-doublewell\natoms: 8\n"
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        # YAML booleans are not numbers: true would run as 1
+        (_WIGNER_ONE + "losses: [{powers: [true], rate: 0.1}]\n", "losses[0].powers"),
+        (_PLUSP_ONE + "state: {kind: fock, n: [true]}\n", "state.n"),
+        (_PLUSP_ONE + "state: {kind: thermal, nbar: [true]}\n", "state.nbar"),
+        (_PLUSP_ONE + "state: {kind: coherent, alpha: true}\n", "state.alpha"),
+        ("kind: wigner\nalpha0: [[true, 0.0]]\ntimes: [0.0, 0.1]\n", "alpha0[0]"),
+        ("kind: wigner\nalpha0: 2.0\ntimes: [0, true]\n", "times"),
+        (_DOUBLEWELL + "taus: [true, 2]\n", "taus"),
+        (_DOUBLEWELL + "taus: [1]\nchi_ratios: [true, 1, 0.5]\n", "chi_ratios"),
+        # a loss channel with rate 0 removes no atoms but costs noise draws
+        (_WIGNER_ONE + "losses: [{powers: [1], rate: 0}]\n", "losses[0].rate"),
+        (_WIGNER_ONE + "losses: [{powers: [1]}]\n", "losses[0].rate"),
+        # an infinite thermal occupation used to die mid-run
+        (_PLUSP_ONE + "state: {kind: thermal, nbar: [.inf]}\n", "state.nbar"),
+        # taus are in units of chi_11, and every tau must be finite
+        (_DOUBLEWELL + "taus: [1]\nchi_ratios: [0, 1, 0.5]\n", "chi_ratios"),
+        (_DOUBLEWELL + "taus: [1]\nchi_ratios: [-1, 1, 0.5]\n", "chi_ratios"),
+        (_DOUBLEWELL + "taus: [1]\nchi_ratios: [1, .nan, 0.5]\n", "chi_ratios"),
+        (_DOUBLEWELL + "taus: [1, .inf]\n", "taus"),
+        (_DOUBLEWELL + "taus: [.nan]\n", "taus"),
+        (_DOUBLEWELL + "taus: {stop: .inf}\n", "taus"),
+    ],
+)
+def test_validation_rejects_booleans_and_degenerate_numbers(text, path):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert [p for p, _ in err.value.errors] == [path]
+
+
+@pytest.mark.parametrize(
+    "extra, path",
+    [
+        ("taus: [1]\nchi_ratios: [0, 1, 0.5]\n", "chi_ratios"),
+        ("taus: [.inf]\n", "taus"),
+        ("taus: [1]\nchi_ratios: [1, 1, .inf]\n", "chi_ratios"),
+    ],
+)
+def test_cli_doublewell_rejects_degenerate_inputs_with_exit_2(tmp_path, extra, path):
+    """These inputs used to run and write all-NaN rows."""
+    scenario = tmp_path / "dw.yaml"
+    scenario.write_text(_DOUBLEWELL + extra)
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"  {path}:" in proc.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_entropy_weights_keep_their_values():
     scenario = parse_scenario(_ENTROPY + "weights: [1, 2.5, 1]\npairing: all\n")
     assert scenario.params["weights"] == [1, 2.5, 1]

@@ -13,7 +13,7 @@ from qphase.doublewell import (
 )
 from qphase.fock import FockBasis, StateVector, coherent_state
 
-from oracles import beam_splitter, joint_evaluator
+from oracles import beam_splitter, joint_moments
 
 
 def _small_alpha_setup(t=0.35):
@@ -35,39 +35,36 @@ def _small_alpha_setup(t=0.35):
     return well, joint_t
 
 
-def test_symbolic_algebra_dagger_and_mul():
-    op = spins.op_mul(spins.op_elementary(0, 1, True), spins.op_elementary(0, 0, False))
-    dag = spins.op_dagger(op)
-    # (a2^dag a1)^dag = a1^dag a2
-    assert dag == [(1.0 - 0.0j, ((0, 0, True), (0, 1, False)))]
-    scaled = spins.op_scale(op, 2.0j)
-    assert scaled[0][0] == 2.0j
+def _moments(state_a, state_b, delta_theta, mixing_angle=None):
+    """Spin moments of |psi_A> x |psi_B>, after the splitter if an angle is given."""
+    matrices = spins.spin_matrices(delta_theta)
+    if mixing_angle is not None:
+        matrices = spins.beam_splitter_map(matrices, mixing_angle)
+    return spins.spin_moments(matrices, spins.ProductEvaluator(state_a, state_b)())
 
 
-def test_product_evaluator_matches_joint_evaluator():
-    """Cross-validation: factorized product evaluation equals the explicit
-    4-mode evaluation, including after the Heisenberg beam splitter."""
+def _assert_same_moments(tensors, reference, delta_theta, mixing_angle):
+    matrices = spins.spin_matrices(delta_theta)
+    for mats in (matrices, spins.beam_splitter_map(matrices, mixing_angle, 0.1)):
+        got = spins.spin_moments(mats, tensors)
+        want = spins.spin_moments(mats, reference)
+        assert np.allclose(got.means, want.means, atol=1e-8)
+        assert np.allclose(got.covariance, want.covariance, atol=1e-8)
+
+
+def test_product_evaluator_matches_joint_moments():
+    """Cross-validation: the factorized moment tensors equal the explicit
+    4-mode ones, and so do the spin moments before and after the
+    Heisenberg beam splitter."""
     well, joint_t = _small_alpha_setup()
-    prod = spins.ProductEvaluator(well, well)
-    joint = joint_evaluator(joint_t)
-    pre_p = spins.spin_moments(prod, 0.3)
-    pre_j = spins.spin_moments(joint, 0.3)
-    assert np.allclose(pre_p.means, pre_j.means, atol=1e-8)
-    assert np.allclose(pre_p.covariance, pre_j.covariance, atol=1e-8)
-
-    def post_p(op):
-        return prod(spins.beam_splitter_map(op, math.pi / 4, 0.1))
-
-    def post_j(op):
-        return joint(spins.beam_splitter_map(op, math.pi / 4, 0.1))
-
-    mp = spins.spin_moments(post_p, 0.3)
-    mj = spins.spin_moments(post_j, 0.3)
-    assert np.allclose(mp.means, mj.means, atol=1e-8)
-    assert np.allclose(mp.covariance, mj.covariance, atol=1e-8)
+    tensors = spins.ProductEvaluator(well, well)()
+    reference = joint_moments(joint_t)
+    for got, want in zip(tensors, reference):
+        assert np.allclose(got, want, atol=1e-8)
+    _assert_same_moments(tensors, reference, 0.3, math.pi / 4)
 
 
-def test_product_evaluator_matches_joint_evaluator_for_distinct_wells():
+def test_product_evaluator_matches_joint_moments_for_distinct_wells():
     """Two different well states against the explicit 4-mode product state
     |psi_A> x |psi_B>, before and after the Heisenberg beam splitter."""
     chi = rb_interaction_matrix()
@@ -76,21 +73,14 @@ def test_product_evaluator_matches_joint_evaluator_for_distinct_wells():
     joint_t = StateVector(
         FockBasis((7, 7, 7, 7)), np.kron(well_a.amplitudes, well_b.amplitudes)
     )
-    prod = spins.ProductEvaluator(well_a, well_b)
-    joint = joint_evaluator(joint_t)
+    tensors = spins.ProductEvaluator(well_a, well_b)()
+    reference = joint_moments(joint_t)
+    for got, want in zip(tensors, reference):
+        assert np.allclose(got, want, atol=1e-8)
     for mixing in (0.0, math.pi / 4):
-        def post_p(op):
-            return prod(spins.beam_splitter_map(op, mixing, 0.1))
-
-        def post_j(op):
-            return joint(spins.beam_splitter_map(op, mixing, 0.1))
-
-        mp = spins.spin_moments(post_p, 0.3)
-        mj = spins.spin_moments(post_j, 0.3)
-        assert np.allclose(mp.means, mj.means, atol=1e-8)
-        assert np.allclose(mp.covariance, mj.covariance, atol=1e-8)
+        _assert_same_moments(tensors, reference, 0.3, mixing)
     # the wells really differ, so a swapped well would be caught
-    moments = spins.spin_moments(prod, 0.3)
+    moments = _moments(well_a, well_b, 0.3)
     assert abs(moments.mean(0, 0) - moments.mean(1, 0)) > 0.05
 
 
@@ -107,39 +97,36 @@ def test_product_evaluator_shares_one_cache_for_equal_wells(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(np, "vdot", counting)
-    shared = spins.spin_moments(spins.ProductEvaluator(well, well), 0.3)
+    shared = spins.ProductEvaluator(well, well)()
     shared_calls = len(calls)
     calls.clear()
-    separate = spins.spin_moments(spins.ProductEvaluator(well, twin), 0.3)
-    assert shared_calls > 0
+    separate = spins.ProductEvaluator(well, twin)()
+    assert 0 < shared_calls <= 81
     assert len(calls) == 2 * shared_calls
-    assert np.array_equal(shared.means, separate.means)
-    assert np.array_equal(shared.covariance, separate.covariance)
+    for got, want in zip(shared, separate):
+        assert np.array_equal(got, want)
 
 
 def test_heisenberg_map_equals_schroedinger_splitter():
-    """Operator substitution after the state equals evolving the state
-    through the beam-splitter unitary."""
-    well, joint_t = _small_alpha_setup()
+    """Mapping the coefficient matrices equals evolving the state through
+    the beam-splitter unitary, for every bilinear c_i^dag c_j."""
+    _, joint_t = _small_alpha_setup()
     theta, phi = 0.6, 0.25
-    joint = joint_evaluator(joint_t)
-    rotated = beam_splitter(joint_t, theta, phase=phi)
-    joint_rot = joint_evaluator(rotated)
-    for op in (
-        spins.op_elementary(0, 0, False),
-        spins.op_mul(spins.op_elementary(0, 1, True), spins.op_elementary(1, 1, False)),
-    ):
-        heis = joint(spins.beam_splitter_map(op, theta, phi))
-        schro = joint_rot(op)
-        # cutoff-7 basis: the unitary splitter and the operator map differ
-        # only by the truncated Poisson tail
-        assert heis == pytest.approx(schro, abs=1e-4)
+    g1_before, _ = joint_moments(joint_t)
+    g1_after, _ = joint_moments(beam_splitter(joint_t, theta, phase=phi))
+    units = np.eye(16).reshape(16, 4, 4)  # c_i^dag c_j, one per (i, j)
+    mapped = spins.beam_splitter_map(units, theta, phi)
+    heis = mapped.reshape(16, 16) @ g1_before.reshape(16)
+    # cutoff-7 basis: the unitary splitter and the matrix map differ
+    # only by the truncated Poisson tail
+    assert np.allclose(heis, g1_after.reshape(16), atol=1e-4)
+    # the splitter really mixes the wells: <a2^dag b2> moves
+    assert abs(g1_after[1, 3] - g1_before[1, 3]) > 0.05
 
 
 def test_optimal_theta_minimizes_variance():
     well, _ = _small_alpha_setup()
-    ev = spins.ProductEvaluator(well, well)
-    moments = spins.spin_moments(ev, 0.15)
+    moments = _moments(well, well, 0.15)
     theta, iso = spins.optimal_theta(moments, well=0)
     assert not iso
     v0 = spins.spin_variance(moments, theta, 0)
@@ -151,8 +138,7 @@ def test_optimal_theta_minimizes_variance():
 def test_optimal_theta_isotropic_coherent_state():
     basis = FockBasis((18, 18))
     state = coherent_state([0.8, 0.8], basis)
-    ev = spins.ProductEvaluator(state, state)
-    moments = spins.spin_moments(ev, 0.0)
+    moments = _moments(state, state, 0.0)
     _, iso = spins.optimal_theta(moments, well=0)
     assert iso  # coherent spin state has an isotropic variance circle
 
@@ -162,9 +148,8 @@ def test_coherent_state_shot_noise_reference():
     Delta^2 J(theta) = |<Jy>| / 2 for every theta."""
     basis = FockBasis((14, 14))
     state = coherent_state([1.0, 1.0], basis)
-    ev = spins.ProductEvaluator(state, state)
     # delta_theta = pi/2 points the mean spin along Jy
-    moments = spins.spin_moments(ev, math.pi / 2)
+    moments = _moments(state, state, math.pi / 2)
     n0 = 0.5 * abs(moments.mean(0, 2))
     for theta in (0.0, 0.4, 1.2):
         assert spins.spin_variance(moments, theta, 0) == pytest.approx(n0, abs=1e-8)
@@ -172,12 +157,22 @@ def test_coherent_state_shot_noise_reference():
 
 def test_cross_variances_of_independent_wells_add():
     well, _ = _small_alpha_setup()
-    ev = spins.ProductEvaluator(well, well)
-    moments = spins.spin_moments(ev, 0.2)
+    moments = _moments(well, well, 0.2)
     vm, vp = spins.cross_variances(moments, 0.5)
     va = spins.spin_variance(moments, 0.5, 0)
     vb = spins.spin_variance(moments, 0.5, 1)
     assert vm == pytest.approx(va + vb, abs=1e-10)
+
+
+def test_cross_variances_take_an_array_of_angles():
+    """An array of angles gives the same variances as one call per angle."""
+    well, _ = _small_alpha_setup()
+    moments = _moments(well, well, 0.2, mixing_angle=math.pi / 4)
+    thetas = np.linspace(-1.5, 1.5, 7)
+    vm, vp = spins.cross_variances(moments, thetas)
+    assert vm.shape == vp.shape == thetas.shape
+    for k, th in enumerate(thetas):
+        assert (vm[k], vp[k]) == pytest.approx(spins.cross_variances(moments, th), abs=1e-12)
 
 
 def test_poisson_cutoff_covers_mass():
