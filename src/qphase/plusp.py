@@ -60,36 +60,32 @@ def sample_canonical(
 ) -> np.ndarray:
     """Sample (alpha, beta) from the canonical positive-P distribution,
     packed as the (trajectories, 2M) array [alpha | beta] the stepper uses.
+    The array is column-contiguous (Fortran order), so each mode column
+    of alpha and beta is one contiguous run.
 
     ``width="delta"`` places every trajectory at the classical point
     (only valid for coherent states, where the delta distribution is
     also an exact positive-P representation).
     """
-    # Packed only after _canonical_pair has returned and freed its
-    # temporaries: packing while they were alive changed which heap pages
-    # the +P step loop reuses, costing about 10x the minor page faults and
-    # 10 % of plusp-reverse solve time (glibc malloc, 20k trajectories).
-    return np.concatenate(_canonical_pair(state, seed, trajectories, width), axis=1)
-
-
-def _canonical_pair(state: dict, seed: int, trajectories: int, width: str):
     modes = _mode_count(state)
-    if width == "delta":
-        if state["kind"] != "coherent":
-            raise ValueError("delta width only represents coherent states")
-        alpha0 = np.atleast_1d(np.asarray(state["alpha"], dtype=complex))
-        alpha = np.tile(alpha0, (trajectories, 1))
-        return alpha, alpha.conj()
-    if width != "canonical":
+    if width == "delta" and state["kind"] != "coherent":
+        raise ValueError("delta width only represents coherent states")
+    if width not in ("delta", "canonical"):
         raise ValueError(f"unknown canonical width {width!r}")
+    packed = np.empty((trajectories, 2 * modes), dtype=complex, order="F")
+    alpha, beta = packed[:, :modes], packed[:, modes:]
+    if width == "delta":
+        alpha[...] = np.atleast_1d(np.asarray(state["alpha"], dtype=complex))
+        np.conj(alpha, out=beta)
+        return packed
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0x9E3779B9], dtype=np.uint64)))
     mu = _husimi_samples(state, gen, trajectories, modes)
     # the Gaussian factor exp(-|gamma|^2/4) has <|gamma|^2> = 4 per mode
     noise = gen.standard_normal((trajectories, modes, 2))
     gamma = math.sqrt(2.0) * (noise[..., 0] + 1j * noise[..., 1])
-    alpha = mu + 0.5 * gamma
-    beta = np.conj(mu - 0.5 * gamma)
-    return alpha, beta
+    np.add(mu, 0.5 * gamma, out=alpha)
+    np.conj(mu - 0.5 * gamma, out=beta)
+    return packed
 
 
 @dataclass
@@ -120,17 +116,23 @@ class KerrPlusP:
 
     def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
         """sqrt(i chi) xi1 in columns :M, sqrt(-i chi) xi2 in M:, with the
-        step's sign on chi and 2M real noises xi of variance 1/dt."""
+        step's sign on chi and 2M real noises xi of variance 1/dt; laid
+        out column-contiguous like the state."""
+        m = self.modes
         chi = self._sign(step_index) * self.chi
-        roots = np.repeat([np.sqrt(1j * chi + 0j), np.sqrt(-1j * chi + 0j)], self.modes)
-        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes) * (1.0 / math.sqrt(dt))
-        return roots * xi
+        xi = noise_block(self.seed, step_index, n_traj, 2 * m)
+        xi *= 1.0 / math.sqrt(dt)
+        noise = np.empty((n_traj, 2 * m), dtype=complex, order="F")
+        np.multiply(xi[:, :m], np.sqrt(1j * chi + 0j), out=noise[:, :m])
+        np.multiply(xi[:, m:], np.sqrt(-1j * chi + 0j), out=noise[:, m:])
+        return noise
 
-    def derivative(self, state: np.ndarray, step_index: int, noise: np.ndarray) -> np.ndarray:
+    def derivative(
+        self, state: np.ndarray, step_index: int, noise: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
         m = self.modes
         sign = self._sign(step_index)
         chi = sign * self.chi
-        out = np.empty(state.shape, dtype=complex)
         cross = chi * state[:, :m]
         cross *= state[:, m:]
         # in place, reusing cross: temporaries of this size dominate the cost

@@ -83,30 +83,33 @@ def _is_count(value):
     return _is_number(value) and isinstance(value, int) and value >= 0
 
 
-def _number(cfg, key, errors, default=None, required=False, positive=False, minimum=None):
+def _number(cfg, key, errors, default=None, required=False, positive=False, minimum=None, prefix=""):
+    """cfg[key] as a number; errors name it `prefix + key` (a nested key
+    gets its parent, as in "times.")."""
+    path = prefix + key
     if key not in cfg:
         if required:
-            errors.append((key, "required key missing"))
+            errors.append((path, "required key missing"))
         return default
     value = cfg[key]
     if not _is_number(value):
-        errors.append((key, f"expected a number, got {type(value).__name__}"))
+        errors.append((path, f"expected a number, got {type(value).__name__}"))
         return default
     if positive and not value > 0:  # NaN too
-        errors.append((key, "must be positive"))
+        errors.append((path, "must be positive"))
         return default
     if minimum is not None and value < minimum:
-        errors.append((key, f"must be >= {minimum}"))
+        errors.append((path, f"must be >= {minimum}"))
         return default
     return value
 
 
-def _integer(cfg, key, errors, default=None, required=False, positive=False):
-    value = _number(cfg, key, errors, default=default, required=required, positive=positive)
+def _integer(cfg, key, errors, default=None, required=False, positive=False, prefix=""):
+    value = _number(cfg, key, errors, default=default, required=required, positive=positive, prefix=prefix)
     if value is None:
         return None
     if float(value) != int(value):
-        errors.append((key, "expected an integer"))
+        errors.append((prefix + key, "expected an integer"))
         return default
     return int(value)
 
@@ -140,11 +143,11 @@ def _times(cfg, errors, key="times", default_stop=None):
             return None
         return arr
     if isinstance(spec, dict):
-        unknown = set(spec) - {"start", "stop", "points"}
-        for k in sorted(unknown):
-            errors.append((f"{key}.{k}", "unknown key"))
-        stop = _number(spec, "stop", errors, required=True, positive=True)
-        points = _integer(spec, "points", errors, default=51, positive=True)
+        if "start" in spec:
+            errors.append((f"{key}.start", "ensembles start at t = 0; remove start"))
+        _check_unknown(spec, {"start", "stop", "points"}, errors, prefix=f"{key}.")
+        stop = _number(spec, "stop", errors, required=True, positive=True, prefix=f"{key}.")
+        points = _integer(spec, "points", errors, default=51, positive=True, prefix=f"{key}.")
         if stop is None or points is None or points < 2:
             errors.append((key, "need stop > 0 and points >= 2"))
             return None
@@ -177,12 +180,10 @@ def _validate_exact_doublewell(cfg, errors):
     ):
         params["taus"] = np.asarray([float(v) for v in taus])
     elif isinstance(taus, dict):
-        unknown = set(taus) - {"start", "stop", "points"}
-        for k in sorted(unknown):
-            errors.append((f"taus.{k}", "unknown key"))
-        start = _number(taus, "start", errors, default=0.0, minimum=0.0)
-        stop = _number(taus, "stop", errors, required=True, positive=True)
-        points = _integer(taus, "points", errors, default=21, positive=True)
+        _check_unknown(taus, {"start", "stop", "points"}, errors, prefix="taus.")
+        start = _number(taus, "start", errors, default=0.0, minimum=0.0, prefix="taus.")
+        stop = _number(taus, "stop", errors, required=True, positive=True, prefix="taus.")
+        points = _integer(taus, "points", errors, default=21, positive=True, prefix="taus.")
         if stop is not None and not (math.isfinite(start) and math.isfinite(stop)):
             errors.append(("taus", "start and stop must be finite"))
         elif stop is not None and points is not None:

@@ -8,12 +8,18 @@ leading trajectory axis, so a whole ensemble advances in vectorized form.
 `evolve` is the one time loop.  It drives a model that provides
 
     noise(step_index, n_traj, dt) -> this step's noise term (or None)
-    derivative(state, step_index, noise) -> dy/dt with that noise, a fresh array
+    derivative(state, step_index, noise, out) -> writes dy/dt with that
+        noise into `out` (an array shaped and laid out like `state`)
+        and returns `out`
 
 and draws the noise once per step, so every midpoint iteration sees the
 same object, already scaled by 1/sqrt(dt) and any factor fixed for the
-step (+P's sqrt(+-i chi)).  A trajectory dies when any component of its
-state is non-finite or exceeds the divergence ceiling in modulus.
+step (+P's sqrt(+-i chi)).  A run allocates its state, midpoint and drift
+buffers once and steps the state in place.  The state is copied with its
+memory layout kept, so the layout follows the sampler: +P samples are
+column-contiguous (every mode column is one contiguous run), Wigner
+fields row-major.  A trajectory dies when any component of its state is
+non-finite or exceeds the divergence ceiling in modulus.
 """
 
 from __future__ import annotations
@@ -99,19 +105,23 @@ class MomentAccumulator:
 MIDPOINT_ITERS = 4
 
 
-def step(state, derivative, dt: float):
-    """Advance one step of dy/dt = derivative(y).
+def step(state, derivative, dt: float, mid, slope):
+    """Advance `state` in place by one step of dy/dt = derivative(y).
 
-    `derivative` already contains the discretized noise term for this
-    step (drift + B(y) xi with xi of variance 1/dt), so the midpoint
-    iteration evaluates both parts at the midpoint, which converges to
-    the Stratonovich solution for multiplicative noise.
+    `derivative(y, out)` writes dy/dt into `out`; it already contains the
+    discretized noise term for this step (drift + B(y) xi with xi of
+    variance 1/dt), so the midpoint iteration evaluates both parts at the
+    midpoint, which converges to the Stratonovich solution for
+    multiplicative noise.  `mid` and `slope` are work buffers shaped like
+    `state`; their contents on return are unspecified.
     """
-    mid = state + 0.5 * dt * derivative(state)  # step-local buffer
+    np.multiply(derivative(state, slope), 0.5 * dt, out=mid)
+    mid += state
     for _ in range(MIDPOINT_ITERS - 1):
-        np.multiply(derivative(mid), 0.5 * dt, out=mid)
+        np.multiply(derivative(mid, slope), 0.5 * dt, out=mid)
         mid += state
-    return np.subtract(np.multiply(2.0, mid, out=mid), state, out=mid)
+    np.subtract(np.multiply(2.0, mid, out=mid), state, out=state)
+    return state
 
 
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6):
@@ -121,24 +131,34 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     `model.derivative` call of that step.  Dead trajectories (see the
     module docstring) are marked in the mask and frozen at zero.  The mask
     is updated in place, so a consumer that keeps it past the next step
-    must copy it; each yielded state is a fresh array.
+    must copy it.  The run steps its own copy of `state`, made in the
+    same memory layout, in place: step 0 yields the caller's `state`, and
+    every later step a fresh copy, so no yielded state is overwritten.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     ceiling = min(divergence_ceiling, np.finfo(float).max)  # inf rows die even at inf
     n_traj = state.shape[0]
     alive = np.ones(n_traj, dtype=bool)
+    work = np.array(state, order="K")  # contiguous, so ravel is a view
+    mid, slope = np.empty_like(work), np.empty_like(work)
+    parts = work.ravel(order="K")  # every real and imaginary part
+    if np.iscomplexobj(parts):
+        parts = parts.view(parts.real.dtype)
+    # parts within +-0.7 ceiling give |y| <= 0.99 ceiling: all rows live
+    safe = 0.7 * ceiling
     yield 0, state, alive
     for step_idx in range(n_steps):
         noise = model.noise(step_idx, n_traj, dt)
-        state = step(state, lambda y: model.derivative(y, step_idx, noise), dt)
-        # NaN compares false and inf exceeds the ceiling: one test each
-        within = np.abs(state.reshape(n_traj, -1)) <= ceiling
-        if not within.all():
-            alive &= within.all(axis=1)
-            # freeze dead trajectories so NaNs cannot poison the others
-            state = np.where(alive.reshape((-1,) + (1,) * (state.ndim - 1)), state, 0.0)
-        yield step_idx + 1, state, alive
+        step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
+        if not (parts.max() <= safe and parts.min() >= -safe):  # NaN fails both
+            # NaN compares false and inf exceeds the ceiling: one test each
+            within = np.abs(work.reshape(n_traj, -1)) <= ceiling
+            if not within.all():
+                alive &= within.all(axis=1)
+                # freeze dead trajectories so NaNs cannot poison the others
+                work[~alive] = 0.0
+        yield step_idx + 1, work.copy(order="K"), alive
 
 
 @dataclass
@@ -171,7 +191,7 @@ def run_ensemble(
 
     sampler(seed, n) -> initial state array with leading trajectory axis.
     model: provides noise(step_index, n_traj, dt) and
-    derivative(state, step_index, noise), as driven by `evolve`.
+    derivative(state, step_index, noise, out), as driven by `evolve`.
     observables: name -> fn(state) -> per-trajectory complex values.
 
     Trajectories that die (see `evolve`) are excluded from all later

@@ -140,27 +140,28 @@ class WignerModel:
         raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))
         return complex_field_noise(raw, dt)
 
-    def derivative(self, fields: np.ndarray, step_index: int, zeta) -> np.ndarray:
-        d = np.zeros_like(fields)
+    def derivative(self, fields: np.ndarray, step_index: int, zeta, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
         if self.omega is not None:
-            d += -1j * fields @ np.asarray(self.omega).T
+            out += -1j * fields @ np.asarray(self.omega).T
+        if self.chi is not None or self.channels:
+            density = np.abs(fields) ** 2
         if self.chi is not None:
-            # no named density: it would stay alive through the loss loop
-            d += -1j * (np.abs(fields) ** 2 @ np.asarray(self.chi).T) * fields
+            out += -1j * (density @ np.asarray(self.chi).T) * fields
         if self.channels:
             drift, noise = _compile_losses(tuple((tuple(ch.powers), ch.rate) for ch in self.channels))
-            density, built = np.abs(fields) ** 2, {}
+            built = {}
             poly = np.zeros(fields.shape)  # P_s(n), one column per component
             for s, c, k in drift:
                 mono = _power_product(density, k, built)
                 poly[:, s] += c if mono is None else c * mono
-            d -= poly * fields
+            out -= poly * fields
             conj, built = fields.conj(), {}
             for s, l, c, e in noise:
                 mono = _power_product(conj, e, built)
                 term = c * zeta[:, l]
-                d[:, s] += term if mono is None else term * mono
-        return d
+                out[:, s] += term if mono is None else term * mono
+        return out
 
 
 def run_wigner_x(

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from qphase.fock import StateVector
 from qphase.gaussian_entropy import RenyiResult, inner_product
+from qphase.stochastic import MIDPOINT_ITERS
 from qphase.wigner import (
     XI2_BLOCKS,
     SqueezingResult,
@@ -47,6 +48,17 @@ def beam_splitter(state: StateVector, mixing_angle: float, phase: float = 0.0) -
         gen = np.exp(1j * phase) * hop - np.exp(-1j * phase) * hop.conj().T
         psi = expm_multiply(mixing_angle * gen, psi)
     return StateVector(state.basis, psi, state.truncation_loss)
+
+
+def allocating_step(state, derivative, dt):
+    """One midpoint step of dy/dt = derivative(y) into fresh arrays, with
+    `derivative(y)` returning a fresh drift; the reference for the
+    in-place ``stochastic.step``, which must match it bit for bit."""
+    mid = state + 0.5 * dt * derivative(state)
+    for _ in range(MIDPOINT_ITERS - 1):
+        np.multiply(derivative(mid), 0.5 * dt, out=mid)
+        mid += state
+    return np.subtract(np.multiply(2.0, mid, out=mid), state, out=mid)
 
 
 def _monomial(fields, powers):

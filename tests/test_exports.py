@@ -44,15 +44,20 @@ def test_gaussian_entropy_does_not_import_scipy_linalg():
     assert not _loaded_on_cold_import("qphase.gaussian_entropy", "scipy.linalg")
 
 
-def test_benchmark_tracer_installs_against_the_package():
-    """The benchmark's tracer wraps every traced function it names and
-    restores them all, so renaming or deleting one fails here too."""
+def _benchmark_tracer():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_installs_against_the_package():
+    """The benchmark's tracer wraps every traced function it names and
+    restores them all, so renaming or deleting one fails here too."""
+    tracer = _benchmark_tracer()
     originals = {}
     for target in tracer.TARGETS:
         owner = importlib.import_module(target.module)
@@ -70,3 +75,42 @@ def test_benchmark_tracer_installs_against_the_package():
         t.uninstall()
     assert sorted(wrapped) == sorted(originals)
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals.values())
+
+
+def _plusp_run(n_traj, steps, dt):
+    from qphase.plusp import run_kerr_plusp
+
+    run_kerr_plusp({"kind": "coherent", "alpha": [2.0]}, 0.05, [0.0, steps * dt], n_traj, 1, dt,
+                   reverse_at=2 * dt)
+
+
+def _lossy_wigner_run(n_traj, steps, dt):
+    from qphase.wigner import LossChannel, run_wigner_x
+
+    run_wigner_x([2.0, 1.0], [[0.01, 0.005], [0.005, 0.01]], [0.0, steps * dt], n_traj, 1, dt,
+                 channels=[LossChannel((1, 0), 0.05), LossChannel((1, 1), 0.002)])
+
+
+@pytest.mark.parametrize(
+    "run, drift",
+    [(_plusp_run, "plusp.KerrPlusP.derivative"), (_lossy_wigner_run, "wigner.WignerModel.derivative")],
+)
+def test_benchmark_tracer_sees_every_stochastic_layer_per_step(run, drift):
+    """Under the benchmark's tracer a tiny ensemble records one noise draw,
+    one step and MIDPOINT_ITERS drift calls per step, and n_traj x steps
+    trajectory steps, so a time loop that bypasses a traced layer fails
+    here and not only in the benchmark's smoke run."""
+    from qphase.stochastic import MIDPOINT_ITERS
+
+    n_traj, steps = 6, 5
+    t = _benchmark_tracer().Tracer()
+    t.install()
+    try:
+        run(n_traj, steps, 0.01)
+    finally:
+        t.uninstall()
+    assert t.target_calls["stochastic.noise_block"] == steps
+    assert t.target_calls["stochastic.step"] == steps
+    assert t.target_calls[drift] == steps * MIDPOINT_ITERS
+    assert t.target_calls["stochastic.run_ensemble"] == 1
+    assert t.counts["stochastic.traj_steps"] == n_traj * steps

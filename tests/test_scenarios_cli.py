@@ -148,6 +148,31 @@ def test_cli_doublewell_rejects_degenerate_inputs_with_exit_2(tmp_path, extra, p
     assert not list(tmp_path.glob("*.csv"))
 
 
+_PLUSP_COHERENT = "kind: plusp\nstate: {kind: coherent, alpha: 1.0}\ntrajectories: 20\ndt: 0.01\n"
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        # a start used to be accepted and ignored: the run began at t = 0
+        (_PLUSP_COHERENT + "times: {start: 0.3, stop: 0.5, points: 3}\n", "times.start"),
+        ("kind: wigner\nalpha0: 2.0\ntimes: {start: 0.3, stop: 0.5, points: 3}\n", "times.start"),
+        # a nested grid key is named with its parent
+        (_PLUSP_COHERENT + "times: {stop: -1, points: 3}\n", "times.stop"),
+        ("kind: wigner\nalpha0: 2.0\ntimes: {stop: 0.5, points: 0}\n", "times.points"),
+        (_DOUBLEWELL + "taus: {stop: -1}\n", "taus.stop"),
+        (_DOUBLEWELL + "taus: {stop: 5, points: 2.5}\n", "taus.points"),
+    ],
+)
+def test_cli_rejects_a_grid_start_and_names_nested_grid_keys(tmp_path, text, path):
+    scenario = tmp_path / "grid.yaml"
+    scenario.write_text(text)
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"  {path}:" in proc.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_entropy_weights_keep_their_values():
     scenario = parse_scenario(_ENTROPY + "weights: [1, 2.5, 1]\npairing: all\n")
     assert scenario.params["weights"] == [1, 2.5, 1]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import allocating_step
 
+from qphase.plusp import KerrPlusP, sample_canonical
 from qphase.stochastic import (
     MIDPOINT_ITERS,
     MomentAccumulator,
@@ -14,6 +16,7 @@ from qphase.stochastic import (
     run_ensemble,
     step,
 )
+from qphase.wigner import LossChannel, WignerModel, sample_wigner_coherent
 
 
 class Linear:
@@ -25,8 +28,8 @@ class Linear:
     def noise(self, step_index, n_traj, dt):
         return None
 
-    def derivative(self, state, step_index, noise):
-        return self.rate * state
+    def derivative(self, state, step_index, noise, out):
+        return np.multiply(self.rate, state, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def test_midpoint_step_second_order_on_rotation():
     through O(dt^2)."""
     dt = 1e-2
     y = np.array([1.0 + 0.0j])
-    out = step(y, lambda s: -1j * s, dt)
+    out = step(y.copy(), lambda s, d: np.multiply(-1j, s, out=d), dt, np.empty_like(y), np.empty_like(y))
     closed = 2.0 * sum((-0.5j * dt) ** j for j in range(MIDPOINT_ITERS + 1)) - 1.0
     assert out[0] == pytest.approx(closed, rel=1e-14)
     assert abs(out[0] - math.cos(dt) - 1j * -math.sin(dt)) < dt**3
@@ -207,8 +210,9 @@ class ZeroDrift:
     def noise(self, step_index, n_traj, dt):
         return None
 
-    def derivative(self, state, step_index, noise):
-        return np.zeros_like(state)
+    def derivative(self, state, step_index, noise, out):
+        out.fill(0.0)
+        return out
 
 
 @pytest.mark.parametrize("ceiling", [1e3, np.inf])
@@ -220,7 +224,7 @@ def test_divergence_mask_edge_rows(ceiling):
             ceiling, np.nextafter(ceiling, np.inf), 2.0]
     state = np.array([[v, 1.0] for v in rows], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        stepped = step(state, np.zeros_like, 0.01)
+        stepped = allocating_step(state, np.zeros_like, 0.01)
         expected_dead = ~np.isfinite(stepped).all(1) | (np.abs(stepped).max(1) > ceiling)
         _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling)
     assert np.isposinf(stepped[3, 0].real) and np.isposinf(stepped[4, 0].imag)
@@ -231,6 +235,75 @@ def test_divergence_mask_edge_rows(ceiling):
     clean = np.array([[2.0, 1.0], [1e2, -3j]])
     *_, (_, _, alive) = evolve(clean, ZeroDrift(), 0.01, 5, divergence_ceiling=ceiling)
     assert alive.all()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("ceiling", [1e3, 1.0, np.inf])
+def test_prefiltered_mask_equals_the_exact_mask(ceiling, order):
+    """Skipping the |y| <= ceiling test when every real and imaginary part
+    is within 0.7 ceiling kills the same rows as the exact test, at and
+    just past that share and at the ceiling itself."""
+    big = min(ceiling, np.finfo(float).max)
+    safe = 0.7 * big
+    rows = [np.nan, np.inf, -np.inf, complex(0, np.nan), big, -big, 1j * big, -1j * big,
+            safe * (1 + 1j), -safe * (1 + 1j), safe * (1 - 1j),
+            np.nextafter(safe, np.inf) * (1 + 1j), 0.71 * big * (1 + 1j), 0.0, 2.0]
+    for picked in [[v] for v in rows] + [rows]:
+        state = np.array([[v, 1.0] for v in picked] + [[0.5, -0.5j]], dtype=complex, order=order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = allocating_step(state, np.zeros_like, 0.01)
+            exact = (np.abs(stepped) <= big).all(axis=1)
+            _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling)
+        assert np.array_equal(alive, exact), picked
+
+
+def _multimode_plusp():
+    omega = np.array([[0.0, 0.3, 0.1], [0.3, 0.2, -0.4], [0.1, -0.4, -0.1]])
+    model = KerrPlusP(chi=0.05, modes=3, omega=omega, seed=3, reverse_step=2)
+    return model, sample_canonical({"kind": "thermal", "nbar": [0.5, 1.0, 2.0]}, 3, 64)
+
+
+def _lossy_wigner():
+    channels = (LossChannel((1, 0), 0.05), LossChannel((0, 1), 0.05),
+                LossChannel((2, 0), 0.002), LossChannel((1, 1), 0.002))
+    chi, omega = np.array([[0.01, 0.005], [0.005, 0.01]]), np.array([[0.0, 0.2], [0.2, 0.1]])
+    model = WignerModel(chi=chi, omega=omega, channels=channels, seed=5)
+    return model, sample_wigner_coherent([3.0, 3.0], 5, 64)
+
+
+@pytest.mark.parametrize("case", [_multimode_plusp, _lossy_wigner])
+def test_in_place_step_matches_the_allocating_reference(case):
+    """The in-place step on the sampler's layout gives every bit of the
+    allocating step on a row-major copy, step after step, with the
+    model's drift written into the work buffer."""
+    model, initial = case()
+    dt, n = 0.01, initial.shape[0]
+    state, ref = initial.copy(order="K"), np.ascontiguousarray(initial)
+    mid, slope = np.empty_like(state), np.empty_like(state)
+    for k in range(4):
+        noise = model.noise(k, n, dt)
+        step(state, lambda y, out: model.derivative(y, k, noise, out), dt, mid, slope)
+        ref = allocating_step(ref, lambda y: model.derivative(y, k, noise, np.empty_like(y)), dt)
+        assert np.ascontiguousarray(state).tobytes() == ref.tobytes()
+
+
+def test_run_ensemble_does_not_depend_on_the_initial_layout():
+    """C- and Fortran-order initial states holding the same values give
+    byte-identical statistics, divergences included."""
+    model, initial = _multimode_plusp()
+    model.chi = 2.0  # strong enough that some trajectories diverge
+    observables = {"a0": lambda s: s[:, 0], "n1": lambda s: s[:, 1] * s[:, 4]}
+    results = [
+        run_ensemble(lambda seed, n, layout=layout: layout(initial), model, observables,
+                     initial.shape[0], np.linspace(0.0, 0.4, 5), 0.02, 0, divergence_ceiling=50.0)
+        for layout in (np.ascontiguousarray, np.asfortranarray)
+    ]
+    c_run, f_run = results
+    assert c_run.diverged_count.tolist() == f_run.diverged_count.tolist()
+    assert c_run.diverged > 0
+    for name in observables:
+        for field in ("mean", "error"):
+            assert c_run.observables[name][field].tobytes() == f_run.observables[name][field].tobytes()
 
 
 def test_evolve_keeps_yielded_states_intact():
@@ -257,9 +330,9 @@ def test_run_ensemble_draws_noise_once_per_step():
             self.drawn.append((step_index, xi))
             return xi
 
-        def derivative(self, state, step_index, noise):
+        def derivative(self, state, step_index, noise, out):
             self.seen.append((step_index, noise))
-            return -state + noise
+            return np.add(-state, noise, out=out)
 
     model = Counting()
     run_ensemble(

@@ -163,7 +163,7 @@ def test_loss_drift_carries_the_stratonovich_correction():
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
     model = WignerModel(channels=(LossChannel((2,), kappa),))
-    d = model.derivative(phi, 0, np.zeros((6, 1), dtype=complex))
+    d = model.derivative(phi, 0, np.zeros((6, 1), dtype=complex), np.empty_like(phi))
     expected = -2.0 * kappa * np.abs(phi) ** 2 * phi - 2.0 * kappa * phi
     assert np.allclose(d, expected, rtol=1e-14, atol=1e-15)
 
@@ -202,7 +202,8 @@ def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi
     fields = rng.standard_normal((16, components)) + 1j * rng.standard_normal((16, components))
     zeta = model.noise(3, fields.shape[0], 0.01)
     np.testing.assert_allclose(
-        model.derivative(fields, 3, zeta), wigner_derivative(model, fields, zeta), rtol=1e-12, atol=1e-12
+        model.derivative(fields, 3, zeta, np.empty_like(fields)), wigner_derivative(model, fields, zeta),
+        rtol=1e-12, atol=1e-12,
     )
 
 
@@ -215,7 +216,8 @@ def test_lossless_drift_equals_the_reference_byte_for_byte():
     for model in (WignerModel(), WignerModel(chi=chi), WignerModel(omega=omega), WignerModel(chi=chi, omega=omega)):
         zeta = model.noise(5, fields.shape[0], 0.01)
         assert zeta is None
-        assert model.derivative(fields, 5, zeta).tobytes() == wigner_derivative(model, fields, zeta).tobytes()
+        d = model.derivative(fields, 5, zeta, np.empty_like(fields))
+        assert d.tobytes() == wigner_derivative(model, fields, zeta).tobytes()
 
 
 def test_diverged_trajectory_leaves_later_snapshots():
