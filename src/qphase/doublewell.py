@@ -112,7 +112,6 @@ def doublewell_scan(
     chi=None,
     mixing_angle: float = math.pi / 4,
     bs_phase: float = 0.0,
-    cutoff=None,
 ) -> list[DoubleWellPoint]:
     """Scan dimensionless time tau = chi_11 * N_A * t.
 
@@ -125,7 +124,7 @@ def doublewell_scan(
         chi = rb_interaction_matrix()
     chi = np.asarray(chi, dtype=float)
     alpha = math.sqrt(atoms_total / 4.0)
-    evo = WellEvolution.prepare(alpha, alpha, chi, cutoff=cutoff)
+    evo = WellEvolution.prepare(alpha, alpha, chi)
     out = []
     for tau in np.atleast_1d(taus):
         t = tau / (chi[0, 0] * atoms_total) if atoms_total > 0 else 0.0

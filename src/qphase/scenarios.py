@@ -1,30 +1,25 @@
 """Declarative scenario configs binding all engines.
 
-Scenarios are YAML mappings with a ``kind`` selecting the engine.
-Validation returns *all* problems (with key paths), not just the first;
-running a validated scenario produces CSV/JSON outputs plus a manifest
-sufficient to re-run bit-exactly.
+A scenario is a YAML mapping whose ``kind`` picks an entry of ``_KINDS``:
+its key spec, cross-field check and runner.  Validation reports *all*
+problems, each under its full key path (``state.alpha``, ``times.stop``,
+``losses[1].powers``); running a validated scenario produces CSV/JSON
+outputs plus a manifest sufficient to re-run bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
 
 __all__ = ["Scenario", "ValidationError", "parse_scenario", "run_scenario", "SCENARIO_KINDS"]
 
-SCENARIO_KINDS = (
-    "exact-doublewell",
-    "wigner",
-    "plusp",
-    "plusp-reverse",
-    "entropy",
-    "variational",
-    "dimension-count",
-)
+_REAL = (int, float)  # exact types, so that YAML booleans are not numbers
 
 
 class ValidationError(ValueError):
@@ -42,395 +37,211 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
-def _as_complex(value, path, errors):
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError:
-            errors.append((path, f"cannot parse complex number from {value!r}"))
-            return 0j
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(float(value[0]), float(value[1]))
-    errors.append((path, "expected a number, 're+imj' string, or [re, im] pair"))
-    return 0j
+@dataclass(frozen=True)
+class Key:
+    """One scenario key, read by the ``_read_<type>`` method.  Numbers, and
+    a list's length, lie in [``low``, ``high``]; ``item`` reads a list's
+    entries, named by index unless ``whole``; ``keys`` is a mapping's spec."""
 
+    type: str
+    default: object = None
+    required: bool = False
+    low: float = -math.inf
+    high: float = math.inf
+    positive: bool = False
+    integer: bool = False
+    inf: bool = False  # +inf passes, as "no ceiling"
+    options: tuple = ()
+    item: Key | None = None
+    whole: bool = False
+    keys: dict | None = None
+    param: str | None = None  # the value's name in the parsed params
 
-def _amplitudes(raw, path, errors):
-    """One complex amplitude per component.
+    def read(self, value, path, errors):
+        """The parsed value, or None after appending ``(path, message)`` per problem."""
+        count = len(errors)
+        value = getattr(self, f"_read_{self.type}")(value, path, errors)
+        return value if len(errors) == count else None
 
-    A list holds one entry per component, each a number, 're+imj'
-    string or [re, im] pair; any other value is a single amplitude.
-    """
-    if raw is None:
-        errors.append((path, "required key missing"))
-        return [0j]
-    if not isinstance(raw, list):
-        return [_as_complex(raw, path, errors)]
-    if not raw:
-        errors.append((path, "expected at least one amplitude"))
-        return [0j]
-    return [_as_complex(v, f"{path}[{i}]", errors) for i, v in enumerate(raw)]
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value):
-    """A non-negative integer, YAML booleans excluded."""
-    return _is_number(value) and isinstance(value, int) and value >= 0
-
-
-def _number(cfg, key, errors, default=None, required=False, positive=False, minimum=None, prefix=""):
-    """cfg[key] as a number; errors name it `prefix + key` (a nested key
-    gets its parent, as in "times.")."""
-    path = prefix + key
-    if key not in cfg:
-        if required:
-            errors.append((path, "required key missing"))
-        return default
-    value = cfg[key]
-    if not _is_number(value):
-        errors.append((path, f"expected a number, got {type(value).__name__}"))
-        return default
-    if positive and not value > 0:  # NaN too
-        errors.append((path, "must be positive"))
-        return default
-    if minimum is not None and value < minimum:
-        errors.append((path, f"must be >= {minimum}"))
-        return default
-    return value
-
-
-def _integer(cfg, key, errors, default=None, required=False, positive=False, prefix=""):
-    value = _number(cfg, key, errors, default=default, required=required, positive=positive, prefix=prefix)
-    if value is None:
-        return None
-    if float(value) != int(value):
-        errors.append((prefix + key, "expected an integer"))
-        return default
-    return int(value)
-
-
-def _choice(cfg, key, errors, options, default=None, required=False):
-    if key not in cfg:
-        if required:
-            errors.append((key, "required key missing"))
-        return default
-    value = cfg[key]
-    if value not in options:
-        errors.append((key, f"must be one of {sorted(options)}"))
-        return default
-    return value
-
-
-def _times(cfg, errors, key="times", default_stop=None):
-    spec = cfg.get(key)
-    if spec is None:
-        if default_stop is None:
-            errors.append((key, "required key missing"))
+    def _read_mapping(self, value, path, errors):
+        if not isinstance(value, dict):
+            errors.append((path, f"expected a mapping with keys {list(self.keys)}"))
             return None
-        spec = {"stop": default_stop, "points": 51}
-    if isinstance(spec, list):
-        if not all(map(_is_number, spec)):
-            errors.append((key, "time list must contain numbers"))
-            return None
-        arr = np.asarray([float(v) for v in spec])
-        if arr.size < 2 or arr[0] != 0.0 or np.any(np.diff(arr) <= 0):
-            errors.append((key, "time list must start at 0 and increase"))
-            return None
-        return arr
-    if isinstance(spec, dict):
-        if "start" in spec:
-            errors.append((f"{key}.start", "ensembles start at t = 0; remove start"))
-        _check_unknown(spec, {"start", "stop", "points"}, errors, prefix=f"{key}.")
-        stop = _number(spec, "stop", errors, required=True, positive=True, prefix=f"{key}.")
-        points = _integer(spec, "points", errors, default=51, positive=True, prefix=f"{key}.")
-        if stop is None or points is None or points < 2:
-            errors.append((key, "need stop > 0 and points >= 2"))
-            return None
-        return np.linspace(0.0, stop, points)
-    errors.append((key, "expected a list of times or {stop, points}"))
-    return None
+        prefix = f"{path}." if path else ""
+        errors.extend((f"{prefix}{k}", "unknown key") for k in value if k not in self.keys)
+        missing = [k for k, key in self.keys.items() if key.required and k not in value]
+        errors.extend((prefix + k, "required key missing") for k in missing)
+        read = {k: key.read(value[k], prefix + k, errors)
+                for k, key in self.keys.items() if k in value}
+        return {key.param or k: read.get(k, key.default) for k, key in self.keys.items()}
 
-
-def _check_unknown(cfg, allowed, errors, prefix=""):
-    for k in sorted(set(cfg) - set(allowed)):
-        errors.append((f"{prefix}{k}", "unknown key"))
-
-
-_COMMON_KEYS = {"kind", "seed", "name"}
-
-
-def _validate_exact_doublewell(cfg, errors):
-    _check_unknown(cfg, _COMMON_KEYS | {"atoms", "taus", "chi_ratios", "mixing_angle", "bs_phase", "cutoff"}, errors)
-    params = {
-        "atoms": _number(cfg, "atoms", errors, default=200, positive=True),
-        "mixing_angle": _number(cfg, "mixing_angle", errors, default=math.pi / 4),
-        "bs_phase": _number(cfg, "bs_phase", errors, default=0.0),
-        "cutoff": _integer(cfg, "cutoff", errors, default=None, positive=True),
-    }
-    taus = cfg.get("taus")
-    if taus is None:
-        errors.append(("taus", "required key missing"))
-    elif isinstance(taus, list) and taus and all(
-        _is_finite_number(v) and v > 0 for v in taus
-    ):
-        params["taus"] = np.asarray([float(v) for v in taus])
-    elif isinstance(taus, dict):
-        _check_unknown(taus, {"start", "stop", "points"}, errors, prefix="taus.")
-        start = _number(taus, "start", errors, default=0.0, minimum=0.0, prefix="taus.")
-        stop = _number(taus, "stop", errors, required=True, positive=True, prefix="taus.")
-        points = _integer(taus, "points", errors, default=21, positive=True, prefix="taus.")
-        if stop is not None and not (math.isfinite(start) and math.isfinite(stop)):
-            errors.append(("taus", "start and stop must be finite"))
-        elif stop is not None and points is not None:
-            grid = np.linspace(start, stop, points)
-            params["taus"] = grid[grid > 0]
-    else:
-        errors.append(("taus", "expected a list of finite positive taus or {start, stop, points}"))
-    ratios = cfg.get("chi_ratios")
-    if ratios is None:
-        params["chi"] = None
-    elif not (
-        isinstance(ratios, list) and len(ratios) == 3 and all(map(_is_finite_number, ratios))
-    ):
-        errors.append(("chi_ratios", "expected [a11, a22, a12] finite numbers"))
-    elif not ratios[0] > 0:
-        errors.append(("chi_ratios", "a11 must be positive: taus are in units of chi_11"))
-    else:
-        a11, a22, a12 = (float(v) for v in ratios)
-        params["chi"] = np.array([[a11, a12], [a12, a22]]) / a11
-    return params
-
-
-def _validate_wigner(cfg, errors):
-    _check_unknown(cfg, _COMMON_KEYS | {"alpha0", "chi", "losses", "trajectories", "dt", "times"}, errors)
-    alpha0 = _amplitudes(cfg.get("alpha0"), "alpha0", errors)
-    channels = []
-    for i, ch in enumerate(cfg.get("losses") or []):
-        if not isinstance(ch, dict):
-            errors.append((f"losses[{i}]", "expected {powers, rate}"))
-            continue
-        _check_unknown(ch, {"powers", "rate"}, errors, prefix=f"losses[{i}].")
-        powers, rate = ch.get("powers"), ch.get("rate")
-        if not (_is_number(rate) and rate > 0):
-            errors.append((f"losses[{i}].rate", "expected a positive number"))
-        if not isinstance(powers, list) or len(powers) != len(alpha0) or not all(
-            map(_is_count, powers)
-        ):
-            errors.append((f"losses[{i}].powers", "expected one non-negative integer per mode"))
-            continue
-        if not any(powers):
-            errors.append((f"losses[{i}].powers", "all powers are zero: O = 1 removes no atoms"))
-            continue
-        channels.append((tuple(powers), rate))
-    return {
-        "alpha0": alpha0,
-        "chi": _wigner_chi(cfg, len(alpha0), errors),
-        "channels": channels,
-        "trajectories": _integer(cfg, "trajectories", errors, default=1000, positive=True),
-        "dt": _number(cfg, "dt", errors, default=1e-3, positive=True),
-        "times": _times(cfg, errors),
-    }
-
-
-def _wigner_chi(cfg, components, errors):
-    """chi as a number (one component) or an S x S list of numbers; None if omitted."""
-    if "chi" not in cfg:
-        return None
-    value = cfg["chi"]
-    if components == 1 and _is_number(value):
-        return value
-    rows = value if isinstance(value, list) and len(value) == components else []
-    if rows and all(
-        isinstance(row, list) and len(row) == components and all(map(_is_number, row))
-        for row in rows
-    ):
-        return np.asarray(rows, dtype=float)
-    if components == 1:
-        errors.append(("chi", "expected a number or a 1x1 list of numbers"))
-    else:
-        errors.append(("chi", f"expected a {components}x{components} list of numbers"))
-    return None
-
-
-def _validate_plusp(cfg, errors):
-    _check_unknown(
-        cfg,
-        _COMMON_KEYS
-        | {"state", "chi", "trajectories", "dt", "times", "canonical_width", "divergence_ceiling"},
-        errors,
-    )
-    state_cfg = cfg.get("state")
-    state = {"kind": "coherent", "alpha": [0j]}
-    if not isinstance(state_cfg, dict):
-        errors.append(("state", "required mapping {kind: coherent|thermal|fock, ...}"))
-    else:
-        kind = _choice(state_cfg, "kind", errors, {"coherent", "thermal", "fock"}, required=True)
-        if kind == "coherent":
-            state = {
-                "kind": "coherent",
-                "alpha": _amplitudes(state_cfg.get("alpha"), "state.alpha", errors),
-            }
-        elif kind == "thermal":
-            raw = state_cfg.get("nbar")
-            vals = raw if isinstance(raw, list) else [raw]
-            if not all(_is_finite_number(v) and v >= 0 for v in vals):
-                errors.append(("state.nbar", "expected finite non-negative number(s)"))
-            else:
-                state = {"kind": "thermal", "nbar": [float(v) for v in vals]}
-        elif kind == "fock":
-            raw = state_cfg.get("n")
-            vals = raw if isinstance(raw, list) else [raw]
-            if not all(map(_is_count, vals)):
-                errors.append(("state.n", "expected non-negative integer(s)"))
-            else:
-                state = {"kind": "fock", "n": vals}
-    return {
-        "state": state,
-        "chi": _number(cfg, "chi", errors, default=0.0),
-        "trajectories": _integer(cfg, "trajectories", errors, default=1000, positive=True),
-        "dt": _number(cfg, "dt", errors, default=1e-3, positive=True),
-        "times": _times(cfg, errors),
-        "width": _choice(cfg, "canonical_width", errors, {"canonical", "delta"}, default="canonical"),
-        "divergence_ceiling": _number(cfg, "divergence_ceiling", errors, default=1e6, positive=True),
-    }
-
-
-def _validate_plusp_reverse(cfg, errors):
-    _check_unknown(
-        cfg,
-        _COMMON_KEYS
-        | {"alpha0", "chi", "reversal_time", "trajectories", "dt", "canonical_width", "error_ceiling", "points"},
-        errors,
-    )
-    alpha0 = _as_complex(cfg.get("alpha0", 10.0), "alpha0", errors)
-    nbar = abs(alpha0) ** 2
-    return {
-        "alpha0": alpha0,
-        "chi": _number(cfg, "chi", errors, default=1.0 / nbar if nbar else 1.0),
-        "reversal_time": _number(cfg, "reversal_time", errors, default=0.5, positive=True),
-        "trajectories": _integer(cfg, "trajectories", errors, default=10000, positive=True),
-        "dt": _number(cfg, "dt", errors, default=0.002, positive=True),
-        "width": _choice(cfg, "canonical_width", errors, {"canonical", "delta"}, default="canonical"),
-        "error_ceiling": _number(cfg, "error_ceiling", errors, default=0.5, positive=True),
-        "points": _integer(cfg, "points", errors, default=51, positive=True),
-    }
-
-
-def _validate_entropy(cfg, errors):
-    _check_unknown(cfg, _COMMON_KEYS | {"species", "points", "weights", "pairing"}, errors)
-    species = _choice(cfg, "species", errors, {"boson", "fermion"}, required=True)
-    raw_points = cfg.get("points")
-    matrices = []
-    if not isinstance(raw_points, list) or len(raw_points) < 2:
-        errors.append(("points", "need a list of at least two n matrices"))
-    else:
-        for i, mat in enumerate(raw_points):
-            arr = _square_matrix(mat)
-            if arr is None:
-                errors.append((f"points[{i}]", "expected a square numeric matrix (or scalar)"))
-            elif not np.isfinite(arr).all():
-                errors.append((f"points[{i}]", "entries must be finite"))
-            else:
-                matrices.append(arr)
-        shapes = {m.shape for m in matrices}
-        if len(shapes) > 1:
-            errors.append(("points", "all matrices must share one dimension"))
-    weights = cfg.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or len(weights) != len(raw_points or []):
-            errors.append(("weights", "must match the number of points"))
-            weights = None
+    def _read_number(self, value, path, errors):
+        """A finite number (or +inf where ``inf``), whole if ``integer``, within the bounds."""
+        if type(value) not in _REAL:
+            problem = f"expected a number, got {type(value).__name__}"
+        elif not (abs(value) <= sys.float_info.max or self.inf and value == math.inf):
+            problem = "must be finite"
+        elif self.integer and value != int(value):
+            problem = "expected an integer"
+        elif self.positive and not value > 0:
+            problem = "must be positive"
+        elif not self.low <= value <= self.high:
+            problem = f"must lie in [{self.low}, {self.high}]"
         else:
-            bad = [i for i, w in enumerate(weights) if not _is_finite_number(w)]
-            for i in bad:
-                errors.append((f"weights[{i}]", "expected a finite real number"))
-            # the weights that normalize the estimate: disjoint pairing
-            # leaves an odd point count's last point out
-            disjoint = cfg.get("pairing", "disjoint") == "disjoint"
-            paired = weights[: len(weights) // 2 * 2] if disjoint else weights
-            if not bad and np.array(paired).sum() == 0:
-                errors.append(("weights", "weights of the paired points must have a nonzero sum"))
-    return {
-        "species": species,
-        "matrices": matrices,
-        "weights": weights,
-        "pairing": _choice(cfg, "pairing", errors, {"disjoint", "all"}, default="disjoint"),
-    }
-
-
-def _is_finite_number(value):
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _is_matrix(value):
-    if _is_number(value):
-        return True
-    return isinstance(value, list) and all(
-        _is_number(row) or (isinstance(row, list) and all(map(_is_number, row)))
-        for row in value
-    )
-
-
-def _square_matrix(value):
-    """A number or list of number rows as a float array, None if it is
-    neither, is ragged, overflows float or is not square."""
-    if not _is_matrix(value):
+            return int(value) if self.integer else value
+        errors.append((path, problem))
         return None
-    try:
-        arr = np.atleast_2d(np.asarray(value, dtype=float))
-    except (ValueError, OverflowError):
-        return None
-    return arr if arr.ndim == 2 and arr.shape[0] == arr.shape[1] else None
+
+    def _read_choice(self, value, path, errors):
+        if value not in self.options:
+            errors.append((path, f"must be one of {list(self.options)}"))
+        return value
+
+    def _read_file_stem(self, value, path, errors):
+        """A stem that keeps the output files inside the output directory."""
+        if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\\" in value:
+            errors.append((path, "expected a file name: not empty, '.' or '..', without / or \\"))
+        return value
+
+    def _read_complex(self, value, path, errors):
+        """A finite number, 're+imj' string or [re, im] pair of numbers."""
+        pair = isinstance(value, list) and len(value) == 2 and all(type(v) in _REAL for v in value)
+        try:
+            z = complex(*value) if pair else complex(str(value).replace(" ", ""))
+        except (ValueError, OverflowError):  # not a number, or an integer beyond the float range
+            z = complex(math.nan)
+        if not np.isfinite(z):
+            errors.append((path, f"expected a finite number, 're+imj' or [re, im], got {value!r}"))
+        return z
+
+    def _read_list(self, value, path, errors):
+        """Entries read by ``item``; a lone value is a one-entry list named by its path."""
+        lone = not isinstance(value, list)
+        entries = [value] if lone else value
+        if not self.low <= len(entries) <= self.high:
+            count = f"{self.low:g}" if self.low == self.high else f"at least {self.low:g}"
+            errors.append((path, f"expected {count} entries"))
+            return None
+        names = [path if lone or self.whole else f"{path}[{i}]" for i in range(len(entries))]
+        return [self.item.read(v, name, errors) for v, name in zip(entries, names)]
+
+    def _read_grid(self, value, path, errors):
+        """A list of numbers, or a mapping of evenly spaced points, as a float array."""
+        if not isinstance(value, dict):
+            return np.asarray(self._read_list(value, path, errors), dtype=float)
+        grid = Key("mapping", keys=self.keys).read(value, path, errors)
+        if grid is None:
+            return None
+        start = grid.get("start", 0.0)
+        if not (math.isfinite(start) and math.isfinite(grid["stop"])):
+            errors.append((path, "start and stop must be finite"))
+            return None
+        points = np.linspace(start, grid["stop"], grid["points"])
+        points = points[points > 0] if self.item.positive else points  # as a list must be
+        if points.size < self.low:
+            errors.append((path, f"expected at least {self.low:g} positive points"))
+        return points
+
+    def _read_matrix(self, value, path, errors):
+        """A number, or a square list of rows of finite numbers as a float array."""
+        if type(value) in _REAL:
+            return self._read_number(value, path, errors)
+        rows = value if isinstance(value, list) else [None]  # anything else fails below
+        arr = None
+        numbers = (v for row in rows for v in (row if isinstance(row, list) else [row]))
+        if all(type(v) in _REAL for v in numbers):
+            try:
+                arr = np.atleast_2d(np.asarray(rows, dtype=float))
+            except (ValueError, OverflowError):  # ragged, or an integer beyond the float range
+                pass
+        square = arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+        if not (square and np.isfinite(arr).all()):
+            errors.append((path, "expected a number or a square list of rows of finite numbers"))
+        return arr
+
+    def _read_state(self, value, path, errors):
+        """The +P initial state, whose ``kind`` picks the key that goes with it."""
+        kind = value.get("kind") if isinstance(value, dict) else None
+        keys = {"kind": Key("choice", required=True, options=tuple(_STATES))}
+        keys.update(_STATES.get(kind, {}) if isinstance(kind, str) else {})
+        return Key("mapping", keys=keys)._read_mapping(value, path, errors)
 
 
-def _validate_variational(cfg, errors):
-    _check_unknown(
-        cfg,
-        _COMMON_KEYS | {"components", "alpha", "chi", "omega", "dt", "lam", "iters", "t_max", "record_every", "radius"},
-        errors,
-    )
-    return {
-        "components": _integer(cfg, "components", errors, default=16, positive=True),
-        "alpha": _as_complex(cfg.get("alpha", math.sqrt(3.0)), "alpha", errors),
-        "chi": _number(cfg, "chi", errors, default=1.0),
-        "omega": _number(cfg, "omega", errors, default=None),
-        "dt": _number(cfg, "dt", errors, default=2 * math.pi / 2000, positive=True),
-        "lam": _number(cfg, "lam", errors, default=1e-4, positive=True),
-        "iters": _integer(cfg, "iters", errors, default=4, positive=True),
-        "t_max": _number(cfg, "t_max", errors, default=2 * math.pi, positive=True),
-        "record_every": _integer(cfg, "record_every", errors, default=10, positive=True),
-        "radius": _number(cfg, "radius", errors, default=0.1, positive=True),
-    }
-
-
-def _validate_dimension_count(cfg, errors):
-    _check_unknown(cfg, _COMMON_KEYS | {"particles", "modes", "statistics"}, errors)
-    return {
-        "particles": _integer(cfg, "particles", errors, required=True, positive=True),
-        "modes": _integer(cfg, "modes", errors, required=True, positive=True),
-        "statistics": _choice(
-            cfg, "statistics", errors, {"boson", "fermion"}, default="boson"
-        ),
-    }
-
-
-_VALIDATORS = {
-    "exact-doublewell": _validate_exact_doublewell,
-    "wigner": _validate_wigner,
-    "plusp": _validate_plusp,
-    "plusp-reverse": _validate_plusp_reverse,
-    "entropy": _validate_entropy,
-    "variational": _validate_variational,
-    "dimension-count": _validate_dimension_count,
+_int = partial(Key, "number", integer=True, low=1)
+_positive = partial(Key, "number", positive=True)
+_numbers = partial(Key, type="list", low=1, item=Key("number"), whole=True)
+_STATES = {
+    "coherent": {"alpha": Key("list", required=True, low=1, item=Key("complex"))},
+    "thermal": {"nbar": _numbers(required=True, item=Key("number", low=0))},
+    "fock": {"n": _numbers(required=True, item=_int(low=0))},
 }
+_ENSEMBLE = {
+    "trajectories": _int(1000, low=2),
+    "dt": _positive(1e-3),
+    "times": _numbers(type="grid", required=True, low=2, keys={
+        "stop": _positive(required=True),
+        "points": _int(51, low=2),
+    }),
+}
+_WIDTH = Key("choice", "canonical", options=("canonical", "delta"), param="width")
+_SPECIES = ("boson", "fermion")
+
+
+def _check_times(p, errors):
+    """An ensemble starts at t = 0 and records each time at its own dt step."""
+    times, dt = p["times"], p["dt"]
+    if times is not None and (times[0] != 0 or np.any(np.diff(times) <= 0)):
+        errors.append(("times", "time list must start at 0 and increase"))
+    elif times is not None and dt is not None and len(set(np.rint(times / dt))) < len(times):
+        errors.append(("times", f"two times snap to the same step of dt = {dt}"))
+
+
+def _check_doublewell(p, errors):
+    if p["chi"] is not None:
+        a11, a22, a12 = map(float, p["chi"])
+        if a11 > 0:
+            p["chi"] = np.array([[a11, a12], [a12, a22]]) / a11
+        else:
+            errors.append(("chi_ratios", "a11 must be positive: taus are in units of chi_11"))
+
+
+def _check_wigner(p, errors):
+    _check_times(p, errors)
+    if p["alpha0"] is None:
+        return
+    size, chi = len(p["alpha0"]), p["chi"]
+    if chi is not None and not (size == 1 and type(chi) in _REAL or np.shape(chi) == (size, size)):
+        errors.append(("chi", f"expected a {size}x{size} list of numbers"))
+    p["channels"] = [(tuple(c["powers"]), c["rate"]) for c in p["channels"] or ()]
+    for i, (powers, _) in enumerate(p["channels"]):
+        if len(powers) != size:
+            errors.append((f"losses[{i}].powers", "expected one non-negative integer per mode"))
+        elif not any(powers):
+            errors.append((f"losses[{i}].powers", "all powers are zero: O = 1 removes no atoms"))
+
+
+def _check_reverse(p, errors):
+    if p["chi"] is None and p["alpha0"] is not None:
+        nbar = abs(p["alpha0"]) ** 2
+        p["chi"] = 1.0 / nbar if nbar else 1.0
+
+
+def _check_entropy(p, errors):
+    matrices, weights = p["matrices"], p["weights"]
+    if matrices is None:
+        return
+    p["matrices"] = matrices = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
+    if len({m.shape for m in matrices}) > 1:
+        errors.append(("points", "all matrices must share one dimension"))
+    if weights is None:
+        return
+    # the weights that normalize the estimate: disjoint pairing leaves an
+    # odd point count's last point out
+    paired = weights[: len(weights) // 2 * 2] if p["pairing"] == "disjoint" else weights
+    if len(weights) != len(matrices):
+        errors.append(("weights", "must match the number of points"))
+    elif np.sum(paired) == 0:
+        errors.append(("weights", "weights of the paired points must have a nonzero sum"))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -447,16 +258,16 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError([("<file>", f"not valid YAML: {exc}")]) from exc
     if not isinstance(cfg, dict):
         raise ValidationError([("<file>", "scenario must be a YAML mapping")])
-    errors = []
     kind = cfg.get("kind")
     if kind not in SCENARIO_KINDS:
         raise ValidationError([("kind", f"must be one of {list(SCENARIO_KINDS)}")])
-    seed = _integer(cfg, "seed", errors, default=0)
-    name = cfg.get("name", "")
-    if not isinstance(name, str):
-        errors.append(("name", "expected a string"))
-        name = ""
-    params = _VALIDATORS[kind](cfg, errors)
+    keys, check, _ = _KINDS[kind]
+    errors = []
+    params = Key("mapping", keys={**_COMMON, **keys})._read_mapping(cfg, "", errors)
+    seed, name = params.pop("seed"), params.pop("name")
+    del params["kind"]
+    if check:
+        check(params, errors)
     if errors:
         raise ValidationError(errors)
     return Scenario(kind=kind, seed=seed, params=params, name=name, raw=cfg)
@@ -477,9 +288,8 @@ class ScenarioOutcome:
 
 
 def run_scenario(scenario: Scenario, seed=None) -> ScenarioOutcome:
-    seed = scenario.seed if seed is None else seed
-    runner = _RUNNERS[scenario.kind]
-    return runner(scenario.params, seed)
+    _, _, run = _KINDS[scenario.kind]
+    return run(scenario.params, scenario.seed if seed is None else seed)
 
 
 def _run_exact_doublewell(p, seed):
@@ -491,7 +301,6 @@ def _run_exact_doublewell(p, seed):
         chi=p["chi"],
         mixing_angle=p["mixing_angle"],
         bs_phase=p["bs_phase"],
-        cutoff=p["cutoff"],
     )
     columns = [
         "tau", "s_db_theta", "s_db_conj", "n0", "s_plus_db", "s_minus_db",
@@ -520,8 +329,7 @@ def _run_exact_doublewell(p, seed):
 
 
 def _snap_times(times, dt):
-    steps = np.unique(np.rint(times / dt).astype(int))
-    return steps * dt
+    return np.rint(times / dt).astype(int) * dt  # distinct steps: validation checks them
 
 
 def _run_wigner(p, seed):
@@ -691,12 +499,73 @@ def _run_dimension_count(p, seed):
     return ScenarioOutcome("dimension-count", [], [], report)
 
 
-_RUNNERS = {
-    "exact-doublewell": _run_exact_doublewell,
-    "wigner": _run_wigner,
-    "plusp": _run_plusp,
-    "plusp-reverse": _run_plusp_reverse,
-    "entropy": _run_entropy,
-    "variational": _run_variational,
-    "dimension-count": _run_dimension_count,
+# kind: (key spec, cross-field check, runner)
+_KINDS = {
+    "exact-doublewell": ({
+        "atoms": _positive(200),
+        "taus": _numbers(type="grid", required=True, item=_positive(), keys={
+            # +inf passes on to the grid, which reports a non-finite grid as `taus`
+            "start": Key("number", 0.0, low=0, inf=True),
+            "stop": _positive(required=True, inf=True),
+            "points": _int(21),
+        }),
+        "chi_ratios": _numbers(low=3, high=3, param="chi"),
+        "mixing_angle": Key("number", math.pi / 4),
+        "bs_phase": Key("number", 0.0),
+    }, _check_doublewell, _run_exact_doublewell),
+    "wigner": ({
+        "alpha0": Key("list", required=True, low=1, item=Key("complex")),
+        "chi": Key("matrix"),
+        "losses": Key("list", (), item=Key("mapping", keys={
+            "powers": _numbers(required=True, item=_int(low=0)),
+            "rate": _positive(required=True),
+        }), param="channels"),
+        **_ENSEMBLE,
+    }, _check_wigner, _run_wigner),
+    "plusp": ({
+        "state": Key("state", required=True),
+        "chi": Key("number", 0.0),
+        **_ENSEMBLE,
+        "canonical_width": _WIDTH,
+        "divergence_ceiling": _positive(1e6, inf=True),
+    }, _check_times, _run_plusp),
+    "plusp-reverse": ({
+        "alpha0": Key("complex", complex(10.0)),
+        "chi": Key("number"),
+        "reversal_time": _positive(0.5),
+        "trajectories": _int(10000, low=2),
+        "dt": _positive(0.002),
+        "canonical_width": _WIDTH,
+        "error_ceiling": _positive(0.5, inf=True),
+        "points": _int(51, low=2),
+    }, _check_reverse, _run_plusp_reverse),
+    "entropy": ({
+        "species": Key("choice", required=True, options=_SPECIES),
+        "points": Key("list", required=True, low=2, item=Key("matrix"), param="matrices"),
+        "weights": Key("list", item=Key("number")),
+        "pairing": Key("choice", "disjoint", options=("disjoint", "all")),
+    }, _check_entropy, _run_entropy),
+    "variational": ({
+        "components": _int(16),
+        "alpha": Key("complex", complex(math.sqrt(3.0))),
+        "chi": Key("number", 1.0),
+        "omega": Key("number"),
+        "dt": _positive(2 * math.pi / 2000),
+        "lam": _positive(1e-4),
+        "iters": _int(4),
+        "t_max": _positive(2 * math.pi),
+        "record_every": _int(10),
+        "radius": _positive(0.1),
+    }, None, _run_variational),
+    "dimension-count": ({
+        "particles": _int(required=True),
+        "modes": _int(required=True),
+        "statistics": Key("choice", "boson", options=_SPECIES),
+    }, None, _run_dimension_count),
+}
+SCENARIO_KINDS = tuple(_KINDS)
+_COMMON = {
+    "kind": Key("choice", options=SCENARIO_KINDS),
+    "seed": _int(0, low=0, high=2**64 - 1),
+    "name": Key("file_stem", ""),
 }

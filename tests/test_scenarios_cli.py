@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qphase.scenarios import (
     SCENARIO_KINDS,
@@ -171,6 +173,96 @@ def test_cli_rejects_a_grid_start_and_names_nested_grid_keys(tmp_path, text, pat
     assert proc.returncode == 2
     assert f"  {path}:" in proc.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+_DIMENSIONS = "kind: dimension-count\nparticles: 2\nmodes: 2\n"
+_PLUSP_SMALL = "kind: plusp\nstate: {kind: coherent, alpha: 1.0}\ndt: 0.01\n"
+_WIGNER_SMALL = "kind: wigner\nalpha0: 2.0\ntrajectories: 20\n"
+_VARIATIONAL_SMALL = "kind: variational\ncomponents: 4\nt_max: 0.1\ndt: 0.01\n"
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        # each of these used to crash, reach the engine, or run to exit 0
+        (_DIMENSIONS + "seed: .inf\n", "seed"),
+        (_DIMENSIONS + "seed: .nan\n", "seed"),
+        ("kind: wigner\nalpha0: 2.0\ntimes: [0.0, 0.1]\ntrajectories: .inf\n", "trajectories"),
+        ("kind: dimension-count\nparticles: .inf\nmodes: 2\n", "particles"),
+        (_PLUSP_SMALL + "times: [0.0, 0.1]\nseed: -3\n", "seed"),
+        ("kind: exact-doublewell\natoms: .inf\ntaus: [1]\n", "atoms"),
+        (_PLUSP_SMALL + "times: [0.0, 0.1]\nchi: .nan\n", "chi"),
+        (_WIGNER_SMALL + "times: [0.0, 0.1]\nchi: .nan\n", "chi"),
+        ("kind: wigner\nalpha0: .nan\ntimes: [0.0, 0.1]\n", "alpha0"),
+        (_PLUSP_SMALL + "times: {stop: .inf}\n", "times.stop"),
+        (_PLUSP_SMALL + "times: [0, .inf]\n", "times"),
+        (_WIGNER_SMALL + "times: [0.0, 0.1]\ndt: .inf\n", "dt"),
+        (_VARIATIONAL_SMALL + "omega: .nan\n", "omega"),
+        (_PLUSP_SMALL + "times: [0.0, 0.1]\ntrajectories: 1\n", "trajectories"),
+        (_DOUBLEWELL + "taus: [1]\nmixing_angle: .nan\n", "mixing_angle"),
+        (
+            "kind: plusp\nstate: {kind: coherent, alpha: 1, bogus: 2}\ntimes: [0.0, 0.1]\n",
+            "state.bogus",
+        ),
+        # these two used to fail at run time, with messages that did not name the key
+        (_DOUBLEWELL + "taus: {stop: 1, points: 1}\n", "taus"),
+        ("kind: plusp-reverse\ntrajectories: 50\npoints: 1\n", "points"),
+        # the exact double well has no Fock cutoff option
+        (_DOUBLEWELL + "taus: [10]\ncutoff: 3\n", "cutoff"),
+        # outputs stay inside --out
+        (_DIMENSIONS + "name: ../escaped\n", "name"),
+        (_DIMENSIONS + "name: 'a\\b'\n", "name"),
+        (_DIMENSIONS + "name: ''\n", "name"),
+        (_DIMENSIONS + "name: '..'\n", "name"),
+        # 0.1 and 0.1004 are both step 50 of dt = 0.002: one row would be lost
+        (_WIGNER_SMALL + "dt: 0.002\ntimes: [0, 0.1, 0.1004]\n", "times"),
+    ],
+)
+def test_cli_rejects_every_out_of_domain_leaf_with_exit_2(tmp_path, text, path):
+    scenario = tmp_path / "case.yaml"
+    scenario.write_text(text)
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"  {path}:" in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+# keys whose list of numbers is reported as one value
+_NUMBER_LISTS = {"taus", "chi_ratios", "times", "n", "nbar", "powers"}
+
+
+def _scalar_leaves(node, path=""):
+    """(path, container, key) of every scalar in loaded YAML data."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    leaves = []
+    for key, value in items:
+        at = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}".lstrip(".")
+        if isinstance(value, (dict, list)):
+            leaves += _scalar_leaves(value, at)
+        else:
+            leaves.append((at, node, key))
+    return leaves
+
+
+@given(
+    fixture=st.sampled_from(sorted(SCENARIO_DIR.glob("*.yaml"))),
+    pick=st.integers(min_value=0),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, True, False, "not a number"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_any_scalar_leaf_out_of_domain_is_rejected_under_its_path(fixture, pick, bad):
+    cfg = yaml.safe_load(fixture.read_text())
+    leaves = _scalar_leaves(cfg)
+    path, container, key = leaves[pick % len(leaves)]
+    # +inf means "no ceiling", and any string is a name
+    assume(not (path.endswith("_ceiling") and bad == math.inf))
+    assume(not (path == "name" and isinstance(bad, str)))
+    container[key] = bad
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(yaml.safe_dump(cfg))
+    listed = path.rsplit("[", 1)[0]
+    expected = listed if listed.rsplit(".", 1)[-1] in _NUMBER_LISTS else path
+    assert expected in [p for p, _ in err.value.errors]
 
 
 def test_entropy_weights_keep_their_values():
