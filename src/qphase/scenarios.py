@@ -10,6 +10,7 @@ outputs plus a manifest sufficient to re-run bit-exactly.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -78,7 +79,7 @@ class Key:
     def _read_number(self, value, path, errors):
         """A finite number (or +inf where ``inf``), whole if ``integer``, within the bounds."""
         if type(value) not in _REAL:
-            problem = f"expected a number, got {type(value).__name__}"
+            problem = f"expected a number, got {type(value).__name__}" + _yaml_float_hint(value)
         elif not (abs(value) <= sys.float_info.max or self.inf and value == math.inf):
             problem = "must be finite"
         elif self.integer and value != int(value):
@@ -167,6 +168,18 @@ class Key:
         return Key("mapping", keys=keys)._read_mapping(value, path, errors)
 
 
+def _yaml_float_hint(value):
+    """How to write a string like '1e-3', which YAML 1.1 reads as text
+    (its floats need a '.' and a signed exponent), as a number."""
+    pattern = r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)"
+    match = re.fullmatch(pattern, value) if isinstance(value, str) else None
+    if match is None:
+        return ""
+    mantissa, fraction, sign, exponent = match.groups()
+    fixed = f"{mantissa}{fraction or '.0'}e{sign or '+'}{exponent}"
+    return f" (YAML 1.1 reads {value} as text: write {fixed})" if fixed != value else ""
+
+
 _int = partial(Key, "number", integer=True, low=1)
 _positive = partial(Key, "number", positive=True)
 _numbers = partial(Key, type="list", low=1, item=Key("number"), whole=True)
@@ -194,6 +207,14 @@ def _check_times(p, errors):
         errors.append(("times", "time list must start at 0 and increase"))
     elif times is not None and dt is not None and len(set(np.rint(times / dt))) < len(times):
         errors.append(("times", f"two times snap to the same step of dt = {dt}"))
+
+
+def _check_plusp(p, errors):
+    _check_times(p, errors)
+    state = p["state"]
+    if p["width"] == "delta" and state is not None and state["kind"] != "coherent":
+        errors.append(("canonical_width", f"delta places every trajectory at one point, "
+                       f"which represents only a coherent state, not {state['kind']}"))
 
 
 def _check_doublewell(p, errors):
@@ -226,6 +247,23 @@ def _check_reverse(p, errors):
         p["chi"] = 1.0 / nbar if nbar else 1.0
 
 
+def _check_spectra(stack, species, errors):
+    """Each point is a Green's function: symmetric, with occupations (its
+    eigenvalues) in [0, 1] for fermions and >= 0 for bosons, to 1e-12 of
+    its largest entry (at least 1e-12).  One eigvalsh call covers the stack."""
+    tol = 1e-12 * np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    asymmetric = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > tol
+    occupations = np.linalg.eigvalsh(stack)
+    outside = occupations[:, 0] < -tol
+    if species == "fermion":
+        outside |= occupations[:, -1] > 1.0 + tol
+    rule = "lie in [0, 1]" if species == "fermion" else "be non-negative"
+    for i in np.flatnonzero(asymmetric | outside):
+        lo, hi = occupations[i, 0], occupations[i, -1]
+        errors.append((f"points[{i}]", "matrix must be symmetric" if asymmetric[i] else
+                       f"{species} occupations (eigenvalues) must {rule}, got {lo:.6g} to {hi:.6g}"))
+
+
 def _check_entropy(p, errors):
     matrices, weights = p["matrices"], p["weights"]
     if matrices is None:
@@ -233,6 +271,8 @@ def _check_entropy(p, errors):
     p["matrices"] = matrices = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
     if len({m.shape for m in matrices}) > 1:
         errors.append(("points", "all matrices must share one dimension"))
+    elif p["species"] is not None:
+        _check_spectra(np.stack(matrices), p["species"], errors)
     if weights is None:
         return
     # the weights that normalize the estimate: disjoint pairing leaves an
@@ -528,7 +568,7 @@ _KINDS = {
         **_ENSEMBLE,
         "canonical_width": _WIDTH,
         "divergence_ceiling": _positive(1e6, inf=True),
-    }, _check_times, _run_plusp),
+    }, _check_plusp, _run_plusp),
     "plusp-reverse": ({
         "alpha0": Key("complex", complex(10.0)),
         "chi": Key("number"),

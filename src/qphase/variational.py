@@ -7,13 +7,16 @@ The trial state is an unnormalized sum of Bargmann coherent kets,
 with overlaps rho^(mn) = exp[conj(alpha_0^(m)) + alpha_0^(n)
 + sum_{k>0} conj(alpha_k^(m)) alpha_k^(n)].  Time evolution follows the
 McLachlan variational principle: i V dX/dt = H with the Gram matrix V
-and Hamiltonian vector built from pairwise normal-ordered symbols.  The
-linear solves are Tikhonov-regularized and embedded in the iterated
-midpoint scheme shared by the stochastic engines.
+and Hamiltonian vector built from pairwise normal-ordered symbols; a
+``PolynomialHamiltonian`` compiles them once, so ``variational_system``
+loops over no terms.  The Tikhonov-regularized solves run in the iterated
+midpoint scheme of the stochastic engines; ``propagate`` keeps one
+midpoint buffer per run and refills it in place each iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +61,7 @@ class VariationalState:
         return cls(alpha0=grid[:, 0].copy(), amps=grid[:, 1:].copy())
 
 
-def ring_initial_state(
-    alpha, members: int, radius: float = 0.1
-) -> VariationalState:
+def ring_initial_state(alpha, members: int, radius: float = 0.1) -> VariationalState:
     """Members on a small ring around a target coherent state.
 
     Each ket is weighted so the superposition is normalized and
@@ -81,55 +82,54 @@ class PolynomialHamiltonian:
 
     ``terms`` is a list of (coeff, creation_modes, annihilation_modes).
     The pairwise symbol replaces adag_k -> conj(alpha_k^(m)) and
-    a_k -> alpha_k^(n).  The terms are compiled once, on construction:
-    the symbol's mode tuples, and per mode k the terms that create k, each
-    with its coefficient times the number of k's and one k removed.
+    a_k -> alpha_k^(n).  The terms are compiled once, on construction,
+    into the distinct bra and ket monomials (as per-mode powers) and one
+    coefficient array that maps each (bra, ket) monomial pair to the
+    symbol and to its gradient in each conj(alpha_k): d/d conj(alpha_k)
+    of a bra monomial is its power of k times the monomial with one k
+    fewer, so those reduced monomials are bra monomials too.
     """
 
     terms: list
     modes: int
 
     def __post_init__(self):
-        self._symbol_terms = [(coeff, tuple(c), tuple(a)) for coeff, c, a in self.terms]
-        self._grad_terms = {}
-        for coeff, creation, annihilation in self._symbol_terms:
-            for k in dict.fromkeys(creation):
-                reduced = list(creation)
-                reduced.remove(k)
-                self._grad_terms.setdefault(k, []).append(
-                    (coeff * creation.count(k), tuple(reduced), annihilation)
-                )
+        def powers(ops):
+            if not all(0 <= k < self.modes for k in ops):
+                raise ValueError(f"mode indices {tuple(ops)} out of range for {self.modes} modes")
+            return tuple(list(ops).count(k) for k in range(self.modes))
+
+        bras, kets, entries = {}, {}, []
+        for coeff, creation, annihilation in self.terms:
+            ket, cre = kets.setdefault(powers(annihilation), len(kets)), powers(creation)
+            entries.append((bras.setdefault(cre, len(bras)), 0, ket, coeff))
+            for k in np.flatnonzero(cre):
+                fewer = cre[:k] + (cre[k] - 1,) + cre[k + 1:]
+                entries.append((bras.setdefault(fewer, len(bras)), k + 1, ket, coeff * cre[k]))
+        coeffs = np.zeros((len(bras), self.modes + 1, len(kets)), dtype=complex)
+        for bra, row, ket, coeff in entries:
+            coeffs[bra, row, ket] += coeff
+        self._coeffs = coeffs.reshape(len(bras), (self.modes + 1) * len(kets))
+        self._bra_powers = np.array(list(bras), dtype=complex).reshape(len(bras), self.modes)
+        self._ket_powers = np.array(list(kets), dtype=complex).reshape(len(kets), self.modes)
+
+    def symbols(self, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
+        """(N, M+1, N) stack over all pairs: H^(mn), then
+        d H^(mn) / d conj(alpha_k^(m)) for each mode k; bra_conj, ket (N, M)."""
+        n, rows = bra_conj.shape[0], self.modes + 1
+        bra, kets = _monomials(bra_conj, self._bra_powers), _monomials(ket, self._ket_powers)
+        per_bra = (bra @ self._coeffs).reshape(n * rows, kets.shape[1])
+        return (per_bra @ kets.T).reshape(n, rows, n)
 
     def symbol(self, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
         """H^(mn) for all pairs; bra_conj, ket of shape (N, M)."""
-        return _pair_sum(self._symbol_terms, bra_conj, ket)
-
-    def symbol_grad(self, bra_conj: np.ndarray, ket: np.ndarray, k: int) -> np.ndarray:
-        """d H^(mn) / d conj(alpha_k^(m)) for all pairs."""
-        return _pair_sum(self._grad_terms.get(k, ()), bra_conj, ket)
+        return self.symbols(bra_conj, ket)[:, 0]
 
 
-def _pair_sum(terms, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """sum_t c_t prod_{k in creation} bra_conj[m, k] prod_{k in annihilation} ket[n, k].
-
-    Each term's bra factors are multiplied on the (N,) vector before the
-    ket factors broadcast it to (N, N); that is the same sequence of
-    roundings per entry as multiplying them into a full (N, N) array.
-    """
-    n = bra_conj.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for coeff, creation, annihilation in terms:
-        bra = np.full(n, coeff, dtype=complex)
-        for k in creation:
-            bra *= bra_conj[:, k]
-        if not annihilation:
-            out += bra[:, None]
-            continue
-        term = bra[:, None] * ket[:, annihilation[0]]
-        for k in annihilation[1:]:
-            term *= ket[:, k]
-        out += term
-    return out
+def _monomials(values: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(N, P) products prod_k values[:, k] ** powers[p, k], one mode at a time."""
+    factors = (values[:, None, k] ** powers[:, k] for k in range(powers.shape[1]))
+    return functools.reduce(np.multiply, factors)
 
 
 def kerr_hamiltonian(chi: float, modes: int = 1, omega=None) -> PolynomialHamiltonian:
@@ -143,45 +143,50 @@ def kerr_hamiltonian(chi: float, modes: int = 1, omega=None) -> PolynomialHamilt
 
 
 def overlap_matrix(state: VariationalState) -> np.ndarray:
-    expo = (
-        state.alpha0.conj()[:, None]
-        + state.alpha0[None, :]
-        + state.amps.conj() @ state.amps.T
-    )
-    return np.exp(expo)
+    rho = state.amps.conj() @ state.amps.T
+    rho += state.alpha0.conj()[:, None]
+    rho += state.alpha0
+    return np.exp(rho, out=rho)
 
 
-def _tilde(state: VariationalState) -> np.ndarray:
-    """(N, M+1) parameter derivatives of the exponent: 1 for k=0."""
-    return np.concatenate(
-        [np.ones((state.members, 1), dtype=complex), state.amps], axis=1
-    )
+@functools.lru_cache(maxsize=None)
+def _layout(members: int, modes: int):
+    """variational_system's fixed arrays: flat indices gathering V's (m,l),(n,k)
+    layout from outer(conj t, t), indexed (m,k),(n,l), and from rho; the
+    delta_{lk}(1 - delta_{l0}) mask; the columns (t, delta_{1l}, ...) with
+    t's amplitudes left to fill in."""
+    r = modes + 1
+    m, l, n, k = np.indices((members, r, members, r)).reshape(4, members * r, members * r)
+    outer = (m * r + k) * (members * r) + n * r + l
+    delta = ((l == k) & (l > 0)).astype(complex)
+    columns = np.repeat(np.eye(r, dtype=complex), members, axis=0)
+    return outer, m * members + n, delta, columns
 
 
 def variational_system(state: VariationalState, ham: PolynomialHamiltonian):
-    """Gram matrix V and Hamiltonian vector of i V dX/dt = H_vec."""
-    n, m = state.members, state.modes
-    rho = overlap_matrix(state)
-    tilde = _tilde(state)
-    bra_conj = state.amps.conj()
-    ket = state.amps
-    # V_{(m,l),(n,k)} = d^2 rho^(mn) / d conj(alpha_l^(m)) d alpha_k^(n)
-    #               = [delta_{lk}(1 - delta_{l0})
-    #                  + conj(t_k^(m)) t_l^(n)] rho^(mn)
-    dim = n * (m + 1)
-    v = np.einsum("mk,nl,mn->mlnk", tilde.conj(), tilde, rho)
-    for k in range(1, m + 1):
-        v[:, k, :, k] += rho
-    v = v.reshape(dim, dim)
+    """Gram matrix V and Hamiltonian vector of i V dX/dt = H_vec.
 
-    # H_{(m,l)} = sum_n [dH^(mn)/d conj(alpha_l^(m)) + H^(mn) t_l^(n)] rho^(mn)
-    h_sym = ham.symbol(bra_conj, ket)
-    h_vec = np.zeros((n, m + 1), dtype=complex)
-    h_vec[:, 0] = (h_sym * rho).sum(axis=1)
-    for l in range(1, m + 1):
-        grad = ham.symbol_grad(bra_conj, ket, l - 1)
-        h_vec[:, l] = ((grad + h_sym * ket[:, l - 1][None, :]) * rho).sum(axis=1)
-    return v, h_vec.ravel()
+    With t^(n) = (1, alpha_1^(n), ..., alpha_M^(n)),
+    V_{(m,l),(n,k)} = d^2 rho^(mn) / d conj(alpha_l^(m)) d alpha_k^(n)
+                    = [delta_{lk}(1 - delta_{l0}) + conj(t_k^(m)) t_l^(n)] rho^(mn)
+    H_{(m,l)} = sum_n [dH^(mn)/d conj(alpha_l^(m)) + H^(mn) t_l^(n)] rho^(mn),
+    where H^(mn) does not depend on alpha_0: one product of the rows
+    (H rho, dH/d conj(alpha_1) rho, ...) with the columns (t, delta_{1l}, ...).
+    """
+    n, m = state.members, state.modes
+    dim = n * (m + 1)
+    outer, rho_index, delta, fixed_columns = _layout(n, m)
+    columns = fixed_columns.copy()
+    tilde = columns[:n]
+    tilde[:, 1:] = state.amps
+    tilde_conj = tilde.conj()
+    rho = overlap_matrix(state)
+    v = np.multiply(tilde_conj.reshape(dim, 1), tilde.reshape(1, dim)).take(outer)
+    v += delta
+    v *= rho.take(rho_index)
+    sym = ham.symbols(tilde_conj[:, 1:], state.amps)
+    sym *= rho[:, None, :]
+    return v, (sym.reshape(n, dim) @ columns).ravel()
 
 
 def tikhonov_solve(v: np.ndarray, dx: np.ndarray, h_vec: np.ndarray, dt: float, shift: np.ndarray) -> np.ndarray:
@@ -217,11 +222,15 @@ def propagate(
     """
     members, modes = state.members, state.modes
     shift = 1j * lam * np.eye(members * (modes + 1))
+    # the run's midpoint state: views of one buffer refilled with x + dx
+    mid_x = np.empty(members * (modes + 1), dtype=complex)
+    grid = mid_x.reshape(members, modes + 1)
+    mid = VariationalState(alpha0=grid[:, 0], amps=grid[:, 1:])
 
     def one_step(x, h):
         dx = np.zeros_like(x)
         for _ in range(iters):
-            mid = VariationalState.unpack(x + dx, members, modes)
+            np.add(x, dx, out=mid_x)
             v, h_vec = variational_system(mid, ham)
             dx = tikhonov_solve(v, dx, h_vec, h, shift)
         return x + 2.0 * dx
@@ -261,18 +270,14 @@ def state_norm(state: VariationalState) -> float:
 
 
 def energy(state: VariationalState, ham: PolynomialHamiltonian) -> float:
-    rho = overlap_matrix(state)
-    h_sym = ham.symbol(state.amps.conj(), state.amps)
-    return float(((h_sym * rho).sum() / rho.sum()).real)
+    return _mean(state, ham).real
 
 
 def expectation(state: VariationalState, creation, annihilation) -> complex:
     """<Psi| prod adag_i prod a_j |Psi> / <Psi|Psi> for mode tuples."""
+    return _mean(state, PolynomialHamiltonian([(1.0, creation, annihilation)], state.modes))
+
+
+def _mean(state: VariationalState, ham: PolynomialHamiltonian) -> complex:
     rho = overlap_matrix(state)
-    norm = rho.sum()
-    op = np.ones_like(rho)
-    for k in creation:
-        op = op * state.amps.conj()[:, k][:, None]
-    for k in annihilation:
-        op = op * state.amps[:, k][None, :]
-    return complex((op * rho).sum() / norm)
+    return complex((ham.symbol(state.amps.conj(), state.amps) * rho).sum() / rho.sum())

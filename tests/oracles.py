@@ -228,3 +228,25 @@ def polynomial_symbol_grad(terms, bra_conj, ket, k):
             term *= ket[:, kk][None, :]
         out += term
     return out
+
+
+def variational_system_reference(state, ham):
+    """Gram matrix V from one ``einsum`` and the Hamiltonian vector from
+    the term-by-term symbols, each gradient built separately; the
+    reference for ``variational.variational_system``, which evaluates
+    the compiled symbols in one pass and so matches it to rounding."""
+    n, m = state.members, state.modes
+    expo = state.alpha0.conj()[:, None] + state.alpha0[None, :] + state.amps.conj() @ state.amps.T
+    rho = np.exp(expo)
+    tilde = np.concatenate([np.ones((n, 1), dtype=complex), state.amps], axis=1)
+    bra_conj, ket = state.amps.conj(), state.amps
+    v = np.einsum("mk,nl,mn->mlnk", tilde.conj(), tilde, rho)
+    for k in range(1, m + 1):
+        v[:, k, :, k] += rho
+    h_sym = polynomial_symbol(ham.terms, bra_conj, ket)
+    h_vec = np.zeros((n, m + 1), dtype=complex)
+    h_vec[:, 0] = (h_sym * rho).sum(axis=1)
+    for l in range(1, m + 1):
+        grad = polynomial_symbol_grad(ham.terms, bra_conj, ket, l - 1)
+        h_vec[:, l] = ((grad + h_sym * ket[:, l - 1][None, :]) * rho).sum(axis=1)
+    return v.reshape(n * (m + 1), n * (m + 1)), h_vec.ravel()

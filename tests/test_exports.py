@@ -114,3 +114,23 @@ def test_benchmark_tracer_sees_every_stochastic_layer_per_step(run, drift):
     assert t.target_calls[drift] == steps * MIDPOINT_ITERS
     assert t.target_calls["stochastic.run_ensemble"] == 1
     assert t.counts["stochastic.traj_steps"] == n_traj * steps
+
+
+def test_benchmark_tracer_sees_every_variational_solve():
+    """Under the benchmark's tracer a short propagate records one
+    variational_system and one tikhonov_solve call per midpoint iteration,
+    so a loop that calls a privately bound copy of either fails here."""
+    from qphase import variational
+
+    n_steps, iters = 5, 3
+    state, ham = variational.ring_initial_state([1.0], members=4), variational.kerr_hamiltonian(1.0)
+    t = _benchmark_tracer().Tracer()
+    t.install()
+    try:
+        variational.propagate(state, ham, 0.01, n_steps, iters=iters, record_every=n_steps)
+    finally:
+        t.uninstall()
+    assert t.target_calls["variational.propagate"] == 1
+    assert t.target_calls["variational.variational_system"] == n_steps * iters
+    assert t.target_calls["variational.tikhonov_solve"] == n_steps * iters
+    assert t.layer_values()["variational.solves_per_step"] == 1

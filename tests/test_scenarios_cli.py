@@ -101,6 +101,58 @@ _DOUBLEWELL = "kind: exact-doublewell\natoms: 8\n"
 
 
 @pytest.mark.parametrize(
+    "text, paths",
+    [
+        # occupations 2 and 3 gave S2 = -2.14 with pairing: all
+        ("kind: entropy\nspecies: fermion\npoints: [2.0, 3.0]\npairing: all\n", ["points[0]", "points[1]"]),
+        ("kind: entropy\nspecies: fermion\npoints: [0.2, -0.1, 0.5]\n", ["points[1]"]),
+        ("kind: entropy\nspecies: boson\npoints: [0.2, 0.7, -0.5]\n", ["points[2]"]),
+        ("kind: entropy\nspecies: boson\npoints: [[[1.0, 0.2], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]\n",
+         ["points[0]"]),
+        # eigenvalues 1.2 and -0.2 from symmetric matrices with diagonals in [0, 1]
+        ("kind: entropy\nspecies: fermion\npoints: [[[0.5, 0.7], [0.7, 0.5]], [[0.5, 0.0], [0.0, 0.5]]]\n",
+         ["points[0]"]),
+    ],
+    ids=["fermion-above-1", "fermion-negative", "boson-negative", "asymmetric", "fermion-off-diagonal"],
+)
+def test_entropy_rejects_points_that_are_not_greens_functions(text, paths):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert [p for p, _ in err.value.errors] == paths
+
+
+def test_entropy_accepts_occupations_on_the_bounds():
+    fermion = parse_scenario("kind: entropy\nspecies: fermion\npoints: [0.0, 1.0]\npairing: all\n")
+    assert [m.tolist() for m in fermion.params["matrices"]] == [[[0.0]], [[1.0]]]
+    pure = parse_scenario("kind: entropy\nspecies: fermion\npoints: [[[0.5, 0.5], [0.5, 0.5]], "
+                          "[[1.0, 0.0], [0.0, 0.0]]]\n")
+    assert len(pure.params["matrices"]) == 2
+    boson = parse_scenario("kind: entropy\nspecies: boson\npoints: [0.0, 40.0]\n")
+    assert [m.tolist() for m in boson.params["matrices"]] == [[[0.0]], [[40.0]]]
+
+
+@pytest.mark.parametrize("state", ["{kind: thermal, nbar: [1.0]}", "{kind: fock, n: [2]}"])
+def test_plusp_delta_width_needs_a_coherent_state(state):
+    text = _PLUSP_ONE + f"state: {state}\ncanonical_width: delta\n"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert [p for p, _ in err.value.errors] == ["canonical_width"]
+    coherent = parse_scenario(_PLUSP_ONE + "state: {kind: coherent, alpha: 1.0}\ncanonical_width: delta\n")
+    assert coherent.params["width"] == "delta"
+
+
+def test_number_written_as_yaml_text_gets_a_hint():
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(_PLUSP_ONE + "state: {kind: coherent, alpha: 1.0}\ndt: 1e-3\n")
+    assert err.value.errors == [("dt", "expected a number, got str (YAML 1.1 reads 1e-3 as text: write 1.0e-3)")]
+    assert parse_scenario(_PLUSP_ONE + "state: {kind: coherent, alpha: 1.0}\ndt: 1.0e-3\n").params["dt"] == 1e-3
+    for text in ("dt: abc\n", "dt: '0.5'\n", "dt: '1.0e-3'\n"):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(_PLUSP_ONE + "state: {kind: coherent, alpha: 1.0}\n" + text)
+        assert err.value.errors == [("dt", "expected a number, got str")]
+
+
+@pytest.mark.parametrize(
     "text, path",
     [
         # YAML booleans are not numbers: true would run as 1
@@ -272,7 +324,8 @@ def test_entropy_weights_keep_their_values():
 
 def _entropy_ensemble_text(points):
     rng = np.random.default_rng(3)
-    mats = [(0.1 * rng.standard_normal((4, 4)) + 0.5 * np.eye(4)).tolist() for _ in range(points)]
+    # symmetric occupation matrices with spectra inside [0, 1]
+    mats = [(0.05 * (a + a.T) + 0.5 * np.eye(4)).tolist() for a in rng.standard_normal((points, 4, 4))]
     return yaml.safe_dump(
         {"kind": "entropy", "species": "fermion", "points": mats,
          "weights": rng.uniform(0.5, 1.5, points).tolist(), "pairing": "all"},
@@ -526,6 +579,24 @@ def test_cli_bad_entropy_input_and_malformed_yaml_exit_2(tmp_path):
         proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert message in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind: entropy\nspecies: fermion\npoints: [2.0, 3.0]\npairing: all\n", "points[0]"),
+        (_PLUSP_ONE + "state: {kind: thermal, nbar: [1.0]}\ncanonical_width: delta\n", "canonical_width"),
+        (_PLUSP_ONE + "state: {kind: coherent, alpha: 1.0}\ndt: 1e-3\n", "write 1.0e-3"),
+    ],
+    ids=["entropy-spectrum", "delta-width", "yaml-exponent"],
+)
+def test_cli_rejects_invalid_physics_inputs_with_exit_2(tmp_path, text, message):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(text)
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert message in proc.stderr
     assert not list(tmp_path.glob("*.json"))
 
 

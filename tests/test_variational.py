@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import polynomial_symbol, polynomial_symbol_grad
+from oracles import polynomial_symbol, polynomial_symbol_grad, variational_system_reference
 from qphase.fock import (
     FockBasis,
     annihilation_operator,
@@ -100,23 +100,69 @@ def test_polynomial_hamiltonian_symbol_and_grad():
     ket = np.array([[0.5 + 0j], [1.0 - 1j]])
     sym = ham.symbol(bra, ket)
     assert sym[0, 1] == pytest.approx(0.5 * (2.0**2) * (1.0 - 1j) ** 2)
-    grad = ham.symbol_grad(bra, ket, 0)
+    grad = ham.symbols(bra, ket)[:, 1]
     assert grad[0, 1] == pytest.approx(0.5 * 2 * 2.0 * (1.0 - 1j) ** 2)
-    assert np.all(ham.symbol_grad(bra, ket, 0) == ham.symbol_grad(bra, ket, 0))
+    assert np.all(ham.symbols(bra, ket) == ham.symbols(bra, ket))
 
 
-def test_compiled_symbols_match_term_loop_bit_for_bit():
+def test_polynomial_hamiltonian_rejects_modes_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        PolynomialHamiltonian(terms=[(1.0, (0,), (1,))], modes=1)
+    with pytest.raises(ValueError, match="out of range"):
+        expectation(ring_initial_state([1.0], members=3), (), (1,))
+
+
+_CROSS_TERMS = [(0.25, (0, 1), (1, 1)), (0.4 - 0.2j, (1, 1), (0, 0)), (0.3, (0,), ()), (-0.2j, (), (1,))]
+
+
+def _assert_close(got, ref):
+    """Equal to 1e-13 of the largest reference entry: the compiled
+    products re-associate the term-by-term ones."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_compiled_symbols_match_term_loop():
     rng = np.random.default_rng(21)
     amps = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
     bra, ket = amps.conj(), amps
     kerr = kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms
-    cross = [(0.25, (0, 1), (1, 1)), (0.4 - 0.2j, (1, 1), (0, 0)), (0.3, (0,), ()), (-0.2j, (), (1,))]
-    for terms in (kerr + cross, []):
+    for terms in (kerr + _CROSS_TERMS, []):
         ham = PolynomialHamiltonian(terms=terms, modes=2)
-        assert ham.symbol(bra, ket).tobytes() == polynomial_symbol(terms, bra, ket).tobytes()
+        stack = ham.symbols(bra, ket)
+        _assert_close(ham.symbol(bra, ket), polynomial_symbol(terms, bra, ket))
+        _assert_close(stack[:, 0], polynomial_symbol(terms, bra, ket))
         for k in (0, 1):
-            got = ham.symbol_grad(bra, ket, k)
-            assert got.tobytes() == polynomial_symbol_grad(terms, bra, ket, k).tobytes()
+            _assert_close(stack[:, k + 1], polynomial_symbol_grad(terms, bra, ket, k))
+
+
+@pytest.mark.parametrize("members", [1, 16])
+@pytest.mark.parametrize(
+    "modes, terms",
+    [
+        (1, kerr_hamiltonian(0.7, modes=1, omega=[0.3]).terms),
+        (2, kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms),
+        (2, kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms + _CROSS_TERMS),
+        (1, []),
+        (2, []),
+    ],
+    ids=["kerr-1", "kerr-2", "kerr-2-cross", "empty-1", "empty-2"],
+)
+@pytest.mark.parametrize("views", [False, True], ids=["arrays", "views"])
+def test_variational_system_matches_reference(members, modes, terms, views):
+    rng = np.random.default_rng(members + 10 * modes + len(terms))
+    state = VariationalState(
+        alpha0=-1.0 + 0.3 * (rng.standard_normal(members) + 1j * rng.standard_normal(members)),
+        amps=rng.standard_normal((members, modes)) + 1j * rng.standard_normal((members, modes)),
+    )
+    if views:  # strided views of one packed vector, as propagate passes them
+        grid = state.pack().reshape(members, modes + 1)
+        state = VariationalState(alpha0=grid[:, 0], amps=grid[:, 1:])
+    ham = PolynomialHamiltonian(terms=terms, modes=modes)
+    v, h_vec = variational_system(state, ham)
+    v_ref, h_ref = variational_system_reference(state, ham)
+    _assert_close(v, v_ref)
+    _assert_close(h_vec, h_ref)
 
 
 def test_gram_matrix_single_member_example():
