@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .scenarios import SCENARIO_KINDS, ValidationError, parse_scenario, run_scenario
@@ -31,6 +32,14 @@ EXIT_RUNTIME = 3
 EXIT_INCONCLUSIVE = 4
 
 OUT_DIR_ENV = "QPHASE_OUT_DIR"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The CPUs this process may run on, the BLAS/OpenMP thread settings
+    (None where unset) and numpy's version, for the run manifest."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"cpus": cpus, **{var: os.environ.get(var) for var in THREAD_VARS}, "numpy": np.__version__}
 
 
 @click.group()
@@ -118,6 +127,7 @@ def run(scenario_file, seed, out_dir):
         "qphase_version": __version__,
         "diverged": outcome.report.get("diverged", 0),
         "wall_time_s": wall,
+        "environment": _environment(),
         "outputs": written,
     }
     manifest_path = out_dir / f"{stem}.manifest.json"

@@ -5,13 +5,15 @@ in the identity gauge, so every trajectory has unit weight.  Initial
 conditions come from the constructive canonical distribution
 P ~ exp(-|alpha - beta*|^2 / 4) <mu|rho|mu>, mu = (alpha + beta*)/2,
 and normally ordered operator moments are plain averages of
-beta...alpha products.
+beta...alpha products.  Each step's noise and Ito->Stratonovich
+correction are folded into rate columns when the noise is drawn, so the
+drift is a few whole-array operations written in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +105,13 @@ class KerrPlusP:
     (and -(i chi / 2) beta).
     From ``reverse_step`` on, the Hamiltonian changes sign (chi and
     omega are negated), which runs the dynamics backwards in time.
+
+    ``noise`` folds each step's noise and Stratonovich correction into
+    rate columns r, so the drift is (-+i chi alpha beta + r) (alpha, beta)
+    plus the omega term: a few whole-array operations written into
+    ``out``.  Nothing is compiled from chi, omega or ``reverse_step``, so
+    changing a field changes the next step; the omega term alone writes
+    through a per-run scratch array.
     """
 
     chi: float
@@ -110,22 +119,31 @@ class KerrPlusP:
     omega: np.ndarray = None  # (M, M) single-particle matrix or None
     seed: int = 0
     reverse_step: int = None  # flip sign at this step index, if set
+    _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def _sign(self, step_index: int) -> float:
         return -1.0 if self.reverse_step is not None and step_index >= self.reverse_step else 1.0
 
     def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
-        """sqrt(i chi) xi1 in columns :M, sqrt(-i chi) xi2 in M:, with the
-        step's sign on chi and 2M real noises xi of variance 1/dt; laid
-        out column-contiguous like the state."""
+        """This step's rate columns, laid out column-contiguous like the
+        state: -i sqrt(i chi) xi1 + i chi / 2 in columns :M and
+        i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi
+        and 2M real noises xi of variance 1/dt."""
+        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes)
+        xi *= 1.0 / math.sqrt(dt)
+        return self.rates(xi, step_index)
+
+    def rates(self, xi: np.ndarray, step_index: int) -> np.ndarray:
+        """Rate columns (see ``noise``) for real noises xi already scaled
+        by 1/sqrt(dt); zero xi gives the noise-free drift."""
         m = self.modes
         chi = self._sign(step_index) * self.chi
-        xi = noise_block(self.seed, step_index, n_traj, 2 * m)
-        xi *= 1.0 / math.sqrt(dt)
-        noise = np.empty((n_traj, 2 * m), dtype=complex, order="F")
-        np.multiply(xi[:, :m], np.sqrt(1j * chi + 0j), out=noise[:, :m])
-        np.multiply(xi[:, m:], np.sqrt(-1j * chi + 0j), out=noise[:, m:])
-        return noise
+        rates = np.empty(xi.shape, dtype=complex, order="F")
+        np.multiply(xi[:, :m], -1j * np.sqrt(1j * chi + 0j), out=rates[:, :m])
+        rates[:, :m] += 0.5j * chi
+        np.multiply(xi[:, m:], 1j * np.sqrt(-1j * chi + 0j), out=rates[:, m:])
+        rates[:, m:] -= 0.5j * chi
+        return rates
 
     def derivative(
         self, state: np.ndarray, step_index: int, noise: np.ndarray, out: np.ndarray
@@ -133,18 +151,19 @@ class KerrPlusP:
         m = self.modes
         sign = self._sign(step_index)
         chi = sign * self.chi
-        cross = chi * state[:, :m]
-        cross *= state[:, m:]
-        # in place, reusing cross: temporaries of this size dominate the cost
-        halves = ((slice(None, m), -1j, 0.5j), (slice(m, None), 1j, -0.5j))
-        for cols, rot, _ in halves:
-            d, y = out[:, cols], state[:, cols]
-            np.multiply(rot, np.add(cross, noise[:, cols], out=d), out=d)
-            d *= y
-            if self.omega is not None:
-                d += rot * y @ (sign * np.asarray(self.omega)).T
-        for cols, _, strat in halves:  # cross is free now
-            out[:, cols] += np.multiply(strat * chi, state[:, cols], out=cross)
+        np.multiply(state[:, :m], state[:, m:], out=out[:, :m])  # alpha beta
+        np.multiply(out[:, :m], 1j * chi, out=out[:, m:])
+        out[:, :m] *= -1j * chi
+        out += noise
+        out *= state
+        if self.omega is not None:
+            scratch = self._scratch
+            if scratch is None or scratch.shape != state.shape or scratch.strides != state.strides:
+                scratch = self._scratch = np.empty_like(state)
+            omega_t = (sign * np.asarray(self.omega)).T
+            block = np.zeros((2 * m, 2 * m), dtype=complex)  # -i omega^T on alpha, +i omega^T on beta
+            block[:m, :m], block[m:, m:] = -1j * omega_t, 1j * omega_t
+            out += np.matmul(state, block, out=scratch)
         return out
 
 

@@ -14,12 +14,15 @@ leading trajectory axis, so a whole ensemble advances in vectorized form.
 
 and draws the noise once per step, so every midpoint iteration sees the
 same object, already scaled by 1/sqrt(dt) and any factor fixed for the
-step (+P's sqrt(+-i chi)).  A run allocates its state, midpoint and drift
-buffers once and steps the state in place.  The state is copied with its
-memory layout kept, so the layout follows the sampler: +P samples are
-column-contiguous (every mode column is one contiguous run), Wigner
-fields row-major.  A trajectory dies when any component of its state is
-non-finite or exceeds the divergence ceiling in modulus.
+step (+P's rate columns, Wigner's sqrt(kappa_l) per loss channel).  A
+run allocates its state, midpoint and drift buffers once, steps the state
+in place and copies it only at the steps its consumer records; models
+write their drift through per-run scratch of their own, so no step
+allocates state-sized memory beyond its noise draw.  The state is copied
+with its memory layout kept, so the layout follows the sampler: +P
+samples are column-contiguous (every mode column is one contiguous run),
+Wigner fields row-major.  A trajectory dies when any component of its
+state is non-finite or exceeds the divergence ceiling in modulus.
 """
 
 from __future__ import annotations
@@ -124,8 +127,9 @@ def step(state, derivative, dt: float, mid, slope):
     return state
 
 
-def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6):
-    """Yield (step index, state, alive mask) at step 0 and after each step.
+def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, record=None):
+    """Yield (step index, state, alive mask) at the step indices in
+    `record`, or at step 0 and after every step if `record` is None.
 
     Each step draws `model.noise` once and passes it to every
     `model.derivative` call of that step.  Dead trajectories (see the
@@ -133,7 +137,8 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     is updated in place, so a consumer that keeps it past the next step
     must copy it.  The run steps its own copy of `state`, made in the
     same memory layout, in place: step 0 yields the caller's `state`, and
-    every later step a fresh copy, so no yielded state is overwritten.
+    every later recorded step a fresh copy, so no yielded state is
+    overwritten and a step that is not recorded copies nothing.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -147,7 +152,9 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
         parts = parts.view(parts.real.dtype)
     # parts within +-0.7 ceiling give |y| <= 0.99 ceiling: all rows live
     safe = 0.7 * ceiling
-    yield 0, state, alive
+    recorded = range(n_steps + 1) if record is None else frozenset(record)
+    if 0 in recorded:
+        yield 0, state, alive
     for step_idx in range(n_steps):
         noise = model.noise(step_idx, n_traj, dt)
         step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
@@ -158,7 +165,8 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
                 alive &= within.all(axis=1)
                 # freeze dead trajectories so NaNs cannot poison the others
                 work[~alive] = 0.0
-        yield step_idx + 1, work.copy(order="K"), alive
+        if step_idx + 1 in recorded:
+            yield step_idx + 1, work.copy(order="K"), alive
 
 
 @dataclass
@@ -220,8 +228,8 @@ def run_ensemble(
     }
     diverged_count = np.zeros(len(times), dtype=int)
     initial = sampler(seed, trajectory_count)
-    for step_idx, state, alive in evolve(initial, model, dt, n_steps, divergence_ceiling):
-        for t_idx in meas_lookup.get(step_idx, []):
+    for step_idx, state, alive in evolve(initial, model, dt, n_steps, divergence_ceiling, meas_lookup):
+        for t_idx in meas_lookup[step_idx]:
             diverged_count[t_idx] = trajectory_count - alive.sum()
             for name, fn in observables.items():
                 acc = MomentAccumulator()

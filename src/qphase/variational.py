@@ -76,12 +76,14 @@ def ring_initial_state(alpha, members: int, radius: float = 0.1) -> VariationalS
     return VariationalState(alpha0=alpha0.astype(complex), amps=amps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolynomialHamiltonian:
     """Normal-ordered polynomial sum_t c_t prod adag_i prod a_j.
 
-    ``terms`` is a list of (coeff, creation_modes, annihilation_modes).
-    The pairwise symbol replaces adag_k -> conj(alpha_k^(m)) and
+    ``terms`` holds (coeff, creation_modes, annihilation_modes), kept as a
+    tuple of tuples; the Hamiltonian is frozen, so the arrays compiled from
+    its terms can never go stale (``dataclasses.replace`` makes a changed
+    one).  The pairwise symbol replaces adag_k -> conj(alpha_k^(m)) and
     a_k -> alpha_k^(n).  The terms are compiled once, on construction,
     into the distinct bra and ket monomials (as per-mode powers) and one
     coefficient array that maps each (bra, ket) monomial pair to the
@@ -90,10 +92,13 @@ class PolynomialHamiltonian:
     fewer, so those reduced monomials are bra monomials too.
     """
 
-    terms: list
+    terms: tuple
     modes: int
 
     def __post_init__(self):
+        setattr_ = functools.partial(object.__setattr__, self)  # the instance is frozen
+        setattr_("terms", tuple((coeff, tuple(cre), tuple(ann)) for coeff, cre, ann in self.terms))
+
         def powers(ops):
             if not all(0 <= k < self.modes for k in ops):
                 raise ValueError(f"mode indices {tuple(ops)} out of range for {self.modes} modes")
@@ -109,9 +114,9 @@ class PolynomialHamiltonian:
         coeffs = np.zeros((len(bras), self.modes + 1, len(kets)), dtype=complex)
         for bra, row, ket, coeff in entries:
             coeffs[bra, row, ket] += coeff
-        self._coeffs = coeffs.reshape(len(bras), (self.modes + 1) * len(kets))
-        self._bra_powers = np.array(list(bras), dtype=complex).reshape(len(bras), self.modes)
-        self._ket_powers = np.array(list(kets), dtype=complex).reshape(len(kets), self.modes)
+        setattr_("_coeffs", coeffs.reshape(len(bras), (self.modes + 1) * len(kets)))
+        setattr_("_bra_powers", np.array(list(bras), dtype=complex).reshape(len(bras), self.modes))
+        setattr_("_ket_powers", np.array(list(kets), dtype=complex).reshape(len(kets), self.modes))
 
     def symbols(self, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
         """(N, M+1, N) stack over all pairs: H^(mn), then

@@ -13,7 +13,11 @@ together drift by -phi_s P_s(n) with
              + 1/2 sum_t l_t (l_t - delta_st) n^(l-e_s-e_t)],
 
 e_s the unit exponent of component s and n^k = prod_u n_u^{k_u}.  The
-noise is sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l.
+noise is sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l.  Together with
+the interaction, -phi_s P_s(n) - i phi_s sum_t chi_st n_t is phi_s times
+one complex polynomial G_s(n), which ``WignerModel`` evaluates for all
+components at once as one real matrix product over a table of squared
+real and imaginary parts; its drift allocates nothing per call.
 Symmetric moments are converted to normally ordered ones before any
 physical observable (spin moments, xi^2 squeezing) is formed.
 """
@@ -21,17 +25,12 @@ physical observable (spin moments, xi^2 squeezing) is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .stochastic import (
-    complex_field_noise,
-    evolve,
-    noise_block,
-    run_ensemble,
-)
+from .stochastic import evolve, noise_block, run_ensemble
 
 __all__ = [
     "sample_wigner_coherent",
@@ -71,19 +70,19 @@ class LossChannel:
     rate: float
 
 
-@lru_cache(maxsize=256)  # keyed by rates too, so a rate sweep must not grow it forever
 def _compile_losses(channels: tuple) -> tuple:
-    """Compile ((powers, rate), ...) loss channels into the terms of the
-    closed-form drift and noise stated in ``WignerModel``.
+    """Compile loss channels into the terms of the closed-form drift and
+    noise stated in ``WignerModel``.
 
     Returns (drift, noise).  drift holds (s, c, k), like terms merged, so
     that P_s(n) = sum of c n^k over the terms of component s; noise holds
-    (s, l, c, e) for the term c conj(phi^e) zeta_l of component s.  Every
-    term left out is zero.
+    (s, l, l_s, e) for the term l_s conj(phi^e) sqrt(kappa_l) zeta_l of
+    component s.  Every term left out is zero.
     """
     drift = {}  # (s, density exponent) -> coefficient
     noise = []
-    for l, (powers, rate) in enumerate(channels):
+    for l, ch in enumerate(channels):
+        powers, rate = ch.powers, ch.rate
         for s, l_s in enumerate(powers):
             if not l_s:
                 continue
@@ -93,23 +92,112 @@ def _compile_losses(channels: tuple) -> tuple:
                 if e_t:
                     k = e[:t] + (e_t - 1,) + e[t + 1:]
                     drift[s, k] = drift.get((s, k), 0.0) + 0.5 * rate * l_s * powers[t] * e_t
-            noise.append((s, l, math.sqrt(rate) * l_s, e))
+            noise.append((s, l, l_s, e))
     return tuple((s, c, k) for (s, k), c in drift.items()), tuple(noise)
 
 
-def _power_product(base: np.ndarray, k: tuple, built: dict):
-    """prod_u base[:, u]**k_u, None for k = 0; each k is built once into `built`."""
-    if k not in built:
-        out = None
-        for u, k_u in enumerate(k):
-            if k_u:
-                factor = base[:, u] ** k_u if k_u > 1 else base[:, u]
-                out = factor if out is None else out * factor
-        built[k] = out
-    return built[k]
+def _real_form(coeffs: np.ndarray) -> np.ndarray:
+    """(2T, 2S) real matrix R with x.view(float) @ R == (x @ coeffs).view(float)
+    for complex x of T columns: each complex coefficient a + ib becomes the
+    block [[a, b], [-b, a]] acting on interleaved (real, imaginary) parts."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    real = np.zeros((2 * coeffs.shape[0], 2 * coeffs.shape[1]))
+    real[0::2, 0::2] = real[1::2, 1::2] = coeffs.real
+    real[0::2, 1::2] = coeffs.imag
+    real[1::2, 0::2] = -coeffs.imag
+    return real
 
 
-@dataclass
+class _WignerDrift:
+    """The drift of one ``WignerModel`` compiled for fields of one shape,
+    with the scratch it writes through.
+
+    Every real and imaginary part squared fills the first 2S columns of the
+    density table D, each density monomial of degree two or more one column
+    after them.  One real matrix M maps D to the interleaved real and
+    imaginary parts of G_s = -P_s(n) - i sum_t chi_st n_t (the constant
+    part of P_s is added from a table tiled once), so the chi and
+    loss drift is (D @ M).view(complex) * phi.  The omega term is one real
+    matrix product on the interleaved parts, and each noise term one
+    multiply-add into its component's column.
+    """
+
+    def __init__(self, model, shape):
+        n, comps = shape
+        channels = []
+        for ch in model.channels:
+            if len(ch.powers) > comps:
+                raise ValueError(f"loss channel {ch.powers} has more powers than the {comps} components")
+            channels.append(LossChannel(ch.powers + (0,) * (comps - len(ch.powers)), ch.rate))
+        drift, noise = _compile_losses(tuple(channels))
+        self.shape = shape
+        self.high = sorted({k for _, _, k in drift if sum(k) > 1})
+        m = np.zeros((2 * comps + len(self.high), 2 * comps))
+        const = np.zeros(2 * comps)
+        for s, c, k in drift:
+            degree = sum(k)
+            if degree == 0:
+                const[2 * s] -= c
+            elif degree == 1:
+                u = k.index(1)
+                m[2 * u:2 * u + 2, 2 * s] -= c  # n_u = re_u^2 + im_u^2
+            else:
+                m[2 * comps + self.high.index(k), 2 * s] -= c
+        if model.chi is not None:
+            m[:2 * comps, 1::2] -= np.repeat(np.asarray(model.chi, dtype=float).T, 2, axis=0)
+        self.m = m if (model.chi is not None or drift) else None
+        if self.m is not None:
+            self.table = np.empty((n, m.shape[0]))
+            self.squares = self.table[:, :2 * comps]
+            self.density = np.empty((n, comps)) if self.high else None
+            self.g = np.empty((n, 2 * comps))
+            self.const = np.tile(const, (n, 1)) if const.any() else None
+        self.lin = None if model.omega is None else _real_form(-1j * np.asarray(model.omega).T)
+        self.lin_out = None if self.lin is None else np.empty((n, 2 * comps))
+        # (component, channel, factor, conj(phi) columns whose product is conj(phi^e))
+        self.noise = tuple(
+            (s, l, c, tuple(u for u, e_u in enumerate(e) for _ in range(e_u)))
+            for s, l, c, e in noise
+        )
+        self.conj = np.empty((n, comps), dtype=complex) if any(f for *_, f in self.noise) else None
+        self.column = np.empty(n, dtype=complex) if self.noise else None
+
+    def __call__(self, fields, zeta, out):
+        parts = np.ascontiguousarray(fields).view(float)
+        if self.m is None:
+            out.fill(0.0)
+        else:
+            np.multiply(parts, parts, out=self.squares)
+            if self.high:
+                np.add(self.squares[:, 0::2], self.squares[:, 1::2], out=self.density)
+                for h, k in enumerate(self.high, start=self.squares.shape[1]):
+                    column = self.table[:, h]
+                    column.fill(1.0)
+                    for u, k_u in enumerate(k):
+                        for _ in range(k_u):
+                            column *= self.density[:, u]
+            np.matmul(self.table, self.m, out=self.g)
+            if self.const is not None:
+                self.g += self.const
+            np.multiply(self.g.view(complex), fields, out=out)
+        if self.lin is not None:
+            np.matmul(parts, self.lin, out=self.lin_out)
+            out += self.lin_out.view(complex)
+        if self.conj is not None:
+            np.conjugate(fields, out=self.conj)
+        for s, l, c, factors in self.noise:
+            term = zeta[:, l]
+            if factors:
+                term = np.multiply(self.conj[:, factors[0]], term, out=self.column)
+                for u in factors[1:]:
+                    term *= self.conj[:, u]
+            if c != 1:
+                term = np.multiply(term, c, out=self.column)
+            out[:, s] += term
+        return out
+
+
+@dataclass(frozen=True)
 class WignerModel:
     """Drift + loss noise for a multi-component single-site Bose field.
 
@@ -121,8 +209,13 @@ class WignerModel:
     internal energies) or None.  The loss SDEs are Ito equations; the
     model integrates them through the midpoint scheme, so the real
     density polynomial P_s(n) (module docstring) holds both the Ito loss
-    drift and the analytic Ito->Stratonovich shift.  The channel tuple is
-    compiled once into the terms of P_s and of the noise sum.
+    drift and the analytic Ito->Stratonovich shift.
+
+    The model is frozen and keeps read-only copies of chi and omega and
+    tuple powers, so the drift compiled from them (see ``_WignerDrift``)
+    on the first call for a field shape can never go stale; use
+    ``dataclasses.replace`` for a changed model.  ``noise`` folds
+    sqrt(kappa_l) into each channel's zeta_l when it is drawn.
     """
 
     chi: np.ndarray = None  # (S, S) symmetric interaction matrix, or None
@@ -132,36 +225,34 @@ class WignerModel:
     # the wigner-loss workload in perfbench/workloads.py passes it.
     components: int = 1
     seed: int = 0
+    _drift: _WignerDrift = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("chi", "omega"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        channels = tuple(LossChannel(tuple(ch.powers), ch.rate) for ch in self.channels)
+        object.__setattr__(self, "channels", channels)
 
     def noise(self, step_index: int, n_traj: int, dt: float):
-        """One complex noise zeta_l per loss channel, or None without losses."""
+        """sqrt(kappa_l) zeta_l for every loss channel l, with complex zeta_l
+        of <zeta zeta*> = 1/dt, or None without losses."""
         if not self.channels:
             return None
         raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))
-        return complex_field_noise(raw, dt)
+        zeta = raw.view(complex)  # the model's own block, scaled in place
+        zeta *= np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
+        return zeta
 
     def derivative(self, fields: np.ndarray, step_index: int, zeta, out: np.ndarray) -> np.ndarray:
-        out.fill(0.0)
-        if self.omega is not None:
-            out += -1j * fields @ np.asarray(self.omega).T
-        if self.chi is not None or self.channels:
-            density = np.abs(fields) ** 2
-        if self.chi is not None:
-            out += -1j * (density @ np.asarray(self.chi).T) * fields
-        if self.channels:
-            drift, noise = _compile_losses(tuple((tuple(ch.powers), ch.rate) for ch in self.channels))
-            built = {}
-            poly = np.zeros(fields.shape)  # P_s(n), one column per component
-            for s, c, k in drift:
-                mono = _power_product(density, k, built)
-                poly[:, s] += c if mono is None else c * mono
-            out -= poly * fields
-            conj, built = fields.conj(), {}
-            for s, l, c, e in noise:
-                mono = _power_product(conj, e, built)
-                term = c * zeta[:, l]
-                out[:, s] += term if mono is None else term * mono
-        return out
+        drift = self._drift
+        if drift is None or drift.shape != fields.shape:
+            drift = _WignerDrift(self, fields.shape)
+            object.__setattr__(self, "_drift", drift)
+        return drift(fields, zeta, out)
 
 
 def run_wigner_x(
@@ -209,8 +300,7 @@ def evolve_snapshots(
     wanted = set(int(s) for s in snapshot_steps)
     return {
         step_idx: state[alive]
-        for step_idx, state, alive in evolve(fields, model, dt, max(wanted, default=0))
-        if step_idx in wanted
+        for step_idx, state, alive in evolve(fields, model, dt, max(wanted, default=0), record=wanted)
     }
 
 

@@ -89,7 +89,9 @@ def wigner_derivative(model, fields, zeta):
     """Truncated Wigner drift with every loss channel's gradient and
     Hessian rebuilt per component, zero terms included; the reference for
     ``wigner.WignerModel.derivative``, which merges like terms of the
-    loss drift and so matches it to rounding, not bit for bit."""
+    loss drift and so matches it to rounding, not bit for bit.  Column l
+    of `zeta` is channel l's noise with sqrt(kappa_l) already folded in,
+    as ``WignerModel.noise`` draws it."""
     n_comp = fields.shape[1]
     d = np.zeros_like(fields)
     if model.omega is not None:
@@ -102,11 +104,34 @@ def wigner_derivative(model, fields, zeta):
         grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]
         for s in range(n_comp):
             d[:, s] += -ch.rate * np.conj(grads[s]) * mono
-            d[:, s] += math.sqrt(ch.rate) * np.conj(grads[s]) * zeta[:, l]
+            d[:, s] += np.conj(grads[s]) * zeta[:, l]
             for t in range(n_comp):
                 hess = _monomial_hess(fields, ch.powers, s, t)
                 d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t]
     return d
+
+
+def plusp_derivative(model, state, step_index, xi):
+    """+P drift of ``plusp.KerrPlusP`` in the per-half form it had before
+    the noise was folded into rate columns: sqrt(+-i chi) xi as the noise
+    term, chi alpha beta and the Stratonovich correction added separately,
+    all into fresh arrays; `xi` holds the 2M real noises already scaled by
+    1/sqrt(dt).  The reference for ``KerrPlusP.derivative``, which sums
+    the same terms in another order and so matches it to rounding."""
+    m = model.modes
+    sign = -1.0 if model.reverse_step is not None and step_index >= model.reverse_step else 1.0
+    chi = sign * model.chi
+    noise = np.concatenate(
+        [xi[:, :m] * np.sqrt(1j * chi + 0j), xi[:, m:] * np.sqrt(-1j * chi + 0j)], axis=1
+    )
+    cross = chi * state[:, :m] * state[:, m:]
+    out = np.empty(state.shape, dtype=complex)
+    for cols, rot, strat in ((slice(None, m), -1j, 0.5j), (slice(m, None), 1j, -0.5j)):
+        y = state[:, cols]
+        out[:, cols] = rot * (cross + noise[:, cols]) * y + strat * chi * y
+        if model.omega is not None:
+            out[:, cols] += rot * y @ (sign * np.asarray(model.omega)).T
+    return out
 
 
 def _xi2_from_samples(a, b):

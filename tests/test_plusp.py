@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import plusp_derivative
 
 from qphase.fock import kerr_oracle
 from qphase.plusp import (
@@ -10,6 +13,7 @@ from qphase.plusp import (
     sample_canonical,
     time_reversal_test,
 )
+from qphase.stochastic import noise_block
 
 
 def test_canonical_sampling_coherent_moments():
@@ -122,13 +126,78 @@ def test_drift_carries_the_stratonovich_correction():
     rng = np.random.default_rng(2)
     alpha = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
     beta = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
-    d = KerrPlusP(chi=chi).derivative(
-        np.concatenate([alpha, beta], axis=1), 0, np.zeros((6, 2)), np.empty((6, 2), dtype=complex)
+    model = KerrPlusP(chi=chi)
+    d = model.derivative(
+        np.concatenate([alpha, beta], axis=1), 0, model.rates(np.zeros((6, 2)), 0),
+        np.empty((6, 2), dtype=complex),
     )
     expected_alpha = -1j * chi * alpha**2 * beta + 0.5j * chi * alpha
     expected_beta = 1j * chi * alpha * beta**2 - 0.5j * chi * beta
     assert np.allclose(d[:, :1], expected_alpha, rtol=1e-14, atol=1e-15)
     assert np.allclose(d[:, 1:], expected_beta, rtol=1e-14, atol=1e-15)
+
+
+def _scaled_normals(model, step_index, n_traj, dt):
+    return noise_block(model.seed, step_index, n_traj, 2 * model.modes) * (1.0 / math.sqrt(dt))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    modes=st.integers(1, 3),
+    with_omega=st.booleans(),
+    reversed_=st.booleans(),
+    noisy=st.booleans(),
+    column_major=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_drift_matches_the_per_half_reference(seed, modes, with_omega, reversed_, noisy, column_major):
+    """The rate-column drift, with its noise drawn by the model or set to
+    zero, agrees with the parent's per-half drift to rounding, before and
+    after the reversal step, with and without omega, in either layout."""
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(-0.5, 0.5, (modes, modes))
+    model = KerrPlusP(chi=rng.uniform(0.01, 1.0), modes=modes, omega=omega + omega.T if with_omega else None,
+                      seed=seed, reverse_step=4)
+    k, dt, n = (6 if reversed_ else 2), 0.01, 16
+    state = rng.standard_normal((n, 2 * modes)) + 1j * rng.standard_normal((n, 2 * modes))
+    state = np.asfortranarray(state) if column_major else state
+    if noisy:
+        rates, xi = model.noise(k, n, dt), _scaled_normals(model, k, n, dt)
+    else:
+        xi = np.zeros((n, 2 * modes))
+        rates = model.rates(xi, k)
+    got = model.derivative(state, k, rates, np.empty_like(state))
+    np.testing.assert_allclose(got, plusp_derivative(model, state, k, xi), rtol=1e-13, atol=1e-15)
+
+
+def test_changed_fields_change_the_next_drift():
+    """Nothing is compiled from chi, omega or reverse_step: reassigning any
+    of them, or writing into omega, changes the next noise draw and drift
+    to those of the current values."""
+    rng = np.random.default_rng(9)
+    omega = np.array([[0.3, -0.1], [-0.1, 0.2]])
+    model = KerrPlusP(chi=0.1, modes=2, omega=omega, seed=4, reverse_step=None)
+    state = np.asfortranarray(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+    dt = 0.01
+
+    def check(k):
+        got = model.derivative(state, k, model.noise(k, 8, dt), np.empty_like(state))
+        np.testing.assert_allclose(got, plusp_derivative(model, state, k, _scaled_normals(model, k, 8, dt)),
+                                   rtol=1e-13, atol=1e-15)
+        return got
+
+    before = check(3)
+    model.chi = 0.4
+    assert not np.allclose(check(3), before)
+    omega[0, 1] = omega[1, 0] = 0.6  # the model holds this array
+    check(3)
+    model.omega = None
+    check(3)
+    model.omega = np.eye(2)
+    forward = check(3)
+    model.reverse_step = 2
+    reversed_ = check(3)
+    assert not np.allclose(reversed_, forward)
 
 
 def test_reverse_step_flips_dynamics():

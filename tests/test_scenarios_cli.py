@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -530,6 +531,12 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
     assert manifest["seed"] == 4
     assert len(manifest["parameter_hash"]) == 64
     assert manifest["diverged"] == 0
+    environment = manifest["environment"]
+    assert set(environment) == {"cpus", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "numpy"}
+    assert environment["cpus"] == len(os.sched_getaffinity(0))
+    assert environment["numpy"] == np.__version__
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert environment[var] == os.environ.get(var)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,re_x,error,diverged_count"
 

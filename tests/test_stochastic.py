@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,66 @@ def test_evolve_keeps_yielded_states_intact():
     for state, copy in kept:
         assert np.array_equal(state, copy)
     assert not np.array_equal(kept[1][0], kept[-1][0])
+
+
+def _peak_bytes_of_second_call(call):
+    """Bytes tracemalloc sees allocated at the peak of `call()`, run once
+    untraced first so that per-run scratch already exists."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _drift_cases(n):
+    rng = np.random.default_rng(4)
+    chi, omega = np.array([[0.01, 0.005], [0.005, 0.01]]), np.array([[0.0, 0.2], [0.2, 0.1]])
+    channels = (LossChannel((1, 0), 0.05), LossChannel((0, 1), 0.05),
+                LossChannel((2, 0), 0.002), LossChannel((1, 1), 0.002))
+    fields = sample_wigner_coherent([3.0, 3.0], 4, n)
+    plusp = KerrPlusP(chi=0.05, modes=2, omega=omega, seed=4, reverse_step=1)
+    packed = sample_canonical({"kind": "coherent", "alpha": [2.0, 1.0]}, 4, n)
+    return {
+        "lossy wigner": (WignerModel(chi=chi, channels=channels, seed=4), fields),
+        "lossless wigner": (WignerModel(chi=chi, omega=omega), fields),
+        "plusp": (plusp, np.asfortranarray(packed + 0.1 * rng.standard_normal(packed.shape))),
+    }
+
+
+@pytest.mark.parametrize("case", ["lossy wigner", "lossless wigner", "plusp"])
+def test_drift_allocates_less_than_one_state_column(case):
+    """After one warm-up call a model's drift writes through its per-run
+    scratch: one call at n = 4096 allocates less than one complex state
+    column."""
+    n = 4096
+    model, state = _drift_cases(n)[case]
+    noise, out = model.noise(1, n, 0.01), np.empty_like(state)
+    assert _peak_bytes_of_second_call(lambda: model.derivative(state, 1, noise, out)) < n * 16
+
+
+def test_run_ensemble_copies_no_state_between_measurements():
+    """With measurement times 0 and 20 dt, no state copy made at one step
+    is still held when the next step draws its noise: the memory in use
+    at every step's draw equals that at step 0."""
+    n, dt, in_use = 4096, 0.01, []
+
+    class Probe(Linear):
+        def noise(self, step_index, n_traj, dt):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return None
+
+    initial = np.ones((n, 2), dtype=complex)
+    tracemalloc.start()
+    try:
+        run_ensemble(lambda seed, n_traj: initial, Probe(-1.0), {"y": lambda s: s[:, 0]}, n,
+                     np.array([0.0, 20 * dt]), dt, 0)
+    finally:
+        tracemalloc.stop()
+    assert len(in_use) == 20
+    assert max(in_use) - min(in_use) < n * 16
 
 
 def test_run_ensemble_draws_noise_once_per_step():

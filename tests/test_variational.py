@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_polynomial_hamiltonian_rejects_modes_out_of_range():
         expectation(ring_initial_state([1.0], members=3), (), (1,))
 
 
-_CROSS_TERMS = [(0.25, (0, 1), (1, 1)), (0.4 - 0.2j, (1, 1), (0, 0)), (0.3, (0,), ()), (-0.2j, (), (1,))]
+_CROSS_TERMS = ((0.25, (0, 1), (1, 1)), (0.4 - 0.2j, (1, 1), (0, 0)), (0.3, (0,), ()), (-0.2j, (), (1,)))
 
 
 def _assert_close(got, ref):
@@ -120,6 +121,26 @@ def _assert_close(got, ref):
     products re-associate the term-by-term ones."""
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_hamiltonian_is_frozen_over_tuple_terms():
+    """The terms are compiled on construction, so the Hamiltonian cannot
+    change after it: appending to or assigning its terms fails, and
+    changing the list it was built from leaves its energy as it was.  A
+    replaced copy compiles the new terms."""
+    state = ring_initial_state([1.0], members=4)
+    terms = list(kerr_hamiltonian(1.0).terms)
+    ham = PolynomialHamiltonian(terms, 1)
+    before = energy(state, ham)
+    with pytest.raises(AttributeError):
+        ham.terms.append((5.0, (0,), (0,)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ham.terms = ()
+    terms.append((5.0, (0,), (0,)))
+    assert energy(state, ham) == before
+    changed = dataclasses.replace(ham, terms=terms)
+    assert energy(state, changed) == energy(state, PolynomialHamiltonian(tuple(terms), 1))
+    assert energy(state, changed) > before + 1.0
 
 
 def test_compiled_symbols_match_term_loop():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -207,9 +208,10 @@ def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi
     )
 
 
-def test_lossless_drift_equals_the_reference_byte_for_byte():
+def test_lossless_drift_matches_the_reference():
     """Without loss channels the drift is the omega and chi terms alone,
-    bit for bit, and no noise is drawn."""
+    to rounding (the compiled matrix products sum the squared parts in
+    another order), and no noise is drawn."""
     rng = np.random.default_rng(11)
     fields = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
     chi, omega = _random_couplings(rng, 3)
@@ -217,7 +219,38 @@ def test_lossless_drift_equals_the_reference_byte_for_byte():
         zeta = model.noise(5, fields.shape[0], 0.01)
         assert zeta is None
         d = model.derivative(fields, 5, zeta, np.empty_like(fields))
-        assert d.tobytes() == wigner_derivative(model, fields, zeta).tobytes()
+        np.testing.assert_allclose(d, wigner_derivative(model, fields, zeta), rtol=1e-14, atol=0)
+
+
+def test_model_is_frozen_over_its_own_copies():
+    """The drift is compiled from chi, omega and the channels on the first
+    call for a field shape, so the model cannot change after it: assigning
+    a field or writing into chi or omega fails, and changing the arrays
+    and list it was built from changes no bit of its drift.  A replaced
+    copy compiles the new values."""
+    rng = np.random.default_rng(5)
+    chi, omega = _random_couplings(rng, 2)
+    powers = [1, 1]
+    channels = [LossChannel(powers, 0.3)]
+    model = WignerModel(chi=chi, omega=omega, channels=channels, seed=2)
+    fields = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    zeta = model.noise(0, 16, 0.01)
+    before = model.derivative(fields, 0, zeta, np.empty_like(fields)).copy()
+    for name, value in (("chi", chi), ("omega", None), ("channels", ()), ("seed", 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+    for matrix in (model.chi, model.omega):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 9.0
+    chi[0, 0] = omega[0, 1] = 9.0
+    powers[0] = 2
+    channels.append(LossChannel((0, 2), 1.0))
+    assert model.derivative(fields, 0, zeta, np.empty_like(fields)).tobytes() == before.tobytes()
+    changed = dataclasses.replace(model, chi=chi, omega=omega, channels=channels)
+    zeta = changed.noise(0, 16, 0.01)
+    d = changed.derivative(fields, 0, zeta, np.empty_like(fields))
+    np.testing.assert_allclose(d, wigner_derivative(changed, fields, zeta), rtol=1e-12, atol=1e-12)
+    assert not np.allclose(d, before)
 
 
 def test_diverged_trajectory_leaves_later_snapshots():
