@@ -96,7 +96,7 @@ class KerrPlusP:
 
     i d(alpha_m)/dt = omega_mn alpha_n + [chi alpha_m beta_m
                         + sqrt(i chi) xi1_m] alpha_m
-    -i d(beta_m)/dt = omega_mn beta_n + [chi alpha_m beta_m
+    -i d(beta_m)/dt = omega*_mn beta_n + [chi alpha_m beta_m
                         + sqrt(-i chi) xi2_m] beta_m
 
     with 2M real noises of variance delta_mm' / dt per step.  These are
@@ -161,8 +161,8 @@ class KerrPlusP:
             if scratch is None or scratch.shape != state.shape or scratch.strides != state.strides:
                 scratch = self._scratch = np.empty_like(state)
             omega_t = (sign * np.asarray(self.omega)).T
-            block = np.zeros((2 * m, 2 * m), dtype=complex)  # -i omega^T on alpha, +i omega^T on beta
-            block[:m, :m], block[m:, m:] = -1j * omega_t, 1j * omega_t
+            block = np.zeros((2 * m, 2 * m), dtype=complex)  # -i omega^T on alpha, +i omega^H on beta
+            block[:m, :m], block[m:, m:] = -1j * omega_t, 1j * omega_t.conj()
             out += np.matmul(state, block, out=scratch)
         return out
 

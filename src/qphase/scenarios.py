@@ -373,6 +373,7 @@ def _snap_times(times, dt):
 
 
 def _run_wigner(p, seed):
+    from .fock import kerr_oracle
     from .wigner import LossChannel, run_wigner_x
 
     times = _snap_times(p["times"], p["dt"])
@@ -391,8 +392,17 @@ def _run_wigner(p, seed):
                     "error": result.error(name)[i],
                 }
             )
+    columns = ["t", "observable", "mean", "error"]
+    if not channels:  # lossless: Re <a_0> of the closed-form Kerr solution, then |alpha_0|^2 + 1/2
+        alpha0 = p["alpha0"]
+        chi = np.zeros((len(alpha0),) * 2) if p["chi"] is None else p["chi"]
+        exact = [kerr_oracle(alpha0, chi, t)["a"][0].real for t in times]
+        exact += [abs(alpha0[0]) ** 2 + 0.5] * len(times)
+        for row, value in zip(rows, exact):
+            row["exact"] = value
+        columns.append("exact")
     report = {"diverged": result.diverged, "trajectories": result.trajectories}
-    return ScenarioOutcome("wigner", rows, ["t", "observable", "mean", "error"], report)
+    return ScenarioOutcome("wigner", rows, columns, report)
 
 
 def _run_plusp(p, seed):
@@ -488,6 +498,7 @@ def _run_entropy(p, seed):
 
 
 def _run_variational(p, seed):
+    from .fock import kerr_oracle
     from .variational import (
         energy,
         expectation,
@@ -506,9 +517,11 @@ def _run_variational(p, seed):
         state, ham, p["dt"], n_steps, lam=p["lam"], iters=p["iters"],
         record_every=p["record_every"],
     )
-    rows = []
+    rows, omega = [], p["omega"] or 0.0
     for t, st in zip(times, states):
         a_mean = expectation(st, (), (0,))
+        # <a> of |alpha> under omega N + (chi/2) adag^2 a^2, whose two parts commute
+        a_exact = np.exp(-1j * omega * t) * kerr_oracle([p["alpha"]], [[p["chi"]]], t)["a"][0]
         rows.append(
             {
                 "t": t,
@@ -516,13 +529,16 @@ def _run_variational(p, seed):
                 "y": a_mean.imag,
                 "norm": state_norm(st),
                 "energy": energy(st, ham),
+                "exact_x": a_exact.real,
+                "exact_y": a_exact.imag,
             }
         )
     report = {
         "norm_drift": abs(rows[-1]["norm"] / rows[0]["norm"] - 1.0),
         "energy_drift": abs(rows[-1]["energy"] - rows[0]["energy"]),
     }
-    return ScenarioOutcome("variational", rows, ["t", "x", "y", "norm", "energy"], report)
+    columns = ["t", "x", "y", "norm", "energy", "exact_x", "exact_y"]
+    return ScenarioOutcome("variational", rows, columns, report)
 
 
 def _run_dimension_count(p, seed):

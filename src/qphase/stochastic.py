@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "noise_block",
-    "complex_field_noise",
     "MomentAccumulator",
     "step",
     "evolve",
@@ -53,17 +52,6 @@ def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, step_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.standard_normal((n_traj, per_traj))
-
-
-def complex_field_noise(normals: np.ndarray, dt: float) -> np.ndarray:
-    """Pairs of unit normals -> complex noise with <z z*> = 1/dt.
-
-    The last axis of `normals` must have even length; consecutive pairs
-    become real and imaginary quadratures, read in place as complex.
-    """
-    if normals.shape[-1] % 2:
-        raise ValueError("need an even number of normals for complex noise")
-    return np.ascontiguousarray(normals, dtype=float).view(complex) / math.sqrt(2.0 * dt)
 
 
 @dataclass

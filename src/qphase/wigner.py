@@ -271,7 +271,6 @@ def run_wigner_x(
         chi=np.atleast_2d(chi) if chi is not None else None,
         omega=omega,
         channels=tuple(channels),
-        components=alpha0.size,
         seed=seed,
     )
     return run_ensemble(

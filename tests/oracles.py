@@ -130,7 +130,9 @@ def plusp_derivative(model, state, step_index, xi):
         y = state[:, cols]
         out[:, cols] = rot * (cross + noise[:, cols]) * y + strat * chi * y
         if model.omega is not None:
-            out[:, cols] += rot * y @ (sign * np.asarray(model.omega)).T
+            omega = sign * np.asarray(model.omega)
+            coupling = omega if rot == -1j else omega.conj()  # omega on alpha, omega* on beta
+            out[:, cols] += rot * y @ coupling.T
     return out
 
 
@@ -237,7 +239,7 @@ def polynomial_symbol(terms, bra_conj, ket):
 
 def polynomial_symbol_grad(terms, bra_conj, ket, k):
     """d H^(mn) / d conj(alpha_k^(m)) term by term; the reference for
-    ``variational.PolynomialHamiltonian.symbol_grad``."""
+    row k + 1 of ``variational.PolynomialHamiltonian.symbols``."""
     n = bra_conj.shape[0]
     out = np.zeros((n, n), dtype=complex)
     for coeff, creation, annihilation in terms:

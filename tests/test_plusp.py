@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import plusp_derivative
+from scipy.linalg import expm
 
 from qphase.fock import kerr_oracle
 from qphase.plusp import (
@@ -81,6 +82,34 @@ def test_chi_zero_harmonic_rotation_is_deterministic():
     assert np.allclose(res.mean("X").real, expected, atol=1e-9)
 
 
+@pytest.mark.parametrize("reverse_at", [None, 0.5])
+def test_complex_hermitian_omega_moves_alpha_and_beta_exactly(reverse_at):
+    """With chi = 0 and delta width the run is deterministic: alpha(t) =
+    U alpha0 and beta(t) = conj(U alpha0), U = exp(-i omega t), with omega's
+    sign flipped from the reversal time on, so beta follows omega*."""
+    omega = np.array([[0.3, 0.4 - 0.5j], [0.4 + 0.5j, -0.2]])
+    alpha0 = np.array([1.0 + 0.5j, -0.3 + 0.8j])
+    times = np.array([0.0, 0.5, 1.0])
+    res = run_kerr_plusp(
+        {"kind": "coherent", "alpha": list(alpha0)},
+        chi=0.0,
+        times=times,
+        trajectory_count=2,
+        seed=3,
+        dt=0.001,
+        omega=omega,
+        width="delta",
+        reverse_at=reverse_at,
+        extra_observables={f"s{k}": lambda s, k=k: s[:, k] for k in range(4)},
+    )
+    for i, t in enumerate(times):
+        forward = t if reverse_at is None else min(t, reverse_at)
+        alpha = expm(1j * omega * (t - forward)) @ expm(-1j * omega * forward) @ alpha0
+        state = np.array([res.mean(f"s{k}")[i] for k in range(4)])
+        np.testing.assert_allclose(state[:2], alpha, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(state[2:], alpha.conj(), rtol=0, atol=1e-6)
+
+
 def test_kerr_number_is_conserved():
     """beta_0 alpha_0 (the +P number estimator) is conserved by the Kerr
     flow trajectory-by-trajectory up to integrator error."""
@@ -153,11 +182,12 @@ def _scaled_normals(model, step_index, n_traj, dt):
 def test_drift_matches_the_per_half_reference(seed, modes, with_omega, reversed_, noisy, column_major):
     """The rate-column drift, with its noise drawn by the model or set to
     zero, agrees with the parent's per-half drift to rounding, before and
-    after the reversal step, with and without omega, in either layout."""
+    after the reversal step, with and without a Hermitian omega, in either
+    layout."""
     rng = np.random.default_rng(seed)
-    omega = rng.uniform(-0.5, 0.5, (modes, modes))
-    model = KerrPlusP(chi=rng.uniform(0.01, 1.0), modes=modes, omega=omega + omega.T if with_omega else None,
-                      seed=seed, reverse_step=4)
+    omega = rng.uniform(-0.5, 0.5, (modes, modes)) + 1j * rng.uniform(-0.5, 0.5, (modes, modes))
+    omega = omega + omega.conj().T if with_omega else None  # Hermitian
+    model = KerrPlusP(chi=rng.uniform(0.01, 1.0), modes=modes, omega=omega, seed=seed, reverse_step=4)
     k, dt, n = (6 if reversed_ else 2), 0.01, 16
     state = rng.standard_normal((n, 2 * modes)) + 1j * rng.standard_normal((n, 2 * modes))
     state = np.asfortranarray(state) if column_major else state

@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qphase.cli import main
+from qphase.fock import kerr_oracle
 from qphase.scenarios import (
     SCENARIO_KINDS,
     ValidationError,
@@ -269,6 +272,10 @@ _VARIATIONAL_SMALL = "kind: variational\ncomponents: 4\nt_max: 0.1\ndt: 0.01\n"
         (_DIMENSIONS + "name: '..'\n", "name"),
         # 0.1 and 0.1004 are both step 50 of dt = 0.002: one row would be lost
         (_WIGNER_SMALL + "dt: 0.002\ntimes: [0, 0.1, 0.1004]\n", "times"),
+        # one trajectory has no error bar, a zero step never advances, an empty grid has no rows
+        ("kind: plusp-reverse\ntrajectories: 1\n", "trajectories"),
+        (_WIGNER_SMALL + "times: [0.0, 0.1]\ndt: 0\n", "dt"),
+        (_DOUBLEWELL + "taus: {stop: 100, points: 0}\n", "taus.points"),
     ],
 )
 def test_cli_rejects_every_out_of_domain_leaf_with_exit_2(tmp_path, text, path):
@@ -442,13 +449,44 @@ def test_run_entropy_scenario():
 
 def test_run_variational_scenario_short():
     scenario = parse_scenario(
-        "kind: variational\ncomponents: 6\nalpha: 1.0\nt_max: 0.1\n"
+        "kind: variational\ncomponents: 6\nalpha: 1.0\nchi: 1.0\nomega: 0.7\nt_max: 0.1\n"
         "dt: 0.01\nrecord_every: 5\n"
     )
     outcome = run_scenario(scenario)
-    assert outcome.columns == ["t", "x", "y", "norm", "energy"]
+    assert outcome.columns == ["t", "x", "y", "norm", "energy", "exact_x", "exact_y"]
     assert outcome.report["norm_drift"] < 1e-3
     assert outcome.report["energy_drift"] < 1e-3
+    for row in outcome.rows:
+        # <a> of |1> under 0.7 N + (1/2) adag^2 a^2
+        exact = np.exp(-0.7j * row["t"] + np.expm1(-1j * row["t"]))
+        assert row["exact_x"] == pytest.approx(exact.real, abs=1e-12)
+        assert row["exact_y"] == pytest.approx(exact.imag, abs=1e-12)
+        # the ring reproduces the coherent state to O(radius)
+        assert abs(complex(row["x"], row["y"]) - exact) < 0.01
+
+
+@pytest.mark.parametrize(
+    "components, alpha0, chi",
+    [
+        ("alpha0: 2.0\nchi: 0.05\n", [2.0], [[0.05]]),
+        ("alpha0: ['3.0', '2.0+1.0j']\nchi: [[0.01, 0.005], [0.005, 0.02]]\n",
+         [3.0, 2.0 + 1.0j], [[0.01, 0.005], [0.005, 0.02]]),
+        ("alpha0: '1.5-0.5j'\n", [1.5 - 0.5j], [[0.0]]),
+    ],
+    ids=["one", "two", "no-chi"],
+)
+def test_lossless_wigner_rows_carry_the_exact_kerr_solution(components, alpha0, chi):
+    scenario = parse_scenario(
+        "kind: wigner\nseed: 2\ntrajectories: 50\ndt: 0.01\ntimes: {stop: 0.5, points: 3}\n" + components
+    )
+    outcome = run_scenario(scenario)
+    assert outcome.columns == ["t", "observable", "mean", "error", "exact"]
+    for row in outcome.rows:
+        if row["observable"] == "X":
+            expected = kerr_oracle(alpha0, chi, row["t"])["a"][0].real
+        else:
+            expected = abs(alpha0[0]) ** 2 + 0.5
+        assert row["exact"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_plusp_rows_count_divergence_at_their_own_time():
@@ -480,6 +518,20 @@ def test_run_seed_override_changes_sampling():
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+def test_every_shipped_scenario_runs_through_the_cli(fixture, tmp_path):
+    """In-process ``qphase run``: exit 0 and the CSV (for kinds with rows),
+    JSON and manifest on disk."""
+    result = CliRunner().invoke(main, ["run", str(fixture), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    scenario = parse_scenario(fixture.read_text())
+    stem = scenario.name or fixture.stem
+    expected = {f"{stem}.json", f"{stem}.manifest.json"}
+    if scenario.kind not in ("entropy", "dimension-count"):
+        expected.add(f"{stem}.csv")
+    assert {path.name for path in tmp_path.iterdir()} == expected
 
 
 def test_cli_list_scenarios():
@@ -625,6 +677,7 @@ def test_cli_variational_step_failure_names_step_size(tmp_path):
     proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
     assert proc.returncode == 3
     assert "runtime failure" in proc.stderr and "dt=0.314" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
 
 def test_cli_inconclusive_exit_code(tmp_path):
@@ -672,8 +725,9 @@ def test_cli_two_component_wigner_matches_library(tmp_path):
         for i, t in enumerate(times):
             mean, error = result.mean(name)[i].real, result.error(name)[i]
             expected.append([repr(float(t)), name, repr(float(mean)), repr(float(error))])
-    rows = [line.split(",") for line in (tmp_path / "two.csv").read_text().splitlines()[1:]]
-    assert rows == expected
+    header, *lines = (tmp_path / "two.csv").read_text().splitlines()
+    assert header == "t,observable,mean,error"  # no closed form with losses
+    assert [line.split(",") for line in lines] == expected
 
 
 def test_cli_two_component_wigner_rejects_scalar_chi(tmp_path):

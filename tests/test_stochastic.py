@@ -11,7 +11,6 @@ from qphase.plusp import KerrPlusP, sample_canonical
 from qphase.stochastic import (
     MIDPOINT_ITERS,
     MomentAccumulator,
-    complex_field_noise,
     evolve,
     noise_block,
     run_ensemble,
@@ -56,26 +55,32 @@ def test_noise_block_statistics():
     assert abs(block.var() - 1.0) < 0.02
 
 
+def _loss_channels(count):
+    return tuple(LossChannel((k % 3 + 1, 0), 0.01 * (k + 1)) for k in range(count))
+
+
 def test_field_noise_scaling():
-    normals = noise_block(1, 0, 50000, 2)
+    """The Wigner loss noise sqrt(kappa) zeta has <|.|^2> = kappa / dt; no
+    channel means no noise."""
+    channels = _loss_channels(2)
     dt = 0.01
-    z = complex_field_noise(normals, dt)
-    assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0 / dt, rel=0.03)
-    with pytest.raises(ValueError):
-        complex_field_noise(np.zeros((3, 3)), dt)
+    z = WignerModel(channels=channels, seed=1).noise(0, 50000, dt)
+    rates = np.array([ch.rate for ch in channels])
+    assert np.mean(np.abs(z) ** 2, axis=0) == pytest.approx(rates / dt, rel=0.03)
+    assert WignerModel(seed=1).noise(0, 50000, dt) is None
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_field_noise_equals_the_quadrature_sum_byte_for_byte(seed):
-    """Reading the normals in place as complex gives every bit of the
-    explicit re + 1j * im pairing, also for a strided input."""
-    normals = noise_block(seed, seed + 1, 300, 8)
+    """Scaling the model's normals in place, read as complex, gives every
+    bit of the explicit (re + 1j * im) * sqrt(kappa) / sqrt(2 dt) pairing."""
+    channels = _loss_channels(seed % 4 + 1)
     dt = 0.01 * (seed + 1)
-    explicit = (normals[:, 0::2] + 1j * normals[:, 1::2]) / math.sqrt(2.0 * dt)
-    assert complex_field_noise(normals, dt).tobytes() == explicit.tobytes()
-    strided = normals[::2, :6]
-    explicit = (strided[:, 0::2] + 1j * strided[:, 1::2]) / math.sqrt(2.0 * dt)
-    assert complex_field_noise(strided, dt).tobytes() == explicit.tobytes()
+    normals = noise_block(seed, seed + 1, 300, 2 * len(channels))
+    scale = np.sqrt([ch.rate for ch in channels]) / math.sqrt(2.0 * dt)
+    explicit = (normals[:, 0::2] + 1j * normals[:, 1::2]) * scale
+    zeta = WignerModel(channels=channels, seed=seed).noise(seed + 1, 300, dt)
+    assert zeta.tobytes() == explicit.tobytes()
 
 
 # ---------------------------------------------------------------------------
