@@ -6,7 +6,7 @@ lattice          many-body Hilbert-space dimension counting
 fock             Fock-basis states, ladder operators, Kerr oracle
 spins            Schwinger spin moments, squeezing, entanglement criteria
 doublewell       the two-well two-spin squeezing/entanglement pipeline
-stochastic       counter-based noise, SDE stepping, moment accumulation
+stochastic       keyed-stream noise, SDE stepping, moment accumulation
 wigner           truncated Wigner sampling, losses, ordering conversion
 plusp            positive-P doubled-phase-space evolution and time reversal
 gaussian_entropy Gaussian-operator Renyi-2 entropy, bosons and fermions

@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stochastic import EnsembleResult, noise_block, run_ensemble
+from .stochastic import (
+    CANONICAL_WIDTHS,
+    FOCK_PHASES,
+    FOCK_RADII,
+    HUSIMI_MEANS,
+    EnsembleResult,
+    draw_rows,
+    noise_block,
+    run_ensemble,
+)
 
 __all__ = [
     "sample_canonical",
@@ -27,28 +36,35 @@ __all__ = [
 ]
 
 
-def _husimi_samples(state: dict, gen: np.random.Generator, n: int, modes: int) -> np.ndarray:
+def _complex_normals(seed: int, domain: int, n: int, modes: int) -> np.ndarray:
+    """(n, modes) complex normals re + i im, each part standard normal."""
+    return draw_rows(seed, domain, 0, n, lambda gen, k: gen.standard_normal((k, 2 * modes))).view(complex)
+
+
+def _husimi_samples(state: dict, seed: int, n: int, modes: int) -> np.ndarray:
     """Draw mu from the Husimi function of a supported state family."""
     kind = state["kind"]
     if kind == "coherent":
         alpha0 = np.atleast_1d(np.asarray(state["alpha"], dtype=complex))
         if alpha0.size != modes:
             raise ValueError("coherent amplitude length must equal mode count")
-        noise = gen.standard_normal((n, modes, 2))
-        return alpha0 + (noise[..., 0] + 1j * noise[..., 1]) / math.sqrt(2.0)
+        return alpha0 + _complex_normals(seed, HUSIMI_MEANS, n, modes) / math.sqrt(2.0)
     if kind == "thermal":
         nbar = np.atleast_1d(np.asarray(state["nbar"], dtype=float))
         if nbar.size != modes:
             raise ValueError("one nbar per mode required")
-        noise = gen.standard_normal((n, modes, 2))
         width = np.sqrt((1.0 + nbar) / 2.0)
-        return width * (noise[..., 0] + 1j * noise[..., 1])
+        return width * _complex_normals(seed, HUSIMI_MEANS, n, modes)
     if kind == "fock":
         numbers = np.atleast_1d(np.asarray(state["n"], dtype=int))
         if numbers.size != modes:
             raise ValueError("one occupation per mode required")
-        radius_sq = gen.gamma(shape=numbers + 1.0, size=(n, modes))
-        phases = gen.uniform(0.0, 2.0 * math.pi, size=(n, modes))
+        radius_sq = draw_rows(
+            seed, FOCK_RADII, 0, n, lambda gen, k: gen.gamma(numbers + 1.0, size=(k, modes))
+        )
+        phases = draw_rows(
+            seed, FOCK_PHASES, 0, n, lambda gen, k: gen.uniform(0.0, 2.0 * math.pi, size=(k, modes))
+        )
         return np.sqrt(radius_sq) * np.exp(1j * phases)
     raise ValueError(f"unsupported state family {kind!r}")
 
@@ -80,11 +96,9 @@ def sample_canonical(
         alpha[...] = np.atleast_1d(np.asarray(state["alpha"], dtype=complex))
         np.conj(alpha, out=beta)
         return packed
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0x9E3779B9], dtype=np.uint64)))
-    mu = _husimi_samples(state, gen, trajectories, modes)
+    mu = _husimi_samples(state, seed, trajectories, modes)
     # the Gaussian factor exp(-|gamma|^2/4) has <|gamma|^2> = 4 per mode
-    noise = gen.standard_normal((trajectories, modes, 2))
-    gamma = math.sqrt(2.0) * (noise[..., 0] + 1j * noise[..., 1])
+    gamma = math.sqrt(2.0) * _complex_normals(seed, CANONICAL_WIDTHS, trajectories, modes)
     np.add(mu, 0.5 * gamma, out=alpha)
     np.conj(mu - 0.5 * gamma, out=beta)
     return packed

@@ -1,9 +1,14 @@
 """Shared stochastic machinery: reproducible noise, SDE stepping, moments.
 
-Noise is counter-based (Philox) and addressed by (master_seed, step,
-trajectory, slot), so the values a trajectory sees never depend on worker
-assignment or evaluation order.  All steppers operate on arrays with a
-leading trajectory axis, so a whole ensemble advances in vectorized form.
+Every random draw in qphase comes from one stream address, (seed, domain,
+index, block): an SFC64 generator seeded through a ``SeedSequence`` of
+those four numbers, after the keyed streams of Salmon et al. (SC11).
+The domain names the kind of variate (step noise, +P means, ...), the
+index the time step, and the block which ``BLOCK_ROWS`` rows of
+trajectories the stream fills.  A trajectory's values therefore never
+depend on how many trajectories run beside it, on worker assignment or
+on evaluation order.  All steppers operate on arrays with a leading
+trajectory axis, so a whole ensemble advances in vectorized form.
 
 `evolve` is the one time loop.  It drives a model that provides
 
@@ -33,6 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BLOCK_ROWS",
+    "STEP_NOISE",
+    "HUSIMI_MEANS",
+    "CANONICAL_WIDTHS",
+    "FOCK_RADII",
+    "FOCK_PHASES",
+    "WIGNER_SAMPLES",
+    "stream",
+    "draw_rows",
     "noise_block",
     "MomentAccumulator",
     "step",
@@ -42,16 +56,47 @@ __all__ = [
 ]
 
 
+# Trajectory rows drawn from one stream; row r comes from block r // BLOCK_ROWS.
+BLOCK_ROWS = 2**16
+
+# Stream domains: each kind of variate draws from its own streams.
+STEP_NOISE = 1  # per-step SDE noise, index = step
+HUSIMI_MEANS = 2  # +P coherent and thermal Husimi means
+CANONICAL_WIDTHS = 3  # +P canonical Gaussian widths
+FOCK_RADII = 4  # +P Fock-state Husimi radii
+FOCK_PHASES = 5  # +P Fock-state Husimi phases
+WIGNER_SAMPLES = 6  # truncated-Wigner coherent samples
+
+
+def stream(seed: int, domain: int, index: int = 0, block: int = 0) -> np.random.Generator:
+    """The generator at stream address (seed, domain, index, block); the
+    seed is taken modulo 2**64."""
+    key = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, domain, index, block))
+    return np.random.Generator(np.random.SFC64(key))
+
+
+def draw_rows(seed: int, domain: int, index: int, rows: int, draw) -> np.ndarray:
+    """`rows` rows of `draw(generator, k)` (which returns k rows), where
+    rows [b BLOCK_ROWS, (b + 1) BLOCK_ROWS) come from block b's stream.
+    Each block draws its rows in order, so adding rows never changes
+    the rows before them."""
+    parts = [
+        draw(stream(seed, domain, index, block), min(BLOCK_ROWS, rows - lo))
+        for block, lo in enumerate(range(0, max(rows, 1), BLOCK_ROWS))
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -> np.ndarray:
     """Standard normals of shape (n_traj, per_traj) for one time step.
 
-    Row i is the noise owned by trajectory i: slot (i * per_traj + j) of
-    the flat Philox-keyed stream for (seed, step).  Adding trajectories
-    extends the block without changing existing rows.
+    Row i is the noise owned by trajectory i, drawn from the step-noise
+    stream (master_seed, STEP_NOISE, step_index, i // BLOCK_ROWS), so
+    adding trajectories extends the block without changing existing rows.
     """
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, step_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((n_traj, per_traj))
+    return draw_rows(
+        master_seed, STEP_NOISE, step_index, n_traj, lambda gen, k: gen.standard_normal((k, per_traj))
+    )
 
 
 @dataclass

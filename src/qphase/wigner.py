@@ -13,11 +13,15 @@ together drift by -phi_s P_s(n) with
              + 1/2 sum_t l_t (l_t - delta_st) n^(l-e_s-e_t)],
 
 e_s the unit exponent of component s and n^k = prod_u n_u^{k_u}.  The
-noise is sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l.  Together with
-the interaction, -phi_s P_s(n) - i phi_s sum_t chi_st n_t is phi_s times
-one complex polynomial G_s(n), which ``WignerModel`` evaluates for all
-components at once as one real matrix product over a table of squared
-real and imaginary parts; its drift allocates nothing per call.
+noise is sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l.  The
+interaction sum_st (chi_st / 2) a_s^dag a_t^dag a_t a_s has the Weyl
+symbol sum_st (chi_st / 2) [(n_s - 1/2)(n_t - 1/2) - delta_st (n_s - 1/4)],
+so it drifts phi_s by -i phi_s sum_t chi_st (n_t - (1 + delta_st) / 2):
+the mean-field term plus the symmetric-ordering correction.  Together,
+-phi_s P_s(n) and that term are phi_s times one complex polynomial
+G_s(n), which ``WignerModel`` evaluates for all components at once as
+one real matrix product over a table of squared real and imaginary
+parts; its drift allocates nothing per call.
 Symmetric moments are converted to normally ordered ones before any
 physical observable (spin moments, xi^2 squeezing) is formed.
 """
@@ -30,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stochastic import evolve, noise_block, run_ensemble
+from .stochastic import WIGNER_SAMPLES, draw_rows, evolve, noise_block, run_ensemble
 
 __all__ = [
     "sample_wigner_coherent",
@@ -55,11 +59,10 @@ def sample_wigner_coherent(alpha0, seed: int, trajectories: int) -> np.ndarray:
     (quadrature variance 1/4), the symmetric-ordering vacuum width.
     """
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0x57494E52], dtype=np.uint64))
+    noise = draw_rows(
+        seed, WIGNER_SAMPLES, 0, trajectories, lambda gen, k: gen.standard_normal((k, 2 * alpha0.size))
     )
-    noise = gen.standard_normal((trajectories, alpha0.size, 2))
-    return alpha0 + 0.5 * (noise[..., 0] + 1j * noise[..., 1])
+    return alpha0 + 0.5 * noise.view(complex)
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,14 @@ class _WignerDrift:
     with the scratch it writes through.
 
     Every real and imaginary part squared fills the first 2S columns of the
-    density table D, each density monomial of degree two or more one column
-    after them.  One real matrix M maps D to the interleaved real and
-    imaginary parts of G_s = -P_s(n) - i sum_t chi_st n_t (the constant
-    part of P_s is added from a table tiled once), so the chi and
-    loss drift is (D @ M).view(complex) * phi.  The omega term is one real
-    matrix product on the interleaved parts, and each noise term one
-    multiply-add into its component's column.
+    column-major density table D, each density monomial of degree two or
+    more one column after them, and a last column of ones, set once here,
+    carries the constant part of
+    G_s = -P_s(n) - i sum_t chi_st (n_t - (1 + delta_st) / 2).
+    One real matrix M maps D to the interleaved real and imaginary parts
+    of G_s, so the chi and loss drift is (D @ M).view(complex) * phi.  The
+    omega term is one real matrix product on the interleaved parts, and
+    each noise term one multiply-add into its component's column.
     """
 
     def __init__(self, model, shape):
@@ -133,7 +137,7 @@ class _WignerDrift:
         self.shape = shape
         self.high = sorted({k for _, _, k in drift if sum(k) > 1})
         m = np.zeros((2 * comps + len(self.high), 2 * comps))
-        const = np.zeros(2 * comps)
+        const = np.zeros(2 * comps)  # G_s at n = 0
         for s, c, k in drift:
             degree = sum(k)
             if degree == 0:
@@ -144,14 +148,20 @@ class _WignerDrift:
             else:
                 m[2 * comps + self.high.index(k), 2 * s] -= c
         if model.chi is not None:
-            m[:2 * comps, 1::2] -= np.repeat(np.asarray(model.chi, dtype=float).T, 2, axis=0)
+            chi = np.asarray(model.chi, dtype=float)
+            m[:2 * comps, 1::2] -= np.repeat(chi.T, 2, axis=0)
+            const[1::2] += 0.5 * (chi.sum(axis=1) + np.diag(chi))  # symmetric ordering
+        ones = const.any()
+        if ones:
+            m = np.vstack([m, const])
         self.m = m if (model.chi is not None or drift) else None
         if self.m is not None:
-            self.table = np.empty((n, m.shape[0]))
+            self.table = np.empty((n, m.shape[0]), order="F")  # contiguous columns: no buffered writes
             self.squares = self.table[:, :2 * comps]
-            self.density = np.empty((n, comps)) if self.high else None
+            if ones:
+                self.table[:, -1] = 1.0
+            self.density = np.empty((n, comps), order="F") if self.high else None
             self.g = np.empty((n, 2 * comps))
-            self.const = np.tile(const, (n, 1)) if const.any() else None
         self.lin = None if model.omega is None else _real_form(-1j * np.asarray(model.omega).T)
         self.lin_out = None if self.lin is None else np.empty((n, 2 * comps))
         # (component, channel, factor, conj(phi) columns whose product is conj(phi^e))
@@ -167,7 +177,7 @@ class _WignerDrift:
         if self.m is None:
             out.fill(0.0)
         else:
-            np.multiply(parts, parts, out=self.squares)
+            np.multiply(parts.T, parts.T, out=self.squares.T)
             if self.high:
                 np.add(self.squares[:, 0::2], self.squares[:, 1::2], out=self.density)
                 for h, k in enumerate(self.high, start=self.squares.shape[1]):
@@ -177,8 +187,6 @@ class _WignerDrift:
                         for _ in range(k_u):
                             column *= self.density[:, u]
             np.matmul(self.table, self.m, out=self.g)
-            if self.const is not None:
-                self.g += self.const
             np.multiply(self.g.view(complex), fields, out=out)
         if self.lin is not None:
             np.matmul(parts, self.lin, out=self.lin_out)
@@ -201,7 +209,8 @@ class _WignerDrift:
 class WignerModel:
     """Drift + loss noise for a multi-component single-site Bose field.
 
-    d phi_s/dt = -i (omega_ss' phi_s' + chi_ss' |phi_s'|^2 phi_s)
+    d phi_s/dt = -i (omega_ss' phi_s'
+                     + chi_ss' (|phi_s'|^2 - (1 + delta_ss') / 2) phi_s)
                  - phi_s P_s(n)
                  + sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l
 

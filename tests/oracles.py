@@ -87,7 +87,8 @@ def _monomial_hess(fields, powers, s, t):
 
 def wigner_derivative(model, fields, zeta):
     """Truncated Wigner drift with every loss channel's gradient and
-    Hessian rebuilt per component, zero terms included; the reference for
+    Hessian rebuilt per component, zero terms included, and the
+    interaction's symmetric-ordering correction; the reference for
     ``wigner.WignerModel.derivative``, which merges like terms of the
     loss drift and so matches it to rounding, not bit for bit.  Column l
     of `zeta` is channel l's noise with sqrt(kappa_l) already folded in,
@@ -97,8 +98,10 @@ def wigner_derivative(model, fields, zeta):
     if model.omega is not None:
         d += -1j * fields @ np.asarray(model.omega).T
     if model.chi is not None:
+        # Weyl symbol of the interaction: n_t - (1 + delta_st) / 2 in place of n_t
+        chi = np.asarray(model.chi)
         density = np.abs(fields) ** 2
-        d += -1j * (density @ np.asarray(model.chi).T) * fields
+        d += -1j * ((density - 0.5) @ chi.T - 0.5 * np.diag(chi)) * fields
     for l, ch in enumerate(model.channels):
         mono = _monomial(fields, ch.powers)
         grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]

@@ -276,7 +276,7 @@ def test_criterion_8_hilbert_dimension():
 
 
 def test_criterion_9_bitwise_reproducibility():
-    """Counter-based noise and a full ensemble run are bit-exact under
+    """Keyed-stream noise and a full ensemble run are bit-exact under
     reruns and trajectory-count extension."""
     b1 = noise_block(123, 7, 4, 3)
     b2 = noise_block(123, 7, 4, 3)

@@ -1,5 +1,8 @@
+import itertools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import allocating_step
 
+import qphase
 from qphase.plusp import KerrPlusP, sample_canonical
 from qphase.stochastic import (
+    BLOCK_ROWS,
+    CANONICAL_WIDTHS,
+    FOCK_PHASES,
+    FOCK_RADII,
+    HUSIMI_MEANS,
     MIDPOINT_ITERS,
+    STEP_NOISE,
+    WIGNER_SAMPLES,
     MomentAccumulator,
+    draw_rows,
     evolve,
     noise_block,
     run_ensemble,
     step,
+    stream,
 )
 from qphase.wigner import LossChannel, WignerModel, sample_wigner_coherent
 
@@ -33,8 +46,110 @@ class Linear:
 
 
 # ---------------------------------------------------------------------------
-# counter-based noise
+# stream address and noise
 # ---------------------------------------------------------------------------
+
+DOMAINS = (STEP_NOISE, HUSIMI_MEANS, CANONICAL_WIDTHS, FOCK_RADII, FOCK_PHASES, WIGNER_SAMPLES)
+
+
+def test_stream_is_sfc64_keyed_by_its_address():
+    """stream(seed, domain, index, block) is SFC64 seeded by a SeedSequence
+    of the four numbers, the seed taken modulo 2**64."""
+    expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence((5, STEP_NOISE, 3, 2))))
+    assert np.array_equal(stream(5, STEP_NOISE, 3, 2).integers(0, 2**63, 16), expected.integers(0, 2**63, 16))
+    assert np.array_equal(stream(-1, STEP_NOISE).random(4), stream(2**64 - 1, STEP_NOISE).random(4))
+    assert np.array_equal(noise_block(5, 3, 7, 2), stream(5, STEP_NOISE, 3, 0).standard_normal((7, 2)))
+
+
+def test_distinct_addresses_give_distinct_streams():
+    """Changing any one of seed, domain, index or block changes the stream;
+    every domain differs from every other at the same seed."""
+    def head(*address):
+        return tuple(stream(*address).integers(0, 2**63, 4))
+
+    base = (9, STEP_NOISE, 4, 1)
+    heads = {head(*base)}
+    for i in range(4):
+        changed = list(base)
+        changed[i] += 1
+        heads.add(head(*changed))
+    heads.update(head(9, domain, 0, 0) for domain in DOMAINS)
+    assert len(heads) == 5 + len(DOMAINS)
+
+
+def test_step_noise_and_the_samplers_differ_at_the_same_seed():
+    """Step noise, Wigner samples and the two +P sample draws come from
+    different domains, so no value repeats between them at one seed."""
+    seed, n = 7, 6
+    step0 = noise_block(seed, 0, n, 2)
+    wigner = 2.0 * sample_wigner_coherent([0.0], seed, n).view(float)
+    plusp = sample_canonical({"kind": "coherent", "alpha": [0.0]}, seed, n)
+    means = draw_rows(seed, HUSIMI_MEANS, 0, n, lambda gen, k: gen.standard_normal((k, 2)))
+    widths = draw_rows(seed, CANONICAL_WIDTHS, 0, n, lambda gen, k: gen.standard_normal((k, 2)))
+    # alpha = (means + widths) / sqrt(2) with the pairing re + i im
+    assert np.allclose(plusp[:, 0].view(float).reshape(n, 2), (means + widths) / math.sqrt(2.0))
+    for a, b in itertools.combinations((step0, wigner, means, widths), 2):
+        assert not np.any(np.isclose(a, b))
+
+
+def test_rows_past_block_rows_come_from_the_next_block():
+    big = noise_block(3, 2, BLOCK_ROWS + 3, 2)
+    assert np.array_equal(big[:BLOCK_ROWS], stream(3, STEP_NOISE, 2, 0).standard_normal((BLOCK_ROWS, 2)))
+    assert np.array_equal(big[BLOCK_ROWS:], stream(3, STEP_NOISE, 2, 1).standard_normal((3, 2)))
+    assert noise_block(3, 2, 0, 2).shape == (0, 2)
+
+
+_SAMPLERS = {
+    "coherent": lambda seed, n: sample_canonical({"kind": "coherent", "alpha": [1.0, 0.5j]}, seed, n),
+    "thermal": lambda seed, n: sample_canonical({"kind": "thermal", "nbar": [0.5, 2.0]}, seed, n),
+    "fock": lambda seed, n: sample_canonical({"kind": "fock", "n": [1, 3]}, seed, n),
+    "wigner": lambda seed, n: sample_wigner_coherent([1.0, 2.0 - 1.0j], seed, n),
+    "noise_block": lambda seed, n: noise_block(seed, 4, n, 3),
+}
+
+
+@pytest.mark.parametrize("sizes", [(4, 8), (BLOCK_ROWS, BLOCK_ROWS + 3)], ids=["4-8", "block"])
+@pytest.mark.parametrize("draw", sorted(_SAMPLERS))
+def test_samples_are_prefix_stable(draw, sizes):
+    """Adding trajectories never changes the rows of the existing ones,
+    also across the first block boundary."""
+    small, big = (_SAMPLERS[draw](21, n) for n in sizes)
+    assert small.shape[0] == sizes[0] and big.shape[0] == sizes[1]
+    assert np.array_equal(big[: sizes[0]], small)
+
+
+def test_consecutive_steps_and_domains_are_uncorrelated():
+    """The correlation of consecutive steps' 20000 x 2 noise blocks, and of
+    equal draws from any two domains, is within 5 / sqrt(N) of 0."""
+    n_traj, seed = 20000, 13
+    bound = 5.0 / math.sqrt(2 * n_traj)
+    steps = [noise_block(seed, k, n_traj, 2).ravel() for k in range(5)]
+    for a, b in zip(steps, steps[1:]):
+        assert abs(np.corrcoef(a, b)[0, 1]) < bound
+    draws = [
+        draw_rows(seed, domain, 0, n_traj, lambda gen, k: gen.standard_normal((k, 2))).ravel()
+        for domain in DOMAINS
+    ]
+    for a, b in itertools.combinations(draws, 2):
+        assert abs(np.corrcoef(a, b)[0, 1]) < bound
+
+
+_GENERATOR_USE = re.compile(
+    r"\b(random\.|Generator|BitGenerator|SeedSequence|Philox|SFC64|PCG64\w*|MT19937|RandomState|default_rng)"
+)
+
+
+def test_only_stochastic_constructs_random_generators():
+    """Every random draw goes through ``stochastic.stream``: no other
+    module names numpy.random, a bit generator or a seed sequence."""
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(qphase.__file__).parent.glob("*.py"))
+        if path.name != "stochastic.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if _GENERATOR_USE.search(line)
+    ]
+    assert offenders == []
 
 
 def test_noise_block_is_deterministic_and_extends():
