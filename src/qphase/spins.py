@@ -203,14 +203,13 @@ class EntanglementReport:
     undefined: bool = False
 
 
-def entanglement_criteria(moments: SpinMoments, theta=None) -> EntanglementReport:
-    """Heisenberg-product and sum criteria on cross-well spin variances.
+def entanglement_criteria(moments: SpinMoments, theta: float) -> EntanglementReport:
+    """Heisenberg-product and sum criteria on the cross-well spin variances
+    at angle theta.
 
     Values below 1 certify inter-well entanglement; the dB values are
     10 log10(variance / n0) with n0 the two-well shot-noise reference.
     """
-    if theta is None:
-        theta, _ = optimal_theta(moments, well=0)
     jy_a = abs(moments.mean(0, _JY))
     jy_b = abs(moments.mean(1, _JY))
     denom = jy_a + jy_b

@@ -1,33 +1,40 @@
 """Truncated Wigner engine: sampling, losses, and ordering conversions.
 
 Fields are symmetric-ordering phase-space amplitudes phi with vacuum
-half-quantum noise (<|d phi|^2> = 1/2 per mode).  Loss channels follow
-the monomial-operator convention O = phi^l = prod_s phi_s^{l_s} at rate
-kappa_l with one shared complex noise zeta_l per channel.  The Ito drift
--kappa (dO/dphi_s)* O and the Ito->Stratonovich shift
--kappa/2 sum_t (d^2 O/dphi_s dphi_t)* dO/dphi_t are both phi_s times a
-real polynomial in the densities n_u = |phi_u|^2, so all channels
-together drift by -phi_s P_s(n) with
+half-quantum noise (<|d phi|^2> = 1/2 per mode).  One table,
+``_weyl_coeff``, maps normally ordered operators to their symmetric
+(Weyl) symbols W and back (``_weyl_terms``); the drift and the normally
+ordered moments both come from it.  With n_u = |phi_u|^2, e_s the unit
+exponent of component s and n^k = prod_u n_u^{k_u}, the interaction
+sum_st (chi_st / 2) a_s^dag a_t^dag a_t a_s drifts phi_s by
+-i sum_t chi_st W(a_t^dag a_t a_s) = -i phi_s sum_t chi_st (n_t - (1 + delta_st) / 2):
+the mean-field term plus the symmetric-ordering correction.  A loss
+channel O = a^l = prod_s a_s^{l_s} at rate kappa_l (Lindblad operator
+sqrt(2 kappa_l) O, one shared complex noise zeta_l) has the exact mean
+drift -kappa_l l_s W(a^dag^(l-e_s) a^l) = -kappa_l l_s phi_s w_ls(n) as
+its Ito drift and the noise sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l,
+whose Ito->Stratonovich shift -kappa/2 sum_t (d^2 O/dphi_s dphi_t)* dO/dphi_t
+is phi_s times a density polynomial too, so all channels together drift
+by -phi_s P_s(n) with
 
-    P_s(n) = sum_l kappa_l l_s [n^(l-e_s)
-             + 1/2 sum_t l_t (l_t - delta_st) n^(l-e_s-e_t)],
+    P_s(n) = sum_l kappa_l l_s [w_ls(n)
+             + 1/2 sum_t l_t (l_t - delta_st) n^(l-e_s-e_t)].
 
-e_s the unit exponent of component s and n^k = prod_u n_u^{k_u}.  The
-noise is sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l.  The
-interaction sum_st (chi_st / 2) a_s^dag a_t^dag a_t a_s has the Weyl
-symbol sum_st (chi_st / 2) [(n_s - 1/2)(n_t - 1/2) - delta_st (n_s - 1/4)],
-so it drifts phi_s by -i phi_s sum_t chi_st (n_t - (1 + delta_st) / 2):
-the mean-field term plus the symmetric-ordering correction.  Together,
--phi_s P_s(n) and that term are phi_s times one complex polynomial
-G_s(n), which ``WignerModel`` evaluates for all components at once as
-one real matrix product over a table of squared real and imaginary
-parts; its drift allocates nothing per call.
-Symmetric moments are converted to normally ordered ones before any
-physical observable (spin moments, xi^2 squeezing) is formed.
+One-body loss has w = 1; two-body loss a^2 has w = n - 1, whose +1
+cancels the shift.  The noise keeps the unordered diffusion
+kappa_l l_s^2 |phi^(l-e_s)|^2, which stays positive, so for nonlinear
+channels part of the truncation remains.  The interaction and
+-phi_s P_s(n) are phi_s times one complex polynomial G_s(n), which
+``WignerModel`` evaluates for all components at once as one real matrix
+product over a table of squared real and imaginary parts; its drift
+allocates nothing per call.  Symmetric moments are converted to normally
+ordered ones before any physical observable (spin moments, xi^2
+squeezing) is formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -73,30 +80,62 @@ class LossChannel:
     rate: float
 
 
-def _compile_losses(channels: tuple) -> tuple:
-    """Compile loss channels into the terms of the closed-form drift and
-    noise stated in ``WignerModel``.
+def _weyl_coeff(p: int, q: int, k: int) -> float:
+    """Coefficient of <adag^{q-k} a^{p-k}> in E_W[conj^q alpha^p]."""
+    return math.factorial(k) * math.comb(p, k) * math.comb(q, k) / 2.0**k
 
-    Returns (drift, noise).  drift holds (s, c, k), like terms merged, so
-    that P_s(n) = sum of c n^k over the terms of component s; noise holds
+
+@lru_cache(maxsize=None)
+def _weyl_terms(creators: tuple, annihilators: tuple) -> tuple:
+    """Weyl symbol of the normally ordered monomial adag^m a^n, with m and n
+    the creator and annihilator counts per mode: (j, c) for each term
+    c conj(phi)^(m-j) phi^(n-j), c = prod_u (-1)^{j_u} _weyl_coeff(n_u, m_u, j_u).
+
+    The signs invert the expansion of ``_weyl_coeff``, so the same table
+    turns normal moments into symmetric ones and back."""
+    terms = []
+    for j in itertools.product(*[range(min(m_u, n_u) + 1) for m_u, n_u in zip(creators, annihilators)]):
+        c = 1.0
+        for m_u, n_u, j_u in zip(creators, annihilators, j):
+            c *= (-1) ** j_u * _weyl_coeff(n_u, m_u, j_u)
+        terms.append((j, c))
+    return tuple(terms)
+
+
+def _compile(chi, channels: tuple, comps: int) -> tuple:
+    """Compile the interaction and the loss channels, their powers padded
+    to `comps`, into the terms of the closed-form drift and noise stated in
+    ``WignerModel``.
+
+    Returns (drift, noise).  drift holds (s, c, k), so that G_s(n) is the
+    sum of the complex c n^k over the terms of component s; noise holds
     (s, l, l_s, e) for the term l_s conj(phi^e) sqrt(kappa_l) zeta_l of
     component s.  Every term left out is zero.
     """
-    drift = {}  # (s, density exponent) -> coefficient
-    noise = []
+    drift, noise = [], []
+
+    def weyl(s, coeff, m):  # coeff W(adag^m a^(m + e_s)) = phi_s sum of c n^k
+        n = m[:s] + (m[s] + 1,) + m[s + 1:]
+        for j, c in _weyl_terms(m, n):
+            drift.append((s, coeff * c, tuple(m_u - j_u for m_u, j_u in zip(m, j))))
+
+    if chi is not None:
+        for s, t in itertools.product(range(comps), repeat=2):
+            weyl(s, -1j * chi[s, t], tuple(int(u == t) for u in range(comps)))
     for l, ch in enumerate(channels):
-        powers, rate = ch.powers, ch.rate
+        if len(ch.powers) > comps:
+            raise ValueError(f"loss channel {ch.powers} has more powers than the {comps} components")
+        powers, rate = ch.powers + (0,) * (comps - len(ch.powers)), ch.rate
         for s, l_s in enumerate(powers):
             if not l_s:
                 continue
             e = powers[:s] + (l_s - 1,) + powers[s + 1:]  # l - e_s
-            drift[s, e] = drift.get((s, e), 0.0) + rate * l_s
+            weyl(s, -rate * l_s, e)
             for t, e_t in enumerate(e):  # e_t = l_t - delta_st
                 if e_t:
-                    k = e[:t] + (e_t - 1,) + e[t + 1:]
-                    drift[s, k] = drift.get((s, k), 0.0) + 0.5 * rate * l_s * powers[t] * e_t
+                    drift.append((s, -0.5 * rate * l_s * powers[t] * e_t, e[:t] + (e_t - 1,) + e[t + 1:]))
             noise.append((s, l, l_s, e))
-    return tuple((s, c, k) for (s, k), c in drift.items()), tuple(noise)
+    return drift, noise
 
 
 def _real_form(coeffs: np.ndarray) -> np.ndarray:
@@ -120,48 +159,34 @@ class _WignerDrift:
     more one column after them, and a last column of ones, set once here,
     carries the constant part of
     G_s = -P_s(n) - i sum_t chi_st (n_t - (1 + delta_st) / 2).
-    One real matrix M maps D to the interleaved real and imaginary parts
-    of G_s, so the chi and loss drift is (D @ M).view(complex) * phi.  The
-    omega term is one real matrix product on the interleaved parts, and
-    each noise term one multiply-add into its component's column.
+    One real matrix M, filled from the terms of ``_compile``, maps D to the
+    interleaved real and imaginary parts of G_s, so the chi and loss drift
+    is (D @ M).view(complex) * phi.  The omega term is one real matrix
+    product on the interleaved parts, and each noise term one multiply-add
+    into its component's column.
     """
 
     def __init__(self, model, shape):
         n, comps = shape
-        channels = []
-        for ch in model.channels:
-            if len(ch.powers) > comps:
-                raise ValueError(f"loss channel {ch.powers} has more powers than the {comps} components")
-            channels.append(LossChannel(ch.powers + (0,) * (comps - len(ch.powers)), ch.rate))
-        drift, noise = _compile_losses(tuple(channels))
+        drift, noise = _compile(model.chi, model.channels, comps)
         self.shape = shape
         self.high = sorted({k for _, _, k in drift if sum(k) > 1})
-        m = np.zeros((2 * comps + len(self.high), 2 * comps))
-        const = np.zeros(2 * comps)  # G_s at n = 0
+        self.m = np.zeros((2 * comps + len(self.high) + 1, 2 * comps))
         for s, c, k in drift:
             degree = sum(k)
             if degree == 0:
-                const[2 * s] -= c
+                rows = [-1]  # the ones column
             elif degree == 1:
-                u = k.index(1)
-                m[2 * u:2 * u + 2, 2 * s] -= c  # n_u = re_u^2 + im_u^2
+                rows = [2 * k.index(1), 2 * k.index(1) + 1]  # n_u = re_u^2 + im_u^2
             else:
-                m[2 * comps + self.high.index(k), 2 * s] -= c
-        if model.chi is not None:
-            chi = np.asarray(model.chi, dtype=float)
-            m[:2 * comps, 1::2] -= np.repeat(chi.T, 2, axis=0)
-            const[1::2] += 0.5 * (chi.sum(axis=1) + np.diag(chi))  # symmetric ordering
-        ones = const.any()
-        if ones:
-            m = np.vstack([m, const])
-        self.m = m if (model.chi is not None or drift) else None
-        if self.m is not None:
-            self.table = np.empty((n, m.shape[0]), order="F")  # contiguous columns: no buffered writes
-            self.squares = self.table[:, :2 * comps]
-            if ones:
-                self.table[:, -1] = 1.0
-            self.density = np.empty((n, comps), order="F") if self.high else None
-            self.g = np.empty((n, 2 * comps))
+                rows = [2 * comps + self.high.index(k)]
+            self.m[rows, 2 * s] += c.real
+            self.m[rows, 2 * s + 1] += c.imag
+        self.table = np.empty((n, self.m.shape[0]), order="F")  # contiguous columns: no buffered writes
+        self.table[:, -1] = 1.0
+        self.squares = self.table[:, :2 * comps]
+        self.density = np.empty((n, comps), order="F") if self.high else None
+        self.g = np.empty((n, 2 * comps))
         self.lin = None if model.omega is None else _real_form(-1j * np.asarray(model.omega).T)
         self.lin_out = None if self.lin is None else np.empty((n, 2 * comps))
         # (component, channel, factor, conj(phi) columns whose product is conj(phi^e))
@@ -174,20 +199,17 @@ class _WignerDrift:
 
     def __call__(self, fields, zeta, out):
         parts = np.ascontiguousarray(fields).view(float)
-        if self.m is None:
-            out.fill(0.0)
-        else:
-            np.multiply(parts.T, parts.T, out=self.squares.T)
-            if self.high:
-                np.add(self.squares[:, 0::2], self.squares[:, 1::2], out=self.density)
-                for h, k in enumerate(self.high, start=self.squares.shape[1]):
-                    column = self.table[:, h]
-                    column.fill(1.0)
-                    for u, k_u in enumerate(k):
-                        for _ in range(k_u):
-                            column *= self.density[:, u]
-            np.matmul(self.table, self.m, out=self.g)
-            np.multiply(self.g.view(complex), fields, out=out)
+        np.multiply(parts.T, parts.T, out=self.squares.T)
+        if self.high:
+            np.add(self.squares[:, 0::2], self.squares[:, 1::2], out=self.density)
+            for h, k in enumerate(self.high, start=self.squares.shape[1]):
+                column = self.table[:, h]
+                column.fill(1.0)
+                for u, k_u in enumerate(k):
+                    for _ in range(k_u):
+                        column *= self.density[:, u]
+        np.matmul(self.table, self.m, out=self.g)
+        np.multiply(self.g.view(complex), fields, out=out)
         if self.lin is not None:
             np.matmul(parts, self.lin, out=self.lin_out)
             out += self.lin_out.view(complex)
@@ -217,8 +239,8 @@ class WignerModel:
     ``omega`` is the (S, S) linear coupling matrix (Rabi coupling and
     internal energies) or None.  The loss SDEs are Ito equations; the
     model integrates them through the midpoint scheme, so the real
-    density polynomial P_s(n) (module docstring) holds both the Ito loss
-    drift and the analytic Ito->Stratonovich shift.
+    density polynomial P_s(n) (module docstring) holds both the
+    Weyl-ordered Ito loss drift and the analytic Ito->Stratonovich shift.
 
     The model is frozen and keeps read-only copies of chi and omega and
     tuple powers, so the drift compiled from them (see ``_WignerDrift``)
@@ -313,56 +335,31 @@ def evolve_snapshots(
 
 
 # ---------------------------------------------------------------------------
-# ordering conversion: symmetric (Wigner) -> normal moments, two modes
+# normal moments from Wigner samples, two modes
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _weyl_coeff(p: int, q: int, k: int) -> float:
-    """Coefficient of <adag^{q-k} a^{p-k}> in E_W[conj^q alpha^p]."""
-    return math.factorial(k) * math.comb(p, k) * math.comb(q, k) / 2.0**k
 
 
 class WignerMoments:
     """Normally ordered two-mode moments from Wigner samples.
 
-    ``normal(q, p, s, r)`` estimates <adag^q a^p bdag^s b^r> by
-    recursively inverting the symmetric-ordering expansion, per mode.
+    ``normal(q, p, s, r)`` estimates <adag^q a^p bdag^s b^r> as the sample
+    mean of its Weyl symbol (``_weyl_terms``).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a)
         self.b = np.asarray(b)
         self._raw = {}
-        self._normal = {}
 
     def raw(self, q, p, s, r) -> complex:
         key = (q, p, s, r)
         if key not in self._raw:
-            vals = (
-                np.conj(self.a) ** q
-                * self.a**p
-                * np.conj(self.b) ** s
-                * self.b**r
-            )
+            vals = np.conj(self.a) ** q * self.a**p * np.conj(self.b) ** s * self.b**r
             self._raw[key] = complex(vals.mean())
         return self._raw[key]
 
     def normal(self, q, p, s, r) -> complex:
-        key = (q, p, s, r)
-        if key not in self._normal:
-            total = self.raw(q, p, s, r)
-            for k in range(min(q, p) + 1):
-                for l in range(min(s, r) + 1):
-                    if k == 0 and l == 0:
-                        continue
-                    total -= (
-                        _weyl_coeff(p, q, k)
-                        * _weyl_coeff(r, s, l)
-                        * self.normal(q - k, p - k, s - l, r - l)
-                    )
-            self._normal[key] = total
-        return self._normal[key]
+        return sum(c * self.raw(q - k, p - k, s - l, r - l) for (k, l), c in _weyl_terms((q, s), (p, r)))
 
     def expect(self, poly: dict) -> complex:
         return sum(c * self.normal(*key) for key, c in poly.items())

@@ -7,6 +7,7 @@ the joint modes c of ``qphase.spins``.
 import math
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from qphase.fock import StateVector
@@ -85,12 +86,26 @@ def _monomial_hess(fields, powers, s, t):
     return powers[s] * _monomial_grad(fields, reduced, t)
 
 
+def _weyl_symbol(fields, creators, annihilators):
+    """Weyl symbol of the normally ordered adag^m a^n at the fields, mode by
+    mode: sum_j (-1/2)^j j! C(m, j) C(n, j) conj(phi)^(m-j) phi^(n-j)."""
+    out = np.ones(fields.shape[0], dtype=complex)
+    for u, (m, n) in enumerate(zip(creators, annihilators)):
+        phi = fields[:, u]
+        out = out * sum(
+            (-0.5) ** j * math.factorial(j) * math.comb(m, j) * math.comb(n, j)
+            * np.conj(phi) ** (m - j) * phi ** (n - j)
+            for j in range(min(m, n) + 1)
+        )
+    return out
+
+
 def wigner_derivative(model, fields, zeta):
-    """Truncated Wigner drift with every loss channel's gradient and
-    Hessian rebuilt per component, zero terms included, and the
-    interaction's symmetric-ordering correction; the reference for
+    """Truncated Wigner drift with every loss channel's Weyl-ordered drift,
+    noise gradient and Hessian rebuilt per component, zero terms included,
+    and the interaction's symmetric-ordering correction; the reference for
     ``wigner.WignerModel.derivative``, which merges like terms of the
-    loss drift and so matches it to rounding, not bit for bit.  Column l
+    drift and so matches it to rounding, not bit for bit.  Column l
     of `zeta` is channel l's noise with sqrt(kappa_l) already folded in,
     as ``WignerModel.noise`` draws it."""
     n_comp = fields.shape[1]
@@ -103,15 +118,31 @@ def wigner_derivative(model, fields, zeta):
         density = np.abs(fields) ** 2
         d += -1j * ((density - 0.5) @ chi.T - 0.5 * np.diag(chi)) * fields
     for l, ch in enumerate(model.channels):
-        mono = _monomial(fields, ch.powers)
-        grads = [_monomial_grad(fields, ch.powers, s) for s in range(n_comp)]
+        powers = ch.powers
+        grads = [_monomial_grad(fields, powers, s) for s in range(n_comp)]
         for s in range(n_comp):
-            d[:, s] += -ch.rate * np.conj(grads[s]) * mono
+            if powers[s]:
+                # Ito drift -kappa l_s W(adag^(l - e_s) a^l), the exact mean drift
+                reduced = powers[:s] + (powers[s] - 1,) + powers[s + 1:]
+                d[:, s] += -ch.rate * powers[s] * _weyl_symbol(fields, reduced, powers)
             d[:, s] += np.conj(grads[s]) * zeta[:, l]
             for t in range(n_comp):
-                hess = _monomial_hess(fields, ch.powers, s, t)
+                hess = _monomial_hess(fields, powers, s, t)
                 d[:, s] += -0.5 * ch.rate * np.conj(hess) * grads[t]
     return d
+
+
+def two_body_loss_number(alpha0, kappa, times, levels=120):
+    """<n>(t) of a coherent state |alpha0> under the two-body loss channel
+    O = a^2 at rate kappa (L = sqrt(2 kappa) a^2), from the population
+    master equation dp_n/dt = 2 kappa [(n+2)(n+1) p_{n+2} - n(n-1) p_n]
+    on `levels` Fock levels; the exact reference for a truncated Wigner
+    run with ``LossChannel((2,), kappa)``."""
+    n = np.arange(levels, dtype=float)
+    rates = np.diag(-2.0 * kappa * n * (n - 1.0)) + np.diag(2.0 * kappa * n[2:] * (n[2:] - 1.0), k=2)
+    nbar = abs(alpha0) ** 2
+    p0 = np.exp(-nbar + n * math.log(nbar) - np.array([math.lgamma(k + 1.0) for k in n]))
+    return np.array([n @ expm(rates * t) @ p0 for t in times])
 
 
 def plusp_derivative(model, state, step_index, xi):
