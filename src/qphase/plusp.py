@@ -134,6 +134,7 @@ class KerrPlusP:
     seed: int = 0
     reverse_step: int = None  # flip sign at this step index, if set
     _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    order = "F"  # memory layout evolve steps the state in: the sampler's
 
     def _sign(self, step_index: int) -> float:
         return -1.0 if self.reverse_step is not None and step_index >= self.reverse_step else 1.0

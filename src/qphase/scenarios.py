@@ -401,7 +401,11 @@ def _run_wigner(p, seed):
         for row, value in zip(rows, exact):
             row["exact"] = value
         columns.append("exact")
-    report = {"diverged": result.diverged, "trajectories": result.trajectories}
+    report = {
+        "diverged": result.diverged,
+        "trajectories": result.trajectories,
+        "integrator": result.integrator,
+    }
     return ScenarioOutcome("wigner", rows, columns, report)
 
 

@@ -17,17 +17,29 @@ trajectory axis, so a whole ensemble advances in vectorized form.
         noise into `out` (an array shaped and laid out like `state`)
         and returns `out`
 
-and draws the noise once per step, so every midpoint iteration sees the
-same object, already scaled by 1/sqrt(dt) and any factor fixed for the
-step (+P's rate columns, Wigner's sqrt(kappa_l) per loss channel).  A
-run allocates its state, midpoint and drift buffers once, steps the state
-in place and copies it only at the steps its consumer records; models
-write their drift through per-run scratch of their own, so no step
-allocates state-sized memory beyond its noise draw.  The state is copied
-with its memory layout kept, so the layout follows the sampler: +P
-samples are column-contiguous (every mode column is one contiguous run),
-Wigner fields row-major.  A trajectory dies when any component of its
-state is non-finite or exceeds the divergence ceiling in modulus.
+and may declare
+
+    order -> "F" if its drift works on column-contiguous states
+        (row-major "C" otherwise)
+    flow(state) -> constant complex rates G with dy/dt = G y exactly,
+        for every trajectory and component of `state`, or None
+
+When `flow` gives rates, nothing is stepped: `evolve` yields
+y(t) = y(0) exp(t G) at the recorded steps (Wigner fields of a lossless
+model with real chi and no omega keep every density, so their rates
+never change and each trajectory is one phase rotation).  Otherwise it
+steps the midpoint scheme and draws the noise once per
+step, so every midpoint iteration sees the same object, already scaled
+by 1/sqrt(dt) and any factor fixed for the step (+P's rate columns,
+Wigner's sqrt(kappa_l) per loss channel).  A run allocates its state,
+midpoint and drift buffers once, steps the state in place and copies it
+only at the steps its consumer records; models write their drift through
+per-run scratch of their own, so no step allocates state-sized memory
+beyond its noise draw.  The state is copied into the layout the model
+declares, whatever the caller's layout: +P steps column-contiguous
+(every mode column is one contiguous run), Wigner row-major.  A
+trajectory dies when any component of its state is non-finite or
+exceeds the divergence ceiling in modulus.
 """
 
 from __future__ import annotations
@@ -160,44 +172,76 @@ def step(state, derivative, dt: float, mid, slope):
     return state
 
 
+def _flow_rates(model, state):
+    """The rates G of the exact flow the model declares for `state`, or None."""
+    flow = getattr(model, "flow", None)
+    return None if flow is None else flow(state)
+
+
+def _parts(state):
+    """Every real and imaginary part of the contiguous `state` as one flat view."""
+    parts = state.ravel(order="K")
+    return parts.view(parts.real.dtype) if np.iscomplexobj(parts) else parts
+
+
+def _cull(state, parts, alive, ceiling):
+    """Mark the rows of `state` that are non-finite or exceed `ceiling` in
+    modulus dead in `alive`, and zero every dead row when one dies;
+    `parts` is ``_parts(state)``."""
+    # parts within +-0.7 ceiling give |y| <= 0.99 ceiling: all rows live
+    safe = 0.7 * ceiling
+    if not (parts.max() <= safe and parts.min() >= -safe):  # NaN fails both
+        # NaN compares false and inf exceeds the ceiling: one test each
+        within = np.abs(state.reshape(len(alive), -1)) <= ceiling
+        if not within.all():
+            alive &= within.all(axis=1)
+            # freeze dead trajectories so NaNs cannot poison the others
+            state[~alive] = 0.0
+
+
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, record=None):
     """Yield (step index, state, alive mask) at the step indices in
     `record`, or at step 0 and after every step if `record` is None.
 
-    Each step draws `model.noise` once and passes it to every
-    `model.derivative` call of that step.  Dead trajectories (see the
-    module docstring) are marked in the mask and frozen at zero.  The mask
-    is updated in place, so a consumer that keeps it past the next step
-    must copy it.  The run steps its own copy of `state`, made in the
-    same memory layout, in place: step 0 yields the caller's `state`, and
-    every later recorded step a fresh copy, so no yielded state is
-    overwritten and a step that is not recorded copies nothing.
+    When ``model.flow`` gives rates G for `state` (see the module
+    docstring), each recorded state is the exact y(0) exp(t G) at
+    t = step * dt and nothing is stepped.  Otherwise each step draws
+    `model.noise` once and passes it to every `model.derivative` call of
+    that step.  Dead trajectories (see the module docstring) are marked in
+    the mask and frozen at zero.  The mask is updated in place, so a
+    consumer that keeps it past the next step must copy it.  Step 0 yields
+    the caller's `state`, and every later recorded step a fresh array in
+    the model's layout, so no yielded state is overwritten.  The stepped
+    run advances its own copy of `state` in place, so a step that is not
+    recorded copies nothing.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     ceiling = min(divergence_ceiling, np.finfo(float).max)  # inf rows die even at inf
     n_traj = state.shape[0]
     alive = np.ones(n_traj, dtype=bool)
-    work = np.array(state, order="K")  # contiguous, so ravel is a view
-    mid, slope = np.empty_like(work), np.empty_like(work)
-    parts = work.ravel(order="K")  # every real and imaginary part
-    if np.iscomplexobj(parts):
-        parts = parts.view(parts.real.dtype)
-    # parts within +-0.7 ceiling give |y| <= 0.99 ceiling: all rows live
-    safe = 0.7 * ceiling
+    order = getattr(model, "order", "C")
     recorded = range(n_steps + 1) if record is None else frozenset(record)
+    rates = _flow_rates(model, state)
     if 0 in recorded:
         yield 0, state, alive
+    if rates is not None:
+        for step_idx in sorted(k for k in recorded if 0 < k <= n_steps):
+            flowed = np.multiply(rates, step_idx * dt, order=order)
+            np.exp(flowed, out=flowed)
+            flowed *= state
+            _cull(flowed, _parts(flowed), alive, ceiling)
+            if not alive.all():  # rows that died at an earlier record stay zero
+                flowed[~alive] = 0.0
+            yield step_idx, flowed, alive
+        return
+    work = np.array(state, order=order)  # contiguous, so ravel is a view
+    mid, slope = np.empty_like(work), np.empty_like(work)
+    parts = _parts(work)
     for step_idx in range(n_steps):
         noise = model.noise(step_idx, n_traj, dt)
         step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
-        if not (parts.max() <= safe and parts.min() >= -safe):  # NaN fails both
-            # NaN compares false and inf exceeds the ceiling: one test each
-            within = np.abs(work.reshape(n_traj, -1)) <= ceiling
-            if not within.all():
-                alive &= within.all(axis=1)
-                # freeze dead trajectories so NaNs cannot poison the others
-                work[~alive] = 0.0
+        _cull(work, parts, alive, ceiling)
         if step_idx + 1 in recorded:
             yield step_idx + 1, work.copy(order="K"), alive
 
@@ -210,6 +254,7 @@ class EnsembleResult:
     trajectories: int = 0
     unreliable: bool = False
     diverged_count: np.ndarray = None  # trajectories dead by each measurement time
+    integrator: str = "midpoint"  # or "exact_flow" (see `evolve`)
 
     def mean(self, name):
         return self.observables[name]["mean"]
@@ -261,6 +306,7 @@ def run_ensemble(
     }
     diverged_count = np.zeros(len(times), dtype=int)
     initial = sampler(seed, trajectory_count)
+    integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
     for step_idx, state, alive in evolve(initial, model, dt, n_steps, divergence_ceiling, meas_lookup):
         for t_idx in meas_lookup[step_idx]:
             diverged_count[t_idx] = trajectory_count - alive.sum()
@@ -278,4 +324,5 @@ def run_ensemble(
         trajectories=trajectory_count,
         unreliable=diverged > 0.01 * trajectory_count,
         diverged_count=diverged_count,
+        integrator=integrator,
     )

@@ -27,7 +27,10 @@ channels part of the truncation remains.  The interaction and
 -phi_s P_s(n) are phi_s times one complex polynomial G_s(n), which
 ``WignerModel`` evaluates for all components at once as one real matrix
 product over a table of squared real and imaginary parts; its drift
-allocates nothing per call.  Symmetric moments are converted to normally
+allocates nothing per call.  Without loss channels and omega, and with
+real chi, G_s is purely imaginary: every density is conserved, and
+`evolve` takes each trajectory's exact phase rotation from
+``WignerModel.flow`` in place of midpoint steps.  Symmetric moments are converted to normally
 ordered ones before any physical observable (spin moments, xi^2
 squeezing) is formed.
 """
@@ -161,9 +164,9 @@ class _WignerDrift:
     G_s = -P_s(n) - i sum_t chi_st (n_t - (1 + delta_st) / 2).
     One real matrix M, filled from the terms of ``_compile``, maps D to the
     interleaved real and imaginary parts of G_s, so the chi and loss drift
-    is (D @ M).view(complex) * phi.  The omega term is one real matrix
-    product on the interleaved parts, and each noise term one multiply-add
-    into its component's column.
+    is (D @ M).view(complex) * phi; ``rates`` evaluates G alone.  The
+    omega term is one real matrix product on the interleaved parts, and
+    each noise term one multiply-add into its component's column.
     """
 
     def __init__(self, model, shape):
@@ -196,9 +199,14 @@ class _WignerDrift:
         )
         self.conj = np.empty((n, comps), dtype=complex) if any(f for *_, f in self.noise) else None
         self.column = np.empty(n, dtype=complex) if self.noise else None
+        # no noise, no omega and a purely imaginary G: every density is
+        # conserved, so G never changes along a trajectory
+        self.exact_flow = not self.noise and self.lin is None and not self.m[:, 0::2].any()
 
-    def __call__(self, fields, zeta, out):
-        parts = np.ascontiguousarray(fields).view(float)
+    def rates(self, parts):
+        """G_s(n) for every trajectory and component, (D @ M).view(complex),
+        from the interleaved real and imaginary parts of the fields;
+        written into scratch."""
         np.multiply(parts.T, parts.T, out=self.squares.T)
         if self.high:
             np.add(self.squares[:, 0::2], self.squares[:, 1::2], out=self.density)
@@ -209,7 +217,11 @@ class _WignerDrift:
                     for _ in range(k_u):
                         column *= self.density[:, u]
         np.matmul(self.table, self.m, out=self.g)
-        np.multiply(self.g.view(complex), fields, out=out)
+        return self.g.view(complex)
+
+    def __call__(self, fields, zeta, out):
+        parts = np.ascontiguousarray(fields).view(float)
+        np.multiply(self.rates(parts), fields, out=out)
         if self.lin is not None:
             np.matmul(parts, self.lin, out=self.lin_out)
             out += self.lin_out.view(complex)
@@ -241,6 +253,11 @@ class WignerModel:
     model integrates them through the midpoint scheme, so the real
     density polynomial P_s(n) (module docstring) holds both the
     Weyl-ordered Ito loss drift and the analytic Ito->Stratonovich shift.
+    Without loss channels and omega, and with real chi, the drift is
+    phi_s G_s(n) with purely imaginary G_s, so every density is conserved
+    and each trajectory is one exact phase rotation (Sinatra, Lobo &
+    Castin, J. Phys. B 35, 3599 (2002)); ``flow`` hands `evolve` its
+    rates, evaluated once from the compiled drift, and no step is taken.
 
     The model is frozen and keeps read-only copies of chi and omega and
     tuple powers, so the drift compiled from them (see ``_WignerDrift``)
@@ -278,12 +295,27 @@ class WignerModel:
         zeta *= np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
         return zeta
 
-    def derivative(self, fields: np.ndarray, step_index: int, zeta, out: np.ndarray) -> np.ndarray:
+    def _compiled(self, shape) -> _WignerDrift:
         drift = self._drift
-        if drift is None or drift.shape != fields.shape:
-            drift = _WignerDrift(self, fields.shape)
+        if drift is None or drift.shape != shape:
+            drift = _WignerDrift(self, shape)
             object.__setattr__(self, "_drift", drift)
-        return drift(fields, zeta, out)
+        return drift
+
+    def derivative(self, fields: np.ndarray, step_index: int, zeta, out: np.ndarray) -> np.ndarray:
+        return self._compiled(fields.shape)(fields, zeta, out)
+
+    def flow(self, fields: np.ndarray):
+        """The rates G_s(n) of the exact flow phi(t) = phi(0) exp(t G), or
+        None when the model has one of noise, omega or a real part of G.
+
+        Without loss channels and omega, and with real chi, G_s is purely
+        imaginary, so d|phi_s|^2/dt = 2 Re(G_s) |phi_s|^2 = 0: every density
+        n_s, and with it G_s(n), is a constant of the motion."""
+        drift = self._compiled(fields.shape)
+        if not drift.exact_flow:
+            return None
+        return drift.rates(np.ascontiguousarray(fields).view(float)).copy()
 
 
 def run_wigner_x(

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -134,3 +135,21 @@ def test_benchmark_tracer_sees_every_variational_solve():
     assert t.target_calls["variational.variational_system"] == n_steps * iters
     assert t.target_calls["variational.tikhonov_solve"] == n_steps * iters
     assert t.layer_values()["variational.solves_per_step"] == 1
+
+
+def test_every_benchmark_tracer_target_resolves():
+    """Each layer the benchmark's tracer wraps (perfbench/tracer.py
+    TARGETS) still exists in qphase, so a rename or deletion that would
+    break a traced run fails here in seconds."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    tracer = types.ModuleType("perfbench_tracer")
+    with open(path) as fh:  # read only: no bytecode is cached beside it
+        exec(compile(fh.read(), path, "exec"), vars(tracer))
+    missing = []
+    for target in tracer.TARGETS:
+        owner = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{target.module}.{target.attr}")
+    assert len(tracer.TARGETS) > 20 and missing == []

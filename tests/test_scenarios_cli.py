@@ -730,6 +730,20 @@ def test_cli_two_component_wigner_matches_library(tmp_path):
     assert [line.split(",") for line in lines] == expected
 
 
+@pytest.mark.parametrize("losses, integrator", [(True, "midpoint"), (False, "exact_flow")])
+def test_cli_wigner_report_names_its_integrator(tmp_path, losses, integrator):
+    """A lossless run is the exact phase rotation; loss channels are stepped."""
+    text = _TWO_COMPONENT_WIGNER.format(chi="chi: [[0.01, 0.005], [0.005, 0.01]]")
+    if not losses:
+        text = text[:text.index("losses:")] + text[text.index("trajectories:"):]
+    scenario = tmp_path / "two.yaml"
+    scenario.write_text(text)
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "two.json").read_text())
+    assert report["integrator"] == integrator
+
+
 def test_cli_two_component_wigner_rejects_scalar_chi(tmp_path):
     scenario = tmp_path / "two.yaml"
     scenario.write_text(_TWO_COMPONENT_WIGNER.format(chi="chi: 0.01"))

@@ -475,6 +475,40 @@ def test_drift_allocates_less_than_one_state_column(case):
     assert _peak_bytes_of_second_call(lambda: model.derivative(state, 1, noise, out)) < n * 16
 
 
+def test_plusp_evolve_steps_a_row_major_state_in_its_own_layout():
+    """evolve copies a C-order +P state into the model's column-contiguous
+    layout: no drift call of a (4096, 2) run allocates a state-sized
+    buffer, and every yielded state equals the Fortran-order run's bit for
+    bit.  Step 0 still yields the caller's array."""
+    n, dt, steps, grown = 4096, 0.01, 5, []
+
+    class Probe(KerrPlusP):
+        def derivative(self, state, step_index, noise, out):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            super().derivative(state, step_index, noise, out)
+            grown.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+    model = Probe(chi=0.05, seed=4)
+    packed = sample_canonical({"kind": "coherent", "alpha": [2.0]}, 4, n)
+    row_major = np.ascontiguousarray(packed)
+    column_major = list(evolve(packed, model, dt, steps))
+    grown.clear()
+    tracemalloc.start()
+    try:
+        runs = list(evolve(row_major, model, dt, steps))
+    finally:
+        tracemalloc.stop()
+    assert runs[0][1] is row_major
+    assert len(grown) == steps * MIDPOINT_ITERS
+    assert max(grown) < n * 16  # one complex column; the state holds two
+    for (k, state, alive), (k_f, state_f, alive_f) in zip(runs, column_major):
+        assert k == k_f and np.array_equal(alive, alive_f)
+        assert state.tobytes() == state_f.tobytes()
+        assert k == 0 or state.flags.f_contiguous
+
+
 def test_run_ensemble_copies_no_state_between_measurements():
     """With measurement times 0 and 20 dt, no state copy made at one step
     is still held when the next step draws its noise: the memory in use

@@ -15,7 +15,7 @@ from qphase.fock import (
     kerr_oracle,
 )
 from qphase.scenarios import parse_scenario, run_scenario
-from qphase.stochastic import MomentAccumulator
+from qphase.stochastic import MomentAccumulator, evolve, step
 from qphase.wigner import (
     LossChannel,
     WignerModel,
@@ -319,8 +319,9 @@ def test_model_is_frozen_over_its_own_copies():
 def test_diverged_trajectory_leaves_later_snapshots():
     """A trajectory far outside the midpoint step's stable range diverges
     on the first step; later snapshots hold only the survivors, which
-    evolve exactly as they would without it."""
-    model = WignerModel(chi=np.array([[1.0]]), seed=4)
+    evolve exactly as they would without it.  The omega term keeps the
+    model on the stepped path: without it the exact flow keeps |phi| = 100."""
+    model = WignerModel(chi=np.array([[1.0]]), omega=np.array([[0.1]]), seed=4)
     fields = sample_wigner_coherent([1.0], seed=4, trajectories=50)
     fields[3] = 100.0
     snaps = evolve_snapshots(fields, model, dt=0.01, snapshot_steps=[0, 1, 5])
@@ -385,3 +386,62 @@ def test_squeezing_equals_the_per_block_reference_byte_for_byte(monkeypatch):
         for field in ("xi2", "error", "mean_spin", "min_variance", "total_number"):
             assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes()
     assert len(calls) == 12 * len(samples)
+
+
+def _stepped_reference(model, fields, dt, n_steps):
+    """The fields after n_steps midpoint steps of `model`, looped over
+    `stochastic.step` with the model's own derivative."""
+    work = fields.copy()
+    mid, slope = np.empty_like(work), np.empty_like(work)
+    for k in range(n_steps):
+        noise = model.noise(k, work.shape[0], dt)
+        step(work, lambda y, out: model.derivative(y, k, noise, out), dt, mid, slope)
+    return work
+
+
+# The lossless runs of perfbench's wigner-loss workload: the one-component
+# wigner scenario, and the two-component cross-Kerr library run.
+_LOSSLESS_INPUTS = {
+    "one component": ([10.0], [[0.01]], 0.002, 100, 5000),
+    "cross-Kerr": ([3.0, 3.0], [[0.01, 0.005], [0.005, 0.01]], 0.01, 100, 10_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOSSLESS_INPUTS))
+def test_lossless_flow_is_the_limit_of_the_midpoint_steps(case):
+    """A lossless real-chi model is not stepped: evolve yields
+    phi(0) exp(t G(n(0))).  The midpoint loop agrees to 1e-6 relative, and
+    its gap shrinks 4x when dt halves (the midpoint's O(dt^2) phase error)."""
+    alpha, chi, dt, n_steps, n = _LOSSLESS_INPUTS[case]
+    model = WignerModel(chi=np.array(chi), seed=11)
+    fields = sample_wigner_coherent(alpha, 11, n)
+    [(_, flowed, alive)] = evolve(fields, model, dt, n_steps, record=[n_steps])
+    assert alive.all()
+    gaps = []
+    for substeps in (1, 2):
+        ref = _stepped_reference(model, fields, dt / substeps, substeps * n_steps)
+        gaps.append(np.max(np.abs(flowed - ref) / np.abs(ref)))
+    assert gaps[0] <= 1e-6
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5, gaps
+    # the densities are constants of the flow
+    np.testing.assert_allclose(np.abs(flowed), np.abs(fields), rtol=1e-14)
+
+
+@pytest.mark.parametrize("change", [
+    {"chi": np.array([[0.01 + 0.001j]])},
+    {"channels": (LossChannel((1,), 0.05),)},
+    {"omega": np.array([[0.2]])},
+])
+def test_noise_omega_or_a_complex_chi_take_the_stepped_path(change):
+    """A complex chi (a real part of G), a loss channel or omega gives no
+    flow: evolve steps the midpoint scheme bit for bit, and the ensemble
+    says so."""
+    model = WignerModel(**{"chi": np.array([[0.01]]), "seed": 3, **change})
+    fields = sample_wigner_coherent([2.0], 3, 200)
+    assert model.flow(fields) is None
+    [(_, stepped, _)] = evolve(fields, model, 0.01, 20, record=[20])
+    assert stepped.tobytes() == _stepped_reference(model, fields, 0.01, 20).tobytes()
+    times = np.array([0.0, 0.2])
+    assert run_wigner_x([2.0], model.chi, times, 20, 3, 0.01, omega=model.omega,
+                        channels=model.channels).integrator == "midpoint"
+    assert run_wigner_x([2.0], [[0.01]], times, 20, 3, 0.01).integrator == "exact_flow"
