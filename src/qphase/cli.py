@@ -37,9 +37,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """The CPUs this process may run on, the BLAS/OpenMP thread settings
-    (None where unset) and numpy's version, for the run manifest."""
+    (None where unset), numpy's version and the BLAS library numpy was
+    built against ("unknown" where numpy does not say), for the run manifest."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return {"cpus": cpus, **{var: os.environ.get(var) for var in THREAD_VARS}, "numpy": np.__version__}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        blas = "unknown"
+    return {
+        "cpus": cpus,
+        **{var: os.environ.get(var) for var in THREAD_VARS},
+        "numpy": np.__version__,
+        "blas": blas,
+    }
 
 
 @click.group()

@@ -12,9 +12,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "CapacityError",
@@ -61,7 +64,7 @@ class FockBasis:
     def dimension(self) -> int:
         return len(self.occupations)
 
-    def annihilation(self, mode: int) -> sp.csr_matrix:
+    def annihilation(self, mode: int) -> scipy.sparse.csr_matrix:
         """a_mode, built once per basis and shared by every caller.
 
         The returned matrix is the cached object itself: treat it as
@@ -110,13 +113,16 @@ def coherent_state(alphas, basis: FockBasis) -> StateVector:
     return StateVector(basis, amps / math.sqrt(kept), truncation_loss=loss)
 
 
-def annihilation_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
+def annihilation_operator(basis: FockBasis, mode: int) -> scipy.sparse.csr_matrix:
     """a_mode in the given basis.
 
     In product order lowering mode m is a fixed index offset, so row r
     holds sqrt(n_m + 1) at column r + stride_m whenever n_m(r) is below
     the cutoff.  Use ``basis.annihilation(mode)`` for the shared copy.
+    scipy.sparse is imported here, the one place a matrix is built, so
+    that the Kerr oracle and the rest of the module load without it.
     """
+    import scipy.sparse
     if not 0 <= mode < basis.mode_count:
         raise IndexError(f"mode {mode} outside 0..{basis.mode_count - 1}")
     stride = math.prod(c + 1 for c in basis.cutoffs[mode + 1:])
@@ -125,7 +131,7 @@ def annihilation_operator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     indptr = np.concatenate(([0], np.cumsum(raisable)))
     indices = np.flatnonzero(raisable) + stride
     data = np.sqrt(occ[raisable] + 1.0).astype(complex)
-    return sp.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (data, indices, indptr), shape=(basis.dimension, basis.dimension)
     )
 

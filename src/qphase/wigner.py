@@ -292,7 +292,9 @@ class WignerModel:
             return None
         raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))
         zeta = raw.view(complex)  # the model's own block, scaled in place
-        zeta *= np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
+        row = np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
+        for l, scale in enumerate(row):  # a scalar per column: cheaper than a broadcast row
+            zeta[:, l] *= scale
         return zeta
 
     def _compiled(self, shape) -> _WignerDrift:

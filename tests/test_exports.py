@@ -25,12 +25,31 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-def _loaded_on_cold_import(imports, module):
+def _loaded_in_cold_process(code, *argv):
+    """Names in sys.modules when a fresh interpreter that ran ``code``,
+    with ``argv`` as its arguments, exits."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(qphase.__path__[0]))
-    code = f"import sys, {imports}; print({module!r} in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    hook = "import atexit, sys; atexit.register(lambda: print(*sys.modules)); "
+    proc = subprocess.run(
+        [sys.executable, "-c", hook + code, *argv], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded_on_cold_import(imports, module):
+    return module in _loaded_in_cold_process(f"import {imports}")
+
+
+def _within(package, modules):
+    return sorted(m for m in modules if m == package or m.startswith(package + "."))
+
+
+def _cold_run(scenario, out_dir):
+    """Modules a cold ``qphase run`` of a shipped scenario loads."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", scenario)
+    code = "from qphase.cli import main; main()"
+    return _loaded_in_cold_process(code, "run", path, "--out", str(out_dir))
 
 
 def test_cli_and_doublewell_do_not_import_sparse_linalg():
@@ -43,6 +62,25 @@ def test_gaussian_entropy_does_not_import_scipy_linalg():
     """Only the brute-force Fock oracles need expm and logm, so a cold
     import of the entropy module skips scipy.linalg."""
     assert not _loaded_on_cold_import("qphase.gaussian_entropy", "scipy.linalg")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_scipy(module):
+    """The phase-space engines, the Kerr oracle and the Poisson cutoff need
+    no scipy, so a cold import of any qphase module loads none of it; the
+    Fock ladders and the brute-force oracles import it where they build."""
+    assert _within("scipy", _loaded_in_cold_process(f"import qphase.{module}")) == []
+
+
+@pytest.mark.parametrize("scenario", ["wigner_kerr.yaml", "variational_kerr.yaml"])
+def test_cold_phase_space_run_loads_no_scipy(scenario, tmp_path):
+    assert _within("scipy", _cold_run(scenario, tmp_path)) == []
+
+
+def test_cold_doublewell_run_does_not_load_scipy_special(tmp_path):
+    """The double-well scan's Poisson cutoff is computed with the standard
+    library, so only its Fock ladders bring in scipy."""
+    assert _within("scipy.special", _cold_run("doublewell_rb.yaml", tmp_path)) == []
 
 
 def _benchmark_tracer():

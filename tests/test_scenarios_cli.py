@@ -584,13 +584,27 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
     assert len(manifest["parameter_hash"]) == 64
     assert manifest["diverged"] == 0
     environment = manifest["environment"]
-    assert set(environment) == {"cpus", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "numpy"}
+    assert set(environment) == {
+        "cpus", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "numpy", "blas"
+    }
     assert environment["cpus"] == len(os.sched_getaffinity(0))
     assert environment["numpy"] == np.__version__
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert environment[var] == os.environ.get(var)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,re_x,error,diverged_count"
+
+
+def test_cli_manifest_names_the_blas_library(tmp_path):
+    """The manifest names the BLAS library numpy reports ("unknown" where
+    it reports none), so two runs' timings can be told apart by the
+    linear algebra they used."""
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text("kind: dimension-count\nparticles: 2\nmodes: 2\nstatistics: boson\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    blas = json.loads((tmp_path / "tiny.manifest.json").read_text())["environment"]["blas"]
+    assert isinstance(blas, str) and blas
 
 
 def test_cli_csv_cells_parse_as_floats(tmp_path):

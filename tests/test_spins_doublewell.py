@@ -193,6 +193,17 @@ def test_poisson_cutoff_matches_scipy_quantile():
     assert poisson_cutoff(0.0) == 1
 
 
+def test_poisson_cutoff_matches_scipy_on_random_means():
+    """Off the even grid too: uniform means up to 3000 and log-uniform ones
+    from 1e-6 to 1e4, drawn from a seed fixed before this test first ran."""
+    from scipy.stats import poisson
+
+    rng = np.random.default_rng(2026)
+    nbar = np.concatenate([3000.0 * (1.0 - rng.random(5000)), 10.0 ** rng.uniform(-6, 4, 5000)])
+    expected = poisson.isf(1e-12, nbar).astype(int) + 5
+    assert np.array_equal([poisson_cutoff(x) for x in nbar], expected)
+
+
 def test_rb_interaction_matrix_values():
     chi = rb_interaction_matrix()
     assert chi[0, 0] == 1.0

@@ -15,7 +15,7 @@ from qphase.fock import (
     kerr_oracle,
 )
 from qphase.scenarios import parse_scenario, run_scenario
-from qphase.stochastic import MomentAccumulator, evolve, step
+from qphase.stochastic import MomentAccumulator, evolve, noise_block, step
 from qphase.wigner import (
     LossChannel,
     WignerModel,
@@ -266,6 +266,20 @@ def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi
         model.derivative(fields, 3, zeta, np.empty_like(fields)), wigner_derivative(model, fields, zeta),
         rtol=1e-12, atol=1e-12,
     )
+
+
+def test_noise_scales_each_channel_column_exactly():
+    """The per-column scaling in WignerModel.noise gives the same bits as
+    scaling the whole complex block by the broadcast row sqrt(kappa_l / 2dt)."""
+    channels = (LossChannel((1, 0), 0.05), LossChannel((0, 1), 0.3),
+                LossChannel((2, 0), 0.002), LossChannel((1, 1), 1.7))
+    model = WignerModel(chi=np.eye(2), channels=channels, seed=9)
+    dt = 0.003
+    row = np.sqrt([ch.rate for ch in channels]) / math.sqrt(2.0 * dt)
+    for step_index in (0, 7):
+        raw = noise_block(9, step_index, 1000, 2 * len(channels))
+        zeta = model.noise(step_index, 1000, dt)
+        assert zeta.tobytes() == (raw.view(complex) * row).tobytes()
 
 
 def test_lossless_drift_matches_the_reference():
