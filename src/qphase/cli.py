@@ -1,7 +1,9 @@
 """qphase command line: run / validate / list scenario configs.
 
 Exit codes: 0 ok, 2 validation failure, 3 runtime failure,
-4 inconclusive (sampling error ceiling hit).
+4 inconclusive (the outputs are written, and stderr says why they cannot
+be trusted: a sampling bar over its ceiling, more than 1 % of the
+trajectories diverged, or an entropy sign problem).
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def run(scenario_file, seed, out_dir):
     if outcome.rows:
         csv_path = out_dir / f"{stem}.csv"
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=outcome.columns)
+            writer = csv.DictWriter(fh, fieldnames=list(outcome.rows[0]))
             writer.writeheader()
             for row in outcome.rows:
                 writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
@@ -150,7 +152,7 @@ def run(scenario_file, seed, out_dir):
     else:
         click.echo(f"wrote {', '.join(written + [str(manifest_path)])} ({wall:.2f}s)")
     if outcome.inconclusive:
-        click.echo("result inconclusive: sampling error ceiling hit", err=True)
+        click.echo(f"result inconclusive: {outcome.inconclusive}", err=True)
         sys.exit(EXIT_INCONCLUSIVE)
 
 

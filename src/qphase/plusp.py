@@ -8,6 +8,9 @@ and normally ordered operator moments are plain averages of
 beta...alpha products.  Each step's noise and Ito->Stratonovich
 correction are folded into rate columns when the noise is drawn, so the
 drift is a few whole-array operations written in place.
+`time_reversal_test` records at `reversal_schedule`'s times, checked by
+`stochastic.schedule_steps`, and its report keeps the run's
+`EnsembleResult`.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ from .stochastic import (
     draw_rows,
     noise_block,
     run_ensemble,
+    schedule_steps,
 )
 
 __all__ = [
     "sample_canonical",
     "KerrPlusP",
     "TimeReversalReport",
+    "reversal_schedule",
     "time_reversal_test",
 ]
 
@@ -195,19 +200,12 @@ def run_kerr_plusp(
     reverse_at: float = None,
     extra_observables: dict = None,
 ) -> EnsembleResult:
+    """<X> of the first mode (and any `extra_observables`) over `times`;
+    from `reverse_at`, a time after 0 on the dt grid, the Hamiltonian's
+    sign is flipped."""
     modes = _mode_count(state)
-    reverse_step = None
-    if reverse_at is not None:
-        reverse_step = int(round(reverse_at / dt))
-        if not math.isclose(reverse_step * dt, reverse_at, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("reversal time must lie on the step grid")
-    model = KerrPlusP(
-        chi=chi,
-        modes=modes,
-        omega=omega,
-        seed=seed,
-        reverse_step=reverse_step,
-    )
+    reverse_step = None if reverse_at is None else int(schedule_steps((0.0, reverse_at), dt)[1])
+    model = KerrPlusP(chi=chi, modes=modes, omega=omega, seed=seed, reverse_step=reverse_step)
     # X = <a + a^dag>/2 of the first mode, from alpha_0 and beta_0
     observables = {"X": lambda s: 0.5 * (s[:, 0] + s[:, modes])}
     if extra_observables:
@@ -226,16 +224,22 @@ def run_kerr_plusp(
 
 @dataclass
 class TimeReversalReport:
-    times: np.ndarray
-    x_mean: np.ndarray
-    x_error: np.ndarray
+    ensemble: EnsembleResult  # the run: <X> ("X") with bars and dead counts per time
     initial_x: float
     recovery_residual: float
     residual_bar: float
     error_growth: bool
     diverged: int
     inconclusive: bool
-    diverged_count: np.ndarray  # trajectories dead by each measurement time
+
+
+def reversal_schedule(reversal_time: float, dt: float, n_points: int) -> np.ndarray:
+    """The times `time_reversal_test` records: `n_points` evenly spaced
+    over [0, 2 reversal_time], each snapped to the dt grid."""
+    total = 2.0 * reversal_time
+    times = np.round(np.linspace(0.0, total, n_points) / dt) * dt
+    times[0], times[-1] = 0.0, total
+    return times
 
 
 def time_reversal_test(
@@ -251,40 +255,32 @@ def time_reversal_test(
 ) -> TimeReversalReport:
     """Evolve to the reversal time, flip the Hamiltonian sign, return.
 
-    Reports the <X> trace with CLT bars and the recovery residual at
-    twice the reversal time.  If the sampling bar at the endpoint
-    exceeds ``error_ceiling`` the test is inconclusive, not failed.
+    Reports the run, whose <X> trace carries CLT bars, and the recovery
+    residual at twice the reversal time.  The reversal time lies on the
+    dt grid and the schedule's points on distinct steps (see
+    `schedule_steps`).  If the sampling bar at the endpoint exceeds
+    ``error_ceiling`` the test is inconclusive, not failed.
     """
-    total = 2.0 * reversal_time
-    times = np.linspace(0.0, total, n_points)
-    # snap measurement times onto the step grid
-    times = np.round(times / dt) * dt
-    times[0], times[-1] = 0.0, total
     result = run_kerr_plusp(
         {"kind": "coherent", "alpha": [alpha0]},
         chi,
-        times,
+        reversal_schedule(reversal_time, dt, n_points),
         trajectory_count,
         seed,
         dt,
         width=width,
         reverse_at=reversal_time,
     )
-    x_mean = result.mean("X").real
     x_err = result.error("X")
     initial_x = float(np.real(alpha0))
-    residual = abs(x_mean[-1] - initial_x)
     bar_end = float(x_err[-1])
-    idx_before = int(np.argmin(np.abs(times - 0.8 * reversal_time)))
+    idx_before = int(np.argmin(np.abs(result.times - 0.8 * reversal_time)))
     return TimeReversalReport(
-        times=times,
-        x_mean=x_mean,
-        x_error=x_err,
+        ensemble=result,
         initial_x=initial_x,
-        recovery_residual=residual,
+        recovery_residual=abs(result.mean("X").real[-1] - initial_x),
         residual_bar=bar_end,
         error_growth=bool(x_err[-1] > x_err[idx_before]),
         diverged=result.diverged,
         inconclusive=bar_end > error_ceiling,
-        diverged_count=result.diverged_count,
     )

@@ -200,13 +200,27 @@ _WIDTH = Key("choice", "canonical", options=("canonical", "delta"), param="width
 _SPECIES = ("boson", "fermion")
 
 
+def _check_schedule(key, times, dt, errors):
+    """Report under `key` why `stochastic.schedule_steps` rejects the
+    recording schedule `times`; True if it accepts it."""
+    from .stochastic import schedule_steps
+
+    try:
+        schedule_steps(times, dt)
+    except ValueError as exc:
+        errors.append((key, str(exc)))
+        return False
+    return True
+
+
+def _snap_times(times, dt):
+    return np.rint(times / dt).astype(int) * dt
+
+
 def _check_times(p, errors):
-    """An ensemble starts at t = 0 and records each time at its own dt step."""
-    times, dt = p["times"], p["dt"]
-    if times is not None and (times[0] != 0 or np.any(np.diff(times) <= 0)):
-        errors.append(("times", "time list must start at 0 and increase"))
-    elif times is not None and dt is not None and len(set(np.rint(times / dt))) < len(times):
-        errors.append(("times", f"two times snap to the same step of dt = {dt}"))
+    """An ensemble records each time at its nearest dt step."""
+    if p["times"] is not None and p["dt"] is not None:
+        _check_schedule("times", _snap_times(p["times"], p["dt"]), p["dt"], errors)
 
 
 def _check_plusp(p, errors):
@@ -242,9 +256,14 @@ def _check_wigner(p, errors):
 
 
 def _check_reverse(p, errors):
+    from .plusp import reversal_schedule
+
     if p["chi"] is None and p["alpha0"] is not None:
         nbar = abs(p["alpha0"]) ** 2
         p["chi"] = 1.0 / nbar if nbar else 1.0
+    reversal, dt, points = p["reversal_time"], p["dt"], p["points"]
+    if None not in (reversal, dt, points) and _check_schedule("reversal_time", (0.0, reversal), dt, errors):
+        _check_schedule("points", reversal_schedule(reversal, dt, points), dt, errors)
 
 
 def _check_spectra(stack, species, errors):
@@ -320,11 +339,9 @@ def parse_scenario(text: str) -> Scenario:
 
 @dataclass
 class ScenarioOutcome:
-    kind: str
-    rows: list  # list of dicts, CSV-ready
-    columns: list
+    rows: list  # CSV rows: dicts whose keys, in order, are the header
     report: dict  # scalar JSON report
-    inconclusive: bool = False
+    inconclusive: str | None = None  # why the result cannot be trusted
 
 
 def run_scenario(scenario: Scenario, seed=None) -> ScenarioOutcome:
@@ -342,10 +359,6 @@ def _run_exact_doublewell(p, seed):
         mixing_angle=p["mixing_angle"],
         bs_phase=p["bs_phase"],
     )
-    columns = [
-        "tau", "s_db_theta", "s_db_conj", "n0", "s_plus_db", "s_minus_db",
-        "e_product", "e_sum",
-    ]
     rows = [
         {
             "tau": pt.tau,
@@ -365,11 +378,22 @@ def _run_exact_doublewell(p, seed):
         "squeezed_window": any(r["s_db_theta"] < 0 for r in rows),
         "entangled_window": any(r["e_product"] < 1 for r in rows),
     }
-    return ScenarioOutcome("exact-doublewell", rows, columns, report)
+    return ScenarioOutcome(rows, report)
 
 
-def _snap_times(times, dt):
-    return np.rint(times / dt).astype(int) * dt  # distinct steps: validation checks them
+def _divergence(result):
+    """Why a run with over 1 % of its trajectories diverged is inconclusive, else None."""
+    if result.unreliable:
+        return f"{result.diverged} of {result.trajectories} trajectories diverged (over 1 %)"
+    return None
+
+
+def _x_rows(result):
+    """One CSV row per recorded time of a +P run: Re <X>, its bar and the dead count."""
+    return [
+        {"t": t, "re_x": x.real, "error": error, "diverged_count": int(dead)}
+        for t, x, error, dead in zip(result.times, result.mean("X"), result.error("X"), result.diverged_count)
+    ]
 
 
 def _run_wigner(p, seed):
@@ -381,18 +405,11 @@ def _run_wigner(p, seed):
     result = run_wigner_x(
         p["alpha0"], p["chi"], times, p["trajectories"], seed, p["dt"], channels=channels
     )
-    rows = []
-    for name in ("X", "n_w"):
-        for i, t in enumerate(times):
-            rows.append(
-                {
-                    "t": t,
-                    "observable": name,
-                    "mean": result.mean(name)[i].real,
-                    "error": result.error(name)[i],
-                }
-            )
-    columns = ["t", "observable", "mean", "error"]
+    rows = [
+        {"t": t, "observable": name, "mean": mean.real, "error": error}
+        for name in ("X", "n_w")
+        for t, mean, error in zip(result.times, result.mean(name), result.error(name))
+    ]
     if not channels:  # lossless: Re <a_0> of the closed-form Kerr solution, then |alpha_0|^2 + 1/2
         alpha0 = p["alpha0"]
         chi = np.zeros((len(alpha0),) * 2) if p["chi"] is None else p["chi"]
@@ -400,23 +417,22 @@ def _run_wigner(p, seed):
         exact += [abs(alpha0[0]) ** 2 + 0.5] * len(times)
         for row, value in zip(rows, exact):
             row["exact"] = value
-        columns.append("exact")
     report = {
         "diverged": result.diverged,
+        "unreliable": result.unreliable,
         "trajectories": result.trajectories,
         "integrator": result.integrator,
     }
-    return ScenarioOutcome("wigner", rows, columns, report)
+    return ScenarioOutcome(rows, report, _divergence(result))
 
 
 def _run_plusp(p, seed):
     from .plusp import run_kerr_plusp
 
-    times = _snap_times(p["times"], p["dt"])
     result = run_kerr_plusp(
         p["state"],
         p["chi"],
-        times,
+        _snap_times(p["times"], p["dt"]),
         p["trajectories"],
         seed,
         p["dt"],
@@ -424,24 +440,12 @@ def _run_plusp(p, seed):
         divergence_ceiling=p["divergence_ceiling"],
         extra_observables={"n": lambda s: s[:, 0] * s[:, s.shape[1] // 2]},
     )
-    rows = [
-        {
-            "t": t,
-            "re_x": result.mean("X")[i].real,
-            "error": result.error("X")[i],
-            "diverged_count": int(result.diverged_count[i]),
-        }
-        for i, t in enumerate(times)
-    ]
     report = {
         "diverged": result.diverged,
         "unreliable": result.unreliable,
         "final_n": result.mean("n")[-1].real,
     }
-    return ScenarioOutcome(
-        "plusp", rows, ["t", "re_x", "error", "diverged_count"], report,
-        inconclusive=result.unreliable,
-    )
+    return ScenarioOutcome(_x_rows(result), report, _divergence(result))
 
 
 def _run_plusp_reverse(p, seed):
@@ -458,15 +462,6 @@ def _run_plusp_reverse(p, seed):
         width=p["width"],
         error_ceiling=p["error_ceiling"],
     )
-    rows = [
-        {
-            "t": t,
-            "re_x": report_obj.x_mean[i],
-            "error": report_obj.x_error[i],
-            "diverged_count": int(report_obj.diverged_count[i]),
-        }
-        for i, t in enumerate(report_obj.times)
-    ]
     report = {
         "initial_x": report_obj.initial_x,
         "recovery_residual": report_obj.recovery_residual,
@@ -477,10 +472,9 @@ def _run_plusp_reverse(p, seed):
         "diverged": report_obj.diverged,
         "inconclusive": report_obj.inconclusive,
     }
-    return ScenarioOutcome(
-        "plusp-reverse", rows, ["t", "re_x", "error", "diverged_count"], report,
-        inconclusive=report_obj.inconclusive,
-    )
+    reason = (f"sampling bar {report_obj.residual_bar:.3g} at twice the reversal time"
+              f" exceeds error_ceiling {p['error_ceiling']:g}")
+    return ScenarioOutcome(_x_rows(report_obj.ensemble), report, reason if report_obj.inconclusive else None)
 
 
 def _run_entropy(p, seed):
@@ -498,7 +492,8 @@ def _run_entropy(p, seed):
         "pair_count": res.pairs,
         "sign_problem_flag": res.sign_problem,
     }
-    return ScenarioOutcome("entropy", [], [], report, inconclusive=res.sign_problem)
+    reason = "sign problem: the purity estimate is not positive or its imaginary part exceeds 3 bars"
+    return ScenarioOutcome([], report, reason if res.sign_problem else None)
 
 
 def _run_variational(p, seed):
@@ -541,8 +536,7 @@ def _run_variational(p, seed):
         "norm_drift": abs(rows[-1]["norm"] / rows[0]["norm"] - 1.0),
         "energy_drift": abs(rows[-1]["energy"] - rows[0]["energy"]),
     }
-    columns = ["t", "x", "y", "norm", "energy", "exact_x", "exact_y"]
-    return ScenarioOutcome("variational", rows, columns, report)
+    return ScenarioOutcome(rows, report)
 
 
 def _run_dimension_count(p, seed):
@@ -556,7 +550,7 @@ def _run_dimension_count(p, seed):
         "dimension": str(exact) if exact is not None else None,
         "log10_dimension": log10,
     }
-    return ScenarioOutcome("dimension-count", [], [], report)
+    return ScenarioOutcome([], report)
 
 
 # kind: (key spec, cross-field check, runner)

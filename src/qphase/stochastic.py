@@ -10,6 +10,8 @@ depend on how many trajectories run beside it, on worker assignment or
 on evaluation order.  All steppers operate on arrays with a leading
 trajectory axis, so a whole ensemble advances in vectorized form.
 
+`schedule_steps` is the one rule that turns recorded times into step
+indices: from t = 0, on the dt grid, one step per time.
 `evolve` is the one time loop.  It drives a model that provides
 
     noise(step_index, n_traj, dt) -> this step's noise term (or None)
@@ -63,6 +65,7 @@ __all__ = [
     "MomentAccumulator",
     "step",
     "evolve",
+    "schedule_steps",
     "EnsembleResult",
     "run_ensemble",
 ]
@@ -208,7 +211,8 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     t = step * dt and nothing is stepped.  Otherwise each step draws
     `model.noise` once and passes it to every `model.derivative` call of
     that step.  Dead trajectories (see the module docstring) are marked in
-    the mask and frozen at zero.  The mask is updated in place, so a
+    the mask and frozen at zero; a step's overflow warns of nothing, as
+    the rows it reaches die.  The mask is updated in place, so a
     consumer that keeps it past the next step must copy it.  Step 0 yields
     the caller's `state`, and every later recorded step a fresh array in
     the model's layout, so no yielded state is overwritten.  The stepped
@@ -240,10 +244,38 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     parts = _parts(work)
     for step_idx in range(n_steps):
         noise = model.noise(step_idx, n_traj, dt)
-        step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
-        _cull(work, parts, alive, ceiling)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow die in _cull
+            step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
+            _cull(work, parts, alive, ceiling)
         if step_idx + 1 in recorded:
             yield step_idx + 1, work.copy(order="K"), alive
+
+
+def schedule_steps(times, dt: float) -> np.ndarray:
+    """The step indices of dt at which a run records `times`.
+
+    The first time is 0, each time lies on the step grid (to 1e-9 of the
+    time, or 1e-12 near 0) and the steps strictly increase, so every time
+    is one record; a schedule that breaks a rule raises ValueError naming
+    the time.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    if times[0] != 0.0:
+        raise ValueError(f"the first time must be 0, not {times[0]:g}")
+    steps = np.rint(times / dt)
+    off = np.abs(steps * dt - times) > 1e-9 * np.abs(times) + 1e-12
+    if off.any():
+        raise ValueError(f"time {times[off][0]:g} is not a multiple of dt = {dt:g}")
+    repeats = np.flatnonzero(np.diff(steps) <= 0)
+    if repeats.size:
+        i = repeats[0]
+        raise ValueError(f"times {times[i]:g} and {times[i + 1]:g} fall on steps "
+                         f"{steps[i]:.0f} and {steps[i + 1]:.0f} of dt = {dt:g}: steps must increase")
+    return steps.astype(int)
 
 
 @dataclass
@@ -280,26 +312,15 @@ def run_ensemble(
     derivative(state, step_index, noise, out), as driven by `evolve`.
     observables: name -> fn(state) -> per-trajectory complex values.
 
-    Trajectories that die (see `evolve`) are excluded from all later
-    statistics and counted by each measurement time.
+    `times` is a schedule `schedule_steps` accepts: each time is one
+    record.  Trajectories that die (see `evolve`) are excluded from all
+    later statistics and counted by each measurement time; a RuntimeError
+    names the time by which none is left.
     """
     if trajectory_count < 2:
         raise ValueError("need at least 2 trajectories")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("measurement schedule must start at t=0")
-    n_steps = int(round(times[-1] / dt))
-    if not math.isclose(n_steps * dt, times[-1], rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError("final time must be a multiple of dt")
-    meas_steps = np.rint(times / dt).astype(int)
-    if not np.allclose(meas_steps * dt, times, atol=1e-9):
-        raise ValueError("measurement times must lie on the step grid")
-    meas_lookup = {}
-    for idx, s in enumerate(meas_steps):
-        meas_lookup.setdefault(int(s), []).append(idx)
-
+    steps = schedule_steps(times, dt).tolist()
     series = {
         name: {"mean": np.zeros(len(times), dtype=complex), "error": np.zeros(len(times))}
         for name in observables
@@ -307,14 +328,16 @@ def run_ensemble(
     diverged_count = np.zeros(len(times), dtype=int)
     initial = sampler(seed, trajectory_count)
     integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
-    for step_idx, state, alive in evolve(initial, model, dt, n_steps, divergence_ceiling, meas_lookup):
-        for t_idx in meas_lookup[step_idx]:
-            diverged_count[t_idx] = trajectory_count - alive.sum()
-            for name, fn in observables.items():
-                acc = MomentAccumulator()
-                acc.add(np.asarray(fn(state))[alive])
-                series[name]["mean"][t_idx] = acc.mean
-                series[name]["error"][t_idx] = acc.error
+    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps)
+    for t_idx, (_, state, alive) in enumerate(recorded):
+        diverged_count[t_idx] = trajectory_count - alive.sum()
+        if not alive.any():
+            raise RuntimeError(f"all {trajectory_count} trajectories diverged by t = {times[t_idx]:g}")
+        for name, fn in observables.items():
+            acc = MomentAccumulator()
+            acc.add(np.asarray(fn(state))[alive])
+            series[name]["mean"][t_idx] = acc.mean
+            series[name]["error"][t_idx] = acc.error
 
     diverged = int(diverged_count[-1])
     return EnsembleResult(

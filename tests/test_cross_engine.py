@@ -5,6 +5,7 @@ import numpy as np
 
 from qphase.fock import kerr_oracle
 from qphase.plusp import run_kerr_plusp
+from qphase.variational import expectation, kerr_hamiltonian, propagate, ring_initial_state
 from qphase.wigner import run_wigner_x
 
 # A one-mode Kerr state inside the truncated-Wigner window:
@@ -29,3 +30,21 @@ def test_plusp_and_wigner_agree_on_the_kerr_mean():
         bars.append(bar)
     combined = np.hypot(*bars)
     assert np.all(np.abs(means[0] - means[1]) <= 4.0 * combined), (means[0] - means[1]) / combined
+
+
+def test_variational_agrees_with_the_kerr_mean_and_plusp():
+    """<a>(t) of 16 coherent components on a ring of radius 0.02 (the
+    ring shifts <a>(0) by about radius^2 |alpha| / 2 = 6e-4): within 1e-2
+    of the closed-form Kerr mean at every time, about twice what one
+    coherent state (mean field) misses by at t = 2, |alpha|^3 chi^2 t^2 / 2
+    = 5.4e-3; and Re <a> within 4 +P bars of the +P mean.  Components,
+    radius and tolerances were fixed before the first run."""
+    state = ring_initial_state([ALPHA0], 16, radius=0.02)
+    times, states = propagate(state, kerr_hamiltonian(CHI, modes=1), 0.01, 200, record_every=20)
+    assert np.allclose(times, TIMES)
+    mean = np.array([expectation(st, (), (0,)) for st in states])
+    exact = np.array([kerr_oracle([ALPHA0], [[CHI]], t)["a"][0] for t in TIMES])
+    assert np.all(np.abs(mean - exact) <= 1e-2), np.abs(mean - exact)
+    plusp = run_kerr_plusp({"kind": "coherent", "alpha": [ALPHA0]}, CHI, TIMES, TRAJECTORIES, SEED, 0.01)
+    mean_p, bar = plusp.mean("X").real, plusp.error("X")
+    assert np.all(np.abs(mean.real - mean_p) <= 4.0 * bar), (mean.real - mean_p) / bar

@@ -253,8 +253,8 @@ def test_time_reversal_report_fields():
         alpha0=4.0, chi=1.0 / 16.0, reversal_time=0.2,
         trajectory_count=2000, seed=1, dt=0.002, n_points=11,
     )
-    assert report.times[0] == 0.0
-    assert report.times[-1] == pytest.approx(0.4)
+    assert report.ensemble.times[0] == 0.0
+    assert report.ensemble.times[-1] == pytest.approx(0.4)
     assert report.initial_x == 4.0
     assert not report.inconclusive
     assert report.recovery_residual <= 3.0 * max(report.residual_bar, 1e-3)

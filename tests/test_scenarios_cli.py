@@ -272,6 +272,10 @@ _VARIATIONAL_SMALL = "kind: variational\ncomponents: 4\nt_max: 0.1\ndt: 0.01\n"
         (_DIMENSIONS + "name: '..'\n", "name"),
         # 0.1 and 0.1004 are both step 50 of dt = 0.002: one row would be lost
         (_WIGNER_SMALL + "dt: 0.002\ntimes: [0, 0.1, 0.1004]\n", "times"),
+        # the plusp-reverse schedule: 60 points over 20 steps repeat steps,
+        # and a reversal time off the dt grid has no step to flip at
+        ("kind: plusp-reverse\ntrajectories: 50\nreversal_time: 0.02\npoints: 60\n", "points"),
+        ("kind: plusp-reverse\ntrajectories: 50\nreversal_time: 0.0013\npoints: 3\n", "reversal_time"),
         # one trajectory has no error bar, a zero step never advances, an empty grid has no rows
         ("kind: plusp-reverse\ntrajectories: 1\n", "trajectories"),
         (_WIGNER_SMALL + "times: [0.0, 0.1]\ndt: 0\n", "dt"),
@@ -453,7 +457,7 @@ def test_run_variational_scenario_short():
         "dt: 0.01\nrecord_every: 5\n"
     )
     outcome = run_scenario(scenario)
-    assert outcome.columns == ["t", "x", "y", "norm", "energy", "exact_x", "exact_y"]
+    assert list(outcome.rows[0]) == ["t", "x", "y", "norm", "energy", "exact_x", "exact_y"]
     assert outcome.report["norm_drift"] < 1e-3
     assert outcome.report["energy_drift"] < 1e-3
     for row in outcome.rows:
@@ -480,7 +484,7 @@ def test_lossless_wigner_rows_carry_the_exact_kerr_solution(components, alpha0, 
         "kind: wigner\nseed: 2\ntrajectories: 50\ndt: 0.01\ntimes: {stop: 0.5, points: 3}\n" + components
     )
     outcome = run_scenario(scenario)
-    assert outcome.columns == ["t", "observable", "mean", "error", "exact"]
+    assert list(outcome.rows[0]) == ["t", "observable", "mean", "error", "exact"]
     for row in outcome.rows:
         if row["observable"] == "X":
             expected = kerr_oracle(alpha0, chi, row["t"])["a"][0].real
@@ -675,14 +679,14 @@ def test_cli_rejects_invalid_physics_inputs_with_exit_2(tmp_path, text, message)
 
 def test_cli_runtime_failure_exit_code(tmp_path):
     scenario = tmp_path / "boom.yaml"
-    # valid per schema, but the reversal time misses the step grid
+    # valid per schema, but every trajectory starts beyond the divergence ceiling
     scenario.write_text(
-        "kind: plusp-reverse\nalpha0: 2.0\nchi: 0.25\nreversal_time: 0.0013\n"
-        "trajectories: 100\ndt: 0.002\npoints: 3\n"
+        "kind: plusp\nstate: {kind: coherent, alpha: 2.0}\ncanonical_width: delta\n"
+        "trajectories: 100\ndt: 0.01\ntimes: [0.0, 0.1]\ndivergence_ceiling: 1.0\n"
     )
     proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
     assert proc.returncode == 3
-    assert "runtime failure" in proc.stderr
+    assert "runtime failure: all 100 trajectories diverged by t = 0.1" in proc.stderr
 
 
 def test_cli_variational_step_failure_names_step_size(tmp_path):
@@ -704,6 +708,32 @@ def test_cli_inconclusive_exit_code(tmp_path):
     proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
     assert proc.returncode == 4
     assert "inconclusive" in proc.stderr
+
+
+def test_inconclusive_outcome_names_its_cause():
+    scenario = parse_scenario(
+        "kind: plusp-reverse\nseed: 3\nalpha0: 4.0\nchi: 0.0625\n"
+        "reversal_time: 0.2\ntrajectories: 200\ndt: 0.002\n"
+        "error_ceiling: 1.0e-9\npoints: 5\n"
+    )
+    reason = run_scenario(scenario).inconclusive
+    assert reason.startswith("sampling bar ") and reason.endswith("exceeds error_ceiling 1e-09")
+
+
+def test_cli_wigner_divergence_is_inconclusive(tmp_path):
+    """Like plusp, a wigner run with over 1 % of its trajectories diverged
+    writes its outputs, says why and exits 4."""
+    scenario = tmp_path / "two-body.yaml"
+    scenario.write_text(
+        "kind: wigner\nseed: 1\nalpha0: 6.0\nchi: 0.0\nlosses: [{powers: [2], rate: 0.4}]\n"
+        "trajectories: 400\ndt: 0.05\ntimes: {stop: 1.0, points: 3}\n"
+    )
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 4, proc.stderr
+    report = json.loads((tmp_path / "two-body.json").read_text())
+    assert report["unreliable"] and report["diverged"] > 4
+    assert f"result inconclusive: {report['diverged']} of 400 trajectories diverged" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 _TWO_COMPONENT_WIGNER = """kind: wigner

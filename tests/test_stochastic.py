@@ -26,6 +26,7 @@ from qphase.stochastic import (
     evolve,
     noise_block,
     run_ensemble,
+    schedule_steps,
     step,
     stream,
 )
@@ -582,4 +583,23 @@ def test_run_ensemble_validates_schedule():
         run_ensemble(
             lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 1,
             np.array([0.0, 0.01]), dt, 0,
+        )
+
+
+def test_run_ensemble_records_each_time_at_its_own_step():
+    """Two times on one step would be two rows of one state."""
+    assert schedule_steps([0.0, 0.1, 0.30000000000000004], 0.1).tolist() == [0, 1, 3]
+    with pytest.raises(ValueError, match="steps must increase"):
+        run_ensemble(
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
+            np.array([0.0, 0.01, 0.01]), 0.01, 0,
+        )
+
+
+def test_run_ensemble_names_the_time_by_which_every_trajectory_died():
+    """y grows by about exp(0.3) a step: alive at step 1, beyond 1.5 at step 2."""
+    with pytest.raises(RuntimeError, match=r"all 4 trajectories diverged by t = 0\.02"):
+        run_ensemble(
+            lambda s, n: np.ones((n, 1)), Linear(30.0), {"y": lambda y: y[:, 0]}, 4,
+            np.array([0.0, 0.01, 0.02]), 0.01, 0, divergence_ceiling=1.5,
         )
