@@ -139,6 +139,7 @@ def run(scenario_file, seed, out_dir):
         "qphase_version": __version__,
         "diverged": outcome.report.get("diverged", 0),
         "wall_time_s": wall,
+        "step_noise": outcome.step_noise,
         "environment": _environment(),
         "outputs": written,
     }

@@ -148,7 +148,8 @@ class KerrPlusP:
         """This step's rate columns, laid out column-contiguous like the
         state: -i sqrt(i chi) xi1 + i chi / 2 in columns :M and
         i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi
-        and 2M real noises xi of variance 1/dt."""
+        and 2M real two-point noises xi of variance 1/dt (see
+        `stochastic.noise_block`)."""
         xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes)
         xi *= 1.0 / math.sqrt(dt)
         return self.rates(xi, step_index)

@@ -342,6 +342,7 @@ class ScenarioOutcome:
     rows: list  # CSV rows: dicts whose keys, in order, are the header
     report: dict  # scalar JSON report
     inconclusive: str | None = None  # why the result cannot be trusted
+    step_noise: str | None = None  # the law the run drew step noise from, if it drew any
 
 
 def run_scenario(scenario: Scenario, seed=None) -> ScenarioOutcome:
@@ -398,6 +399,7 @@ def _x_rows(result):
 
 def _run_wigner(p, seed):
     from .fock import kerr_oracle
+    from .stochastic import STEP_NOISE_LAW
     from .wigner import LossChannel, run_wigner_x
 
     times = _snap_times(p["times"], p["dt"])
@@ -423,11 +425,13 @@ def _run_wigner(p, seed):
         "trajectories": result.trajectories,
         "integrator": result.integrator,
     }
-    return ScenarioOutcome(rows, report, _divergence(result))
+    # only loss channels draw step noise
+    return ScenarioOutcome(rows, report, _divergence(result), STEP_NOISE_LAW if channels else None)
 
 
 def _run_plusp(p, seed):
     from .plusp import run_kerr_plusp
+    from .stochastic import STEP_NOISE_LAW
 
     result = run_kerr_plusp(
         p["state"],
@@ -445,11 +449,12 @@ def _run_plusp(p, seed):
         "unreliable": result.unreliable,
         "final_n": result.mean("n")[-1].real,
     }
-    return ScenarioOutcome(_x_rows(result), report, _divergence(result))
+    return ScenarioOutcome(_x_rows(result), report, _divergence(result), STEP_NOISE_LAW)
 
 
 def _run_plusp_reverse(p, seed):
     from .plusp import time_reversal_test
+    from .stochastic import STEP_NOISE_LAW
 
     report_obj = time_reversal_test(
         p["alpha0"],
@@ -470,11 +475,15 @@ def _run_plusp_reverse(p, seed):
         "recovered_within_2bar": report_obj.recovery_residual
         <= 2.0 * report_obj.residual_bar,
         "diverged": report_obj.diverged,
+        "unreliable": report_obj.ensemble.unreliable,
         "inconclusive": report_obj.inconclusive,
     }
-    reason = (f"sampling bar {report_obj.residual_bar:.3g} at twice the reversal time"
-              f" exceeds error_ceiling {p['error_ceiling']:g}")
-    return ScenarioOutcome(_x_rows(report_obj.ensemble), report, reason if report_obj.inconclusive else None)
+    if report_obj.inconclusive:
+        reason = (f"sampling bar {report_obj.residual_bar:.3g} at twice the reversal time"
+                  f" exceeds error_ceiling {p['error_ceiling']:g}")
+    else:
+        reason = _divergence(report_obj.ensemble)
+    return ScenarioOutcome(_x_rows(report_obj.ensemble), report, reason, STEP_NOISE_LAW)
 
 
 def _run_entropy(p, seed):

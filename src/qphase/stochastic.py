@@ -10,6 +10,15 @@ depend on how many trajectories run beside it, on worker assignment or
 on evaluation order.  All steppers operate on arrays with a leading
 trajectory axis, so a whole ensemble advances in vectorized form.
 
+The step noise (`noise_block`) is two-point: each entry is +1 or -1, one
+raw bit of its stream.  It shares the first three moments of a standard
+normal, which is all the weak order 1 of the midpoint step needs: the
+simplified weak scheme of Kloeden & Platen, *Numerical Solution of
+Stochastic Differential Equations* (1992), section 14.1.
+`STEP_NOISE_LAW` names it for run manifests.  Initial samples (every
+`draw_rows` caller) stay Gaussian: they are the phase-space distribution
+itself.
+
 `schedule_steps` is the one rule that turns recorded times into step
 indices: from t = 0, on the dt grid, one step per time.
 `evolve` is the one time loop.  It drives a model that provides
@@ -54,6 +63,7 @@ import numpy as np
 __all__ = [
     "BLOCK_ROWS",
     "STEP_NOISE",
+    "STEP_NOISE_LAW",
     "HUSIMI_MEANS",
     "CANONICAL_WIDTHS",
     "FOCK_RADII",
@@ -82,6 +92,9 @@ FOCK_RADII = 4  # +P Fock-state Husimi radii
 FOCK_PHASES = 5  # +P Fock-state Husimi phases
 WIGNER_SAMPLES = 6  # truncated-Wigner coherent samples
 
+# The law `noise_block` draws step noise from, as run manifests record it.
+STEP_NOISE_LAW = "two-point"
+
 
 def stream(seed: int, domain: int, index: int = 0, block: int = 0) -> np.random.Generator:
     """The generator at stream address (seed, domain, index, block); the
@@ -102,15 +115,37 @@ def draw_rows(seed: int, domain: int, index: int, rows: int, draw) -> np.ndarray
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+# Row b: the bits of byte b, most significant first, as +1.0 (bit 0) or -1.0 (bit 1).
+_BIT_SIGNS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1)
+
+
+def _two_point(gen: np.random.Generator, rows: int, per_traj: int) -> np.ndarray:
+    """(rows, per_traj) two-point variates, one bit of ``gen.bytes(n)`` each
+    for n = ceil(rows per_traj / 8), read row-major."""
+    count = rows * per_traj
+    # gen.bytes(n) is the bit generator's raw 64-bit words as little-endian
+    # bytes; reading the words directly skips its bounded-integer path
+    words = gen.bit_generator.random_raw(-(-count // 64))
+    raw = words.astype("<u8", copy=False).view(np.uint8)[: -(-count // 8)]
+    return _BIT_SIGNS.take(raw, axis=0).reshape(-1)[:count].reshape(rows, per_traj)
+
+
 def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -> np.ndarray:
-    """Standard normals of shape (n_traj, per_traj) for one time step.
+    """Two-point step noise of shape (n_traj, per_traj) for one time step.
+
+    Each entry is +1.0 or -1.0 with probability 1/2: mean 0, variance
+    exactly 1 and third moment 0, as for the standard normal it replaces
+    in the simplified weak scheme (Kloeden & Platen 1992, section 14.1).
+    Initial samples stay Gaussian.
 
     Row i is the noise owned by trajectory i, drawn from the step-noise
-    stream (master_seed, STEP_NOISE, step_index, i // BLOCK_ROWS), so
-    adding trajectories extends the block without changing existing rows.
+    stream (master_seed, STEP_NOISE, step_index, i // BLOCK_ROWS): each
+    entry is one bit of that stream's ``bytes``, most significant bit of
+    each byte first, bit 0 giving +1, taken row-major within the block.
+    Adding trajectories extends the block without changing existing rows.
     """
     return draw_rows(
-        master_seed, STEP_NOISE, step_index, n_traj, lambda gen, k: gen.standard_normal((k, per_traj))
+        master_seed, STEP_NOISE, step_index, n_traj, lambda gen, k: _two_point(gen, k, per_traj)
     )
 
 

@@ -287,7 +287,9 @@ class WignerModel:
 
     def noise(self, step_index: int, n_traj: int, dt: float):
         """sqrt(kappa_l) zeta_l for every loss channel l, with complex zeta_l
-        of <zeta zeta*> = 1/dt, or None without losses."""
+        of <zeta zeta*> = 1/dt whose real and imaginary parts are two-point
+        noises of variance 1/(2 dt) (see `stochastic.noise_block`), or None
+        without losses."""
         if not self.channels:
             return None
         raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from qphase.fock import StateVector
 from qphase.gaussian_entropy import RenyiResult, inner_product
-from qphase.stochastic import MIDPOINT_ITERS
+from qphase.stochastic import MIDPOINT_ITERS, STEP_NOISE, draw_rows
 from qphase.wigner import (
     XI2_BLOCKS,
     SqueezingResult,
@@ -60,6 +60,15 @@ def allocating_step(state, derivative, dt):
         np.multiply(derivative(mid), 0.5 * dt, out=mid)
         mid += state
     return np.subtract(np.multiply(2.0, mid, out=mid), state, out=mid)
+
+
+def gaussian_noise_block(master_seed, step_index, n_traj, per_traj):
+    """Standard normals of shape (n_traj, per_traj) from the step-noise
+    stream addresses ``stochastic.noise_block`` reads, row-major per block:
+    the Gaussian reference law for its two-point step noise."""
+    return draw_rows(
+        master_seed, STEP_NOISE, step_index, n_traj, lambda gen, k: gen.standard_normal((k, per_traj))
+    )
 
 
 def _monomial(fields, powers):

@@ -587,6 +587,7 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
     assert manifest["seed"] == 4
     assert len(manifest["parameter_hash"]) == 64
     assert manifest["diverged"] == 0
+    assert manifest["step_noise"] == "two-point"
     environment = manifest["environment"]
     assert set(environment) == {
         "cpus", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "numpy", "blas"
@@ -644,7 +645,24 @@ def test_cli_out_dir_env(tmp_path):
     scenario = SCENARIO_DIR / "dimension_count.yaml"
     proc = _run_cli("run", str(scenario), env={"QPHASE_OUT_DIR": str(tmp_path)})
     assert proc.returncode == 0
-    assert (tmp_path / "dimension-2-2.manifest.json").exists()
+    manifest = json.loads((tmp_path / "dimension-2-2.manifest.json").read_text())
+    assert manifest["step_noise"] is None  # nothing stochastic ran
+
+
+@pytest.mark.parametrize(
+    "text, law",
+    [
+        (_PLUSP_SMALL + "trajectories: 20\ntimes: [0.0, 0.1]\n", "two-point"),
+        (_WIGNER_ONE + "trajectories: 20\nlosses: [{powers: [1], rate: 0.1}]\n", "two-point"),
+        (_WIGNER_ONE + "trajectories: 20\n", None),
+        (_DIMENSIONS, None),
+    ],
+    ids=["plusp", "lossy-wigner", "lossless-wigner", "dimension-count"],
+)
+def test_outcome_names_the_step_noise_law_it_drew(text, law):
+    """The manifest's step_noise: the law of the step noise a run drew, or
+    None where it drew none (a lossless Wigner run has no noise term)."""
+    assert run_scenario(parse_scenario(text)).step_noise == law
 
 
 def test_cli_bad_entropy_input_and_malformed_yaml_exit_2(tmp_path):
@@ -734,6 +752,19 @@ def test_cli_wigner_divergence_is_inconclusive(tmp_path):
     assert report["unreliable"] and report["diverged"] > 4
     assert f"result inconclusive: {report['diverged']} of 400 trajectories diverged" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_plusp_reverse_divergence_is_inconclusive(tmp_path):
+    """Like plusp and wigner, a plusp-reverse run with over 1 % of its
+    trajectories diverged says why and exits 4, even when its sampling
+    bar is within error_ceiling."""
+    scenario = tmp_path / "strong.yaml"
+    scenario.write_text("kind: plusp-reverse\nalpha0: 10.0\nchi: 0.5\ntrajectories: 400\nerror_ceiling: .inf\n")
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 4, proc.stderr
+    report = json.loads((tmp_path / "strong.json").read_text())
+    assert report["unreliable"] and report["diverged"] > 4 and not report["inconclusive"]
+    assert f"result inconclusive: {report['diverged']} of 400 trajectories diverged" in proc.stderr
 
 
 _TWO_COMPONENT_WIGNER = """kind: wigner

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import allocating_step
+from oracles import allocating_step, gaussian_noise_block
 
 import qphase
-from qphase.plusp import KerrPlusP, sample_canonical
+from qphase.fock import kerr_oracle
+from qphase.plusp import KerrPlusP, run_kerr_plusp, sample_canonical
 from qphase.stochastic import (
     BLOCK_ROWS,
     CANONICAL_WIDTHS,
@@ -30,7 +31,7 @@ from qphase.stochastic import (
     step,
     stream,
 )
-from qphase.wigner import LossChannel, WignerModel, sample_wigner_coherent
+from qphase.wigner import LossChannel, WignerModel, run_wigner_x, sample_wigner_coherent
 
 
 class Linear:
@@ -53,13 +54,23 @@ class Linear:
 DOMAINS = (STEP_NOISE, HUSIMI_MEANS, CANONICAL_WIDTHS, FOCK_RADII, FOCK_PHASES, WIGNER_SAMPLES)
 
 
+def _stream_signs(seed, step_index, block, rows, per_traj):
+    """The documented two-point law bit by bit: the first rows * per_traj
+    bits of the step-noise stream's bytes, most significant bit of each
+    byte first and row-major, with bit 0 -> +1 and bit 1 -> -1."""
+    count = rows * per_traj
+    raw = stream(seed, STEP_NOISE, step_index, block).bytes(-(-count // 8))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:count]
+    return (1.0 - 2.0 * bits).reshape(rows, per_traj)
+
+
 def test_stream_is_sfc64_keyed_by_its_address():
     """stream(seed, domain, index, block) is SFC64 seeded by a SeedSequence
     of the four numbers, the seed taken modulo 2**64."""
     expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence((5, STEP_NOISE, 3, 2))))
     assert np.array_equal(stream(5, STEP_NOISE, 3, 2).integers(0, 2**63, 16), expected.integers(0, 2**63, 16))
     assert np.array_equal(stream(-1, STEP_NOISE).random(4), stream(2**64 - 1, STEP_NOISE).random(4))
-    assert np.array_equal(noise_block(5, 3, 7, 2), stream(5, STEP_NOISE, 3, 0).standard_normal((7, 2)))
+    assert np.array_equal(noise_block(5, 3, 7, 3), _stream_signs(5, 3, 0, 7, 3))
 
 
 def test_distinct_addresses_give_distinct_streams():
@@ -94,9 +105,11 @@ def test_step_noise_and_the_samplers_differ_at_the_same_seed():
 
 
 def test_rows_past_block_rows_come_from_the_next_block():
-    big = noise_block(3, 2, BLOCK_ROWS + 3, 2)
-    assert np.array_equal(big[:BLOCK_ROWS], stream(3, STEP_NOISE, 2, 0).standard_normal((BLOCK_ROWS, 2)))
-    assert np.array_equal(big[BLOCK_ROWS:], stream(3, STEP_NOISE, 2, 1).standard_normal((3, 2)))
+    """Each block's rows are the bits of its own stream, also for an odd
+    row width, whose rows straddle byte boundaries."""
+    big = noise_block(3, 2, BLOCK_ROWS + 3, 3)
+    assert np.array_equal(big[:BLOCK_ROWS], _stream_signs(3, 2, 0, BLOCK_ROWS, 3))
+    assert np.array_equal(big[BLOCK_ROWS:], _stream_signs(3, 2, 1, 3, 3))
     assert noise_block(3, 2, 0, 2).shape == (0, 2)
 
 
@@ -166,9 +179,15 @@ def test_noise_block_is_deterministic_and_extends():
 
 
 def test_noise_block_statistics():
+    """Every entry is exactly +1 or -1, so its variance about the law's
+    mean 0 is exactly 1; the mean of N entries is within 5 / sqrt(N) of 0,
+    in every column and overall."""
     block = noise_block(0, 0, 20000, 4)
-    assert abs(block.mean()) < 0.02
-    assert abs(block.var() - 1.0) < 0.02
+    assert block.dtype == np.float64 and block.shape == (20000, 4)
+    assert np.all(np.abs(block) == 1.0)
+    assert np.mean(block * block) == 1.0
+    assert abs(block.mean()) < 5.0 / math.sqrt(block.size)
+    assert np.all(np.abs(block.mean(axis=0)) < 5.0 / math.sqrt(block.shape[0]))
 
 
 def _loss_channels(count):
@@ -188,15 +207,66 @@ def test_field_noise_scaling():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_field_noise_equals_the_quadrature_sum_byte_for_byte(seed):
-    """Scaling the model's normals in place, read as complex, gives every
+    """Scaling the model's step noise in place, read as complex, gives every
     bit of the explicit (re + 1j * im) * sqrt(kappa) / sqrt(2 dt) pairing."""
     channels = _loss_channels(seed % 4 + 1)
     dt = 0.01 * (seed + 1)
-    normals = noise_block(seed, seed + 1, 300, 2 * len(channels))
+    raw = noise_block(seed, seed + 1, 300, 2 * len(channels))
     scale = np.sqrt([ch.rate for ch in channels]) / math.sqrt(2.0 * dt)
-    explicit = (normals[:, 0::2] + 1j * normals[:, 1::2]) * scale
+    explicit = (raw[:, 0::2] + 1j * raw[:, 1::2]) * scale
     zeta = WignerModel(channels=channels, seed=seed).noise(seed + 1, 300, dt)
     assert zeta.tobytes() == explicit.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# step-noise laws: two-point against the Gaussian reference
+# ---------------------------------------------------------------------------
+
+
+def _under_both_laws(monkeypatch, run):
+    """`run()` with the two-point step noise, then with the Gaussian
+    reference law in its place in both engines."""
+    two_point = run()
+    monkeypatch.setattr("qphase.plusp.noise_block", gaussian_noise_block)
+    monkeypatch.setattr("qphase.wigner.noise_block", gaussian_noise_block)
+    return two_point, run()
+
+
+def _assert_laws_agree(estimates, exact):
+    """Each law's (mean, bar) within 4 bars of `exact`, and the two laws
+    within 4 combined bars of each other, at every time."""
+    (mean_a, bar_a), (mean_b, bar_b) = estimates
+    for mean, bar in estimates:
+        assert np.all(np.abs(mean - exact) <= 4.0 * bar), (mean - exact) / bar
+    combined = np.hypot(bar_a, bar_b)
+    assert np.all(np.abs(mean_a - mean_b) <= 4.0 * combined), (mean_a - mean_b) / combined
+
+
+@pytest.mark.parametrize("dt, points", [(0.0025, 21), (0.01, 11)], ids=["dt", "4dt"])
+def test_step_noise_laws_agree_on_forward_plusp(monkeypatch, dt, points):
+    """Forward +P Kerr <X> at acceptance criterion 2's inputs, and at four
+    times its dt (every other time, so each lies on the grid), under both
+    laws against the closed-form Kerr mean."""
+    alpha0, chi, times = 10.0, 0.01, np.linspace(0.0, 0.5, points)
+    results = _under_both_laws(
+        monkeypatch, lambda: run_kerr_plusp({"kind": "coherent", "alpha": [alpha0]}, chi, times, 4000, 42, dt)
+    )
+    assert [r.diverged for r in results] == [0, 0]
+    exact = np.array([kerr_oracle([alpha0], [[chi]], t)["a"][0].real for t in times])
+    _assert_laws_agree([(r.mean("X").real, r.error("X")) for r in results], exact)
+
+
+def test_step_noise_laws_agree_on_one_body_wigner_loss(monkeypatch):
+    """One-body lossy truncated Wigner at acceptance criterion 6's loss
+    inputs: <n> = n_w - 1/2 under both laws against n0 exp(-2 kappa t)."""
+    alpha0, kappa, times = 2.0, 0.3, np.linspace(0.0, 1.0, 6)
+    results = _under_both_laws(
+        monkeypatch,
+        lambda: run_wigner_x([alpha0], None, times, 5000, 12, 0.005, channels=[LossChannel((1,), kappa)]),
+    )
+    assert [r.diverged for r in results] == [0, 0]
+    exact = alpha0**2 * np.exp(-2.0 * kappa * times)
+    _assert_laws_agree([(r.mean("n_w").real - 0.5, r.error("n_w")) for r in results], exact)
 
 
 # ---------------------------------------------------------------------------
