@@ -516,9 +516,7 @@ def _run_variational(p, seed):
         state_norm,
     )
 
-    ham = kerr_hamiltonian(
-        p["chi"], modes=1, omega=None if p["omega"] is None else [p["omega"]]
-    )
+    ham = kerr_hamiltonian(p["chi"], omega=p["omega"])
     state = ring_initial_state([p["alpha"]], p["components"], radius=p["radius"])
     n_steps = int(round(p["t_max"] / p["dt"]))
     times, states = propagate(

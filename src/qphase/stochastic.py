@@ -97,9 +97,12 @@ STEP_NOISE_LAW = "two-point"
 
 
 def stream(seed: int, domain: int, index: int = 0, block: int = 0) -> np.random.Generator:
-    """The generator at stream address (seed, domain, index, block); the
-    seed is taken modulo 2**64."""
-    key = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, domain, index, block))
+    """The generator at stream address (seed, domain, index, block), the seed
+    taken modulo 2**64; keyed by the numbers' uint32 words (least significant
+    first, at least one each), which is how numpy keys their tuple."""
+    words = [(value >> shift) & 0xFFFFFFFF for value in (seed & 0xFFFFFFFFFFFFFFFF, domain, index, block)
+             for shift in range(0, max(value.bit_length(), 1), 32)]
+    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -224,17 +227,16 @@ def _parts(state):
 
 def _cull(state, parts, alive, ceiling):
     """Mark the rows of `state` that are non-finite or exceed `ceiling` in
-    modulus dead in `alive`, and zero every dead row when one dies;
-    `parts` is ``_parts(state)``."""
+    modulus dead in `alive`, and zero every dead row, old ones too (additive
+    noise moves them); `parts` is ``_parts(state)``."""
     # parts within +-0.7 ceiling give |y| <= 0.99 ceiling: all rows live
     safe = 0.7 * ceiling
     if not (parts.max() <= safe and parts.min() >= -safe):  # NaN fails both
         # NaN compares false and inf exceeds the ceiling: one test each
-        within = np.abs(state.reshape(len(alive), -1)) <= ceiling
-        if not within.all():
-            alive &= within.all(axis=1)
-            # freeze dead trajectories so NaNs cannot poison the others
-            state[~alive] = 0.0
+        alive &= (np.abs(state.reshape(len(alive), -1)) <= ceiling).all(axis=1)
+    if not alive.all():
+        # freeze dead trajectories so NaNs cannot poison the others
+        state[~alive] = 0.0
 
 
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, record=None):
@@ -246,8 +248,9 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     t = step * dt and nothing is stepped.  Otherwise each step draws
     `model.noise` once and passes it to every `model.derivative` call of
     that step.  Dead trajectories (see the module docstring) are marked in
-    the mask and frozen at zero; a step's overflow warns of nothing, as
-    the rows it reaches die.  The mask is updated in place, so a
+    the mask and zeroed after every step, even where additive noise moved
+    them within it; a step's overflow warns of nothing, as the rows it
+    reaches die.  The mask is updated in place, so a
     consumer that keeps it past the next step must copy it.  Step 0 yields
     the caller's `state`, and every later recorded step a fresh array in
     the model's layout, so no yielded state is overwritten.  The stepped
@@ -270,8 +273,6 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
             np.exp(flowed, out=flowed)
             flowed *= state
             _cull(flowed, _parts(flowed), alive, ceiling)
-            if not alive.all():  # rows that died at an earlier record stay zero
-                flowed[~alive] = 0.0
             yield step_idx, flowed, alive
         return
     work = np.array(state, order=order)  # contiguous, so ravel is a view

@@ -7,11 +7,10 @@ The trial state is an unnormalized sum of Bargmann coherent kets,
 with overlaps rho^(mn) = exp[conj(alpha_0^(m)) + alpha_0^(n)
 + sum_{k>0} conj(alpha_k^(m)) alpha_k^(n)].  Time evolution follows the
 McLachlan variational principle: i V dX/dt = H with the Gram matrix V
-and Hamiltonian vector built from pairwise normal-ordered symbols; a
-``PolynomialHamiltonian`` compiles them once, so ``variational_system``
-loops over no terms.  The Tikhonov-regularized solves run in the iterated
-midpoint scheme of the stochastic engines; ``propagate`` keeps one
-midpoint buffer per run and refills it in place each iteration.
+and Hamiltonian vector built from the pairwise normal-ordered symbols of
+the paper's nonlinear (Kerr) oscillator, in closed form.  The Tikhonov-
+regularized solves run in the iterated midpoint scheme of the stochastic
+engines; ``propagate`` refills one midpoint buffer per run in place.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "VariationalState",
-    "PolynomialHamiltonian",
+    "KerrHamiltonian",
     "kerr_hamiltonian",
     "ring_initial_state",
     "overlap_matrix",
@@ -76,75 +75,36 @@ def ring_initial_state(alpha, members: int, radius: float = 0.1) -> VariationalS
     return VariationalState(alpha0=alpha0.astype(complex), amps=amps)
 
 
-@dataclass(frozen=True)
-class PolynomialHamiltonian:
-    """Normal-ordered polynomial sum_t c_t prod adag_i prod a_j.
+@dataclass(frozen=True, eq=False)
+class KerrHamiltonian:
+    """H = sum_k omega_k adag_k a_k + (chi/2) sum_k adag_k^2 a_k^2, as built by
+    ``kerr_hamiltonian``; ``omega`` is complex and read-only, one per mode."""
 
-    ``terms`` holds (coeff, creation_modes, annihilation_modes), kept as a
-    tuple of tuples; the Hamiltonian is frozen, so the arrays compiled from
-    its terms can never go stale (``dataclasses.replace`` makes a changed
-    one).  The pairwise symbol replaces adag_k -> conj(alpha_k^(m)) and
-    a_k -> alpha_k^(n).  The terms are compiled once, on construction,
-    into the distinct bra and ket monomials (as per-mode powers) and one
-    coefficient array that maps each (bra, ket) monomial pair to the
-    symbol and to its gradient in each conj(alpha_k): d/d conj(alpha_k)
-    of a bra monomial is its power of k times the monomial with one k
-    fewer, so those reduced monomials are bra monomials too.
-    """
-
-    terms: tuple
-    modes: int
-
-    def __post_init__(self):
-        setattr_ = functools.partial(object.__setattr__, self)  # the instance is frozen
-        setattr_("terms", tuple((coeff, tuple(cre), tuple(ann)) for coeff, cre, ann in self.terms))
-
-        def powers(ops):
-            if not all(0 <= k < self.modes for k in ops):
-                raise ValueError(f"mode indices {tuple(ops)} out of range for {self.modes} modes")
-            return tuple(list(ops).count(k) for k in range(self.modes))
-
-        bras, kets, entries = {}, {}, []
-        for coeff, creation, annihilation in self.terms:
-            ket, cre = kets.setdefault(powers(annihilation), len(kets)), powers(creation)
-            entries.append((bras.setdefault(cre, len(bras)), 0, ket, coeff))
-            for k in np.flatnonzero(cre):
-                fewer = cre[:k] + (cre[k] - 1,) + cre[k + 1:]
-                entries.append((bras.setdefault(fewer, len(bras)), k + 1, ket, coeff * cre[k]))
-        coeffs = np.zeros((len(bras), self.modes + 1, len(kets)), dtype=complex)
-        for bra, row, ket, coeff in entries:
-            coeffs[bra, row, ket] += coeff
-        setattr_("_coeffs", coeffs.reshape(len(bras), (self.modes + 1) * len(kets)))
-        setattr_("_bra_powers", np.array(list(bras), dtype=complex).reshape(len(bras), self.modes))
-        setattr_("_ket_powers", np.array(list(kets), dtype=complex).reshape(len(kets), self.modes))
+    chi: float
+    omega: np.ndarray
 
     def symbols(self, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        """(N, M+1, N) stack over all pairs: H^(mn), then
-        d H^(mn) / d conj(alpha_k^(m)) for each mode k; bra_conj, ket (N, M)."""
-        n, rows = bra_conj.shape[0], self.modes + 1
-        bra, kets = _monomials(bra_conj, self._bra_powers), _monomials(ket, self._ket_powers)
-        per_bra = (bra @ self._coeffs).reshape(n * rows, kets.shape[1])
-        return (per_bra @ kets.T).reshape(n, rows, n)
-
-    def symbol(self, bra_conj: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        """H^(mn) for all pairs; bra_conj, ket of shape (N, M)."""
-        return self.symbols(bra_conj, ket)[:, 0]
-
-
-def _monomials(values: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """(N, P) products prod_k values[:, k] ** powers[p, k], one mode at a time."""
-    factors = (values[:, None, k] ** powers[:, k] for k in range(powers.shape[1]))
-    return functools.reduce(np.multiply, factors)
+        """(N, M+1, N) stack over all pairs: H^(mn) = sum_k z_k (omega_k + chi z_k / 2),
+        then d H^(mn) / d conj(alpha_k^(m)) = alpha_k^(n) (omega_k + chi z_k) for each
+        mode k, where z_k = conj(alpha_k^(m)) alpha_k^(n); bra_conj, ket (N, M)."""
+        if ket.shape[1] != self.omega.size:
+            raise ValueError(f"the Hamiltonian acts on {self.omega.size} modes, the state has {ket.shape[1]}")
+        z = bra_conj[:, :, None] * ket.T  # (N, M, N)
+        rate = self.chi * z
+        rate += self.omega[:, None]  # omega_k + chi z_k
+        grads = ket.T * rate
+        rate -= (0.5 * self.chi) * z  # omega_k + chi z_k / 2
+        rate *= z
+        return np.concatenate([rate.sum(axis=1, keepdims=True), grads], axis=1)
 
 
-def kerr_hamiltonian(chi: float, modes: int = 1, omega=None) -> PolynomialHamiltonian:
-    """H = sum_k omega_k adag_k a_k + (chi/2) sum_k adag_k^2 a_k^2."""
-    terms = []
-    for k in range(modes):
-        if omega is not None:
-            terms.append((np.atleast_1d(omega)[k], (k,), (k,)))
-        terms.append((0.5 * chi, (k, k), (k, k)))
-    return PolynomialHamiltonian(terms=terms, modes=modes)
+def kerr_hamiltonian(chi: float, modes: int = 1, omega=None) -> KerrHamiltonian:
+    """The Kerr oscillator on ``modes`` modes; omega (one per mode) defaults to 0."""
+    omega = np.zeros(modes, dtype=complex) if omega is None else np.atleast_1d(omega).astype(complex)
+    if omega.shape != (modes,):
+        raise ValueError(f"omega needs one value per mode for {modes} modes, not {omega.shape}")
+    omega.flags.writeable = False
+    return KerrHamiltonian(chi, omega)
 
 
 def overlap_matrix(state: VariationalState) -> np.ndarray:
@@ -157,9 +117,8 @@ def overlap_matrix(state: VariationalState) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _layout(members: int, modes: int):
     """variational_system's fixed arrays: flat indices gathering V's (m,l),(n,k)
-    layout from outer(conj t, t), indexed (m,k),(n,l), and from rho; the
-    delta_{lk}(1 - delta_{l0}) mask; the columns (t, delta_{1l}, ...) with
-    t's amplitudes left to fill in."""
+    layout from outer(conj t, t), indexed (m,k),(n,l), and from rho; the mask
+    delta_{lk}(1 - delta_{l0}); the columns (t, delta_{1l}, ...), t left to fill."""
     r = modes + 1
     m, l, n, k = np.indices((members, r, members, r)).reshape(4, members * r, members * r)
     outer = (m * r + k) * (members * r) + n * r + l
@@ -168,7 +127,7 @@ def _layout(members: int, modes: int):
     return outer, m * members + n, delta, columns
 
 
-def variational_system(state: VariationalState, ham: PolynomialHamiltonian):
+def variational_system(state: VariationalState, ham: KerrHamiltonian):
     """Gram matrix V and Hamiltonian vector of i V dX/dt = H_vec.
 
     With t^(n) = (1, alpha_1^(n), ..., alpha_M^(n)),
@@ -211,7 +170,7 @@ MAX_HALVINGS = 6
 
 def propagate(
     state: VariationalState,
-    ham: PolynomialHamiltonian,
+    ham: KerrHamiltonian,
     dt: float,
     n_steps: int,
     lam: float = 1e-4,
@@ -274,15 +233,19 @@ def state_norm(state: VariationalState) -> float:
     return value.real
 
 
-def energy(state: VariationalState, ham: PolynomialHamiltonian) -> float:
-    return _mean(state, ham).real
+def energy(state: VariationalState, ham: KerrHamiltonian) -> float:
+    return _mean(state, ham.symbols(state.amps.conj(), state.amps)[:, 0]).real
 
 
 def expectation(state: VariationalState, creation, annihilation) -> complex:
     """<Psi| prod adag_i prod a_j |Psi> / <Psi|Psi> for mode tuples."""
-    return _mean(state, PolynomialHamiltonian([(1.0, creation, annihilation)], state.modes))
+    if not all(0 <= k < state.modes for k in (*creation, *annihilation)):
+        raise ValueError(f"mode indices {(*creation, *annihilation)} out of range for {state.modes} modes")
+    bra = state.amps.conj()[:, list(creation)].prod(axis=1)
+    ket = state.amps[:, list(annihilation)].prod(axis=1)
+    return _mean(state, np.outer(bra, ket))
 
 
-def _mean(state: VariationalState, ham: PolynomialHamiltonian) -> complex:
+def _mean(state: VariationalState, symbol: np.ndarray) -> complex:
     rho = overlap_matrix(state)
-    return complex((ham.symbol(state.amps.conj(), state.amps) * rho).sum() / rho.sum())
+    return complex((symbol * rho).sum() / rho.sum())

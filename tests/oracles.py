@@ -265,9 +265,18 @@ def renyi_entropy(points, pairing="disjoint"):
     return RenyiResult(s2, purity, spread, s2_err, len(idx_pairs), sign_problem)
 
 
+def kerr_terms(chi, modes, omega=None):
+    """H = sum_k omega_k adag_k a_k + (chi/2) sum_k adag_k^2 a_k^2 spelled out
+    as normal-ordered terms (coeff, creation modes, annihilation modes)."""
+    terms = [(0.5 * chi, (k, k), (k, k)) for k in range(modes)]
+    if omega is not None:
+        terms += [(omega[k], (k,), (k,)) for k in range(modes)]
+    return terms
+
+
 def polynomial_symbol(terms, bra_conj, ket):
     """H^(mn) built term by term on full (N, N) arrays; the reference for
-    ``variational.PolynomialHamiltonian.symbol``."""
+    row 0 of ``variational.KerrHamiltonian.symbols``."""
     n = bra_conj.shape[0]
     out = np.zeros((n, n), dtype=complex)
     for coeff, creation, annihilation in terms:
@@ -282,7 +291,7 @@ def polynomial_symbol(terms, bra_conj, ket):
 
 def polynomial_symbol_grad(terms, bra_conj, ket, k):
     """d H^(mn) / d conj(alpha_k^(m)) term by term; the reference for
-    row k + 1 of ``variational.PolynomialHamiltonian.symbols``."""
+    row k + 1 of ``variational.KerrHamiltonian.symbols``."""
     n = bra_conj.shape[0]
     out = np.zeros((n, n), dtype=complex)
     for coeff, creation, annihilation in terms:
@@ -300,11 +309,11 @@ def polynomial_symbol_grad(terms, bra_conj, ket, k):
     return out
 
 
-def variational_system_reference(state, ham):
+def variational_system_reference(state, terms):
     """Gram matrix V from one ``einsum`` and the Hamiltonian vector from
-    the term-by-term symbols, each gradient built separately; the
-    reference for ``variational.variational_system``, which evaluates
-    the compiled symbols in one pass and so matches it to rounding."""
+    the term-by-term symbols of ``terms``, each gradient built separately;
+    the reference for ``variational.variational_system``, which evaluates
+    the closed-form symbols in one pass and so matches it to rounding."""
     n, m = state.members, state.modes
     expo = state.alpha0.conj()[:, None] + state.alpha0[None, :] + state.amps.conj() @ state.amps.T
     rho = np.exp(expo)
@@ -313,10 +322,10 @@ def variational_system_reference(state, ham):
     v = np.einsum("mk,nl,mn->mlnk", tilde.conj(), tilde, rho)
     for k in range(1, m + 1):
         v[:, k, :, k] += rho
-    h_sym = polynomial_symbol(ham.terms, bra_conj, ket)
+    h_sym = polynomial_symbol(terms, bra_conj, ket)
     h_vec = np.zeros((n, m + 1), dtype=complex)
     h_vec[:, 0] = (h_sym * rho).sum(axis=1)
     for l in range(1, m + 1):
-        grad = polynomial_symbol_grad(ham.terms, bra_conj, ket, l - 1)
+        grad = polynomial_symbol_grad(terms, bra_conj, ket, l - 1)
         h_vec[:, l] = ((grad + h_sym * ket[:, l - 1][None, :]) * rho).sum(axis=1)
     return v.reshape(n * (m + 1), n * (m + 1)), h_vec.ravel()

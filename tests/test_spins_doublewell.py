@@ -11,7 +11,7 @@ from qphase.doublewell import (
     poisson_cutoff,
     rb_interaction_matrix,
 )
-from qphase.fock import FockBasis, StateVector, coherent_state
+from qphase.fock import FockBasis, StateVector, coherent_state, kerr_moment
 
 from oracles import beam_splitter, joint_moments
 
@@ -105,6 +105,31 @@ def test_product_evaluator_shares_one_cache_for_equal_wells(monkeypatch):
     assert len(calls) == 2 * shared_calls
     for got, want in zip(shared, separate):
         assert np.array_equal(got, want)
+
+
+def test_kerr_moment_tensors_match_the_product_evaluator():
+    """G1 and G2 of the double well at N = 200 in closed form: the four
+    modes (a1, a2, b1, b2) evolve under a block-diagonal chi, and
+    c_i^dag c_j c_p^dag c_q = c_i^dag c_p^dag c_j c_q + delta_jp c_i^dag c_q."""
+    atoms, chi = 200.0, rb_interaction_matrix()
+    alpha = math.sqrt(atoms / 4.0)
+    joint_chi = np.kron(np.eye(2), chi)
+    evo = WellEvolution.prepare(alpha, alpha, chi)
+    unit = np.eye(4, dtype=int)
+    for tau in (1.0, 7.0, 20.0, 80.0):
+        t = tau / (chi[0, 0] * atoms)
+        state = evo.at_time(t)
+        ref_g1, ref_g2 = spins.ProductEvaluator(state, state)()
+
+        def moment(m, n):
+            return kerr_moment([alpha] * 4, joint_chi, t, m, n)
+
+        g1 = np.array([[moment(unit[i], unit[j]) for j in range(4)] for i in range(4)])
+        g2 = np.empty((4, 4, 4, 4), dtype=complex)
+        for i, j, p, q in np.ndindex(4, 4, 4, 4):
+            g2[i, j, p, q] = moment(unit[i] + unit[p], unit[j] + unit[q]) + (j == p) * g1[i, q]
+        assert np.abs(g1 - ref_g1).max() <= 1e-10 * np.abs(ref_g1).max()
+        assert np.abs(g2 - ref_g2).max() <= 1e-10 * np.abs(ref_g2).max()
 
 
 def test_heisenberg_map_equals_schroedinger_splitter():

@@ -73,6 +73,16 @@ def test_stream_is_sfc64_keyed_by_its_address():
     assert np.array_equal(noise_block(5, 3, 7, 3), _stream_signs(5, 3, 0, 7, 3))
 
 
+@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1, -1, 2**64 + 7])
+def test_stream_key_equals_the_tuple_key_at_word_boundaries(seed):
+    """The key built from uint32 words is numpy's key of the address tuple,
+    on both sides of each 32-bit word boundary and of 2**64."""
+    for index in (0, 250, 2**32 - 1, 2**32, 2**40 + 3):
+        tuple_key = np.random.SeedSequence((seed % 2**64, STEP_NOISE, index, 3))
+        expected = np.random.Generator(np.random.SFC64(tuple_key)).bit_generator.random_raw(8)
+        assert np.array_equal(stream(seed, STEP_NOISE, index, 3).bit_generator.random_raw(8), expected)
+
+
 def test_distinct_addresses_give_distinct_streams():
     """Changing any one of seed, domain, index or block changes the stream;
     every domain differs from every other at the same seed."""
@@ -496,6 +506,22 @@ def test_run_ensemble_does_not_depend_on_the_initial_layout():
     for name in observables:
         for field in ("mean", "error"):
             assert c_run.observables[name][field].tobytes() == f_run.observables[name][field].tobytes()
+
+
+def test_dead_rows_stay_zero_under_additive_noise():
+    """A row that dies at step 1 reads zero at every later step, although
+    a one-body loss channel's additive noise moves a zeroed row within a
+    step; the live rows equal those of a run in which that row lives."""
+    model = WignerModel(channels=(LossChannel((1,), 0.5),), seed=3)
+    fields = sample_wigner_coherent([2.0], 1, 6)
+    wild = fields.copy()
+    wild[2] = 1e7  # beyond the default ceiling after one step
+    ref = {k: s for k, s, _ in evolve(fields, model, 0.01, 6)}
+    for k, state, alive in evolve(wild, model, 0.01, 6):
+        if k > 0:
+            assert alive.tolist() == [True, True, False, True, True, True]
+            assert np.all(state[2] == 0)
+            assert state[alive].tobytes() == ref[k][alive].tobytes()
 
 
 def test_evolve_keeps_yielded_states_intact():

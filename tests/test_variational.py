@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracles import polynomial_symbol, polynomial_symbol_grad, variational_system_reference
+from oracles import kerr_terms, polynomial_symbol, polynomial_symbol_grad, variational_system_reference
 from qphase.fock import (
     FockBasis,
     annihilation_operator,
@@ -13,7 +12,6 @@ from qphase.fock import (
     well_hamiltonian_diagonal,
 )
 from qphase.variational import (
-    PolynomialHamiltonian,
     VariationalState,
     energy,
     expectation,
@@ -95,83 +93,65 @@ def test_energy_and_expectation_against_fock():
     assert expectation(state, (), (0,)) == pytest.approx(a_ref, rel=1e-10)
 
 
-def test_polynomial_hamiltonian_symbol_and_grad():
-    ham = PolynomialHamiltonian(terms=[(0.5, (0, 0), (0, 0))], modes=1)
+def test_kerr_hamiltonian_symbol_and_grad():
+    ham = kerr_hamiltonian(1.0)
     bra = np.array([[2.0 + 0j], [1.0 + 1j]])
     ket = np.array([[0.5 + 0j], [1.0 - 1j]])
-    sym = ham.symbol(bra, ket)
-    assert sym[0, 1] == pytest.approx(0.5 * (2.0**2) * (1.0 - 1j) ** 2)
-    grad = ham.symbols(bra, ket)[:, 1]
-    assert grad[0, 1] == pytest.approx(0.5 * 2 * 2.0 * (1.0 - 1j) ** 2)
-    assert np.all(ham.symbols(bra, ket) == ham.symbols(bra, ket))
+    stack = ham.symbols(bra, ket)
+    assert stack.shape == (2, 2, 2)
+    assert stack[0, 0, 1] == pytest.approx(0.5 * (2.0**2) * (1.0 - 1j) ** 2)
+    assert stack[0, 1, 1] == pytest.approx(0.5 * 2 * 2.0 * (1.0 - 1j) ** 2)
+    assert np.array_equal(ham.symbols(bra, ket), stack)
 
 
-def test_polynomial_hamiltonian_rejects_modes_out_of_range():
+def test_mode_counts_must_agree():
+    """expectation rejects a mode the state lacks; a Hamiltonian takes one
+    omega per mode and only states with its number of modes."""
+    state = ring_initial_state([1.0], members=3)
     with pytest.raises(ValueError, match="out of range"):
-        PolynomialHamiltonian(terms=[(1.0, (0,), (1,))], modes=1)
+        expectation(state, (), (1,))
     with pytest.raises(ValueError, match="out of range"):
-        expectation(ring_initial_state([1.0], members=3), (), (1,))
+        expectation(state, (-1,), ())
+    with pytest.raises(ValueError, match="one value per mode"):
+        kerr_hamiltonian(1.0, modes=2, omega=[0.3])
+    with pytest.raises(ValueError, match="acts on 2 modes"):
+        variational_system(state, kerr_hamiltonian(1.0, modes=2))
 
 
-_CROSS_TERMS = ((0.25, (0, 1), (1, 1)), (0.4 - 0.2j, (1, 1), (0, 0)), (0.3, (0,), ()), (-0.2j, (), (1,)))
+def test_kerr_hamiltonian_is_read_only():
+    ham = kerr_hamiltonian(1.0, modes=2, omega=[0.3, -1.1])
+    with pytest.raises(ValueError, match="read-only"):
+        ham.omega[0] = 5.0
 
 
 def _assert_close(got, ref):
-    """Equal to 1e-13 of the largest reference entry: the compiled
-    products re-associate the term-by-term ones."""
+    """Equal to 1e-13 of the largest reference entry: the closed form
+    re-associates the term-by-term products."""
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_hamiltonian_is_frozen_over_tuple_terms():
-    """The terms are compiled on construction, so the Hamiltonian cannot
-    change after it: appending to or assigning its terms fails, and
-    changing the list it was built from leaves its energy as it was.  A
-    replaced copy compiles the new terms."""
-    state = ring_initial_state([1.0], members=4)
-    terms = list(kerr_hamiltonian(1.0).terms)
-    ham = PolynomialHamiltonian(terms, 1)
-    before = energy(state, ham)
-    with pytest.raises(AttributeError):
-        ham.terms.append((5.0, (0,), (0,)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ham.terms = ()
-    terms.append((5.0, (0,), (0,)))
-    assert energy(state, ham) == before
-    changed = dataclasses.replace(ham, terms=terms)
-    assert energy(state, changed) == energy(state, PolynomialHamiltonian(tuple(terms), 1))
-    assert energy(state, changed) > before + 1.0
-
-
-def test_compiled_symbols_match_term_loop():
+@pytest.mark.parametrize("modes, omega", [(1, None), (1, [0.3]), (2, None), (2, [0.3, -1.1])])
+def test_kerr_symbols_match_term_loop(modes, omega):
     rng = np.random.default_rng(21)
-    amps = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    amps = rng.standard_normal((16, modes)) + 1j * rng.standard_normal((16, modes))
     bra, ket = amps.conj(), amps
-    kerr = kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms
-    for terms in (kerr + _CROSS_TERMS, []):
-        ham = PolynomialHamiltonian(terms=terms, modes=2)
-        stack = ham.symbols(bra, ket)
-        _assert_close(ham.symbol(bra, ket), polynomial_symbol(terms, bra, ket))
-        _assert_close(stack[:, 0], polynomial_symbol(terms, bra, ket))
-        for k in (0, 1):
-            _assert_close(stack[:, k + 1], polynomial_symbol_grad(terms, bra, ket, k))
+    terms = kerr_terms(0.7, modes, omega)
+    stack = kerr_hamiltonian(0.7, modes, omega).symbols(bra, ket)
+    _assert_close(stack[:, 0], polynomial_symbol(terms, bra, ket))
+    for k in range(modes):
+        _assert_close(stack[:, k + 1], polynomial_symbol_grad(terms, bra, ket, k))
 
 
 @pytest.mark.parametrize("members", [1, 16])
 @pytest.mark.parametrize(
-    "modes, terms",
-    [
-        (1, kerr_hamiltonian(0.7, modes=1, omega=[0.3]).terms),
-        (2, kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms),
-        (2, kerr_hamiltonian(0.7, modes=2, omega=[0.3, -1.1]).terms + _CROSS_TERMS),
-        (1, []),
-        (2, []),
-    ],
-    ids=["kerr-1", "kerr-2", "kerr-2-cross", "empty-1", "empty-2"],
+    "modes, chi, omega, seed",  # seed: the offset of the case's rng seed
+    [(1, 0.7, [0.3], 2), (2, 0.7, [0.3, -1.1], 4), (1, 0.0, None, 0), (2, 0.0, None, 0)],
+    ids=["kerr-1", "kerr-2", "empty-1", "empty-2"],
 )
 @pytest.mark.parametrize("views", [False, True], ids=["arrays", "views"])
-def test_variational_system_matches_reference(members, modes, terms, views):
-    rng = np.random.default_rng(members + 10 * modes + len(terms))
+def test_variational_system_matches_reference(members, modes, chi, omega, seed, views):
+    rng = np.random.default_rng(members + 10 * modes + seed)
     state = VariationalState(
         alpha0=-1.0 + 0.3 * (rng.standard_normal(members) + 1j * rng.standard_normal(members)),
         amps=rng.standard_normal((members, modes)) + 1j * rng.standard_normal((members, modes)),
@@ -179,9 +159,8 @@ def test_variational_system_matches_reference(members, modes, terms, views):
     if views:  # strided views of one packed vector, as propagate passes them
         grid = state.pack().reshape(members, modes + 1)
         state = VariationalState(alpha0=grid[:, 0], amps=grid[:, 1:])
-    ham = PolynomialHamiltonian(terms=terms, modes=modes)
-    v, h_vec = variational_system(state, ham)
-    v_ref, h_ref = variational_system_reference(state, ham)
+    v, h_vec = variational_system(state, kerr_hamiltonian(chi, modes, omega))
+    v_ref, h_ref = variational_system_reference(state, kerr_terms(chi, modes, omega))
     _assert_close(v, v_ref)
     _assert_close(h_vec, h_ref)
 
@@ -254,7 +233,7 @@ def test_tikhonov_solve_converges_to_midpoint_equation():
 
 def test_propagate_zero_hamiltonian_is_identity():
     state = ring_initial_state([1.0], members=4, radius=0.1)
-    ham = PolynomialHamiltonian(terms=[], modes=1)
+    ham = kerr_hamiltonian(0.0, modes=1)
     _, states = propagate(state, ham, dt=0.01, n_steps=20, record_every=20)
     assert np.allclose(states[-1].amps, state.amps, atol=1e-12)
     assert np.allclose(states[-1].alpha0, state.alpha0, atol=1e-12)
