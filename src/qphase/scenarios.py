@@ -389,6 +389,14 @@ def _divergence(result):
     return None
 
 
+def _first_divergence_time(result):
+    """The first recorded time by which a trajectory had died, or None: the
+    `t` of the first row with a nonzero `diverged_count`, not the step at
+    which the trajectory died, which lies after the previous recorded time."""
+    dead = np.flatnonzero(result.diverged_count)
+    return float(result.times[dead[0]]) if dead.size else None
+
+
 def _x_rows(result):
     """One CSV row per recorded time of a +P run: Re <X>, its bar and the dead count."""
     return [
@@ -408,9 +416,9 @@ def _run_wigner(p, seed):
         p["alpha0"], p["chi"], times, p["trajectories"], seed, p["dt"], channels=channels
     )
     rows = [
-        {"t": t, "observable": name, "mean": mean.real, "error": error}
+        {"t": t, "observable": name, "mean": mean.real, "error": error, "diverged_count": int(dead)}
         for name in ("X", "n_w")
-        for t, mean, error in zip(result.times, result.mean(name), result.error(name))
+        for t, mean, error, dead in zip(result.times, result.mean(name), result.error(name), result.diverged_count)
     ]
     if not channels:  # lossless: Re <a_0> of the closed-form Kerr solution, then |alpha_0|^2 + 1/2
         alpha0 = p["alpha0"]
@@ -421,6 +429,7 @@ def _run_wigner(p, seed):
             row["exact"] = value
     report = {
         "diverged": result.diverged,
+        "first_divergence_time": _first_divergence_time(result),
         "unreliable": result.unreliable,
         "trajectories": result.trajectories,
         "integrator": result.integrator,
@@ -446,6 +455,7 @@ def _run_plusp(p, seed):
     )
     report = {
         "diverged": result.diverged,
+        "first_divergence_time": _first_divergence_time(result),
         "unreliable": result.unreliable,
         "final_n": result.mean("n")[-1].real,
     }
@@ -475,6 +485,7 @@ def _run_plusp_reverse(p, seed):
         "recovered_within_2bar": report_obj.recovery_residual
         <= 2.0 * report_obj.residual_bar,
         "diverged": report_obj.diverged,
+        "first_divergence_time": _first_divergence_time(report_obj.ensemble),
         "unreliable": report_obj.ensemble.unreliable,
         "inconclusive": report_obj.inconclusive,
     }

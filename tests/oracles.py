@@ -207,9 +207,12 @@ def _xi2_from_samples(a, b):
 
 
 def squeezing_xi2(a, b):
-    """xi^2 with the spin polynomials and their products rebuilt for the
-    full sample and for every block; the reference for
-    ``wigner.squeezing_xi2``, which builds them once per call."""
+    """xi^2 with the spin polynomials and their products rebuilt, and every
+    raw moment formed and averaged anew through ``WignerMoments.expect``,
+    for the full sample and for every block; the reference for
+    ``wigner.squeezing_xi2``, which builds the polynomials once per call
+    and forms each monomial once on the full sample, caching its mean over
+    the sample and over each block."""
     xi2, means, min_var, total = _xi2_from_samples(a, b)
     edges = np.linspace(0, a.shape[0], min(XI2_BLOCKS, a.shape[0]) + 1, dtype=int)
     vals = []

@@ -484,7 +484,7 @@ def test_lossless_wigner_rows_carry_the_exact_kerr_solution(components, alpha0, 
         "kind: wigner\nseed: 2\ntrajectories: 50\ndt: 0.01\ntimes: {stop: 0.5, points: 3}\n" + components
     )
     outcome = run_scenario(scenario)
-    assert list(outcome.rows[0]) == ["t", "observable", "mean", "error", "exact"]
+    assert list(outcome.rows[0]) == ["t", "observable", "mean", "error", "diverged_count", "exact"]
     for row in outcome.rows:
         if row["observable"] == "X":
             expected = kerr_oracle(alpha0, chi, row["t"])["a"][0].real
@@ -504,6 +504,8 @@ def test_plusp_rows_count_divergence_at_their_own_time():
     counts = [row["diverged_count"] for row in outcome.rows]
     assert counts[0] == 0 and counts == sorted(counts)
     assert counts[-1] == outcome.report["diverged"] > counts[1]
+    first = next(row["t"] for row in outcome.rows if row["diverged_count"])
+    assert outcome.report["first_divergence_time"] == first
 
 
 def test_run_seed_override_changes_sampling():
@@ -598,6 +600,8 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
         assert environment[var] == os.environ.get(var)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,re_x,error,diverged_count"
+    assert json.loads(json_path.read_text())["first_divergence_time"] is None
+    assert manifest["outputs"] == [str(csv_path), str(json_path)]
 
 
 def test_cli_manifest_names_the_blas_library(tmp_path):
@@ -752,6 +756,16 @@ def test_cli_wigner_divergence_is_inconclusive(tmp_path):
     assert report["unreliable"] and report["diverged"] > 4
     assert f"result inconclusive: {report['diverged']} of 400 trajectories diverged" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    # each row counts the dead by its own time; the report names the first
+    # recorded time with a dead trajectory
+    header, *lines = (tmp_path / "two-body.csv").read_text().splitlines()
+    assert header == "t,observable,mean,error,diverged_count"
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    counts = {float(row["t"]): int(row["diverged_count"]) for row in rows}
+    assert len(rows) == 2 * len(counts) == 6
+    assert [counts[t] for t in sorted(counts)] == sorted(counts.values())
+    assert counts[max(counts)] == report["diverged"]
+    assert report["first_divergence_time"] == min(t for t, dead in counts.items() if dead) > 0.0
 
 
 def test_cli_plusp_reverse_divergence_is_inconclusive(tmp_path):
@@ -764,6 +778,9 @@ def test_cli_plusp_reverse_divergence_is_inconclusive(tmp_path):
     assert proc.returncode == 4, proc.stderr
     report = json.loads((tmp_path / "strong.json").read_text())
     assert report["unreliable"] and report["diverged"] > 4 and not report["inconclusive"]
+    rows = (tmp_path / "strong.csv").read_text().splitlines()[1:]
+    first = next(float(t) for t, _, _, dead in (row.split(",") for row in rows) if int(dead))
+    assert report["first_divergence_time"] == first
     assert f"result inconclusive: {report['diverged']} of 400 trajectories diverged" in proc.stderr
 
 
@@ -799,9 +816,9 @@ def test_cli_two_component_wigner_matches_library(tmp_path):
     for name in ("X", "n_w"):
         for i, t in enumerate(times):
             mean, error = result.mean(name)[i].real, result.error(name)[i]
-            expected.append([repr(float(t)), name, repr(float(mean)), repr(float(error))])
+            expected.append([repr(float(t)), name, repr(float(mean)), repr(float(error)), "0"])
     header, *lines = (tmp_path / "two.csv").read_text().splitlines()
-    assert header == "t,observable,mean,error"  # no closed form with losses
+    assert header == "t,observable,mean,error,diverged_count"  # no closed form with losses
     assert [line.split(",") for line in lines] == expected
 
 
@@ -817,6 +834,7 @@ def test_cli_wigner_report_names_its_integrator(tmp_path, losses, integrator):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "two.json").read_text())
     assert report["integrator"] == integrator
+    assert report["diverged"] == 0 and report["first_divergence_time"] is None
 
 
 def test_cli_two_component_wigner_rejects_scalar_chi(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,60 @@ def test_squeezing_equals_the_per_block_reference_byte_for_byte(monkeypatch):
         for field in ("xi2", "error", "mean_spin", "min_variance", "total_number"):
             assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes()
     assert len(calls) == 12 * len(samples)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((16,), (1,)), ((1000,), (999,)), ((1,), (1,)), ((0,), (0,)), ((10, 2), (10, 2)), ((10,), (10, 1))],
+    ids=["one-b", "one-short", "one-sample", "empty", "two-d", "column-b"],
+)
+def test_squeezing_rejects_samples_of_unequal_shape_or_fewer_than_two(shape_a, shape_b):
+    """Unequal lengths used to broadcast a single sample (xi^2 = 0.185 with
+    an infinite bar) or fail deep inside numpy; now both shapes are named."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(shape_a) + 2.0
+    b = rng.standard_normal(shape_b) + 2.0j
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {shape_a} and {shape_b}")):
+        squeezing_xi2(a, b)
+
+
+def test_squeezing_forms_each_raw_moment_once_on_the_whole_sample(monkeypatch):
+    """One squeezing_xi2 call forms each distinct monomial
+    conj(a)^q a^p conj(b)^s b^r of its spin moments once, on the whole
+    sample and not again per block.  A monomial takes at most three
+    elementwise products of its four power factors, so the samples log
+    every product taken on them or on arrays made from them."""
+    products = []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs]
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            if ufunc is np.multiply and method == "__call__":
+                products.append(result.shape)
+            return result.view(Logged) if isinstance(result, np.ndarray) else result
+
+    init = WignerMoments.__init__
+
+    def logged_init(self, a, b):
+        init(self, a, b)
+        self.a, self.b = self.a.view(Logged), self.b.view(Logged)
+
+    monkeypatch.setattr(WignerMoments, "__init__", logged_init)
+    sx, sy, sz, n_tot = spin_polynomials()
+    polys = [sx, sy, sz, n_tot] + [poly_mul(p1, p2) for p1 in (sx, sy, sz) for p2 in (sx, sy, sz)]
+    keys = {
+        (q - k, p - k, s - l, r - l)
+        for poly in polys
+        for q, p, s, r in poly
+        for (k, l), _ in _weyl_terms((q, s), (p, r))
+    }
+    assert len(keys) == 14
+    fields = sample_wigner_coherent([2.0, 1.5j], seed=6, trajectories=400)
+    result = squeezing_xi2(fields[:, 0], fields[:, 1])
+    assert math.isfinite(result.xi2) and math.isfinite(result.error)
+    assert products and all(shape == (400,) for shape in products)
+    assert len(products) <= 3 * len(keys)
 
 
 def _stepped_reference(model, fields, dt, n_steps):
