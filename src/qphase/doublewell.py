@@ -1,10 +1,14 @@
 """Scenario-scale double-well squeezing and entanglement pipeline.
 
-With zero inter-well tunneling the two wells evolve independently, so a
-large-atom-number run is an exact product of two 2-mode Kerr evolutions.
+With zero inter-well tunneling the two wells evolve independently, each
+a 2-mode coherent state under Kerr evolution, so every moment of the
+four modes is a product of two closed-form Kerr moments
+(``fock.kerr_moment``) and a scan costs the same at any atom number.
 Beam-splitter mixing is handled in the Heisenberg picture as a 4x4 map
-of the spin coefficient matrices, so one set of moment tensors per time,
-computed in the per-well Fock spaces, serves before and after it.
+of the spin coefficient matrices, so one set of moment tensors per time
+serves before and after it.  ``fock_check`` recomputes the tensors in
+the truncated per-well Fock spaces at a small atom number, as a check
+of the closed form.
 """
 
 from __future__ import annotations
@@ -16,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spins
-from .fock import FockBasis, StateVector, coherent_state, well_hamiltonian_diagonal
+from .fock import FockBasis, StateVector, coherent_state, kerr_moment, well_hamiltonian_diagonal
 
 __all__ = [
     "rb_interaction_matrix",
     "poisson_cutoff",
     "WellEvolution",
+    "moment_tensors",
+    "FockCheck",
+    "fock_check",
     "DoubleWellPoint",
     "doublewell_scan",
 ]
@@ -97,6 +104,80 @@ class WellEvolution:
         return StateVector(self.basis, amps, self.initial.truncation_loss)
 
 
+def _count_rows():
+    """Creator and annihilator counts of the 16 entries <c_i^dag c_j> of G1
+    and the 256 normally ordered <c_i^dag c_p^dag c_j c_q> behind G2, in
+    that order over the joint modes c = (a1, a2, b1, b2), split by well:
+    two integer arrays of shape (2 wells, 272 rows, 2 modes)."""
+    unit = np.eye(4, dtype=np.int64)
+    i1, j1 = np.indices((4, 4)).reshape(2, -1)
+    i2, j2, p2, q2 = np.indices((4, 4, 4, 4)).reshape(4, -1)
+    creators = np.concatenate([unit[i1], unit[i2] + unit[p2]])
+    annihilators = np.concatenate([unit[j1], unit[j2] + unit[q2]])
+    return tuple(c.reshape(-1, 2, 2).transpose(1, 0, 2).copy() for c in (creators, annihilators))
+
+
+_CREATORS, _ANNIHILATORS = _count_rows()
+
+
+def moment_tensors(alpha: float, chi: np.ndarray, t: float):
+    """(G1, G2) at time t of both wells started in |alpha, alpha>, in the
+    layout of ``spins.ProductEvaluator``, from the closed form.
+
+    Each entry is a product of one Kerr moment per well, and
+    G2[i, j, p, q] = <c_i^dag c_j c_p^dag c_q> is the normally ordered
+    <c_i^dag c_p^dag c_j c_q> plus delta_jp G1[i, q].
+    """
+    wells = kerr_moment([alpha, alpha], chi, t, _CREATORS, _ANNIHILATORS)
+    values = wells[0] * wells[1]
+    g1, g2 = values[:16].reshape(4, 4), values[16:].reshape(4, 4, 4, 4)
+    same = np.arange(4)
+    g2[:, same, same, :] += g1[:, None, :]
+    return g1, g2
+
+
+def _time(tau: float, atoms_total: float, chi: np.ndarray) -> float:
+    """The time t of dimensionless tau = chi_11 * N * t."""
+    return tau / (chi[0, 0] * atoms_total) if atoms_total > 0 else 0.0
+
+
+# The Fock check runs at this atom number (cutoff 32 per mode), and fails
+# above this relative gap; the two computations agree to about 1e-14.
+FOCK_CHECK_ATOMS = 20
+FOCK_CHECK_TOLERANCE = 1e-9
+
+
+@dataclass
+class FockCheck:
+    atoms: int
+    tau: float
+    max_relative_gap: float  # the worse of G1 and G2: max |gap| / max |Fock value|
+    truncation_loss: float  # coherent-state weight beyond the Fock cutoff
+
+
+def fock_check(tau: float, chi=None) -> FockCheck:
+    """Check ``moment_tensors`` against the truncated Fock evaluator
+    (``WellEvolution``, ``spins.ProductEvaluator``) at FOCK_CHECK_ATOMS
+    atoms and ``tau``; raises RuntimeError when the gap exceeds
+    FOCK_CHECK_TOLERANCE."""
+    if chi is None:
+        chi = rb_interaction_matrix()
+    chi = np.asarray(chi, dtype=float)
+    alpha = math.sqrt(FOCK_CHECK_ATOMS / 4.0)
+    t = _time(tau, FOCK_CHECK_ATOMS, chi)
+    state = WellEvolution.prepare(alpha, alpha, chi).at_time(t)
+    fock = spins.ProductEvaluator(state, state)()
+    closed = moment_tensors(alpha, chi, t)
+    gap = max(float(np.abs(c - f).max() / np.abs(f).max()) for c, f in zip(closed, fock))
+    if not gap <= FOCK_CHECK_TOLERANCE:
+        raise RuntimeError(
+            f"Fock check failed: closed-form G1/G2 differ from the Fock evaluator by a max "
+            f"relative gap of {gap:.3e} (tolerance {FOCK_CHECK_TOLERANCE:g}) "
+            f"at N = {FOCK_CHECK_ATOMS:g}, tau = {tau:g}"
+        )
+    return FockCheck(FOCK_CHECK_ATOMS, float(tau), gap, state.truncation_loss)
+
+
 @dataclass
 class DoubleWellPoint:
     tau: float
@@ -131,18 +212,17 @@ def doublewell_scan(
     ``atoms_total`` is the mean atom number over all four modes, split
     equally, i.e. alpha = sqrt(atoms_total / 4) per mode.  Per-well
     squeezing and pre-splitter S+- are reported alongside the
-    post-beam-splitter entanglement criteria.
+    post-beam-splitter entanglement criteria.  The moment tensors of each
+    tau come from the closed form (``moment_tensors``), so no Fock basis
+    is built and the cost does not grow with the atom number.
     """
     if chi is None:
         chi = rb_interaction_matrix()
     chi = np.asarray(chi, dtype=float)
     alpha = math.sqrt(atoms_total / 4.0)
-    evo = WellEvolution.prepare(alpha, alpha, chi)
     out = []
     for tau in np.atleast_1d(taus):
-        t = tau / (chi[0, 0] * atoms_total) if atoms_total > 0 else 0.0
-        state = evo.at_time(t)
-        tensors = spins.ProductEvaluator(state, state)()
+        tensors = moment_tensors(alpha, chi, _time(tau, atoms_total, chi))
         delta_theta = math.pi / 2 - cmath.phase(tensors[0][1, 0])  # <a2^dag a1> of well A
         matrices = spins.spin_matrices(delta_theta)
         pre = spins.spin_moments(matrices, tensors)

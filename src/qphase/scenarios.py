@@ -351,8 +351,11 @@ def run_scenario(scenario: Scenario, seed=None) -> ScenarioOutcome:
 
 
 def _run_exact_doublewell(p, seed):
-    from .doublewell import doublewell_scan
+    from dataclasses import asdict
 
+    from .doublewell import doublewell_scan, fock_check
+
+    check = fock_check(p["taus"][0], p["chi"])
     points = doublewell_scan(
         p["atoms"],
         p["taus"],
@@ -378,6 +381,7 @@ def _run_exact_doublewell(p, seed):
         "min_e_product": min(r["e_product"] for r in rows),
         "squeezed_window": any(r["s_db_theta"] < 0 for r in rows),
         "entangled_window": any(r["e_product"] < 1 for r in rows),
+        "fock_check": asdict(check),
     }
     return ScenarioOutcome(rows, report)
 

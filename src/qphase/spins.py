@@ -4,8 +4,11 @@ The joint modes of the two wells are c = (a1, a2, b1, b2): well A holds
 a1, a2 and well B holds b1, b2.  Every spin component is a bilinear
 J_k = c^dag M_k c with a 4x4 coefficient matrix M_k, and the beam
 splitter is a 4x4 mode transform c -> U c, so moments before and after
-it come from the same two moment tensors of the product state
-|psi_A> x |psi_B>, evaluated in the per-well Fock spaces.
+it come from the same two moment tensors (G1, G2) of the product state
+|psi_A> x |psi_B>.  The double-well scan takes them from the closed-form
+Kerr moments (``doublewell.moment_tensors``); ``ProductEvaluator``
+evaluates them in the per-well Fock spaces, which the run's Fock check
+compares with the closed form.
 """
 
 from __future__ import annotations
@@ -73,13 +76,11 @@ class ProductEvaluator:
     """Moment tensors of a product state |psi_A> x |psi_B>.
 
     Each well state lives on its own 2-mode Fock basis, so a joint
-    expectation factorizes into one ordered ladder string per well; this
-    is what makes the large-atom-number double-well runs tractable.  The
+    expectation factorizes into one ordered ladder string per well.  The
     ladder operators are the per-basis shared ones from
-    ``FockBasis.annihilation``, so evaluators built on the same basis (one
-    per time point of a scan) never rebuild them; each dagger is formed
-    once here.  When both wells are the same state object, they share one
-    expectation cache.
+    ``FockBasis.annihilation``, so evaluators built on the same basis
+    never rebuild them; each dagger is formed once here.  When both wells
+    are the same state object, they share one expectation cache.
     """
 
     def __init__(self, state_a, state_b):
@@ -132,8 +133,8 @@ class SpinMoments:
 
 
 def spin_moments(matrices, tensors) -> SpinMoments:
-    """Moments of J_k = c^dag M_k c from the tensors (G1, G2) of
-    ``ProductEvaluator``: <J_k> = sum M_k[i, j] G1[i, j] and
+    """Moments of J_k = c^dag M_k c from the tensors (G1, G2) in the layout
+    of ``ProductEvaluator``: <J_k> = sum M_k[i, j] G1[i, j] and
     <J_k J_l> = sum M_k[i, j] M_l[p, q] G2[i, j, p, q]."""
     g1, g2 = tensors
     flat = np.reshape(matrices, (len(matrices), 16))

@@ -136,6 +136,44 @@ def test_evolve_matches_kerr_oracle_single_well():
                 assert val == pytest.approx(kerr_moment(alpha, chi, t, unit[i], unit[j]), abs=1e-8)
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_kerr_moment_stack_equals_row_by_row_calls(modes):
+    """A stack of count rows gives, bit for bit, what one call per row gives."""
+    rng = np.random.default_rng(modes)
+    alphas = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    chi = rng.normal(size=(modes, modes))
+    chi = chi + chi.T
+    creators = rng.integers(0, 4, size=(3, 5, modes))
+    annihilators = rng.integers(0, 4, size=(3, 5, modes))
+    stack = kerr_moment(alphas, chi, 0.9, creators, annihilators)
+    assert stack.shape == (3, 5)
+    rows = np.array([
+        kerr_moment(alphas, chi, 0.9, creators[idx], annihilators[idx]) for idx in np.ndindex(3, 5)
+    ]).reshape(3, 5)
+    assert stack.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alphas, chi, t, expected",
+    [
+        ([1.5 + 0.5j], [[0.3]], 0.7, [("0x1.778c594dc2310p+0", "-0x1.2f91f16b25710p-2")]),
+        (
+            [1.2 + 0.3j, 0.8 - 0.6j], [[0.5, 0.2], [0.2, 0.4]], 0.7,
+            [("0x1.050c3889f600cp+0", "-0x1.d14d9437fe144p-2"),
+             ("0x1.9b0501559fa71p-2", "-0x1.b7727cc46c83cp-1")],
+        ),
+    ],
+    ids=["one-mode", "cross-kerr"],
+)
+def test_kerr_oracle_keeps_its_bits(alphas, chi, t, expected):
+    """The oracle means, to the last bit, as the one-row-at-a-time closed
+    form gave them.  numpy's array complex multiply fuses a multiply and
+    an add on CPUs with FMA, and a batched form that used it for the last
+    product moved the last bit of all three of these values."""
+    got = kerr_oracle(alphas, chi, t)["a"]
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == expected
+
+
 def test_kerr_revival():
     """H = (1/2) adag^2 a^2 with chi = 1 revives the coherent state at 2 pi."""
     basis = FockBasis((16,))

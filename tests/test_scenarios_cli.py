@@ -711,6 +711,33 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert "runtime failure: all 100 trajectories diverged by t = 0.1" in proc.stderr
 
 
+def test_cli_doublewell_reports_its_fock_check(tmp_path):
+    result = CliRunner().invoke(main, ["run", str(SCENARIO_DIR / "doublewell_rb.yaml"), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    check = json.loads((tmp_path / "doublewell-rb-200.json").read_text())["fock_check"]
+    assert check["atoms"] == 20 and check["tau"] == 1.0
+    assert 0 <= check["max_relative_gap"] <= 1e-9
+    assert abs(check["truncation_loss"]) < 1e-10
+
+
+def test_cli_doublewell_fock_check_failure_exits_3(tmp_path, monkeypatch):
+    """A closed form off by 1e-6 in one G2 entry fails the run's Fock check."""
+    from qphase import doublewell
+
+    original = doublewell.moment_tensors
+
+    def perturbed(alpha, chi, t):
+        g1, g2 = original(alpha, chi, t)
+        g2[np.unravel_index(np.abs(g2).argmax(), g2.shape)] *= 1 + 1e-6
+        return g1, g2
+
+    monkeypatch.setattr(doublewell, "moment_tensors", perturbed)
+    result = CliRunner().invoke(main, ["run", str(SCENARIO_DIR / "doublewell_rb.yaml"), "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert "runtime failure: Fock check failed" in result.stderr
+    assert "max relative gap of 1.000e-06 (tolerance 1e-09) at N = 20, tau = 1" in result.stderr
+
+
 def test_cli_variational_step_failure_names_step_size(tmp_path):
     scenario = tmp_path / "coarse.yaml"
     scenario.write_text("kind: variational\ndt: 0.314\n")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from qphase import spins
 from qphase.doublewell import (
     WellEvolution,
     doublewell_scan,
+    fock_check,
+    moment_tensors,
     poisson_cutoff,
     rb_interaction_matrix,
 )
-from qphase.fock import FockBasis, StateVector, coherent_state, kerr_moment
+from qphase.fock import FockBasis, StateVector, coherent_state
 
 from oracles import beam_splitter, joint_moments
 
@@ -108,28 +111,26 @@ def test_product_evaluator_shares_one_cache_for_equal_wells(monkeypatch):
 
 
 def test_kerr_moment_tensors_match_the_product_evaluator():
-    """G1 and G2 of the double well at N = 200 in closed form: the four
-    modes (a1, a2, b1, b2) evolve under a block-diagonal chi, and
-    c_i^dag c_j c_p^dag c_q = c_i^dag c_p^dag c_j c_q + delta_jp c_i^dag c_q."""
+    """G1 and G2 of the double well at N = 200 from the closed form the
+    scan uses, against the Fock evaluator."""
     atoms, chi = 200.0, rb_interaction_matrix()
     alpha = math.sqrt(atoms / 4.0)
-    joint_chi = np.kron(np.eye(2), chi)
     evo = WellEvolution.prepare(alpha, alpha, chi)
-    unit = np.eye(4, dtype=int)
     for tau in (1.0, 7.0, 20.0, 80.0):
         t = tau / (chi[0, 0] * atoms)
         state = evo.at_time(t)
         ref_g1, ref_g2 = spins.ProductEvaluator(state, state)()
-
-        def moment(m, n):
-            return kerr_moment([alpha] * 4, joint_chi, t, m, n)
-
-        g1 = np.array([[moment(unit[i], unit[j]) for j in range(4)] for i in range(4)])
-        g2 = np.empty((4, 4, 4, 4), dtype=complex)
-        for i, j, p, q in np.ndindex(4, 4, 4, 4):
-            g2[i, j, p, q] = moment(unit[i] + unit[p], unit[j] + unit[q]) + (j == p) * g1[i, q]
+        g1, g2 = moment_tensors(alpha, chi, t)
         assert np.abs(g1 - ref_g1).max() <= 1e-10 * np.abs(ref_g1).max()
         assert np.abs(g2 - ref_g2).max() <= 1e-10 * np.abs(ref_g2).max()
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 24.0, 100.0])
+def test_fock_check_agrees_with_the_closed_form(tau):
+    check = fock_check(tau, rb_interaction_matrix())
+    assert check.atoms == 20 and check.tau == tau
+    assert 0 <= check.max_relative_gap <= 1e-12
+    assert abs(check.truncation_loss) < 1e-10
 
 
 def test_heisenberg_map_equals_schroedinger_splitter():
@@ -259,8 +260,9 @@ def test_doublewell_scan_time_normalization():
     assert p1.e_product == pytest.approx(p2.e_product, abs=1e-8)
 
 
-def test_doublewell_scan_builds_each_ladder_operator_once(monkeypatch):
-    """One build per mode of the one well basis, shared by every tau."""
+def test_only_the_fock_check_builds_ladder_operators(monkeypatch):
+    """The scan builds no Fock operator at its atom number; the check
+    builds one per mode of its one well basis."""
     from qphase import fock
 
     built = []
@@ -271,5 +273,20 @@ def test_doublewell_scan_builds_each_ladder_operator_once(monkeypatch):
         return original(basis, mode)
 
     monkeypatch.setattr(fock, "annihilation_operator", counting)
-    doublewell_scan(20.0, [1, 5, 10])
+    doublewell_scan(200.0, [1, 5, 10])
+    assert built == []
+    fock_check(1.0)
     assert sorted(built) == [0, 1]
+
+
+def test_doublewell_scan_at_a_million_atoms():
+    """The closed form makes the scan's cost independent of N: the shipped
+    tau grid at N = 1e6, where a Fock basis would hold ~6e10 states."""
+    taus = [1, 5, 10, 20, 30, 40, 50, 60, 80, 100]
+    doublewell_scan(1e6, taus)
+    start = time.perf_counter()
+    points = doublewell_scan(1e6, taus)
+    elapsed = time.perf_counter() - start
+    assert all(math.isfinite(v) for p in points for v in vars(p).values())
+    assert min(p.s_db_theta for p in points) < -3.0
+    assert elapsed < 0.1
