@@ -138,16 +138,13 @@ def annihilation_operator(basis: FockBasis, mode: int) -> scipy.sparse.csr_matri
     )
 
 
-def well_hamiltonian_diagonal(chi: np.ndarray, basis: FockBasis, modes=None) -> np.ndarray:
-    """Diagonal of (1/2) sum_ij chi_ij a_i^dag a_j^dag a_j a_i over ``modes``."""
+def well_hamiltonian_diagonal(chi: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Diagonal of (1/2) sum_ij chi_ij a_i^dag a_j^dag a_j a_i over every mode of ``basis``."""
     chi = np.atleast_2d(np.asarray(chi, dtype=float))
-    if modes is None:
-        modes = range(basis.mode_count)
-    modes = list(modes)
-    occ = basis.occupations[:, modes].astype(float)
+    occ = basis.occupations.astype(float)
     diag = np.zeros(basis.dimension)
-    for a, _ in enumerate(modes):
-        for b, _ in enumerate(modes):
+    for a in range(basis.mode_count):
+        for b in range(basis.mode_count):
             if a == b:
                 diag += 0.5 * chi[a, a] * occ[:, a] * (occ[:, a] - 1.0)
             else:
@@ -161,7 +158,8 @@ def _cmul(a, b) -> np.ndarray:
     numpy's array complex multiply fuses a multiply and an add on CPUs
     with FMA, and so rounds unlike its scalar product; four real products
     and two sums round as the scalar product does on every CPU, which
-    keeps ``kerr_oracle``'s values to the last bit.
+    keeps ``kerr_oracle``'s values, and the pair products of
+    ``gaussian_entropy.renyi_entropy``, to the last bit.
     """
     out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import _cmul
+
 __all__ = [
     "GaussianPhasePoint",
     "inner_product",
@@ -80,17 +82,12 @@ def inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint):
 
 
 def _product(a, b):
-    """Elementwise a * b.  Complex products use the four-multiply formula
-    with every product rounded, as Python's and NumPy's scalar complex
-    arithmetic do; NumPy's vectorized complex multiply may fuse a
-    multiply-add and round differently.  Real products stay real, which
-    keeps the temporaries of real-weighted ensembles small."""
+    """Elementwise a * b, complex products rounded as the scalar product
+    rounds them (``fock._cmul``).  Real products stay real, which keeps
+    the temporaries of real-weighted ensembles small."""
     if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
         return a * b
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = np.real(a) * np.real(b) - np.imag(a) * np.imag(b)
-    out.imag = np.real(a) * np.imag(b) + np.imag(a) * np.real(b)
-    return out
+    return _cmul(a, b)
 
 
 @dataclass

@@ -16,7 +16,7 @@ drift is a few whole-array operations written in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,32 +113,27 @@ def sample_canonical(
 class KerrPlusP:
     """Drift + noise for the single-component Bose gas +P equations.
 
-    i d(alpha_m)/dt = omega_mn alpha_n + [chi alpha_m beta_m
-                        + sqrt(i chi) xi1_m] alpha_m
-    -i d(beta_m)/dt = omega*_mn beta_n + [chi alpha_m beta_m
-                        + sqrt(-i chi) xi2_m] beta_m
+    i d(alpha_m)/dt = [chi alpha_m beta_m + sqrt(i chi) xi1_m] alpha_m
+    -i d(beta_m)/dt = [chi alpha_m beta_m + sqrt(-i chi) xi2_m] beta_m
 
     with 2M real noises of variance delta_mm' / dt per step.  These are
     Ito equations; the model integrates them through the midpoint scheme
     by adding the Ito->Stratonovich drift correction +(i chi / 2) alpha
     (and -(i chi / 2) beta).
-    From ``reverse_step`` on, the Hamiltonian changes sign (chi and
-    omega are negated), which runs the dynamics backwards in time.
+    From ``reverse_step`` on, the Hamiltonian changes sign (chi is
+    negated), which runs the dynamics backwards in time.
 
     ``noise`` folds each step's noise and Stratonovich correction into
-    rate columns r, so the drift is (-+i chi alpha beta + r) (alpha, beta)
-    plus the omega term: a few whole-array operations written into
-    ``out``.  Nothing is compiled from chi, omega or ``reverse_step``, so
-    changing a field changes the next step; the omega term alone writes
-    through a per-run scratch array.
+    rate columns r, so the drift is (-+i chi alpha beta + r) (alpha, beta):
+    a few whole-array operations written into ``out``.  Nothing is
+    compiled from chi or ``reverse_step``, so changing a field changes
+    the next step.
     """
 
     chi: float
     modes: int = 1
-    omega: np.ndarray = None  # (M, M) single-particle matrix or None
     seed: int = 0
     reverse_step: int = None  # flip sign at this step index, if set
-    _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     order = "F"  # memory layout evolve steps the state in: the sampler's
 
     def _sign(self, step_index: int) -> float:
@@ -170,21 +165,12 @@ class KerrPlusP:
         self, state: np.ndarray, step_index: int, noise: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         m = self.modes
-        sign = self._sign(step_index)
-        chi = sign * self.chi
+        chi = self._sign(step_index) * self.chi
         np.multiply(state[:, :m], state[:, m:], out=out[:, :m])  # alpha beta
         np.multiply(out[:, :m], 1j * chi, out=out[:, m:])
         out[:, :m] *= -1j * chi
         out += noise
         out *= state
-        if self.omega is not None:
-            scratch = self._scratch
-            if scratch is None or scratch.shape != state.shape or scratch.strides != state.strides:
-                scratch = self._scratch = np.empty_like(state)
-            omega_t = (sign * np.asarray(self.omega)).T
-            block = np.zeros((2 * m, 2 * m), dtype=complex)  # -i omega^T on alpha, +i omega^H on beta
-            block[:m, :m], block[m:, m:] = -1j * omega_t, 1j * omega_t.conj()
-            out += np.matmul(state, block, out=scratch)
         return out
 
 
@@ -195,7 +181,6 @@ def run_kerr_plusp(
     trajectory_count: int,
     seed: int,
     dt: float,
-    omega=None,
     width: str = "canonical",
     divergence_ceiling: float = 1e6,
     reverse_at: float = None,
@@ -206,7 +191,7 @@ def run_kerr_plusp(
     sign is flipped."""
     modes = _mode_count(state)
     reverse_step = None if reverse_at is None else int(schedule_steps((0.0, reverse_at), dt)[1])
-    model = KerrPlusP(chi=chi, modes=modes, omega=omega, seed=seed, reverse_step=reverse_step)
+    model = KerrPlusP(chi=chi, modes=modes, seed=seed, reverse_step=reverse_step)
     # X = <a + a^dag>/2 of the first mode, from alpha_0 and beta_0
     observables = {"X": lambda s: 0.5 * (s[:, 0] + s[:, modes])}
     if extra_observables:

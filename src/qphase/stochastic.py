@@ -37,15 +37,15 @@ and may declare
 
 When `flow` gives rates, nothing is stepped: `evolve` yields
 y(t) = y(0) exp(t G) at the recorded steps (Wigner fields of a lossless
-model with real chi and no omega keep every density, so their rates
-never change and each trajectory is one phase rotation).  Otherwise it
-steps the midpoint scheme and draws the noise once per
-step, so every midpoint iteration sees the same object, already scaled
-by 1/sqrt(dt) and any factor fixed for the step (+P's rate columns,
-Wigner's sqrt(kappa_l) per loss channel).  A run allocates its state,
-midpoint and drift buffers once, steps the state in place and copies it
-only at the steps its consumer records; models write their drift through
-per-run scratch of their own, so no step allocates state-sized memory
+model with real chi keep every density, so their rates never change and
+each trajectory is one phase rotation).  Otherwise it steps the midpoint
+scheme and draws the noise once per step, so every midpoint iteration
+sees the same object, already scaled by 1/sqrt(dt) and any factor fixed
+for the step (+P's rate columns, Wigner's sqrt(kappa_l) per loss
+channel).  A run allocates its state, midpoint and drift buffers once,
+steps the state in place and copies it only at the steps its consumer
+records; models write their drift in place, through per-run scratch of
+their own where they need any, so no step allocates state-sized memory
 beyond its noise draw.  The state is copied into the layout the model
 declares, whatever the caller's layout: +P steps column-contiguous
 (every mode column is one contiguous run), Wigner row-major.  A
@@ -154,7 +154,7 @@ def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -
 
 @dataclass
 class MomentAccumulator:
-    """Running mean / CLT error bar with loss-free merging."""
+    """Running mean / CLT error bar."""
 
     value_sum: complex = 0.0
     abs2_sum: float = 0.0
@@ -165,13 +165,6 @@ class MomentAccumulator:
         self.value_sum += complex(values.sum())
         self.abs2_sum += float((np.abs(values) ** 2).sum())
         self.count += values.size
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        return MomentAccumulator(
-            self.value_sum + other.value_sum,
-            self.abs2_sum + other.abs2_sum,
-            self.count + other.count,
-        )
 
     @property
     def mean(self) -> complex:

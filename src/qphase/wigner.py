@@ -27,10 +27,10 @@ channels part of the truncation remains.  The interaction and
 -phi_s P_s(n) are phi_s times one complex polynomial G_s(n), which
 ``WignerModel`` evaluates for all components at once as one real matrix
 product over a table of squared real and imaginary parts; its drift
-allocates nothing per call.  Without loss channels and omega, and with
-real chi, G_s is purely imaginary: every density is conserved, and
-`evolve` takes each trajectory's exact phase rotation from
-``WignerModel.flow`` in place of midpoint steps.  Symmetric moments are converted to normally
+allocates nothing per call.  Without loss channels, and with real chi,
+G_s is purely imaginary: every density is conserved, and `evolve` takes
+each trajectory's exact phase rotation from ``WignerModel.flow`` in
+place of midpoint steps.  Symmetric moments are converted to normally
 ordered ones before any physical observable (spin moments, xi^2
 squeezing) is formed.  ``squeezing_xi2`` builds its spin polynomials once
 per call, forms each distinct raw monomial of their Weyl symbols once on
@@ -145,18 +145,6 @@ def _compile(chi, channels: tuple, comps: int) -> tuple:
     return drift, noise
 
 
-def _real_form(coeffs: np.ndarray) -> np.ndarray:
-    """(2T, 2S) real matrix R with x.view(float) @ R == (x @ coeffs).view(float)
-    for complex x of T columns: each complex coefficient a + ib becomes the
-    block [[a, b], [-b, a]] acting on interleaved (real, imaginary) parts."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    real = np.zeros((2 * coeffs.shape[0], 2 * coeffs.shape[1]))
-    real[0::2, 0::2] = real[1::2, 1::2] = coeffs.real
-    real[0::2, 1::2] = coeffs.imag
-    real[1::2, 0::2] = -coeffs.imag
-    return real
-
-
 class _WignerDrift:
     """The drift of one ``WignerModel`` compiled for fields of one shape,
     with the scratch it writes through.
@@ -168,9 +156,8 @@ class _WignerDrift:
     G_s = -P_s(n) - i sum_t chi_st (n_t - (1 + delta_st) / 2).
     One real matrix M, filled from the terms of ``_compile``, maps D to the
     interleaved real and imaginary parts of G_s, so the chi and loss drift
-    is (D @ M).view(complex) * phi; ``rates`` evaluates G alone.  The
-    omega term is one real matrix product on the interleaved parts, and
-    each noise term one multiply-add into its component's column.
+    is (D @ M).view(complex) * phi; ``rates`` evaluates G alone.  Each
+    noise term is one multiply-add into its component's column.
     """
 
     def __init__(self, model, shape):
@@ -194,8 +181,6 @@ class _WignerDrift:
         self.squares = self.table[:, :2 * comps]
         self.density = np.empty((n, comps), order="F") if self.high else None
         self.g = np.empty((n, 2 * comps))
-        self.lin = None if model.omega is None else _real_form(-1j * np.asarray(model.omega).T)
-        self.lin_out = None if self.lin is None else np.empty((n, 2 * comps))
         # (component, channel, factor, conj(phi) columns whose product is conj(phi^e))
         self.noise = tuple(
             (s, l, c, tuple(u for u, e_u in enumerate(e) for _ in range(e_u)))
@@ -203,9 +188,9 @@ class _WignerDrift:
         )
         self.conj = np.empty((n, comps), dtype=complex) if any(f for *_, f in self.noise) else None
         self.column = np.empty(n, dtype=complex) if self.noise else None
-        # no noise, no omega and a purely imaginary G: every density is
-        # conserved, so G never changes along a trajectory
-        self.exact_flow = not self.noise and self.lin is None and not self.m[:, 0::2].any()
+        # no noise and a purely imaginary G: every density is conserved,
+        # so G never changes along a trajectory
+        self.exact_flow = not self.noise and not self.m[:, 0::2].any()
 
     def rates(self, parts):
         """G_s(n) for every trajectory and component, (D @ M).view(complex),
@@ -224,11 +209,7 @@ class _WignerDrift:
         return self.g.view(complex)
 
     def __call__(self, fields, zeta, out):
-        parts = np.ascontiguousarray(fields).view(float)
-        np.multiply(self.rates(parts), fields, out=out)
-        if self.lin is not None:
-            np.matmul(parts, self.lin, out=self.lin_out)
-            out += self.lin_out.view(complex)
+        np.multiply(self.rates(np.ascontiguousarray(fields).view(float)), fields, out=out)
         if self.conj is not None:
             np.conjugate(fields, out=self.conj)
         for s, l, c, factors in self.noise:
@@ -247,31 +228,28 @@ class _WignerDrift:
 class WignerModel:
     """Drift + loss noise for a multi-component single-site Bose field.
 
-    d phi_s/dt = -i (omega_ss' phi_s'
-                     + chi_ss' (|phi_s'|^2 - (1 + delta_ss') / 2) phi_s)
+    d phi_s/dt = -i chi_ss' (|phi_s'|^2 - (1 + delta_ss') / 2) phi_s
                  - phi_s P_s(n)
                  + sum_l sqrt(kappa_l) l_s conj(phi^(l-e_s)) zeta_l
 
-    ``omega`` is the (S, S) linear coupling matrix (Rabi coupling and
-    internal energies) or None.  The loss SDEs are Ito equations; the
-    model integrates them through the midpoint scheme, so the real
-    density polynomial P_s(n) (module docstring) holds both the
-    Weyl-ordered Ito loss drift and the analytic Ito->Stratonovich shift.
-    Without loss channels and omega, and with real chi, the drift is
+    The loss SDEs are Ito equations; the model integrates them through
+    the midpoint scheme, so the real density polynomial P_s(n) (module
+    docstring) holds both the Weyl-ordered Ito loss drift and the
+    analytic Ito->Stratonovich shift.
+    Without loss channels, and with real chi, the drift is
     phi_s G_s(n) with purely imaginary G_s, so every density is conserved
     and each trajectory is one exact phase rotation (Sinatra, Lobo &
     Castin, J. Phys. B 35, 3599 (2002)); ``flow`` hands `evolve` its
     rates, evaluated once from the compiled drift, and no step is taken.
 
-    The model is frozen and keeps read-only copies of chi and omega and
-    tuple powers, so the drift compiled from them (see ``_WignerDrift``)
+    The model is frozen and keeps a read-only copy of chi and tuple
+    powers, so the drift compiled from them (see ``_WignerDrift``)
     on the first call for a field shape can never go stale; use
     ``dataclasses.replace`` for a changed model.  ``noise`` folds
     sqrt(kappa_l) into each channel's zeta_l when it is drawn.
     """
 
     chi: np.ndarray = None  # (S, S) symmetric interaction matrix, or None
-    omega: np.ndarray = None  # (S, S) linear coupling matrix, or None
     channels: tuple = ()
     # Never read (the field array sets the component count); kept because
     # the wigner-loss workload in perfbench/workloads.py passes it.
@@ -280,12 +258,10 @@ class WignerModel:
     _drift: _WignerDrift = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("chi", "omega"):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.array(value)
-                value.flags.writeable = False
-                object.__setattr__(self, name, value)
+        if self.chi is not None:
+            chi = np.array(self.chi)
+            chi.flags.writeable = False
+            object.__setattr__(self, "chi", chi)
         channels = tuple(LossChannel(tuple(ch.powers), ch.rate) for ch in self.channels)
         object.__setattr__(self, "channels", channels)
 
@@ -315,9 +291,9 @@ class WignerModel:
 
     def flow(self, fields: np.ndarray):
         """The rates G_s(n) of the exact flow phi(t) = phi(0) exp(t G), or
-        None when the model has one of noise, omega or a real part of G.
+        None when the model has noise or a real part of G.
 
-        Without loss channels and omega, and with real chi, G_s is purely
+        Without loss channels, and with real chi, G_s is purely
         imaginary, so d|phi_s|^2/dt = 2 Re(G_s) |phi_s|^2 = 0: every density
         n_s, and with it G_s(n), is a constant of the motion."""
         drift = self._compiled(fields.shape)
@@ -333,14 +309,12 @@ def run_wigner_x(
     trajectory_count: int,
     seed: int,
     dt: float,
-    omega=None,
     channels=(),
 ):
     """Time series of <X> = Re <a> for the first component, with bars."""
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
     model = WignerModel(
         chi=np.atleast_2d(chi) if chi is not None else None,
-        omega=omega,
         channels=tuple(channels),
         seed=seed,
     )

@@ -119,8 +119,6 @@ def wigner_derivative(model, fields, zeta):
     as ``WignerModel.noise`` draws it."""
     n_comp = fields.shape[1]
     d = np.zeros_like(fields)
-    if model.omega is not None:
-        d += -1j * fields @ np.asarray(model.omega).T
     if model.chi is not None:
         # Weyl symbol of the interaction: n_t - (1 + delta_st) / 2 in place of n_t
         chi = np.asarray(model.chi)
@@ -172,10 +170,6 @@ def plusp_derivative(model, state, step_index, xi):
     for cols, rot, strat in ((slice(None, m), -1j, 0.5j), (slice(m, None), 1j, -0.5j)):
         y = state[:, cols]
         out[:, cols] = rot * (cross + noise[:, cols]) * y + strat * chi * y
-        if model.omega is not None:
-            omega = sign * np.asarray(model.omega)
-            coupling = omega if rot == -1j else omega.conj()  # omega on alpha, omega* on beta
-            out[:, cols] += rot * y @ coupling.T
     return out
 
 

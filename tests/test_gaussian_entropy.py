@@ -9,6 +9,7 @@ import oracles
 from qphase.gaussian_entropy import (
     PAIR_BLOCK,
     GaussianPhasePoint,
+    _product,
     boson_gaussian_matrix,
     fermion_gaussian_matrix,
     fock_inner_product,
@@ -183,6 +184,23 @@ def test_blocked_renyi_matches_scalar_loop_bit_for_bit(stats, pairing, complex_w
     assert new.pairs == pairs
     for field in ("s2", "purity", "error", "s2_error", "pairs", "sign_problem"):
         assert _bits(getattr(new, field)) == _bits(getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("kinds", [
+    ("complex", "complex"), ("complex", "real"), ("real", "complex"), ("real", "real"),
+])
+def test_pair_product_rounds_as_the_scalar_product(kinds):
+    """Each element of ``_product`` has the bits of Python's scalar
+    product of the same operands, and real operands give a real array."""
+    rng = np.random.default_rng(7)
+    a, b = (
+        rng.standard_normal(64) + (1j * rng.standard_normal(64) if kind == "complex" else 0.0)
+        for kind in kinds
+    )
+    out = _product(a, b)
+    assert np.iscomplexobj(out) == ("complex" in kinds)
+    ref = np.array([x * y for x, y in zip(a.tolist(), b.tolist())])
+    assert _bits(out) == _bits(ref)
 
 
 def test_renyi_rejects_mixed_statistics():

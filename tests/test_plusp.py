@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import plusp_derivative
-from scipy.linalg import expm
 
 from qphase.fock import kerr_oracle
 from qphase.plusp import (
@@ -63,9 +62,10 @@ def test_delta_width_is_exact_for_coherent():
 
 
 def test_chi_zero_harmonic_rotation_is_deterministic():
-    """With chi = 0 there is no noise, so <a>(t) = alpha0 e^{-i omega t}
-    to integrator precision even with few trajectories."""
-    alpha0, omega = 1.0 + 0.5j, 0.7
+    """With chi = 0 there is neither noise nor drift, so from a delta
+    width every trajectory stays at its classical point and <X>(t) is
+    Re alpha0 exactly, with a zero bar."""
+    alpha0 = 1.0 + 0.5j
     times = np.array([0.0, 0.5, 1.0])
     res = run_kerr_plusp(
         {"kind": "coherent", "alpha": [alpha0]},
@@ -74,40 +74,23 @@ def test_chi_zero_harmonic_rotation_is_deterministic():
         trajectory_count=100,
         seed=3,
         dt=0.005,
-        omega=np.array([[omega]]),
         width="delta",
     )
     # X observable is (alpha + beta)/2 = Re in the deterministic case
-    expected = np.real(alpha0 * np.exp(-1j * omega * times))
-    assert np.allclose(res.mean("X").real, expected, atol=1e-9)
+    assert np.array_equal(res.mean("X"), np.full(times.size, alpha0.real))
+    assert not res.error("X").any()
 
 
-@pytest.mark.parametrize("reverse_at", [None, 0.5])
-def test_complex_hermitian_omega_moves_alpha_and_beta_exactly(reverse_at):
-    """With chi = 0 and delta width the run is deterministic: alpha(t) =
-    U alpha0 and beta(t) = conj(U alpha0), U = exp(-i omega t), with omega's
-    sign flipped from the reversal time on, so beta follows omega*."""
-    omega = np.array([[0.3, 0.4 - 0.5j], [0.4 + 0.5j, -0.2]])
-    alpha0 = np.array([1.0 + 0.5j, -0.3 + 0.8j])
-    times = np.array([0.0, 0.5, 1.0])
-    res = run_kerr_plusp(
-        {"kind": "coherent", "alpha": list(alpha0)},
-        chi=0.0,
-        times=times,
-        trajectory_count=2,
-        seed=3,
-        dt=0.001,
-        omega=omega,
-        width="delta",
-        reverse_at=reverse_at,
-        extra_observables={f"s{k}": lambda s, k=k: s[:, k] for k in range(4)},
-    )
-    for i, t in enumerate(times):
-        forward = t if reverse_at is None else min(t, reverse_at)
-        alpha = expm(1j * omega * (t - forward)) @ expm(-1j * omega * forward) @ alpha0
-        state = np.array([res.mean(f"s{k}")[i] for k in range(4)])
-        np.testing.assert_allclose(state[:2], alpha, rtol=0, atol=1e-6)
-        np.testing.assert_allclose(state[2:], alpha.conj(), rtol=0, atol=1e-6)
+@pytest.mark.parametrize("build", [
+    lambda: KerrPlusP(chi=1.0, omega=np.eye(1)),
+    lambda: run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 1.0, [0.0], 10, 0, 0.01,
+                           omega=np.eye(1)),
+], ids=["KerrPlusP", "run_kerr_plusp"])
+def test_the_engine_takes_no_linear_coupling(build):
+    """The +P drift is chi and the Stratonovich correction alone: a linear
+    coupling omega is no argument of the model or of its run."""
+    with pytest.raises(TypeError, match="omega"):
+        build()
 
 
 def test_kerr_number_is_conserved():
@@ -173,21 +156,17 @@ def _scaled_normals(model, step_index, n_traj, dt):
 @given(
     seed=st.integers(0, 2**31 - 1),
     modes=st.integers(1, 3),
-    with_omega=st.booleans(),
     reversed_=st.booleans(),
     noisy=st.booleans(),
     column_major=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_drift_matches_the_per_half_reference(seed, modes, with_omega, reversed_, noisy, column_major):
+def test_drift_matches_the_per_half_reference(seed, modes, reversed_, noisy, column_major):
     """The rate-column drift, with its noise drawn by the model or set to
     zero, agrees with the parent's per-half drift to rounding, before and
-    after the reversal step, with and without a Hermitian omega, in either
-    layout."""
+    after the reversal step, in either layout."""
     rng = np.random.default_rng(seed)
-    omega = rng.uniform(-0.5, 0.5, (modes, modes)) + 1j * rng.uniform(-0.5, 0.5, (modes, modes))
-    omega = omega + omega.conj().T if with_omega else None  # Hermitian
-    model = KerrPlusP(chi=rng.uniform(0.01, 1.0), modes=modes, omega=omega, seed=seed, reverse_step=4)
+    model = KerrPlusP(chi=rng.uniform(0.01, 1.0), modes=modes, seed=seed, reverse_step=4)
     k, dt, n = (6 if reversed_ else 2), 0.01, 16
     state = rng.standard_normal((n, 2 * modes)) + 1j * rng.standard_normal((n, 2 * modes))
     state = np.asfortranarray(state) if column_major else state
@@ -201,12 +180,10 @@ def test_drift_matches_the_per_half_reference(seed, modes, with_omega, reversed_
 
 
 def test_changed_fields_change_the_next_drift():
-    """Nothing is compiled from chi, omega or reverse_step: reassigning any
-    of them, or writing into omega, changes the next noise draw and drift
-    to those of the current values."""
+    """Nothing is compiled from chi or reverse_step: reassigning either
+    changes the next noise draw and drift to those of the current values."""
     rng = np.random.default_rng(9)
-    omega = np.array([[0.3, -0.1], [-0.1, 0.2]])
-    model = KerrPlusP(chi=0.1, modes=2, omega=omega, seed=4, reverse_step=None)
+    model = KerrPlusP(chi=0.1, modes=2, seed=4, reverse_step=None)
     state = np.asfortranarray(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
     dt = 0.01
 
@@ -218,13 +195,8 @@ def test_changed_fields_change_the_next_drift():
 
     before = check(3)
     model.chi = 0.4
-    assert not np.allclose(check(3), before)
-    omega[0, 1] = omega[1, 0] = 0.6  # the model holds this array
-    check(3)
-    model.omega = None
-    check(3)
-    model.omega = np.eye(2)
     forward = check(3)
+    assert not np.allclose(forward, before)
     model.reverse_step = 2
     reversed_ = check(3)
     assert not np.allclose(reversed_, forward)
@@ -234,10 +206,9 @@ def test_reverse_step_flips_dynamics():
     """From the reversal step on, the noise term and the drift equal those
     of a sign-flipped Hamiltonian; before it, those of the forward one."""
     state = np.full((4, 2), 1.0 + 0.5j)
-    omega = np.array([[0.3]])
-    reversing = KerrPlusP(chi=0.1, modes=1, omega=omega, seed=5, reverse_step=10)
-    flipped = KerrPlusP(chi=-0.1, modes=1, omega=-omega, seed=5)
-    forward = KerrPlusP(chi=0.1, modes=1, omega=omega, seed=5)
+    reversing = KerrPlusP(chi=0.1, modes=1, seed=5, reverse_step=10)
+    flipped = KerrPlusP(chi=-0.1, modes=1, seed=5)
+    forward = KerrPlusP(chi=0.1, modes=1, seed=5)
     for k, same in ((10, flipped), (9, forward)):
         xi = reversing.noise(k, 4, 0.01)
         xi_same = same.noise(k, 4, 0.01)

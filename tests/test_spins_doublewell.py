@@ -31,8 +31,8 @@ def _small_alpha_setup(t=0.35):
     joint = coherent_state([alpha, alpha, alpha, alpha], joint_basis)
     from qphase.fock import well_hamiltonian_diagonal
 
-    diag = well_hamiltonian_diagonal(chi, joint_basis, modes=[0, 1])
-    diag += well_hamiltonian_diagonal(chi, joint_basis, modes=[2, 3])
+    # the wells do not interact: a block-diagonal chi over the four modes
+    diag = well_hamiltonian_diagonal(np.kron(np.eye(2), chi), joint_basis)
     amps = np.exp(-1j * diag * t) * joint.amplitudes
     joint_t = StateVector(joint_basis, amps)
     return well, joint_t

@@ -151,21 +151,6 @@ def test_wigner_window_tracks_the_exact_kerr_mean_inside_its_window():
         assert abs(row["mean"] - exact) <= 3.0 * row["error"], row
 
 
-def test_matrix_omega_rotates_every_trajectory():
-    """Without chi or losses every trajectory rotates as phi0 e^{-i omega t},
-    so <X> = Re(mean(phi0) e^{-i omega t}) up to the midpoint phase error
-    of (omega dt)^3 / 12 per step."""
-    alpha0, omega, dt, seed, n = 1.0 + 0.5j, 0.7, 0.005, 4, 50
-    times = np.array([0.0, 1.0, 2.0])
-    res = run_wigner_x([alpha0], None, times, n, seed, dt, omega=[[omega]])
-    phi0 = sample_wigner_coherent([alpha0], seed, n)[:, 0].mean()
-    expected = np.real(phi0 * np.exp(-1j * omega * times))
-    tol = 2.0 * abs(phi0) * (times / dt) * (omega * dt) ** 3 / 12 + 1e-12
-    assert np.all(np.abs(res.mean("X").real - expected) <= tol)
-    # the rotation is what is being checked: the field really moves
-    assert abs(expected[-1] - expected[0]) > 0.1
-
-
 def test_one_body_loss_decay():
     kappa, alpha0 = 0.4, 1.8
     times = np.linspace(0.0, 1.0, 5)
@@ -230,20 +215,19 @@ def test_loss_drift_carries_the_stratonovich_correction():
     assert np.allclose(d, expected, rtol=1e-14, atol=1e-15)
 
 
-def _random_couplings(rng, components):
+def _random_chi(rng, components):
     chi = rng.uniform(-0.2, 0.2, (components, components))
-    return chi + chi.T, rng.uniform(-0.5, 0.5, (components, components))
+    return chi + chi.T
 
 
 @given(
     seed=st.integers(0, 2**31 - 1),
     components=st.integers(1, 3),
     with_chi=st.booleans(),
-    with_omega=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi, with_omega, data):
+def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi, data):
     """The compiled density-polynomial drift and noise agree with the
     explicit per-channel gradient and Hessian products, to rounding: the
     merged like terms are summed in another order."""
@@ -254,10 +238,8 @@ def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi
     )
     channels = tuple(data.draw(st.lists(channel, min_size=1, max_size=4)))
     rng = np.random.default_rng(seed)
-    chi, omega = _random_couplings(rng, components)
     model = WignerModel(
-        chi=chi if with_chi else None,
-        omega=omega if with_omega else None,
+        chi=_random_chi(rng, components) if with_chi else None,
         channels=channels,
         seed=seed,
     )
@@ -284,14 +266,13 @@ def test_noise_scales_each_channel_column_exactly():
 
 
 def test_lossless_drift_matches_the_reference():
-    """Without loss channels the drift is the omega and chi terms alone,
+    """Without loss channels the drift is the chi term alone,
     to rounding (the compiled matrix products sum the squared parts in
     another order; atol covers elements where the symmetric-ordering
     constant nearly cancels sum_t chi_st n_t), and no noise is drawn."""
     rng = np.random.default_rng(11)
     fields = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    chi, omega = _random_couplings(rng, 3)
-    for model in (WignerModel(), WignerModel(chi=chi), WignerModel(omega=omega), WignerModel(chi=chi, omega=omega)):
+    for model in (WignerModel(), WignerModel(chi=_random_chi(rng, 3))):
         zeta = model.noise(5, fields.shape[0], 0.01)
         assert zeta is None
         d = model.derivative(fields, 5, zeta, np.empty_like(fields))
@@ -301,30 +282,29 @@ def test_lossless_drift_matches_the_reference():
 
 
 def test_model_is_frozen_over_its_own_copies():
-    """The drift is compiled from chi, omega and the channels on the first
-    call for a field shape, so the model cannot change after it: assigning
-    a field or writing into chi or omega fails, and changing the arrays
-    and list it was built from changes no bit of its drift.  A replaced
-    copy compiles the new values."""
+    """The drift is compiled from chi and the channels on the first call
+    for a field shape, so the model cannot change after it: assigning a
+    field or writing into chi fails, and changing the array and list it
+    was built from changes no bit of its drift.  A replaced copy compiles
+    the new values."""
     rng = np.random.default_rng(5)
-    chi, omega = _random_couplings(rng, 2)
+    chi = _random_chi(rng, 2)
     powers = [1, 1]
     channels = [LossChannel(powers, 0.3)]
-    model = WignerModel(chi=chi, omega=omega, channels=channels, seed=2)
+    model = WignerModel(chi=chi, channels=channels, seed=2)
     fields = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
     zeta = model.noise(0, 16, 0.01)
     before = model.derivative(fields, 0, zeta, np.empty_like(fields)).copy()
-    for name, value in (("chi", chi), ("omega", None), ("channels", ()), ("seed", 3)):
+    for name, value in (("chi", chi), ("channels", ()), ("seed", 3)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, value)
-    for matrix in (model.chi, model.omega):
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 9.0
-    chi[0, 0] = omega[0, 1] = 9.0
+    with pytest.raises(ValueError):
+        model.chi[0, 0] = 9.0
+    chi[0, 0] = 9.0
     powers[0] = 2
     channels.append(LossChannel((0, 2), 1.0))
     assert model.derivative(fields, 0, zeta, np.empty_like(fields)).tobytes() == before.tobytes()
-    changed = dataclasses.replace(model, chi=chi, omega=omega, channels=channels)
+    changed = dataclasses.replace(model, chi=chi, channels=channels)
     zeta = changed.noise(0, 16, 0.01)
     d = changed.derivative(fields, 0, zeta, np.empty_like(fields))
     np.testing.assert_allclose(d, wigner_derivative(changed, fields, zeta), rtol=1e-12, atol=1e-12)
@@ -334,9 +314,10 @@ def test_model_is_frozen_over_its_own_copies():
 def test_diverged_trajectory_leaves_later_snapshots():
     """A trajectory far outside the midpoint step's stable range diverges
     on the first step; later snapshots hold only the survivors, which
-    evolve exactly as they would without it.  The omega term keeps the
-    model on the stepped path: without it the exact flow keeps |phi| = 100."""
-    model = WignerModel(chi=np.array([[1.0]]), omega=np.array([[0.1]]), seed=4)
+    evolve exactly as they would without it.  The imaginary part of chi
+    (a real part of G) keeps the model on the stepped path: the exact flow
+    of a real chi keeps |phi| = 100."""
+    model = WignerModel(chi=np.array([[1.0 + 0.01j]]), seed=4)
     fields = sample_wigner_coherent([1.0], seed=4, trajectories=50)
     fields[3] = 100.0
     snaps = evolve_snapshots(fields, model, dt=0.01, snapshot_steps=[0, 1, 5])
@@ -496,21 +477,31 @@ def test_lossless_flow_is_the_limit_of_the_midpoint_steps(case):
     np.testing.assert_allclose(np.abs(flowed), np.abs(fields), rtol=1e-14)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WignerModel(chi=np.array([[0.01]]), omega=np.eye(1)),
+    lambda: run_wigner_x([2.0], [[0.01]], np.array([0.0, 0.2]), 20, 3, 0.01, omega=np.eye(1)),
+], ids=["WignerModel", "run_wigner_x"])
+def test_the_engine_takes_no_linear_coupling(build):
+    """The Wigner drift is chi, the loss channels and their noise alone: a
+    linear coupling omega is no argument of the model or of its run."""
+    with pytest.raises(TypeError, match="omega"):
+        build()
+
+
 @pytest.mark.parametrize("change", [
     {"chi": np.array([[0.01 + 0.001j]])},
     {"channels": (LossChannel((1,), 0.05),)},
-    {"omega": np.array([[0.2]])},
 ])
-def test_noise_omega_or_a_complex_chi_take_the_stepped_path(change):
-    """A complex chi (a real part of G), a loss channel or omega gives no
-    flow: evolve steps the midpoint scheme bit for bit, and the ensemble
-    says so."""
+def test_noise_or_a_complex_chi_take_the_stepped_path(change):
+    """A complex chi (a real part of G) or a loss channel gives no flow:
+    evolve steps the midpoint scheme bit for bit, and the ensemble says
+    so."""
     model = WignerModel(**{"chi": np.array([[0.01]]), "seed": 3, **change})
     fields = sample_wigner_coherent([2.0], 3, 200)
     assert model.flow(fields) is None
     [(_, stepped, _)] = evolve(fields, model, 0.01, 20, record=[20])
     assert stepped.tobytes() == _stepped_reference(model, fields, 0.01, 20).tobytes()
     times = np.array([0.0, 0.2])
-    assert run_wigner_x([2.0], model.chi, times, 20, 3, 0.01, omega=model.omega,
+    assert run_wigner_x([2.0], model.chi, times, 20, 3, 0.01,
                         channels=model.channels).integrator == "midpoint"
     assert run_wigner_x([2.0], [[0.01]], times, 20, 3, 0.01).integrator == "exact_flow"
