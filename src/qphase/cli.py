@@ -1,15 +1,16 @@
 """qphase command line: run / validate / list scenario configs.
 
-Exit codes: 0 ok, 2 validation failure, 3 runtime failure,
-4 inconclusive (the outputs are written, and stderr says why they cannot
-be trusted: a sampling bar over its ceiling, more than 1 % of the
-trajectories diverged, or an entropy sign problem).
+Exit codes: 0 ok, 2 validation failure, 3 runtime failure (or an output
+that cannot be written), 4 inconclusive (the outputs are written, and
+stderr says why they cannot be trusted: a sampling bar over its ceiling,
+more than 1 % of the trajectories diverged, or an entropy sign problem).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -35,6 +36,18 @@ EXIT_INCONCLUSIVE = 4
 
 OUT_DIR_ENV = "QPHASE_OUT_DIR"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _write_output(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file, unlinking whatever sits there
+    first: ext4 flushes a file truncated or renamed over at close, not a new
+    one.  There is no fsync; a lost output is regenerated by rerunning."""
+    try:
+        path.unlink(missing_ok=True)
+        path.write_text(text, newline="")
+    except OSError as exc:
+        click.echo(f"cannot write {path}: {exc.strerror or exc}", err=True)
+        sys.exit(EXIT_RUNTIME)
 
 
 def _environment() -> dict:
@@ -117,19 +130,20 @@ def run(scenario_file, seed, out_dir):
     wall = time.perf_counter() - start
 
     written = []
+    start = time.perf_counter()
     if outcome.rows:
         csv_path = out_dir / f"{stem}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(outcome.rows[0]))
-            writer.writeheader()
-            for row in outcome.rows:
-                writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
+        buffer = io.StringIO(newline="")
+        writer = csv.DictWriter(buffer, fieldnames=list(outcome.rows[0]))
+        writer.writeheader()
+        for row in outcome.rows:
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
+        _write_output(csv_path, buffer.getvalue())
         written.append(str(csv_path))
     report_path = out_dir / f"{stem}.json"
-    with open(report_path, "w") as fh:
-        json.dump(outcome.report, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_output(report_path, json.dumps(outcome.report, indent=2, sort_keys=True, default=_json_default) + "\n")
     written.append(str(report_path))
+    write_time = time.perf_counter() - start
 
     manifest = {
         "scenario_file": str(scenario_file),
@@ -139,14 +153,13 @@ def run(scenario_file, seed, out_dir):
         "qphase_version": __version__,
         "diverged": outcome.report.get("diverged", 0),
         "wall_time_s": wall,
+        "write_time_s": write_time,
         "step_noise": outcome.step_noise,
         "environment": _environment(),
         "outputs": written,
     }
     manifest_path = out_dir / f"{stem}.manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_output(manifest_path, json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
 
     if scenario.kind == "dimension-count":
         click.echo(outcome.report["dimension"] or f"1e{outcome.report['log10_dimension']:.0f}")

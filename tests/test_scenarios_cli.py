@@ -602,6 +602,8 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
     assert header == "t,re_x,error,diverged_count"
     assert json.loads(json_path.read_text())["first_divergence_time"] is None
     assert manifest["outputs"] == [str(csv_path), str(json_path)]
+    # the time spent writing the CSV and the report, not the manifest
+    assert 0 < manifest["write_time_s"] < 5
 
 
 def test_cli_manifest_names_the_blas_library(tmp_path):
@@ -709,6 +711,59 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
     assert proc.returncode == 3
     assert "runtime failure: all 100 trajectories diverged by t = 0.1" in proc.stderr
+
+
+def test_cli_write_failure_exits_3(tmp_path):
+    """An output that cannot be written is a runtime failure: one line on
+    stderr naming the path, exit 3, no traceback."""
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text("kind: dimension-count\nparticles: 2\nmodes: 2\nstatistics: boson\n")
+    (tmp_path / "tiny.json").mkdir()
+    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
+    assert proc.returncode == 3
+    # the reason is the OS's: "Is a directory" on Linux
+    assert proc.stderr.startswith(f"cannot write {tmp_path / 'tiny.json'}: ")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "tiny.manifest.json").exists()
+
+
+def test_cli_rerun_writes_new_files(tmp_path):
+    """A rerun replaces each output with a new file: a hard link or a
+    symlink to an earlier output keeps the earlier bytes, and a rerun with
+    the same seed writes the same CSV and JSON bytes."""
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text(
+        "kind: plusp\nseed: 4\nstate: {kind: coherent, alpha: 2.0}\n"
+        "chi: 0.05\ntrajectories: 200\ndt: 0.01\ntimes: {stop: 0.1, points: 3}\n"
+    )
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    names = ["tiny.csv", "tiny.json", "tiny.manifest.json"]
+
+    def run(directory, seed):
+        result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(directory), "--seed", str(seed)])
+        assert result.exit_code == 0, result.output
+        return {name: (directory / name).read_bytes() for name in names}
+
+    first = run(out, 4)
+    for name in names:
+        os.link(out / name, out / f"{name}.keep")
+    second = run(out, 5)
+    expected = run(fresh, 5)
+    for name in names:
+        assert (out / f"{name}.keep").read_bytes() == first[name]
+        assert second[name] != first[name]
+    for name in names[:2]:
+        assert second[name] == expected[name]
+    assert json.loads(second["tiny.manifest.json"])["seed"] == 5
+
+    (tmp_path / "target.json").write_bytes(b"untouched")
+    (out / "tiny.json").unlink()
+    (out / "tiny.json").symlink_to(tmp_path / "target.json")
+    again = run(out, 5)
+    assert not (out / "tiny.json").is_symlink()
+    assert (tmp_path / "target.json").read_bytes() == b"untouched"
+    for name in names[:2]:
+        assert again[name] == second[name]
 
 
 def test_cli_doublewell_reports_its_fock_check(tmp_path):
