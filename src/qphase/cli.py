@@ -117,7 +117,11 @@ def run(scenario_file, seed, out_dir):
     """Run a scenario and write CSV/JSON outputs plus a manifest."""
     scenario, text = _load(scenario_file)
     out_dir = Path(out_dir or os.environ.get(OUT_DIR_ENV) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo(f"cannot create {out_dir}: {exc.strerror or exc}", err=True)
+        sys.exit(EXIT_RUNTIME)
     stem = scenario.name or Path(scenario_file).stem
     effective_seed = scenario.seed if seed is None else seed
 

@@ -3,7 +3,9 @@
 Covers the two-well, two-spin BEC entanglement study: Fock bases with
 per-mode cutoffs, coherent-state preparation, ladder operators, the
 diagonal of the Kerr well Hamiltonian, and the closed-form Kerr moments
-(``kerr_moment``, ``kerr_oracle``) used to verify everything else.
+(``kerr_moment``, ``kerr_oracle``) used to verify everything else.  Only
+numpy is needed: a ladder operator is an index shift on the product-order
+amplitude grid (``LadderOperator``), not a stored matrix.
 """
 
 from __future__ import annotations
@@ -12,19 +14,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "CapacityError",
     "FockBasis",
     "StateVector",
     "coherent_state",
+    "LadderOperator",
     "annihilation_operator",
     "well_hamiltonian_diagonal",
     "kerr_moment",
@@ -53,9 +51,8 @@ class FockBasis:
         if any(c < 0 for c in cutoffs):
             raise ValueError("cutoffs must be non-negative")
         self.cutoffs = cutoffs
-        self.occupations = np.array(
-            list(product(*(range(c + 1) for c in cutoffs))), dtype=np.int64
-        )
+        grid = np.indices(tuple(c + 1 for c in cutoffs), dtype=np.int64)
+        self.occupations = grid.reshape(len(cutoffs), -1).T.copy()
         self._annihilators = {}
 
     @property
@@ -66,12 +63,9 @@ class FockBasis:
     def dimension(self) -> int:
         return len(self.occupations)
 
-    def annihilation(self, mode: int) -> scipy.sparse.csr_matrix:
-        """a_mode, built once per basis and shared by every caller.
-
-        The returned matrix is the cached object itself: treat it as
-        read-only.
-        """
+    def annihilation(self, mode: int) -> LadderOperator:
+        """a_mode from ``annihilation_operator``, built once per basis and
+        shared by every caller; ``.H`` is its adjoint."""
         if mode not in self._annihilators:
             self._annihilators[mode] = annihilation_operator(self, mode)
         return self._annihilators[mode]
@@ -115,27 +109,48 @@ def coherent_state(alphas, basis: FockBasis) -> StateVector:
     return StateVector(basis, amps / math.sqrt(kept), truncation_loss=loss)
 
 
-def annihilation_operator(basis: FockBasis, mode: int) -> scipy.sparse.csr_matrix:
-    """a_mode in the given basis.
+class LadderOperator:
+    """a_mode, or its adjoint, on a ``FockBasis`` as an index shift.
 
-    In product order lowering mode m is a fixed index offset, so row r
-    holds sqrt(n_m + 1) at column r + stride_m whenever n_m(r) is below
-    the cutoff.  Use ``basis.annihilation(mode)`` for the shared copy.
-    scipy.sparse is imported here, the one place a matrix is built, so
-    that the Kerr oracle and the rest of the module load without it.
+    In product order the amplitudes form a grid of shape ``cutoffs + 1``,
+    and lowering mode m moves the grid one step along axis m:
+    (a psi)[.., n, ..] = sqrt(n + 1) psi[.., n + 1, ..], and the adjoint is
+    the mirrored slice.  ``op @ psi`` applies it to an array whose first
+    axis is the basis index, giving a complex array, and ``toarray()`` is
+    the dense matrix; there is no operator-times-operator algebra.
     """
-    import scipy.sparse
+
+    def __init__(self, cutoffs, mode: int, dagger: bool = False):
+        self.cutoffs, self.mode, self.dagger = tuple(cutoffs), mode, dagger
+        self._grid = tuple(c + 1 for c in self.cutoffs)
+        self._factors = np.sqrt(np.arange(1.0, self.cutoffs[mode] + 1))
+
+    @property
+    def H(self) -> LadderOperator:
+        """The adjoint: a_mode^dag for a_mode and back."""
+        return LadderOperator(self.cutoffs, self.mode, not self.dagger)
+
+    def __matmul__(self, psi) -> np.ndarray:
+        psi = np.asarray(psi)
+        grid = psi.reshape(self._grid + psi.shape[1:])
+        out = np.zeros(grid.shape, dtype=np.result_type(psi, complex))
+        head = (slice(None),) * self.mode
+        low, high = head + (slice(None, -1),), head + (slice(1, None),)
+        target, source = (high, low) if self.dagger else (low, high)
+        factors = self._factors.reshape((-1,) + (1,) * (grid.ndim - self.mode - 1))
+        np.multiply(factors, grid[source], out=out[target])
+        return out.reshape(psi.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(math.prod(self._grid), dtype=complex)
+
+
+def annihilation_operator(basis: FockBasis, mode: int) -> LadderOperator:
+    """a_mode in the given basis, a ``LadderOperator``.  Use
+    ``basis.annihilation(mode)`` for the shared copy."""
     if not 0 <= mode < basis.mode_count:
         raise IndexError(f"mode {mode} outside 0..{basis.mode_count - 1}")
-    stride = math.prod(c + 1 for c in basis.cutoffs[mode + 1:])
-    occ = basis.occupations[:, mode]
-    raisable = occ < basis.cutoffs[mode]
-    indptr = np.concatenate(([0], np.cumsum(raisable)))
-    indices = np.flatnonzero(raisable) + stride
-    data = np.sqrt(occ[raisable] + 1.0).astype(complex)
-    return scipy.sparse.csr_matrix(
-        (data, indices, indptr), shape=(basis.dimension, basis.dimension)
-    )
+    return LadderOperator(basis.cutoffs, mode)
 
 
 def well_hamiltonian_diagonal(chi: np.ndarray, basis: FockBasis) -> np.ndarray:

@@ -68,7 +68,7 @@ def _ladder(basis):
     for m in range(basis.mode_count):
         a = basis.annihilation(m)
         ops[(m, False)] = a
-        ops[(m, True)] = a.conj().T
+        ops[(m, True)] = a.H
     return ops
 
 
@@ -78,9 +78,11 @@ class ProductEvaluator:
     Each well state lives on its own 2-mode Fock basis, so a joint
     expectation factorizes into one ordered ladder string per well.  The
     ladder operators are the per-basis shared ones from
-    ``FockBasis.annihilation``, so evaluators built on the same basis
-    never rebuild them; each dagger is formed once here.  When both wells
-    are the same state object, they share one expectation cache.
+    ``FockBasis.annihilation``, numpy index shifts on the well's amplitude
+    grid (``fock.LadderOperator``), so a ladder string costs one slice
+    multiply per factor and loads no sparse-matrix code; each dagger is
+    formed once here.  When both wells are the same state object, they
+    share one expectation cache.
     """
 
     def __init__(self, state_a, state_b):

@@ -7,6 +7,7 @@ the joint modes c of ``qphase.spins``.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -22,13 +23,32 @@ from qphase.wigner import (
 )
 
 
+def loop_annihilation(basis, mode):
+    """a_mode as a scipy CSR matrix built one basis state at a time,
+    a|n> = sqrt(n_m)|n - e_m>; the reference for ``fock.annihilation_operator``."""
+    index = {occ: i for i, occ in enumerate(map(tuple, basis.occupations.tolist()))}
+    rows, cols, vals = [], [], []
+    for col, occ in enumerate(basis.occupations):
+        n = occ[mode]
+        if n == 0:
+            continue
+        target = list(occ)
+        target[mode] = n - 1
+        rows.append(index[tuple(target)])
+        cols.append(col)
+        vals.append(math.sqrt(n))
+    return sp.csr_matrix(
+        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
+    )
+
+
 def joint_moments(state: StateVector):
     """(G1, G2) with G1[i, j] = <c_i^dag c_j> and G2[i, j, p, q] =
     <c_i^dag c_j c_p^dag c_q> on a 4-mode state, from the bilinears
-    applied to the full joint vector; the reference for
-    ``spins.ProductEvaluator``."""
+    applied to the full joint vector with the ``loop_annihilation``
+    ladders; the reference for ``spins.ProductEvaluator``."""
     psi = state.amplitudes
-    ladder = [state.basis.annihilation(m) for m in range(4)]
+    ladder = [loop_annihilation(state.basis, m) for m in range(4)]
     # hop[i][j] = c_i^dag c_j |psi>
     hop = [[ladder[i].conj().T @ (ladder[j] @ psi) for j in range(4)] for i in range(4)]
     g1 = np.array([[np.vdot(psi, hop[i][j]) for j in range(4)] for i in range(4)])
@@ -41,10 +61,11 @@ def joint_moments(state: StateVector):
 
 def beam_splitter(state: StateVector, mixing_angle: float, phase: float = 0.0) -> StateVector:
     """Schroedinger-picture a_i -> cos(theta) a_i + e^{i phi} sin(theta) b_i
-    on both spin components; the reference for ``spins.beam_splitter_map``."""
+    on both spin components, with the ``loop_annihilation`` ladders; the
+    reference for ``spins.beam_splitter_map``."""
     psi = state.amplitudes
     for i in (0, 1):
-        a, b = state.basis.annihilation(i), state.basis.annihilation(i + 2)
+        a, b = loop_annihilation(state.basis, i), loop_annihilation(state.basis, i + 2)
         hop = a.conj().T @ b  # a_i^dag b_i
         gen = np.exp(1j * phase) * hop - np.exp(-1j * phase) * hop.conj().T
         psi = expm_multiply(mixing_angle * gen, psi)

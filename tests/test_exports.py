@@ -11,6 +11,7 @@ import pytest
 import qphase
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(qphase.__path__))
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def test_public_modules_declare_exports():
@@ -47,7 +48,7 @@ def _within(package, modules):
 
 def _cold_run(scenario, out_dir):
     """Modules a cold ``qphase run`` of a shipped scenario loads."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", scenario)
+    path = os.path.join(SCENARIO_DIR, scenario)
     code = "from qphase.cli import main; main()"
     return _loaded_in_cold_process(code, "run", path, "--out", str(out_dir))
 
@@ -66,21 +67,19 @@ def test_gaussian_entropy_does_not_import_scipy_linalg():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_scipy(module):
-    """The phase-space engines, the Kerr oracle and the Poisson cutoff need
-    no scipy, so a cold import of any qphase module loads none of it; the
-    Fock ladders and the brute-force oracles import it where they build."""
+    """The phase-space engines, the Fock ladders, the Kerr oracle and the
+    Poisson cutoff need no scipy, so a cold import of any qphase module
+    loads none of it; only the brute-force entropy oracles import
+    scipy.linalg, where they build."""
     assert _within("scipy", _loaded_in_cold_process(f"import qphase.{module}")) == []
 
 
-@pytest.mark.parametrize("scenario", ["wigner_kerr.yaml", "variational_kerr.yaml"])
+@pytest.mark.parametrize("scenario", sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".yaml")))
 def test_cold_phase_space_run_loads_no_scipy(scenario, tmp_path):
+    """No shipped scenario's cold ``qphase run`` loads any scipy module:
+    the double well's Fock check applies its ladders as numpy index
+    shifts, and the entropy run uses only the mode-space determinants."""
     assert _within("scipy", _cold_run(scenario, tmp_path)) == []
-
-
-def test_cold_doublewell_run_does_not_load_scipy_special(tmp_path):
-    """The double-well scan's Poisson cutoff is computed with the standard
-    library, so only its Fock ladders bring in scipy."""
-    assert _within("scipy.special", _cold_run("doublewell_rb.yaml", tmp_path)) == []
 
 
 def _benchmark_tracer():

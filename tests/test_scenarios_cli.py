@@ -727,6 +727,21 @@ def test_cli_write_failure_exits_3(tmp_path):
     assert not (tmp_path / "tiny.manifest.json").exists()
 
 
+def test_cli_out_dir_that_cannot_be_created_exits_3(tmp_path):
+    """An --out directory under a regular file is a runtime failure: one
+    line on stderr naming the directory, exit 3, no traceback."""
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text("kind: dimension-count\nparticles: 2\nmodes: 2\nstatistics: boson\n")
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    proc = _run_cli("run", str(scenario), "--out", str(out))
+    assert proc.returncode == 3
+    # the reason is the OS's: "Not a directory" on Linux
+    assert proc.stderr.startswith(f"cannot create {out}: ")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_cli_rerun_writes_new_files(tmp_path):
     """A rerun replaces each output with a new file: a hard link or a
     symlink to an earlier output keeps the earlier bytes, and a rerun with
