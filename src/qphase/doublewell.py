@@ -38,9 +38,10 @@ __all__ = [
 RB_SCATTERING_LENGTHS = (100.4, 95.5, 80.8)  # a11, a22, a12
 
 
-def rb_interaction_matrix() -> np.ndarray:
-    a11, a22, a12 = RB_SCATTERING_LENGTHS
-    return np.array([[a11, a12], [a12, a22]]) / a11
+def rb_interaction_matrix(lengths=RB_SCATTERING_LENGTHS) -> np.ndarray:
+    """chi from the scattering lengths (a11, a22, a12), normalized so chi_11 = 1."""
+    a11, a22, a12 = lengths
+    return np.array([[a11, a12], [a12, a22]], dtype=float) / a11
 
 
 # Poisson tail weight that poisson_cutoff leaves out.
@@ -180,17 +181,22 @@ def fock_check(tau: float, chi=None) -> FockCheck:
 
 @dataclass
 class DoubleWellPoint:
+    """One row of the ``exact-doublewell`` CSV, its fields in column order;
+    ``n0`` = |<JyA>| / 2 is the shot noise of ``s_db_theta`` and ``s_db_conj``."""
+
     tau: float
-    delta_theta: float
-    theta: float
-    n0_well: float
     s_db_theta: float
     s_db_conj: float
-    n0_pair: float
+    n0: float
     s_plus_db: float
     s_minus_db: float
     e_product: float
     e_sum: float
+
+
+def _db(variance: float, n0: float) -> float:
+    """10 log10(variance / n0), floored at a variance of 1e-300."""
+    return 10 * math.log10(max(variance, 1e-300) / n0)
 
 
 def _best_product_theta(moments: spins.SpinMoments) -> float:
@@ -226,30 +232,21 @@ def doublewell_scan(
         delta_theta = math.pi / 2 - cmath.phase(tensors[0][1, 0])  # <a2^dag a1> of well A
         matrices = spins.spin_matrices(delta_theta)
         pre = spins.spin_moments(matrices, tensors)
-        theta, _ = spins.optimal_theta(pre, well=0)
-        n0_well = 0.5 * abs(pre.mean(0, 2))
-        var_theta = spins.spin_variance(pre, theta, 0)
-        var_conj = spins.spin_variance(pre, theta + math.pi / 2, 0)
-        vm_pre, vp_pre = spins.cross_variances(pre, theta)
-        n0_pair = 0.5 * (abs(pre.mean(0, 2)) + abs(pre.mean(1, 2)))
+        theta = spins.optimal_theta(pre, well=0)
+        n0 = 0.5 * abs(pre.mean(0, 2))
+        n0_both = 0.5 * (abs(pre.mean(0, 2)) + abs(pre.mean(1, 2)))
+        var_minus, var_plus = spins.cross_variances(pre, theta)
 
         post = spins.spin_moments(
             spins.beam_splitter_map(matrices, mixing_angle, bs_phase), tensors
         )
-        report = spins.entanglement_criteria(post, theta=_best_product_theta(post))
-        out.append(
-            DoubleWellPoint(
-                tau=float(tau),
-                delta_theta=delta_theta,
-                theta=theta,
-                n0_well=n0_well,
-                s_db_theta=10 * math.log10(max(var_theta, 1e-300) / n0_well),
-                s_db_conj=10 * math.log10(max(var_conj, 1e-300) / n0_well),
-                n0_pair=n0_pair,
-                s_plus_db=10 * math.log10(max(vm_pre, 1e-300) / n0_pair),
-                s_minus_db=10 * math.log10(max(vp_pre, 1e-300) / n0_pair),
-                e_product=report.e_product,
-                e_sum=report.e_sum,
-            )
-        )
+        out.append(DoubleWellPoint(
+            float(tau),
+            _db(spins.spin_variance(pre, theta, 0), n0),
+            _db(spins.spin_variance(pre, theta + math.pi / 2, 0), n0),
+            n0,
+            _db(var_minus, n0_both),
+            _db(var_plus, n0_both),
+            *spins.entanglement_criteria(post, _best_product_theta(post)),
+        ))
     return out

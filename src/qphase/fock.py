@@ -53,7 +53,6 @@ class FockBasis:
         self.cutoffs = cutoffs
         grid = np.indices(tuple(c + 1 for c in cutoffs), dtype=np.int64)
         self.occupations = grid.reshape(len(cutoffs), -1).T.copy()
-        self._annihilators = {}
 
     @property
     def mode_count(self) -> int:
@@ -62,13 +61,6 @@ class FockBasis:
     @property
     def dimension(self) -> int:
         return len(self.occupations)
-
-    def annihilation(self, mode: int) -> LadderOperator:
-        """a_mode from ``annihilation_operator``, built once per basis and
-        shared by every caller; ``.H`` is its adjoint."""
-        if mode not in self._annihilators:
-            self._annihilators[mode] = annihilation_operator(self, mode)
-        return self._annihilators[mode]
 
 
 @dataclass
@@ -146,8 +138,9 @@ class LadderOperator:
 
 
 def annihilation_operator(basis: FockBasis, mode: int) -> LadderOperator:
-    """a_mode in the given basis, a ``LadderOperator``.  Use
-    ``basis.annihilation(mode)`` for the shared copy."""
+    """a_mode in the given basis, a ``LadderOperator``; ``.H`` is its
+    adjoint.  It stores only the basis cutoffs and sqrt(n + 1), so it is
+    cheap to build where it is needed."""
     if not 0 <= mode < basis.mode_count:
         raise IndexError(f"mode {mode} outside 0..{basis.mode_count - 1}")
     return LadderOperator(basis.cutoffs, mode)

@@ -232,12 +232,14 @@ def _check_plusp(p, errors):
 
 
 def _check_doublewell(p, errors):
-    if p["chi"] is not None:
-        a11, a22, a12 = map(float, p["chi"])
-        if a11 > 0:
-            p["chi"] = np.array([[a11, a12], [a12, a22]]) / a11
-        else:
-            errors.append(("chi_ratios", "a11 must be positive: taus are in units of chi_11"))
+    if p["chi"] is None:
+        return
+    if p["chi"][0] > 0:
+        from .doublewell import rb_interaction_matrix
+
+        p["chi"] = rb_interaction_matrix(p["chi"])
+    else:
+        errors.append(("chi_ratios", "a11 must be positive: taus are in units of chi_11"))
 
 
 def _check_wigner(p, errors):
@@ -363,19 +365,7 @@ def _run_exact_doublewell(p, seed):
         mixing_angle=p["mixing_angle"],
         bs_phase=p["bs_phase"],
     )
-    rows = [
-        {
-            "tau": pt.tau,
-            "s_db_theta": pt.s_db_theta,
-            "s_db_conj": pt.s_db_conj,
-            "n0": pt.n0_well,
-            "s_plus_db": pt.s_plus_db,
-            "s_minus_db": pt.s_minus_db,
-            "e_product": pt.e_product,
-            "e_sum": pt.e_sum,
-        }
-        for pt in points
-    ]
+    rows = [asdict(pt) for pt in points]
     report = {
         "min_s_db_theta": min(r["s_db_theta"] for r in rows),
         "min_e_product": min(r["e_product"] for r in rows),
@@ -393,12 +383,17 @@ def _divergence(result):
     return None
 
 
-def _first_divergence_time(result):
-    """The first recorded time by which a trajectory had died, or None: the
+def _divergence_report(result):
+    """The report keys every stochastic run shares.  `first_divergence_time`
+    is the first recorded time by which a trajectory had died, or None: the
     `t` of the first row with a nonzero `diverged_count`, not the step at
     which the trajectory died, which lies after the previous recorded time."""
     dead = np.flatnonzero(result.diverged_count)
-    return float(result.times[dead[0]]) if dead.size else None
+    return {
+        "diverged": result.diverged,
+        "first_divergence_time": float(result.times[dead[0]]) if dead.size else None,
+        "unreliable": result.unreliable,
+    }
 
 
 def _x_rows(result):
@@ -432,9 +427,7 @@ def _run_wigner(p, seed):
         for row, value in zip(rows, exact):
             row["exact"] = value
     report = {
-        "diverged": result.diverged,
-        "first_divergence_time": _first_divergence_time(result),
-        "unreliable": result.unreliable,
+        **_divergence_report(result),
         "trajectories": result.trajectories,
         "integrator": result.integrator,
     }
@@ -457,12 +450,7 @@ def _run_plusp(p, seed):
         divergence_ceiling=p["divergence_ceiling"],
         extra_observables={"n": lambda s: s[:, 0] * s[:, s.shape[1] // 2]},
     )
-    report = {
-        "diverged": result.diverged,
-        "first_divergence_time": _first_divergence_time(result),
-        "unreliable": result.unreliable,
-        "final_n": result.mean("n")[-1].real,
-    }
+    report = {**_divergence_report(result), "final_n": result.mean("n")[-1].real}
     return ScenarioOutcome(_x_rows(result), report, _divergence(result), STEP_NOISE_LAW)
 
 
@@ -488,9 +476,7 @@ def _run_plusp_reverse(p, seed):
         "error_growth": report_obj.error_growth,
         "recovered_within_2bar": report_obj.recovery_residual
         <= 2.0 * report_obj.residual_bar,
-        "diverged": report_obj.diverged,
-        "first_divergence_time": _first_divergence_time(report_obj.ensemble),
-        "unreliable": report_obj.ensemble.unreliable,
+        **_divergence_report(report_obj.ensemble),
         "inconclusive": report_obj.inconclusive,
     }
     if report_obj.inconclusive:

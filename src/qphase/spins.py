@@ -8,7 +8,8 @@ it come from the same two moment tensors (G1, G2) of the product state
 |psi_A> x |psi_B>.  The double-well scan takes them from the closed-form
 Kerr moments (``doublewell.moment_tensors``); ``ProductEvaluator``
 evaluates them in the per-well Fock spaces, which the run's Fock check
-compares with the closed form.
+compares with the closed form.  ``entanglement_criteria`` gives the
+product and sum criteria on the cross-well variances.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import fock
 
 __all__ = [
     "SpinMoments",
@@ -27,7 +30,6 @@ __all__ = [
     "optimal_theta",
     "spin_variance",
     "cross_variances",
-    "EntanglementReport",
     "entanglement_criteria",
 ]
 
@@ -66,7 +68,7 @@ def _ladder(basis):
     """(mode, dag) -> a_mode or its dagger, for every mode of the basis."""
     ops = {}
     for m in range(basis.mode_count):
-        a = basis.annihilation(m)
+        a = fock.annihilation_operator(basis, m)
         ops[(m, False)] = a
         ops[(m, True)] = a.H
     return ops
@@ -77,12 +79,11 @@ class ProductEvaluator:
 
     Each well state lives on its own 2-mode Fock basis, so a joint
     expectation factorizes into one ordered ladder string per well.  The
-    ladder operators are the per-basis shared ones from
-    ``FockBasis.annihilation``, numpy index shifts on the well's amplitude
+    ladder operators come from ``fock.annihilation_operator``, built once
+    per mode of each well here: numpy index shifts on the well's amplitude
     grid (``fock.LadderOperator``), so a ladder string costs one slice
-    multiply per factor and loads no sparse-matrix code; each dagger is
-    formed once here.  When both wells are the same state object, they
-    share one expectation cache.
+    multiply per factor.  When both wells are the same state object, they
+    share one ladder set and one expectation cache.
     """
 
     def __init__(self, state_a, state_b):
@@ -176,56 +177,35 @@ def cross_variances(moments: SpinMoments, theta):
     return directional(theta, -1.0), directional(theta + math.pi / 2, +1.0)
 
 
-def optimal_theta(moments: SpinMoments, well: int = 0):
-    """Angle in (-pi/2, pi/2] minimizing Delta^2 J(theta); (theta, isotropic)."""
+def optimal_theta(moments: SpinMoments, well: int = 0) -> float:
+    """Angle in (-pi/2, pi/2] minimizing Delta^2 J(theta); 0.0 when the
+    variance is isotropic in the Jz-Jx plane."""
     base = 3 * well
     cov = moments.covariance
     a = 0.5 * (cov[base + _JZ, base + _JZ] - cov[base + _JX, base + _JX])
     b = cov[base + _JZ, base + _JX]
     if abs(a) < 1e-14 and abs(b) < 1e-14:
-        return 0.0, True
+        return 0.0
     two_theta = math.atan2(-b, -a)
     theta = 0.5 * two_theta
     if theta <= -math.pi / 2:
         theta += math.pi
     elif theta > math.pi / 2:
         theta -= math.pi
-    return theta, False
+    return theta
 
 
-@dataclass
-class EntanglementReport:
-    theta: float
-    n0: float
-    var_minus: float  # Delta^2 (J_theta^A - J_theta^B)
-    var_plus: float  # Delta^2 (J_{theta+pi/2}^A + J_{theta+pi/2}^B)
-    e_product: float
-    e_sum: float
-    s_plus_db: float
-    s_minus_db: float
-    undefined: bool = False
+def entanglement_criteria(moments: SpinMoments, theta: float) -> tuple[float, float]:
+    """(e_product, e_sum): the Heisenberg-product and sum criteria on the
+    cross-well spin variances at angle theta, normalized by
+    |<JyA>| + |<JyB>|.
 
-
-def entanglement_criteria(moments: SpinMoments, theta: float) -> EntanglementReport:
-    """Heisenberg-product and sum criteria on the cross-well spin variances
-    at angle theta.
-
-    Values below 1 certify inter-well entanglement; the dB values are
-    10 log10(variance / n0) with n0 the two-well shot-noise reference.
+    Values below 1 certify inter-well entanglement; both are NaN when the
+    two wells' mean spins <Jy> vanish.
     """
-    jy_a = abs(moments.mean(0, _JY))
-    jy_b = abs(moments.mean(1, _JY))
-    denom = jy_a + jy_b
-    var_minus, var_plus = cross_variances(moments, theta)
+    denom = abs(moments.mean(0, _JY)) + abs(moments.mean(1, _JY))
     if denom < 1e-14:
-        return EntanglementReport(
-            theta, 0.0, var_minus, var_plus, math.nan, math.nan, math.nan, math.nan, True
-        )
-    n0 = 0.5 * denom
+        return math.nan, math.nan
+    var_minus, var_plus = cross_variances(moments, theta)
     e_product = 2.0 * math.sqrt(max(var_minus, 0.0) * max(var_plus, 0.0)) / denom
-    e_sum = (var_minus + var_plus) / denom
-    s_plus_db = 10.0 * math.log10(max(var_minus, 1e-300) / n0)
-    s_minus_db = 10.0 * math.log10(max(var_plus, 1e-300) / n0)
-    return EntanglementReport(
-        theta, n0, var_minus, var_plus, e_product, e_sum, s_plus_db, s_minus_db
-    )
+    return e_product, (var_minus + var_plus) / denom

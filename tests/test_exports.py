@@ -38,10 +38,6 @@ def _loaded_in_cold_process(code, *argv):
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def _loaded_on_cold_import(imports, module):
-    return module in _loaded_in_cold_process(f"import {imports}")
-
-
 def _within(package, modules):
     return sorted(m for m in modules if m == package or m.startswith(package + "."))
 
@@ -51,18 +47,6 @@ def _cold_run(scenario, out_dir):
     path = os.path.join(SCENARIO_DIR, scenario)
     code = "from qphase.cli import main; main()"
     return _loaded_in_cold_process(code, "run", path, "--out", str(out_dir))
-
-
-def test_cli_and_doublewell_do_not_import_sparse_linalg():
-    """The exact stack needs no Krylov or expm code, so a cold import of
-    the command line and the double-well pipeline skips scipy.sparse.linalg."""
-    assert not _loaded_on_cold_import("qphase.cli, qphase.doublewell", "scipy.sparse.linalg")
-
-
-def test_gaussian_entropy_does_not_import_scipy_linalg():
-    """Only the brute-force Fock oracles need expm and logm, so a cold
-    import of the entropy module skips scipy.linalg."""
-    assert not _loaded_on_cold_import("qphase.gaussian_entropy", "scipy.linalg")
 
 
 @pytest.mark.parametrize("module", MODULES)

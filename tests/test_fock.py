@@ -97,13 +97,6 @@ def test_annihilation_operator_rejects_sector_and_bad_mode():
             annihilation_operator(FockBasis((3, 3)), mode)
 
 
-def test_basis_shares_one_annihilation_operator_per_mode():
-    basis = FockBasis((2, 3))
-    a1 = basis.annihilation(1)
-    assert basis.annihilation(1) is a1
-    assert np.array_equal(a1.toarray(), annihilation_operator(basis, 1).toarray())
-
-
 def test_well_hamiltonian_diagonal_values():
     basis = FockBasis((3, 3))
     chi = np.array([[1.0, 0.5], [0.5, 2.0]])

@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qphase.cli import main
+from qphase.doublewell import DoubleWellPoint, doublewell_scan, rb_interaction_matrix
 from qphase.fock import kerr_oracle
 from qphase.scenarios import (
     SCENARIO_KINDS,
@@ -204,6 +207,16 @@ def test_cli_doublewell_rejects_degenerate_inputs_with_exit_2(tmp_path, extra, p
     assert proc.returncode == 2
     assert f"  {path}:" in proc.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_chi_ratios_parse_to_the_rb_interaction_matrix():
+    """``chi_ratios`` (a11, a22, a12) build chi the way the shipped 87Rb
+    matrix is built, and a scenario without them leaves chi unset."""
+    parsed = parse_scenario(_DOUBLEWELL + "taus: [1]\nchi_ratios: [100.4, 95.5, 80.8]\n")
+    assert np.array_equal(parsed.params["chi"], rb_interaction_matrix())
+    parsed = parse_scenario(_DOUBLEWELL + "taus: [1]\nchi_ratios: [2, 3, 1]\n")
+    assert np.array_equal(parsed.params["chi"], [[1.0, 0.5], [0.5, 1.5]])
+    assert parse_scenario(_DOUBLEWELL + "taus: [1]\n").params["chi"] is None
 
 
 _PLUSP_COHERENT = "kind: plusp\nstate: {kind: coherent, alpha: 1.0}\ntrajectories: 20\ndt: 0.01\n"
@@ -491,6 +504,27 @@ def test_lossless_wigner_rows_carry_the_exact_kerr_solution(components, alpha0, 
         else:
             expected = abs(alpha0[0]) ** 2 + 0.5
         assert row["exact"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, own_keys",
+    [
+        (_WIGNER_ONE + "trajectories: 20\ndt: 0.05\n", ["trajectories", "integrator"]),
+        (_PLUSP_ONE + "state: {kind: coherent, alpha: 1.0}\ntrajectories: 20\ndt: 0.05\n", ["final_n"]),
+        ("kind: plusp-reverse\nalpha0: 1.0\nchi: 0.1\ntrajectories: 20\nreversal_time: 0.1\npoints: 3\n"
+         "dt: 0.05\n", ["initial_x", "recovery_residual", "residual_bar", "error_growth",
+                        "recovered_within_2bar", "inconclusive"]),
+    ],
+)
+def test_stochastic_reports_share_one_divergence_block(text, own_keys):
+    """Every stochastic report carries diverged, first_divergence_time and
+    unreliable, in that order, next to its own keys."""
+    report = run_scenario(parse_scenario(text)).report
+    block = ["diverged", "first_divergence_time", "unreliable"]
+    assert [k for k in report if k in block] == block
+    assert sorted(report) == sorted(block + own_keys)
+    assert report["diverged"] == 0 and report["first_divergence_time"] is None
+    assert report["unreliable"] is False
 
 
 def test_plusp_rows_count_divergence_at_their_own_time():
@@ -788,6 +822,26 @@ def test_cli_doublewell_reports_its_fock_check(tmp_path):
     assert check["atoms"] == 20 and check["tau"] == 1.0
     assert 0 <= check["max_relative_gap"] <= 1e-9
     assert abs(check["truncation_loss"]) < 1e-10
+
+
+def test_doublewell_point_is_the_csv_row(tmp_path):
+    """The shipped double-well CSV has one column per ``DoubleWellPoint``
+    field, in field order, and each row is the matching scan point."""
+    fixture = SCENARIO_DIR / "doublewell_rb.yaml"
+    result = CliRunner().invoke(main, ["run", str(fixture), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "doublewell-rb-200.csv", newline="") as handle:
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    names = [f.name for f in fields(DoubleWellPoint)]
+    assert reader.fieldnames == names
+    p = parse_scenario(fixture.read_text()).params
+    points = doublewell_scan(
+        p["atoms"], p["taus"], chi=p["chi"], mixing_angle=p["mixing_angle"], bs_phase=p["bs_phase"]
+    )
+    assert len(rows) == len(points) == len(p["taus"])
+    for row, point in zip(rows, points):
+        assert row == {name: repr(float(getattr(point, name))) for name in names}
 
 
 def test_cli_doublewell_fock_check_failure_exits_3(tmp_path, monkeypatch):

@@ -153,8 +153,7 @@ def test_heisenberg_map_equals_schroedinger_splitter():
 def test_optimal_theta_minimizes_variance():
     well, _ = _small_alpha_setup()
     moments = _moments(well, well, 0.15)
-    theta, iso = spins.optimal_theta(moments, well=0)
-    assert not iso
+    theta = spins.optimal_theta(moments, well=0)
     v0 = spins.spin_variance(moments, theta, 0)
     # stationary minimum: nearby angles are not better
     for d in (-0.01, 0.01, 0.3, -0.3):
@@ -165,8 +164,8 @@ def test_optimal_theta_isotropic_coherent_state():
     basis = FockBasis((18, 18))
     state = coherent_state([0.8, 0.8], basis)
     moments = _moments(state, state, 0.0)
-    _, iso = spins.optimal_theta(moments, well=0)
-    assert iso  # coherent spin state has an isotropic variance circle
+    # a coherent spin state has an isotropic variance circle: no best angle
+    assert spins.optimal_theta(moments, well=0) == 0.0
 
 
 def test_coherent_state_shot_noise_reference():
@@ -179,6 +178,17 @@ def test_coherent_state_shot_noise_reference():
     n0 = 0.5 * abs(moments.mean(0, 2))
     for theta in (0.0, 0.4, 1.2):
         assert spins.spin_variance(moments, theta, 0) == pytest.approx(n0, abs=1e-8)
+
+
+def test_entanglement_criteria_undefined_without_a_mean_spin():
+    """Twin Fock states |1, 1> in both wells have <Jy> = 0 in each, so the
+    criteria, normalized by |<JyA>| + |<JyB>|, are NaN."""
+    basis = FockBasis((1, 1))
+    state = StateVector(basis, [0, 0, 0, 1])
+    moments = _moments(state, state, 0.3, mixing_angle=math.pi / 4)
+    assert np.allclose(moments.means, 0.0)
+    e_product, e_sum = spins.entanglement_criteria(moments, 0.4)
+    assert math.isnan(e_product) and math.isnan(e_sum)
 
 
 def test_cross_variances_of_independent_wells_add():
