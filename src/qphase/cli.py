@@ -3,7 +3,10 @@
 Exit codes: 0 ok, 2 validation failure, 3 runtime failure (or an output
 that cannot be written), 4 inconclusive (the outputs are written, and
 stderr says why they cannot be trusted: a sampling bar over its ceiling,
-more than 1 % of the trajectories diverged, or an entropy sign problem).
+more than 1 % of the trajectories diverged, an entropy sign problem, or
+double-well entanglement criteria left undefined by a vanishing mean
+spin).  Reports and manifests are strict JSON: an undefined value is
+written as null, never as NaN.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ def _json_default(obj):
     if hasattr(obj, "item"):  # numpy scalars
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def _json(obj) -> str:
+    """`obj` as strict JSON (RFC 8259): a NaN or infinite number raises
+    ValueError instead of writing a token that strict parsers reject."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n"
 
 
 EXIT_OK = 0
@@ -132,6 +141,11 @@ def run(scenario_file, seed, out_dir):
         click.echo(f"runtime failure: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
     wall = time.perf_counter() - start
+    try:
+        report_text = _json(outcome.report)
+    except ValueError as exc:
+        click.echo(f"runtime failure: the report is not strict JSON: {exc}", err=True)
+        sys.exit(EXIT_RUNTIME)
 
     written = []
     start = time.perf_counter()
@@ -145,7 +159,7 @@ def run(scenario_file, seed, out_dir):
         _write_output(csv_path, buffer.getvalue())
         written.append(str(csv_path))
     report_path = out_dir / f"{stem}.json"
-    _write_output(report_path, json.dumps(outcome.report, indent=2, sort_keys=True, default=_json_default) + "\n")
+    _write_output(report_path, report_text)
     written.append(str(report_path))
     write_time = time.perf_counter() - start
 
@@ -159,11 +173,12 @@ def run(scenario_file, seed, out_dir):
         "wall_time_s": wall,
         "write_time_s": write_time,
         "step_noise": outcome.step_noise,
+        "estimator": outcome.estimator,
         "environment": _environment(),
         "outputs": written,
     }
     manifest_path = out_dir / f"{stem}.manifest.json"
-    _write_output(manifest_path, json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
+    _write_output(manifest_path, _json(manifest))
 
     if scenario.kind == "dimension-count":
         click.echo(outcome.report["dimension"] or f"1e{outcome.report['log10_dimension']:.0f}")

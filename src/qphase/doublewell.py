@@ -247,6 +247,6 @@ def doublewell_scan(
             n0,
             _db(var_minus, n0_both),
             _db(var_plus, n0_both),
-            *spins.entanglement_criteria(post, _best_product_theta(post)),
+            *spins.entanglement_criteria(post, _best_product_theta(post), atoms_total),
         ))
     return out

@@ -26,6 +26,7 @@ from .stochastic import (
     FOCK_RADII,
     HUSIMI_MEANS,
     EnsembleResult,
+    antithetic,
     draw_rows,
     noise_block,
     run_ensemble,
@@ -72,6 +73,16 @@ def _husimi_samples(state: dict, seed: int, n: int, modes: int) -> np.ndarray:
         )
         return np.sqrt(radius_sq) * np.exp(1j * phases)
     raise ValueError(f"unsupported state family {kind!r}")
+
+
+def _centre(state: dict):
+    """The point the canonical law of `state` is symmetric about: (alpha0,
+    conj alpha0) for a coherent state, 0 for thermal and Fock states (whose
+    reflection, a phase shift of pi, keeps the Husimi law)."""
+    if state["kind"] != "coherent":
+        return 0.0
+    alpha0 = np.atleast_1d(np.asarray(state["alpha"], dtype=complex))
+    return np.concatenate([alpha0, alpha0.conj()])
 
 
 def _mode_count(state: dict) -> int:
@@ -139,13 +150,16 @@ class KerrPlusP:
     def _sign(self, step_index: int) -> float:
         return -1.0 if self.reverse_step is not None and step_index >= self.reverse_step else 1.0
 
-    def noise(self, step_index: int, n_traj: int, dt: float) -> np.ndarray:
+    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False) -> np.ndarray:
         """This step's rate columns, laid out column-contiguous like the
         state: -i sqrt(i chi) xi1 + i chi / 2 in columns :M and
         i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi
         and 2M real two-point noises xi of variance 1/dt (see
-        `stochastic.noise_block`)."""
-        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes)
+        `stochastic.noise_block`).  With `pairs`, the xi of rows
+        n_traj/2.. negate those of rows ..n_traj/2 (`stochastic.antithetic`)
+        before the Stratonovich shift is added."""
+        draw = lambda rows: noise_block(self.seed, step_index, rows, 2 * self.modes)
+        xi = antithetic(draw, n_traj) if pairs else draw(n_traj)
         xi *= 1.0 / math.sqrt(dt)
         return self.rates(xi, step_index)
 
@@ -188,7 +202,10 @@ def run_kerr_plusp(
 ) -> EnsembleResult:
     """<X> of the first mode (and any `extra_observables`) over `times`;
     from `reverse_at`, a time after 0 on the dt grid, the Hamiltonian's
-    sign is flipped."""
+    sign is flipped.  A forward run (no `reverse_at`) estimates from
+    antithetic pairs (see `stochastic.run_ensemble`), so its trajectory
+    count must be even and at least 4; a reversed run stays unpaired, as
+    `time_reversal_test` reads its bars."""
     modes = _mode_count(state)
     reverse_step = None if reverse_at is None else int(schedule_steps((0.0, reverse_at), dt)[1])
     model = KerrPlusP(chi=chi, modes=modes, seed=seed, reverse_step=reverse_step)
@@ -205,6 +222,7 @@ def run_kerr_plusp(
         dt,
         seed,
         divergence_ceiling=divergence_ceiling,
+        pair_centre=_centre(state) if reverse_at is None else None,
     )
 
 

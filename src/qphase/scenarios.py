@@ -223,8 +223,17 @@ def _check_times(p, errors):
         _check_schedule("times", _snap_times(p["times"], p["dt"]), p["dt"], errors)
 
 
+def _check_pairs(p, errors):
+    """A forward ensemble runs antithetic pairs: an even trajectory count, and two pairs for a bar."""
+    count = p["trajectories"]
+    if count is not None and (count % 2 or count < 4):
+        errors.append(("trajectories", "must be even and at least 4: the run estimates from antithetic "
+                       "pairs, trajectory k + n/2 mirroring trajectory k, and its bars need two pairs"))
+
+
 def _check_plusp(p, errors):
     _check_times(p, errors)
+    _check_pairs(p, errors)
     state = p["state"]
     if p["width"] == "delta" and state is not None and state["kind"] != "coherent":
         errors.append(("canonical_width", f"delta places every trajectory at one point, "
@@ -244,6 +253,7 @@ def _check_doublewell(p, errors):
 
 def _check_wigner(p, errors):
     _check_times(p, errors)
+    _check_pairs(p, errors)
     if p["alpha0"] is None:
         return
     size, chi = len(p["alpha0"]), p["chi"]
@@ -345,6 +355,7 @@ class ScenarioOutcome:
     report: dict  # scalar JSON report
     inconclusive: str | None = None  # why the result cannot be trusted
     step_noise: str | None = None  # the law the run drew step noise from, if it drew any
+    estimator: str | None = None  # how its bars were estimated, if it ran an ensemble
 
 
 def run_scenario(scenario: Scenario, seed=None) -> ScenarioOutcome:
@@ -366,14 +377,27 @@ def _run_exact_doublewell(p, seed):
         bs_phase=p["bs_phase"],
     )
     rows = [asdict(pt) for pt in points]
+    # the criteria are NaN where <Jy> vanishes against N (spins.entanglement_criteria)
+    defined = [r["e_product"] for r in rows if not math.isnan(r["e_product"])]
+    undefined = [r["tau"] for r in rows if math.isnan(r["e_product"])]
     report = {
         "min_s_db_theta": min(r["s_db_theta"] for r in rows),
-        "min_e_product": min(r["e_product"] for r in rows),
+        "min_e_product": min(defined, default=None),
         "squeezed_window": any(r["s_db_theta"] < 0 for r in rows),
         "entangled_window": any(r["e_product"] < 1 for r in rows),
         "fock_check": asdict(check),
     }
-    return ScenarioOutcome(rows, report)
+    reason = None
+    if undefined:
+        reason = (f"the entanglement criteria are undefined at tau = {', '.join(f'{t:g}' for t in undefined)}:"
+                  " the mean spins <Jy> vanish against the atom number")
+    return ScenarioOutcome(rows, report, reason)
+
+
+def _defined(value):
+    """`value`, or None where it is NaN or infinite: strict JSON has no
+    token for either, and each runner that can meet one says why."""
+    return value if math.isfinite(value) else None
 
 
 def _divergence(result):
@@ -432,7 +456,8 @@ def _run_wigner(p, seed):
         "integrator": result.integrator,
     }
     # only loss channels draw step noise
-    return ScenarioOutcome(rows, report, _divergence(result), STEP_NOISE_LAW if channels else None)
+    return ScenarioOutcome(rows, report, _divergence(result), STEP_NOISE_LAW if channels else None,
+                           result.estimator)
 
 
 def _run_plusp(p, seed):
@@ -451,7 +476,7 @@ def _run_plusp(p, seed):
         extra_observables={"n": lambda s: s[:, 0] * s[:, s.shape[1] // 2]},
     )
     report = {**_divergence_report(result), "final_n": result.mean("n")[-1].real}
-    return ScenarioOutcome(_x_rows(result), report, _divergence(result), STEP_NOISE_LAW)
+    return ScenarioOutcome(_x_rows(result), report, _divergence(result), STEP_NOISE_LAW, result.estimator)
 
 
 def _run_plusp_reverse(p, seed):
@@ -472,7 +497,8 @@ def _run_plusp_reverse(p, seed):
     report = {
         "initial_x": report_obj.initial_x,
         "recovery_residual": report_obj.recovery_residual,
-        "residual_bar": report_obj.residual_bar,
+        # infinite when one trajectory survives, which over 1 % diverged makes inconclusive
+        "residual_bar": _defined(report_obj.residual_bar),
         "error_growth": report_obj.error_growth,
         "recovered_within_2bar": report_obj.recovery_residual
         <= 2.0 * report_obj.residual_bar,
@@ -484,7 +510,8 @@ def _run_plusp_reverse(p, seed):
                   f" exceeds error_ceiling {p['error_ceiling']:g}")
     else:
         reason = _divergence(report_obj.ensemble)
-    return ScenarioOutcome(_x_rows(report_obj.ensemble), report, reason, STEP_NOISE_LAW)
+    return ScenarioOutcome(_x_rows(report_obj.ensemble), report, reason, STEP_NOISE_LAW,
+                           report_obj.ensemble.estimator)
 
 
 def _run_entropy(p, seed):
@@ -496,9 +523,9 @@ def _run_entropy(p, seed):
         for m, w in zip(p["matrices"], weights)
     ]
     res = renyi_entropy(points, pairing=p["pairing"])
-    report = {
-        "S2": res.s2,
-        "error": res.s2_error,
+    report = {  # S2 and its bar are undefined where the purity is not positive: a sign problem
+        "S2": _defined(res.s2),
+        "error": _defined(res.s2_error),
         "pair_count": res.pairs,
         "sign_problem_flag": res.sign_problem,
     }

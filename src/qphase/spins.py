@@ -195,16 +195,18 @@ def optimal_theta(moments: SpinMoments, well: int = 0) -> float:
     return theta
 
 
-def entanglement_criteria(moments: SpinMoments, theta: float) -> tuple[float, float]:
+def entanglement_criteria(moments: SpinMoments, theta: float, atoms: float) -> tuple[float, float]:
     """(e_product, e_sum): the Heisenberg-product and sum criteria on the
     cross-well spin variances at angle theta, normalized by
     |<JyA>| + |<JyB>|.
 
     Values below 1 certify inter-well entanglement; both are NaN when the
-    two wells' mean spins <Jy> vanish.
+    two wells' mean spins <Jy> vanish against the mean atom number
+    `atoms` of both wells (their sum below 1e-14 atoms), so the criteria
+    do not depend on the scale of N.
     """
     denom = abs(moments.mean(0, _JY)) + abs(moments.mean(1, _JY))
-    if denom < 1e-14:
+    if denom < 1e-14 * atoms:
         return math.nan, math.nan
     var_minus, var_plus = cross_variances(moments, theta)
     e_product = 2.0 * math.sqrt(max(var_minus, 0.0) * max(var_plus, 0.0)) / denom

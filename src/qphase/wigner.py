@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stochastic import WIGNER_SAMPLES, draw_rows, evolve, noise_block, run_ensemble
+from .stochastic import WIGNER_SAMPLES, antithetic, draw_rows, evolve, noise_block, run_ensemble
 
 __all__ = [
     "sample_wigner_coherent",
@@ -265,14 +265,16 @@ class WignerModel:
         channels = tuple(LossChannel(tuple(ch.powers), ch.rate) for ch in self.channels)
         object.__setattr__(self, "channels", channels)
 
-    def noise(self, step_index: int, n_traj: int, dt: float):
+    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False):
         """sqrt(kappa_l) zeta_l for every loss channel l, with complex zeta_l
         of <zeta zeta*> = 1/dt whose real and imaginary parts are two-point
         noises of variance 1/(2 dt) (see `stochastic.noise_block`), or None
-        without losses."""
+        without losses.  With `pairs`, rows n_traj/2.. negate the draws of
+        rows ..n_traj/2 (`stochastic.antithetic`)."""
         if not self.channels:
             return None
-        raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels))
+        draw = lambda rows: noise_block(self.seed, step_index, rows, 2 * len(self.channels))
+        raw = antithetic(draw, n_traj) if pairs else draw(n_traj)
         zeta = raw.view(complex)  # the model's own block, scaled in place
         row = np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
         for l, scale in enumerate(row):  # a scalar per column: cheaper than a broadcast row
@@ -311,7 +313,10 @@ def run_wigner_x(
     dt: float,
     channels=(),
 ):
-    """Time series of <X> = Re <a> for the first component, with bars."""
+    """Time series of <X> = Re <a> and n_w = |phi|^2 for the first
+    component, with bars, from antithetic pairs mirrored about alpha0 (see
+    `stochastic.run_ensemble`): the trajectory count must be even and
+    at least 4."""
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
     model = WignerModel(
         chi=np.atleast_2d(chi) if chi is not None else None,
@@ -326,6 +331,7 @@ def run_wigner_x(
         times,
         dt,
         seed,
+        pair_centre=alpha0,
     )
 
 
@@ -339,7 +345,9 @@ def evolve_snapshots(
 
     Needed for nonlinear ensemble functionals (xi^2) that cannot be
     expressed as per-trajectory means.  Each snapshot holds only the
-    trajectories that have not diverged by that step.
+    trajectories that have not diverged by that step.  The samples stay
+    independent, not antithetic pairs: the block bar of ``squeezing_xi2``
+    was calibrated on independent samples.
     """
     wanted = set(int(s) for s in snapshot_steps)
     return {

@@ -705,6 +705,117 @@ def test_outcome_names_the_step_noise_law_it_drew(text, law):
     assert run_scenario(parse_scenario(text)).step_noise == law
 
 
+_REVERSE_ODD = ("kind: plusp-reverse\nalpha0: 1.0\nchi: 0.1\ntrajectories: 21\nreversal_time: 0.1\n"
+                "points: 3\ndt: 0.05\n")
+
+
+@pytest.mark.parametrize(
+    "text, estimator",
+    [
+        (_PLUSP_SMALL + "trajectories: 20\ntimes: [0.0, 0.1]\n", "antithetic-pairs"),
+        (_WIGNER_ONE + "trajectories: 20\nlosses: [{powers: [1], rate: 0.1}]\n", "antithetic-pairs"),
+        (_WIGNER_ONE + "trajectories: 20\n", "antithetic-pairs"),
+        (_REVERSE_ODD, "independent"),
+        (_DOUBLEWELL + "taus: [1]\n", None),
+        (_ENTROPY, None),
+        (_VARIATIONAL_SMALL, None),
+        (_DIMENSIONS, None),
+    ],
+    ids=["plusp", "lossy-wigner", "lossless-wigner", "plusp-reverse", "exact-doublewell", "entropy",
+         "variational", "dimension-count"],
+)
+def test_manifest_names_the_estimator_behind_its_bars(tmp_path, text, estimator):
+    """The manifest's estimator: antithetic pairs for the forward ensembles,
+    independent trajectories for the +P reversal (an odd count runs there),
+    and None where no ensemble runs."""
+    scenario = tmp_path / "case.yaml"
+    scenario.write_text(text)
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "case.manifest.json").read_text())["estimator"] == estimator
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _PLUSP_SMALL + "trajectories: 21\ntimes: [0.0, 0.1]\n",
+        _WIGNER_ONE + "trajectories: 1001\n",
+        _WIGNER_ONE + "trajectories: 2\n",  # one pair: no bar
+    ],
+    ids=["plusp", "wigner", "one-pair"],
+)
+def test_cli_rejects_a_trajectory_count_that_pairs_cannot_take(tmp_path, text):
+    scenario = tmp_path / "odd.yaml"
+    scenario.write_text(text)
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "  trajectories: must be even and at least 4: the run estimates from antithetic pairs" in result.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+def _strict_json(path):
+    """The file's JSON, refusing the NaN and Infinity tokens RFC 8259 forbids."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_cli_doublewell_criteria_hold_at_any_atom_number(tmp_path):
+    """At a mean of 1e-20 atoms the mean spin <Jy> is still the coherent
+    N/4 per well, so the criteria (about 1) are defined: the threshold on
+    <Jy> is relative to N.  With an absolute threshold the report held a
+    NaN token."""
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text("kind: exact-doublewell\natoms: 1.0e-20\ntaus: [1, 5]\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = _strict_json(tmp_path / "tiny.json")
+    assert report["min_e_product"] == pytest.approx(1.0, abs=1e-12)
+    _strict_json(tmp_path / "tiny.manifest.json")
+
+
+def test_cli_doublewell_with_vanishing_mean_spin_writes_null_and_exits_4(tmp_path):
+    """At N = 100 and tau = 1000 the Kerr phase spread leaves |<Jy>| ~ 3e-24,
+    below 1e-14 N: the criteria are undefined, the CSV holds nan, the
+    report's min_e_product is null and the run exits 4 naming the tau."""
+    scenario = tmp_path / "flat.yaml"
+    scenario.write_text("kind: exact-doublewell\natoms: 100.0\ntaus: [1000]\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 4
+    assert "the entanglement criteria are undefined at tau = 1000" in result.stderr
+    assert _strict_json(tmp_path / "flat.json")["min_e_product"] is None
+    with open(tmp_path / "flat.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["e_product"] == row["e_sum"] == "nan"
+
+
+def test_cli_entropy_sign_problem_writes_null(tmp_path):
+    """Disjoint pairs of opposite weights give a negative purity: S2 and
+    its bar are undefined, written as null, and the run exits 4."""
+    scenario = tmp_path / "signed.yaml"
+    scenario.write_text("kind: entropy\nspecies: fermion\npoints: [0.1, 0.9, 0.2, 0.7]\n"
+                        "weights: [1.0, -1.0, 1.0, -0.5]\npairing: disjoint\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 4
+    report = _strict_json(tmp_path / "signed.json")
+    assert report["S2"] is None and report["error"] is None and report["sign_problem_flag"]
+
+
+def test_cli_plusp_reverse_with_one_survivor_writes_a_null_bar(tmp_path):
+    """Two of three trajectories diverge: the one left has no bar, so the
+    report's residual_bar is null (its CSV bar inf) and the run exits 4
+    on the divergence."""
+    scenario = tmp_path / "wild.yaml"
+    scenario.write_text("kind: plusp-reverse\nalpha0: 10.0\nchi: 0.5\ntrajectories: 3\nerror_ceiling: .inf\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 4
+    assert "result inconclusive: 2 of 3 trajectories diverged" in result.stderr
+    report = _strict_json(tmp_path / "wild.json")
+    assert report["residual_bar"] is None and report["unreliable"]
+
+
 def test_cli_bad_entropy_input_and_malformed_yaml_exit_2(tmp_path):
     weights = tmp_path / "weights.yaml"
     weights.write_text(_ENTROPY + 'weights: ["x", 1.0, 1.0]\n')

@@ -181,13 +181,13 @@ def test_coherent_state_shot_noise_reference():
 
 
 def test_entanglement_criteria_undefined_without_a_mean_spin():
-    """Twin Fock states |1, 1> in both wells have <Jy> = 0 in each, so the
-    criteria, normalized by |<JyA>| + |<JyB>|, are NaN."""
+    """Twin Fock states |1, 1> in both wells (four atoms) have <Jy> = 0 in
+    each, so the criteria, normalized by |<JyA>| + |<JyB>|, are NaN."""
     basis = FockBasis((1, 1))
     state = StateVector(basis, [0, 0, 0, 1])
     moments = _moments(state, state, 0.3, mixing_angle=math.pi / 4)
     assert np.allclose(moments.means, 0.0)
-    e_product, e_sum = spins.entanglement_criteria(moments, 0.4)
+    e_product, e_sum = spins.entanglement_criteria(moments, 0.4, 4.0)
     assert math.isnan(e_product) and math.isnan(e_sum)
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import allocating_step, gaussian_noise_block
 
 import qphase
@@ -21,6 +23,7 @@ from qphase.stochastic import (
     STEP_NOISE,
     WIGNER_SAMPLES,
     MomentAccumulator,
+    antithetic,
     draw_rows,
     evolve,
     noise_block,
@@ -38,7 +41,7 @@ class Linear:
     def __init__(self, rate):
         self.rate = rate
 
-    def noise(self, step_index, n_traj, dt):
+    def noise(self, step_index, n_traj, dt, pairs=False):
         return None
 
     def derivative(self, state, step_index, noise, out):
@@ -290,6 +293,31 @@ def test_accumulator_mean_and_clt_error():
     assert acc.mean == pytest.approx(vals.mean())
     expected = vals.std(ddof=1) / math.sqrt(vals.size)
     assert acc.error == pytest.approx(expected, rel=1e-6)
+
+
+def test_accumulator_bar_survives_a_mean_large_against_the_spread():
+    """Mean 1e3 and spread 1e-6: the centred two-pass sum gives the sample
+    bar to 1e-6, where the one-pass E|y|^2 - |E y|^2 loses it to rounding."""
+    rng = np.random.default_rng(1)
+    for vals in (1e3 + 1e-6 * rng.standard_normal(1000), (1e3 + 1e-6 * rng.standard_normal((1000, 2))) @ [1, 1j]):
+        expected = vals.std(ddof=1) / math.sqrt(vals.size)
+        acc = MomentAccumulator()
+        acc.add(vals)
+        assert acc.error == pytest.approx(expected, rel=1e-6)
+        one_pass = max(np.mean(np.abs(vals) ** 2) - abs(vals.mean()) ** 2, 0.0) * vals.size / (vals.size - 1)
+        assert not math.sqrt(one_pass / vals.size) == pytest.approx(expected, rel=0.1)
+
+
+def test_accumulator_merges_batches_like_one_pass_over_all():
+    """Batches added one by one give the mean and bar of all the values at once."""
+    vals = np.random.default_rng(2).standard_normal(1000) * (1 + 1j) + 5.0
+    whole, parts = MomentAccumulator(), MomentAccumulator()
+    whole.add(vals)
+    for chunk in np.split(vals, [10, 11, 400]):
+        parts.add(chunk)
+    assert parts.count == whole.count
+    assert parts.mean == pytest.approx(whole.mean, rel=1e-14)
+    assert parts.error == pytest.approx(whole.error, rel=1e-12)
 
 
 def test_accumulator_empty_and_single():
@@ -677,3 +705,109 @@ def test_run_ensemble_names_the_time_by_which_every_trajectory_died():
             lambda s, n: np.ones((n, 1)), Linear(30.0), {"y": lambda y: y[:, 0]}, 4,
             np.array([0.0, 0.01, 0.02]), 0.01, 0, divergence_ceiling=1.5,
         )
+
+
+# ---------------------------------------------------------------------------
+# antithetic pairs
+# ---------------------------------------------------------------------------
+
+
+def test_antithetic_reflects_the_draw_about_its_centre():
+    """Rows h.. are 2 centre - rows ..h of one array in the draw's layout;
+    the first half is the draw itself."""
+    half = np.asfortranarray(np.arange(6.0).reshape(3, 2) + 1j)
+    rows = antithetic(lambda k: half[:k], 6, np.array([1.0, 2.0j]))
+    assert rows.flags.f_contiguous and rows.shape == (6, 2)
+    assert np.array_equal(rows[:3], half)
+    assert np.array_equal(rows[3:], np.array([2.0, 4.0j]) - half)
+    assert np.array_equal(antithetic(lambda k: noise_block(5, 1, k, 3), 8)[4:], -noise_block(5, 1, 4, 3))
+
+
+def test_paired_runs_need_an_even_trajectory_count():
+    """An odd count has no pairing and one pair no bar: every paired entry
+    point refuses them, while the unpaired +P reversal takes an odd count."""
+    times = np.array([0.0, 0.02])
+    for count in (5, 2):
+        with pytest.raises(ValueError, match=f"even trajectory count of at least 4 .*, not {count}"):
+            run_ensemble(lambda s, n: np.ones((n, 1)), Linear(-1.0), {}, count, times, 0.01, 0, pair_centre=1.0)
+    with pytest.raises(ValueError, match="even trajectory count"):
+        run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 7, 0, 0.01)
+    with pytest.raises(ValueError, match="even trajectory count"):
+        run_wigner_x([1.0], None, times, 7, 0, 0.01, channels=[LossChannel((1,), 0.1)])
+    reversed_run = run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 7, 0, 0.01, reverse_at=0.01)
+    assert reversed_run.estimator == "independent" and reversed_run.trajectories == 7
+
+
+def test_a_pair_counts_only_while_both_members_live():
+    """Trajectory 0 dies; its pair (0, 4) leaves the statistics and the
+    divergence counts stay in trajectories."""
+
+    def sampler(seed, n):
+        init = np.ones((n, 1), dtype=complex)
+        init[0] = 999.0
+        return init
+
+    result = run_ensemble(sampler, Linear(1.0), {"y": lambda s: s[:, 0]}, 8, np.array([0.0, 0.5]), 0.05, 0,
+                          divergence_ceiling=1e3, pair_centre=1.0)
+    # rows 4..7 mirror rows 0..3 about 1: 2 - 999, then 1, 1, 1
+    assert result.diverged_count.tolist() == [0, 2]
+    assert result.mean("y")[-1].real == pytest.approx(math.exp(0.5), rel=1e-3)
+    assert result.estimator == "antithetic-pairs"
+    # about 500, rows 999 mirror to 1: every pair loses its first member
+    with pytest.raises(RuntimeError, match=r"every pair of the 4 trajectories lost a member by t = 0\.5"):
+        run_ensemble(lambda seed, n: np.full((n, 1), 999.0), Linear(1.0), {"y": lambda s: s[:, 0]}, 4,
+                     np.array([0.0, 0.5]), 0.05, 0, divergence_ceiling=1e3, pair_centre=500.0)
+
+
+def _capturing_run(case, n):
+    """The states a paired forward run of `case` records, at t = 0 and 0.05."""
+    states = []
+
+    def capture(s):
+        states.append(s.copy())
+        return s[:, 0]
+
+    times, dt, seed = np.array([0.0, 0.05]), 0.01, 3
+    if case == "wigner":
+        alpha = np.array([1.5, 1.0 + 0.5j])
+        channels = (LossChannel((1, 0), 0.1), LossChannel((2, 0), 0.02), LossChannel((1, 1), 0.02))
+        model = WignerModel(chi=np.array([[0.1, 0.05], [0.05, 0.1]]), channels=channels, seed=seed)
+        run_ensemble(lambda s, k: sample_wigner_coherent(alpha, s, k), model, {"c": capture}, n, times, dt, seed,
+                     pair_centre=alpha)
+    else:
+        state = {"coherent": {"kind": "coherent", "alpha": [2.0, 1.0j]},
+                 "thermal": {"kind": "thermal", "nbar": [0.5, 2.0]},
+                 "fock": {"kind": "fock", "n": [1, 3]}}[case]
+        run_kerr_plusp(state, 0.2, times, n, seed, dt, extra_observables={"c": capture})
+    return states
+
+
+@settings(max_examples=20, deadline=None)
+@given(h=st.integers(2, 16), more=st.integers(1, 16),
+       case=st.sampled_from(["coherent", "thermal", "fock", "wigner"]))
+def test_adding_pairs_keeps_every_existing_pair(h, more, case):
+    """Pair k is trajectories k and k + h: at 2h and 2(h + more)
+    trajectories both members of each of the first h pairs hold the same
+    bits at every recorded time, and so does their pair value."""
+    big_h = h + more
+    for small, big in zip(_capturing_run(case, 2 * h), _capturing_run(case, 2 * big_h)):
+        assert small[:h].tobytes() == big[:h].tobytes()
+        assert small[h:].tobytes() == big[big_h:big_h + h].tobytes()
+        x_small, x_big = small[:, 0], big[:, 0]
+        pair_small = 0.5 * (x_small[:h] + x_small[h:])
+        pair_big = 0.5 * (x_big[:big_h] + x_big[big_h:])
+        assert pair_small.tobytes() == pair_big[:h].tobytes()
+
+
+def test_paired_bar_is_calibrated_on_a_small_lossy_wigner_run():
+    """Over 40 seeds of a lossy one-mode run (400 trajectories), the spread
+    of <X>(0.5) matches the reported pair bar: sd over seeds / rms bar in
+    [0.6, 1.5], a window about 4 standard errors of a 40-seed sd wide."""
+    estimates, bars = [], []
+    for seed in range(40):
+        result = run_wigner_x([2.0], [[0.05]], np.array([0.0, 0.5]), 400, seed, 0.01,
+                              channels=[LossChannel((1,), 0.3), LossChannel((2,), 0.05)])
+        estimates.append(result.mean("X")[-1].real)
+        bars.append(result.error("X")[-1])
+    ratio = np.std(estimates, ddof=1) / math.sqrt(np.mean(np.square(bars)))
+    assert 0.6 <= ratio <= 1.5, ratio
