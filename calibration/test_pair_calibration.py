@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qphase.fock import kerr_oracle
-from qphase.plusp import run_kerr_plusp
+from qphase.plusp import run_kerr_plusp, time_reversal_test
 from qphase.wigner import LossChannel, run_wigner_x
 
 SEEDS = range(1000, 1300)
@@ -50,10 +50,9 @@ def test_lossy_wigner_pair_bar_is_calibrated():
     assert 0.9 <= ratio <= 1.1
 
 
-def test_forward_plusp_pair_bar_covers_its_estimate():
+def test_forward_plusp_pair_bar_is_calibrated():
     """Re <X>(0.5) of a forward +P Kerr run at acceptance criterion 2's
-    inputs, 4,000 trajectories.  Its bar covers the real and imaginary
-    parts of X together, so the ratio lies below 1."""
+    inputs, 4,000 trajectories.  Its bar is the bar on Re X alone."""
     alpha0, chi = 10.0, 0.01
     exact = kerr_oracle([alpha0], [[chi]], 0.5)["a"][0].real
 
@@ -63,5 +62,17 @@ def test_forward_plusp_pair_bar_covers_its_estimate():
         return result.mean("X")[-1].real, result.error("X")[-1]
 
     ratio, z = _calibration("forward +P Re <X>(0.5)", [run(seed) for seed in SEEDS], exact)
-    assert ratio <= 1.1
+    assert 0.9 <= ratio <= 1.1
     assert np.abs(z).max() <= 4.5
+
+
+def test_paired_reversal_bar_is_calibrated():
+    """Re <X>(2 tau_r) of the +P time reversal at acceptance criterion 1's
+    inputs, 4,000 trajectories, against its start Re alpha0 = 10.  The
+    trajectory spread grows after the reversal (`error_growth`) at every
+    seed."""
+    reports = [time_reversal_test(10.0, 0.01, 0.5, 4000, seed=seed, dt=0.002) for seed in SEEDS]
+    runs = [(r.ensemble.mean("X")[-1].real, r.residual_bar) for r in reports]
+    ratio, _ = _calibration("paired +P reversal Re <X>(1)", runs, exact=10.0)
+    assert 0.9 <= ratio <= 1.1
+    assert all(r.error_growth for r in reports)

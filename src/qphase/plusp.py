@@ -26,7 +26,6 @@ from .stochastic import (
     FOCK_RADII,
     HUSIMI_MEANS,
     EnsembleResult,
-    antithetic,
     draw_rows,
     noise_block,
     run_ensemble,
@@ -156,10 +155,9 @@ class KerrPlusP:
         i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi
         and 2M real two-point noises xi of variance 1/dt (see
         `stochastic.noise_block`).  With `pairs`, the xi of rows
-        n_traj/2.. negate those of rows ..n_traj/2 (`stochastic.antithetic`)
-        before the Stratonovich shift is added."""
-        draw = lambda rows: noise_block(self.seed, step_index, rows, 2 * self.modes)
-        xi = antithetic(draw, n_traj) if pairs else draw(n_traj)
+        n_traj/2.. negate those of rows ..n_traj/2 before the Stratonovich
+        shift is added."""
+        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes, pairs=pairs)
         xi *= 1.0 / math.sqrt(dt)
         return self.rates(xi, step_index)
 
@@ -202,15 +200,18 @@ def run_kerr_plusp(
 ) -> EnsembleResult:
     """<X> of the first mode (and any `extra_observables`) over `times`;
     from `reverse_at`, a time after 0 on the dt grid, the Hamiltonian's
-    sign is flipped.  A forward run (no `reverse_at`) estimates from
-    antithetic pairs (see `stochastic.run_ensemble`), so its trajectory
-    count must be even and at least 4; a reversed run stays unpaired, as
-    `time_reversal_test` reads its bars."""
+    sign is flipped.  Forward and reversed runs alike estimate from
+    antithetic pairs mirrored about the state's centre (see
+    `stochastic.run_ensemble`), so the trajectory count must be even and
+    at least 4.  X = (a + a^dag)/2 is Hermitian, so each trajectory
+    contributes the real part of (alpha_0 + beta_0)/2: its mean is
+    unbiased, and its bar, ``error("X")``, is the bar on Re <X> alone,
+    without the variance of the imaginary part that averages to 0."""
     modes = _mode_count(state)
     reverse_step = None if reverse_at is None else int(schedule_steps((0.0, reverse_at), dt)[1])
     model = KerrPlusP(chi=chi, modes=modes, seed=seed, reverse_step=reverse_step)
-    # X = <a + a^dag>/2 of the first mode, from alpha_0 and beta_0
-    observables = {"X": lambda s: 0.5 * (s[:, 0] + s[:, modes])}
+    # X = <a + a^dag>/2 of the first mode: Re (alpha_0 + beta_0)/2
+    observables = {"X": lambda s: 0.5 * (s[:, 0].real + s[:, modes].real)}
     if extra_observables:
         observables.update(extra_observables)
     return run_ensemble(
@@ -222,7 +223,7 @@ def run_kerr_plusp(
         dt,
         seed,
         divergence_ceiling=divergence_ceiling,
-        pair_centre=_centre(state) if reverse_at is None else None,
+        pair_centre=_centre(state),
     )
 
 
@@ -259,10 +260,17 @@ def time_reversal_test(
 ) -> TimeReversalReport:
     """Evolve to the reversal time, flip the Hamiltonian sign, return.
 
-    Reports the run, whose <X> trace carries CLT bars, and the recovery
-    residual at twice the reversal time.  The reversal time lies on the
-    dt grid and the schedule's points on distinct steps (see
-    `schedule_steps`).  If the sampling bar at the endpoint exceeds
+    Reports the run, whose <X> trace carries the CLT bars of antithetic
+    pair means of Re X (`run_kerr_plusp`), and the recovery residual at
+    twice the reversal time against that bar.  `error_growth` says
+    whether the trajectory spread (``ensemble.spread("X")``: the sample
+    sd of the single trajectories of the live pairs) is larger at twice
+    the reversal time than at 0.8 of it, as the +P sampling error grows
+    however the dynamics is reversed.  The pair bar need not grow: the
+    mirrored noise cancels more of it on the way back.  The reversal
+    time lies on the dt grid and the schedule's points on distinct
+    steps (see `schedule_steps`), and the trajectory count is even and
+    at least 4.  If the sampling bar at the endpoint exceeds
     ``error_ceiling`` the test is inconclusive, not failed.
     """
     result = run_kerr_plusp(
@@ -275,16 +283,16 @@ def time_reversal_test(
         width=width,
         reverse_at=reversal_time,
     )
-    x_err = result.error("X")
+    spread = result.spread("X")
     initial_x = float(np.real(alpha0))
-    bar_end = float(x_err[-1])
+    bar_end = float(result.error("X")[-1])
     idx_before = int(np.argmin(np.abs(result.times - 0.8 * reversal_time)))
     return TimeReversalReport(
         ensemble=result,
         initial_x=initial_x,
         recovery_residual=abs(result.mean("X").real[-1] - initial_x),
         residual_bar=bar_end,
-        error_growth=bool(x_err[-1] > x_err[idx_before]),
+        error_growth=bool(spread[-1] > spread[idx_before]),
         diverged=result.diverged,
         inconclusive=bar_end > error_ceiling,
     )

@@ -19,23 +19,25 @@ Stochastic Differential Equations* (1992), section 14.1.
 `draw_rows` caller) stay Gaussian: they are the phase-space distribution
 itself.
 
-Forward runs estimate from antithetic pairs (Hammersley & Morton, Proc.
+Ensemble runs estimate from antithetic pairs (Hammersley & Morton, Proc.
 Camb. Phil. Soc. 52, 449 (1956); Glasserman, *Monte Carlo Methods in
 Financial Engineering* (2004), section 4.2).  For 2h trajectories the
 sampler draws h rows, and rows h..2h-1 are their reflection about the
 centre its law is symmetric about (`antithetic`); each step draws h rows
-of `noise_block` and negates them into the second half, before any
-constant shift the model adds.  Two-point noise and the Gaussian samplers
-are symmetric, so each member keeps its law, while the pair mean cancels
-every term odd in the draws.  Pair k is row k of every stream, so adding
-pairs never changes an existing one.  `run_ensemble` averages each
-observable over its pair and takes the CLT bar over pair means: for a
-linear observable of a coherent start that bar is zero (to rounding) at
-t = 0, where every pair mean is the coherent amplitude.  Two runs stay
-unpaired.  The +P time reversal's `error_growth` compares the bars before
-and after the reversal, and with pairs the bar at twice the reversal time
-fell below the one at 0.8 of it at every seed tried.  The snapshots
-behind xi^2 feed a block bar that was calibrated on independent samples.
+of `noise_block` straight into the first half of its block and negates
+them into the second half, before any constant shift the model adds.
+Two-point noise and the Gaussian samplers are symmetric, so each member
+keeps its law, while the pair mean cancels every term odd in the draws.
+Pair k is row k of every stream, so adding pairs never changes an
+existing one.  `run_ensemble` averages each observable over its pair and
+takes the CLT bar over pair means: for a linear observable of a coherent
+start that bar is zero (to rounding) at t = 0, where every pair mean is
+the coherent amplitude.  It also reports the trajectory spread, the
+sample sd of the single members of the live pairs, which the mirrored
+noise does not cancel: the +P time reversal's `error_growth` reads it,
+as its pair bar falls again on the way back.  Only the snapshots behind
+xi^2 stay unpaired: they feed a block bar that was calibrated on
+independent samples.
 
 `schedule_steps` is the one rule that turns recorded times into step
 indices: from t = 0, on the dt grid, one step per time.
@@ -128,15 +130,19 @@ def stream(seed: int, domain: int, index: int = 0, block: int = 0) -> np.random.
     return np.random.Generator(np.random.SFC64(key))
 
 
-def draw_rows(seed: int, domain: int, index: int, rows: int, draw) -> np.ndarray:
+def draw_rows(seed: int, domain: int, index: int, rows: int, draw, out=None) -> np.ndarray:
     """`rows` rows of `draw(generator, k)` (which returns k rows), where
     rows [b BLOCK_ROWS, (b + 1) BLOCK_ROWS) come from block b's stream.
     Each block draws its rows in order, so adding rows never changes
-    the rows before them."""
-    parts = [
-        draw(stream(seed, domain, index, block), min(BLOCK_ROWS, rows - lo))
-        for block, lo in enumerate(range(0, max(rows, 1), BLOCK_ROWS))
-    ]
+    the rows before them.  With `out`, ``draw(generator, k, out=view)``
+    writes each block's k rows into its rows of `out`, which is returned."""
+    blocks = [(block, lo, min(BLOCK_ROWS, rows - lo))
+              for block, lo in enumerate(range(0, max(rows, 1), BLOCK_ROWS))]
+    if out is not None:
+        for block, lo, k in blocks:
+            draw(stream(seed, domain, index, block), k, out=out[lo:lo + k])
+        return out
+    parts = [draw(stream(seed, domain, index, block), k) for block, _, k in blocks]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -144,18 +150,25 @@ def draw_rows(seed: int, domain: int, index: int, rows: int, draw) -> np.ndarray
 _BIT_SIGNS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1)
 
 
-def _two_point(gen: np.random.Generator, rows: int, per_traj: int) -> np.ndarray:
+def _two_point(gen: np.random.Generator, rows: int, per_traj: int, out: np.ndarray) -> np.ndarray:
     """(rows, per_traj) two-point variates, one bit of ``gen.bytes(n)`` each
-    for n = ceil(rows per_traj / 8), read row-major."""
+    for n = ceil(rows per_traj / 8), read row-major, written into the
+    row-major contiguous `out`."""
     count = rows * per_traj
     # gen.bytes(n) is the bit generator's raw 64-bit words as little-endian
     # bytes; reading the words directly skips its bounded-integer path
     words = gen.bit_generator.random_raw(-(-count // 64))
     raw = words.astype("<u8", copy=False).view(np.uint8)[: -(-count // 8)]
-    return _BIT_SIGNS.take(raw, axis=0).reshape(-1)[:count].reshape(rows, per_traj)
+    flat = out.reshape(-1)  # a view: `out` is contiguous
+    whole = count // 8
+    # a byte indexes one of 256 rows, so "clip" never clips; it takes
+    # straight into `out`, where the default "raise" buffers a copy
+    _BIT_SIGNS.take(raw[:whole], axis=0, out=flat[: 8 * whole].reshape(whole, 8), mode="clip")
+    flat[8 * whole:] = _BIT_SIGNS[raw[whole:]].reshape(-1)[: count - 8 * whole]
+    return out
 
 
-def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -> np.ndarray:
+def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int, pairs: bool = False) -> np.ndarray:
     """Two-point step noise of shape (n_traj, per_traj) for one time step.
 
     Each entry is +1.0 or -1.0 with probability 1/2: mean 0, variance
@@ -168,10 +181,17 @@ def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int) -
     entry is one bit of that stream's ``bytes``, most significant bit of
     each byte first, bit 0 giving +1, taken row-major within the block.
     Adding trajectories extends the block without changing existing rows.
+
+    With `pairs` (an even `n_traj`), rows ..n_traj/2 are drawn as above,
+    straight into the returned array, and rows n_traj/2.. are their
+    negation: the antithetic pairs of `antithetic`, in one noise block.
     """
-    return draw_rows(
-        master_seed, STEP_NOISE, step_index, n_traj, lambda gen, k: _two_point(gen, k, per_traj)
-    )
+    out = np.empty((n_traj, per_traj))
+    half = n_traj // 2 if pairs else n_traj
+    draw_rows(master_seed, STEP_NOISE, step_index, half, partial(_two_point, per_traj=per_traj), out=out[:half])
+    if pairs:
+        np.negative(out[:half], out=out[half:])
+    return out
 
 
 def antithetic(draw, rows: int, centre=0.0) -> np.ndarray:
@@ -224,6 +244,13 @@ class MomentAccumulator:
         if self.count == 0:
             raise ValueError("empty accumulator")
         return self.value_sum / self.count
+
+    @property
+    def spread(self) -> float:
+        """Sample standard deviation of the values added."""
+        if self.count < 2:
+            return math.inf
+        return math.sqrt(self.sq_dev / (self.count - 1))
 
     @property
     def error(self) -> float:
@@ -365,7 +392,7 @@ def schedule_steps(times, dt: float) -> np.ndarray:
 @dataclass
 class EnsembleResult:
     times: np.ndarray
-    observables: dict  # name -> dict(mean=array, error=array)
+    observables: dict  # name -> dict(mean=array, error=array, spread=array)
     diverged: int = 0  # total by the final step
     trajectories: int = 0
     unreliable: bool = False
@@ -378,6 +405,9 @@ class EnsembleResult:
 
     def error(self, name):
         return self.observables[name]["error"]
+
+    def spread(self, name):
+        return self.observables[name]["spread"]
 
 
 def run_ensemble(
@@ -411,6 +441,11 @@ def run_ensemble(
     ``model.noise(..., pairs=True)``, and each observable is averaged over
     its pair before it is accumulated.  A pair counts only while both
     members live; the divergence counts stay in trajectories.
+
+    Besides each mean and bar, the result holds each observable's
+    `spread`: the sample sd of the single trajectories that count (both
+    members of every live pair), which is the bar times sqrt(n) in an
+    unpaired run of n live trajectories.
     """
     if trajectory_count < 2:
         raise ValueError("need at least 2 trajectories")
@@ -421,7 +456,8 @@ def run_ensemble(
     times = np.asarray(times, dtype=float)
     steps = schedule_steps(times, dt).tolist()
     series = {
-        name: {"mean": np.zeros(len(times), dtype=complex), "error": np.zeros(len(times))}
+        name: {"mean": np.zeros(len(times), dtype=complex), "error": np.zeros(len(times)),
+               "spread": np.zeros(len(times))}
         for name in observables
     }
     diverged_count = np.zeros(len(times), dtype=int)
@@ -442,6 +478,9 @@ def run_ensemble(
         for name, fn in observables.items():
             values = np.asarray(fn(state))
             if pairs:
+                single = MomentAccumulator()
+                # both members of every live pair: all of `values` while every pair lives
+                single.add(values if live.all() else values.reshape(2, half)[:, live])
                 values = values[:half] + values[half:]
                 values *= 0.5
             if not live.all():
@@ -451,6 +490,7 @@ def run_ensemble(
             del values  # hold no rows while the next steps run
             series[name]["mean"][t_idx] = acc.mean
             series[name]["error"][t_idx] = acc.error
+            series[name]["spread"][t_idx] = (single if pairs else acc).spread
 
     diverged = int(diverged_count[-1])
     return EnsembleResult(

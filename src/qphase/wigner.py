@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stochastic import WIGNER_SAMPLES, antithetic, draw_rows, evolve, noise_block, run_ensemble
+from .stochastic import WIGNER_SAMPLES, draw_rows, evolve, noise_block, run_ensemble
 
 __all__ = [
     "sample_wigner_coherent",
@@ -270,11 +270,10 @@ class WignerModel:
         of <zeta zeta*> = 1/dt whose real and imaginary parts are two-point
         noises of variance 1/(2 dt) (see `stochastic.noise_block`), or None
         without losses.  With `pairs`, rows n_traj/2.. negate the draws of
-        rows ..n_traj/2 (`stochastic.antithetic`)."""
+        rows ..n_traj/2 (`stochastic.noise_block`)."""
         if not self.channels:
             return None
-        draw = lambda rows: noise_block(self.seed, step_index, rows, 2 * len(self.channels))
-        raw = antithetic(draw, n_traj) if pairs else draw(n_traj)
+        raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels), pairs=pairs)
         zeta = raw.view(complex)  # the model's own block, scaled in place
         row = np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
         for l, scale in enumerate(row):  # a scalar per column: cheaper than a broadcast row

@@ -12,6 +12,7 @@ import qphase
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(qphase.__path__))
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+CALIBRATION_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "calibration")
 
 
 def test_public_modules_declare_exports():
@@ -174,3 +175,17 @@ def test_every_benchmark_tracer_target_resolves():
         if owner is None:
             missing.append(f"{target.module}.{target.attr}")
     assert len(tracer.TARGETS) > 20 and missing == []
+
+
+def test_calibration_scripts_collect():
+    """The calibration scripts lie outside the tier-1 testpaths; collecting
+    them imports every name they take from qphase, so an API change that
+    breaks them fails here in about a second."""
+    src = os.path.dirname(os.path.dirname(qphase.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", CALIBRATION_DIR],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "test_paired_reversal_bar_is_calibrated" in proc.stdout

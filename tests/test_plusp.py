@@ -239,3 +239,40 @@ def test_time_reversal_inconclusive_flag():
         error_ceiling=1e-9,
     )
     assert report.inconclusive
+
+
+def test_x_bar_is_the_bar_on_re_x_alone():
+    """X is Hermitian, so each trajectory contributes Re (alpha_0 + beta_0)/2:
+    error("X") is the bar over pair means of that real part, forward and
+    after the reversal, without the variance of the imaginary part."""
+    states = []
+
+    def capture(s):
+        states.append(s.copy())
+        return s[:, 0]
+
+    result = run_kerr_plusp({"kind": "coherent", "alpha": [3.0]}, 0.05, np.array([0.0, 0.5, 1.0]), 400, 5, 0.01,
+                            reverse_at=0.5, extra_observables={"c": capture})
+    for t, s in enumerate(states):
+        x = 0.5 * (s[:, 0] + s[:, 1])
+        pair_re = 0.5 * (x[:200] + x[200:]).real
+        assert result.error("X")[t] == pytest.approx(np.std(pair_re, ddof=1) / math.sqrt(200), rel=1e-9, abs=1e-14)
+        assert result.mean("X")[t] == pytest.approx(pair_re.mean(), rel=1e-14)
+    # the imaginary part's variance is no part of the bar
+    assert result.error("X")[-1] < 0.9 * np.std(0.5 * (x[:200] + x[200:]), ddof=1) / math.sqrt(200)
+
+
+def test_paired_reversal_bar_is_calibrated_on_a_small_run():
+    """Over 40 seeds of a small time reversal (alpha0 = 3, chi = 0.05,
+    tau_r = 1, 400 trajectories), the spread of Re <X>(2 tau_r) over the
+    seeds matches the reported pair bar: sd over seeds / rms bar in
+    [0.6, 1.5], a window about 4 standard errors of a 40-seed sd wide.
+    The trajectory spread grows after the reversal at every seed."""
+    estimates, bars = [], []
+    for seed in range(40):
+        report = time_reversal_test(3.0, 0.05, 1.0, 400, seed=seed, dt=0.01, n_points=11)
+        assert report.error_growth and report.diverged == 0
+        estimates.append(report.ensemble.mean("X")[-1].real)
+        bars.append(report.residual_bar)
+    ratio = np.std(estimates, ddof=1) / math.sqrt(np.mean(np.square(bars)))
+    assert 0.6 <= ratio <= 1.5, ratio

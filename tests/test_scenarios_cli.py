@@ -705,8 +705,7 @@ def test_outcome_names_the_step_noise_law_it_drew(text, law):
     assert run_scenario(parse_scenario(text)).step_noise == law
 
 
-_REVERSE_ODD = ("kind: plusp-reverse\nalpha0: 1.0\nchi: 0.1\ntrajectories: 21\nreversal_time: 0.1\n"
-                "points: 3\ndt: 0.05\n")
+_REVERSE_SMALL = "kind: plusp-reverse\nalpha0: 1.0\nchi: 0.1\nreversal_time: 0.1\npoints: 3\ndt: 0.05\n"
 
 
 @pytest.mark.parametrize(
@@ -715,7 +714,7 @@ _REVERSE_ODD = ("kind: plusp-reverse\nalpha0: 1.0\nchi: 0.1\ntrajectories: 21\nr
         (_PLUSP_SMALL + "trajectories: 20\ntimes: [0.0, 0.1]\n", "antithetic-pairs"),
         (_WIGNER_ONE + "trajectories: 20\nlosses: [{powers: [1], rate: 0.1}]\n", "antithetic-pairs"),
         (_WIGNER_ONE + "trajectories: 20\n", "antithetic-pairs"),
-        (_REVERSE_ODD, "independent"),
+        (_REVERSE_SMALL + "trajectories: 20\n", "antithetic-pairs"),
         (_DOUBLEWELL + "taus: [1]\n", None),
         (_ENTROPY, None),
         (_VARIATIONAL_SMALL, None),
@@ -725,9 +724,8 @@ _REVERSE_ODD = ("kind: plusp-reverse\nalpha0: 1.0\nchi: 0.1\ntrajectories: 21\nr
          "variational", "dimension-count"],
 )
 def test_manifest_names_the_estimator_behind_its_bars(tmp_path, text, estimator):
-    """The manifest's estimator: antithetic pairs for the forward ensembles,
-    independent trajectories for the +P reversal (an odd count runs there),
-    and None where no ensemble runs."""
+    """The manifest's estimator: antithetic pairs for every ensemble, the
+    +P reversal too, and None where no ensemble runs."""
     scenario = tmp_path / "case.yaml"
     scenario.write_text(text)
     result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
@@ -741,8 +739,9 @@ def test_manifest_names_the_estimator_behind_its_bars(tmp_path, text, estimator)
         _PLUSP_SMALL + "trajectories: 21\ntimes: [0.0, 0.1]\n",
         _WIGNER_ONE + "trajectories: 1001\n",
         _WIGNER_ONE + "trajectories: 2\n",  # one pair: no bar
+        _REVERSE_SMALL + "trajectories: 21\n",
     ],
-    ids=["plusp", "wigner", "one-pair"],
+    ids=["plusp", "wigner", "one-pair", "plusp-reverse"],
 )
 def test_cli_rejects_a_trajectory_count_that_pairs_cannot_take(tmp_path, text):
     scenario = tmp_path / "odd.yaml"
@@ -776,6 +775,17 @@ def test_cli_doublewell_criteria_hold_at_any_atom_number(tmp_path):
     _strict_json(tmp_path / "tiny.manifest.json")
 
 
+def test_cli_doublewell_window_flags_ignore_rounding(tmp_path):
+    """A coherent product state at 1e-20 atoms reads E = 1 - 3e-16 and
+    S_dB at 0: within rounding of the thresholds, so neither window opens."""
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text("kind: exact-doublewell\natoms: 1.0e-20\ntaus: [1, 5]\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = _strict_json(tmp_path / "tiny.json")
+    assert report["entangled_window"] is False and report["squeezed_window"] is False
+
+
 def test_cli_doublewell_with_vanishing_mean_spin_writes_null_and_exits_4(tmp_path):
     """At N = 100 and tau = 1000 the Kerr phase spread leaves |<Jy>| ~ 3e-24,
     below 1e-14 N: the criteria are undefined, the CSV holds nan, the
@@ -804,16 +814,19 @@ def test_cli_entropy_sign_problem_writes_null(tmp_path):
 
 
 def test_cli_plusp_reverse_with_one_survivor_writes_a_null_bar(tmp_path):
-    """Two of three trajectories diverge: the one left has no bar, so the
-    report's residual_bar is null (its CSV bar inf) and the run exits 4
-    on the divergence."""
+    """One of four trajectories diverges and takes its pair out of the
+    statistics: the one pair left has no bar, so the report's
+    residual_bar is null (its CSV bar inf) and the run exits 4 on the
+    divergence."""
     scenario = tmp_path / "wild.yaml"
-    scenario.write_text("kind: plusp-reverse\nalpha0: 10.0\nchi: 0.5\ntrajectories: 3\nerror_ceiling: .inf\n")
+    scenario.write_text("kind: plusp-reverse\nseed: 1\nalpha0: 10.0\nchi: 0.5\ntrajectories: 4\n"
+                        "error_ceiling: .inf\n")
     result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
     assert result.exit_code == 4
-    assert "result inconclusive: 2 of 3 trajectories diverged" in result.stderr
+    assert "result inconclusive: 1 of 4 trajectories diverged" in result.stderr
     report = _strict_json(tmp_path / "wild.json")
     assert report["residual_bar"] is None and report["unreliable"]
+    assert (tmp_path / "wild.csv").read_text().splitlines()[-1].split(",")[2] == "inf"
 
 
 def test_cli_bad_entropy_input_and_malformed_yaml_exit_2(tmp_path):

@@ -721,11 +721,15 @@ def test_antithetic_reflects_the_draw_about_its_centre():
     assert np.array_equal(rows[:3], half)
     assert np.array_equal(rows[3:], np.array([2.0, 4.0j]) - half)
     assert np.array_equal(antithetic(lambda k: noise_block(5, 1, k, 3), 8)[4:], -noise_block(5, 1, 4, 3))
+    # a paired noise block holds the same bits, across a block boundary too
+    for rows, per_traj in ((8, 3), (2 * BLOCK_ROWS + 6, 1)):
+        paired = noise_block(5, 1, rows, per_traj, pairs=True)
+        assert paired.tobytes() == antithetic(lambda k: noise_block(5, 1, k, per_traj), rows).tobytes()
 
 
 def test_paired_runs_need_an_even_trajectory_count():
     """An odd count has no pairing and one pair no bar: every paired entry
-    point refuses them, while the unpaired +P reversal takes an odd count."""
+    point refuses them, the +P time reversal too."""
     times = np.array([0.0, 0.02])
     for count in (5, 2):
         with pytest.raises(ValueError, match=f"even trajectory count of at least 4 .*, not {count}"):
@@ -734,8 +738,10 @@ def test_paired_runs_need_an_even_trajectory_count():
         run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 7, 0, 0.01)
     with pytest.raises(ValueError, match="even trajectory count"):
         run_wigner_x([1.0], None, times, 7, 0, 0.01, channels=[LossChannel((1,), 0.1)])
-    reversed_run = run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 7, 0, 0.01, reverse_at=0.01)
-    assert reversed_run.estimator == "independent" and reversed_run.trajectories == 7
+    with pytest.raises(ValueError, match="even trajectory count"):
+        run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 7, 0, 0.01, reverse_at=0.01)
+    reversed_run = run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 8, 0, 0.01, reverse_at=0.01)
+    assert reversed_run.estimator == "antithetic-pairs" and reversed_run.trajectories == 8
 
 
 def test_a_pair_counts_only_while_both_members_live():
@@ -757,6 +763,52 @@ def test_a_pair_counts_only_while_both_members_live():
     with pytest.raises(RuntimeError, match=r"every pair of the 4 trajectories lost a member by t = 0\.5"):
         run_ensemble(lambda seed, n: np.full((n, 1), 999.0), Linear(1.0), {"y": lambda s: s[:, 0]}, 4,
                      np.array([0.0, 0.5]), 0.05, 0, divergence_ceiling=1e3, pair_centre=500.0)
+
+
+def test_a_paired_noise_draw_holds_one_noise_block():
+    """A paired `noise_block` draws its h rows straight into the first half
+    of the 2h block and negates them into the second: its peak is one
+    block and the drawn bits (about 8 % more), where drawing the half
+    apart and copying it in held 1.5 blocks."""
+    n, per_traj = 4096, 8
+    peak = _peak_bytes_of_second_call(lambda: noise_block(3, 1, n, per_traj, pairs=True))
+    assert peak < 1.2 * n * per_traj * 8
+
+
+def test_unpaired_spread_is_the_bar_times_root_n():
+    """Unpaired, `spread` (the sample sd of the trajectories) is the bar
+    times the square root of the trajectory count, to rounding."""
+    state = {"kind": "coherent", "alpha": [2.0]}
+    result = run_ensemble(lambda seed, n: sample_canonical(state, seed, n), KerrPlusP(chi=0.2, seed=3),
+                          {"X": lambda s: s[:, 0]}, 41, np.array([0.0, 0.2, 0.4]), 0.01, 3)
+    np.testing.assert_allclose(result.spread("X"), result.error("X") * math.sqrt(41), rtol=1e-12)
+
+
+def test_paired_spread_is_the_sample_sd_of_the_members_of_live_pairs():
+    """Paired, `spread` is the sample sd over both members of every live
+    pair, and `error` the bar over the pair means; pair (0, 4) dies by
+    t = 0.5 and leaves both statistics."""
+
+    def sampler(seed, n):
+        init = np.arange(1.0, n + 1, dtype=complex)[:, None]
+        init[0] = 999.0
+        return init
+
+    states = []
+
+    def capture(s):
+        states.append(s[:, 0].copy())
+        return s[:, 0]
+
+    result = run_ensemble(sampler, Linear(1.0), {"y": capture}, 8, np.array([0.0, 0.5]), 0.05, 0,
+                          divergence_ceiling=1e3, pair_centre=1.0)
+    assert result.diverged_count.tolist() == [0, 2]
+    for t, (y, live) in enumerate(zip(states, ([True] * 4, [False, True, True, True]))):
+        members = np.concatenate([y[:4][live], y[4:][live]])
+        pair_means = 0.5 * (y[:4] + y[4:])[live]
+        assert result.spread("y")[t] == pytest.approx(np.std(members, ddof=1), rel=1e-12)
+        assert result.error("y")[t] == pytest.approx(np.std(pair_means, ddof=1) / math.sqrt(len(pair_means)),
+                                                     rel=1e-12)
 
 
 def _capturing_run(case, n):
