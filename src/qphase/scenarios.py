@@ -554,9 +554,10 @@ def _run_variational(p, seed):
     ham = kerr_hamiltonian(p["chi"], omega=p["omega"])
     state = ring_initial_state([p["alpha"]], p["components"], radius=p["radius"])
     n_steps = int(round(p["t_max"] / p["dt"]))
+    steps = {}
     times, states = propagate(
         state, ham, p["dt"], n_steps, lam=p["lam"], iters=p["iters"],
-        record_every=p["record_every"],
+        record_every=p["record_every"], rtol=p["rtol"], stats=steps,
     )
     rows, omega = [], p["omega"] or 0.0
     for t, st in zip(times, states):
@@ -577,6 +578,9 @@ def _run_variational(p, seed):
     report = {
         "norm_drift": abs(rows[-1]["norm"] / rows[0]["norm"] - 1.0),
         "energy_drift": abs(rows[-1]["energy"] - rows[0]["energy"]),
+        **steps,
+        # a t_max below dt / 2 takes no step
+        "smallest_step": _defined(steps["smallest_step"]),
     }
     return ScenarioOutcome(rows, report)
 
@@ -649,6 +653,7 @@ _KINDS = {
         "dt": _positive(2 * math.pi / 2000),
         "lam": _positive(1e-4),
         "iters": _int(4),
+        "rtol": _positive(1e-5),
         "t_max": _positive(2 * math.pi),
         "record_every": _int(10),
         "radius": _positive(0.1),

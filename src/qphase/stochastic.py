@@ -350,6 +350,7 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
             yield step_idx, flowed, alive
         return
     work = np.array(state, order=order)  # contiguous, so ravel is a view
+    del state  # a stepped run reads only its copy: drop the caller's array
     mid, slope = np.empty_like(work), np.empty_like(work)
     parts = _parts(work)
     draw = partial(model.noise, pairs=True) if pairs else model.noise
@@ -468,7 +469,9 @@ def run_ensemble(
         initial = sampler(seed, trajectory_count)
     integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
     recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs)
-    for t_idx, (_, state, alive) in enumerate(recorded):
+    del initial  # `evolve` holds it as long as it reads it
+    for t_idx in range(len(times)):  # enumerate would hold each record until the next
+        _, state, alive = next(recorded)
         diverged_count[t_idx] = trajectory_count - alive.sum()
         live = alive[:half] & alive[half:] if pairs else alive
         if not live.any():
@@ -491,6 +494,7 @@ def run_ensemble(
             series[name]["mean"][t_idx] = acc.mean
             series[name]["error"][t_idx] = acc.error
             series[name]["spread"][t_idx] = (single if pairs else acc).spread
+        del state  # nor the record, while the next steps run
 
     diverged = int(diverged_count[-1])
     return EnsembleResult(

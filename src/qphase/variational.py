@@ -8,9 +8,12 @@ with overlaps rho^(mn) = exp[conj(alpha_0^(m)) + alpha_0^(n)
 + sum_{k>0} conj(alpha_k^(m)) alpha_k^(n)].  Time evolution follows the
 McLachlan variational principle: i V dX/dt = H with the Gram matrix V
 and Hamiltonian vector built from the pairwise normal-ordered symbols of
-the paper's nonlinear (Kerr) oscillator, in closed form.  The Tikhonov-
-regularized solves run in the iterated midpoint scheme of the stochastic
-engines; ``propagate`` refills one midpoint buffer per run in place.
+the paper's nonlinear (Kerr) oscillator, in closed form.  V turns
+singular where components coincide, so the equation integrated is the
+regularized dX/dt = -i T_k H, with T_k k steps of iterated Tikhonov on
+V (Hanke & Groetsch, J. Optim. Theory Appl. 98, 37, 1998):
+``tikhonov_solve`` applies it, and ``propagate`` integrates it to a
+tolerance with Dormand-Prince 5(4) steps under error control.
 """
 
 from __future__ import annotations
@@ -153,19 +156,42 @@ def variational_system(state: VariationalState, ham: KerrHamiltonian):
     return v, (sym.reshape(n, dim) @ columns).ravel()
 
 
-def tikhonov_solve(v: np.ndarray, dx: np.ndarray, h_vec: np.ndarray, dt: float, shift: np.ndarray) -> np.ndarray:
-    """One regularized fixed-point refinement of the midpoint equation.
+def tikhonov_solve(v: np.ndarray, h_vec: np.ndarray, lam: float, iters: int) -> np.ndarray:
+    """T_k h: k = ``iters`` steps of iterated Tikhonov on the Gram matrix,
 
-    dX <- dX + [V + shift]^-1 [-i dt H/2 - V dX] with shift = i lam I;
-    the shift keeps the solve finite when coinciding components make V
-    singular.  ``propagate`` builds it once for all its solves.
+        y <- y + (V + i lam)^-1 (h - V y),  from y = 0,
+
+    which filters each eigenvalue s of the Hermitian V to
+    (1 - (i lam / (s + i lam))^k) / s: the exact inverse where s >> lam,
+    finite where coinciding components make V singular.  V + i lam is
+    inverted once (numpy has no LU factor to keep) and the k refinements
+    are matrix-vector products.
     """
-    residual = -0.5j * dt * h_vec - v @ dx
-    return dx + np.linalg.solve(v + shift, residual)
+    shifted = v.copy()
+    shifted.flat[:: v.shape[0] + 1] += 1j * lam
+    inverse = np.linalg.inv(shifted)
+    y = inverse @ h_vec
+    for _ in range(iters - 1):
+        y += inverse @ (h_vec - v @ y)
+    return y
 
 
-# halvings of a failing step before propagate gives up
-MAX_HALVINGS = 6
+# Dormand & Prince RK5(4)7FSAL (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2): row i gives stage i's input from the slopes before it; the
+# last row holds the 5th-order weights, so the last slope starts the next
+# step.  _DP_E is their difference from the embedded 4th-order weights.
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# step-size control: safety factor and the bounds on one step's change
+_SAFETY, _SHRINK_MAX, _GROW_MAX = 0.9, 0.2, 10.0
+# a rejected step below this fraction of the end time fails the run
+_MIN_STEP_FRACTION = 1e-12
 
 
 def propagate(
@@ -176,53 +202,89 @@ def propagate(
     lam: float = 1e-4,
     iters: int = 4,
     record_every: int = 1,
+    rtol: float = 1e-8,
+    stats: dict | None = None,
 ):
-    """Iterated-midpoint propagation; X(t + dt) = X0 + 2 dX.
+    """Integrate dX/dt = -i T_k H from 0 to ``dt * n_steps`` to ``rtol``.
 
-    A step producing non-finite parameters is retried with a halved
-    substep (up to ``MAX_HALVINGS`` times); persistent failure raises a
-    ``FloatingPointError`` naming ``dt`` and the smallest substep tried.
-    Returns (times, states) sampled every ``record_every`` steps.
+    V and H come from ``variational_system`` and T_k is ``tikhonov_solve``
+    with ``lam`` and k = ``iters``: one call of each per right-hand-side
+    evaluation.  A Dormand-Prince 5(4) step is accepted when its embedded
+    error, in units of rtol (1 + |X|) per parameter, has an rms of at most
+    1, and the next step follows from that error (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4); a non-finite trial counts as too large
+    an error.  Steps are cut to land on each record time, every
+    ``record_every`` multiple of ``dt`` and the end time, so dt sets the
+    record grid, not the step.  A rejected step below 1e-12 of the end
+    time raises ``FloatingPointError`` naming t and that step.  ``stats``,
+    if given, receives ``rhs_evaluations``, ``steps_accepted``,
+    ``steps_rejected`` and ``smallest_step`` (the smallest accepted, inf
+    when no step is taken).  Returns (times, states) at 0 and at every
+    record time.
     """
     members, modes = state.members, state.modes
-    shift = 1j * lam * np.eye(members * (modes + 1))
-    # the run's midpoint state: views of one buffer refilled with x + dx
-    mid_x = np.empty(members * (modes + 1), dtype=complex)
-    grid = mid_x.reshape(members, modes + 1)
-    mid = VariationalState(alpha0=grid[:, 0], amps=grid[:, 1:])
+    counts = {"rhs_evaluations": 0, "steps_accepted": 0, "steps_rejected": 0, "smallest_step": math.inf}
 
-    def one_step(x, h):
-        dx = np.zeros_like(x)
-        for _ in range(iters):
-            np.add(x, dx, out=mid_x)
-            v, h_vec = variational_system(mid, ham)
-            dx = tikhonov_solve(v, dx, h_vec, h, shift)
-        return x + 2.0 * dx
+    def rhs(x):
+        counts["rhs_evaluations"] += 1
+        grid = x.reshape(members, modes + 1)
+        v, h_vec = variational_system(VariationalState(alpha0=grid[:, 0], amps=grid[:, 1:]), ham)
+        return -1j * tikhonov_solve(v, h_vec, lam, iters)
 
-    def robust_step(x, h, depth=0):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = one_step(x, h)
-        except np.linalg.LinAlgError:
-            new = np.full_like(x, np.nan)
-        if np.isfinite(new).all():
-            return new
-        if depth >= MAX_HALVINGS:
-            raise FloatingPointError(
-                f"variational step dt={dt:g} failed: parameters stay non-finite"
-                f" down to substep {h:g}"
-            )
-        half = robust_step(x, h / 2, depth + 1)
-        return robust_step(half, h / 2, depth + 1)
+    def rms(values, scale):
+        return math.sqrt(np.mean(np.abs(values / scale) ** 2))
 
     x = state.pack()
-    times = [0.0]
-    states = [VariationalState.unpack(x, members, modes)]
-    for step_idx in range(n_steps):
-        x = robust_step(x, dt)
-        if (step_idx + 1) % record_every == 0 or step_idx + 1 == n_steps:
-            times.append((step_idx + 1) * dt)
+    slopes = np.empty((7, x.size), dtype=complex)
+    floor = _MIN_STEP_FRACTION * n_steps * dt
+    times, states = [0.0], [VariationalState.unpack(x, members, modes)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is rejected
+        slopes[0] = rhs(x)
+        # the starting step (ibid.): a first guess from |X| and |dX/dt|, then
+        # one from dX/dt's change over an Euler step of that guess; the
+        # comparisons send a NaN to the fallbacks
+        scale = rtol * (1.0 + np.abs(x))
+        d0, d1 = rms(x, scale), rms(slopes[0], scale)
+        h = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+        d2 = rms(rhs(x + h * slopes[0]) - slopes[0], scale) / h
+        d = max(d1, d2)
+        h = min(100 * h, (0.01 / d) ** 0.2 if d > 1e-15 else max(1e-6, 1e-3 * h))
+        t, rejected = 0.0, False
+        for k in [*range(record_every, n_steps, record_every), n_steps] if n_steps else []:
+            target = k * dt
+            while t < target:
+                remaining = target - t
+                landing = h >= remaining
+                # two even steps rather than a long one and a sliver
+                h = remaining if landing else min(h, 0.5 * remaining)
+                for i in range(1, 7):
+                    trial = x + h * (_DP_A[i, :i] @ slopes[:i])
+                    slopes[i] = rhs(trial)
+                scale = rtol * (1.0 + np.maximum(np.abs(x), np.abs(trial)))
+                error = rms(h * (_DP_E @ slopes), scale)
+                if error <= 1.0:
+                    counts["steps_accepted"] += 1
+                    counts["smallest_step"] = min(counts["smallest_step"], h)
+                    x, t = trial, target if landing else t + h
+                    slopes[0] = slopes[6]
+                    # no growth straight after a rejection (ibid., II.4)
+                    grow = 1.0 if rejected else _GROW_MAX
+                    h *= min(grow, _SAFETY * error**-0.2) if error else grow
+                    rejected = False
+                else:
+                    counts["steps_rejected"] += 1
+                    tried, rejected = h, True
+                    # a NaN error, from a non-finite trial, shrinks the most
+                    h *= max(_SHRINK_MAX, _SAFETY * error**-0.2) if error < math.inf else _SHRINK_MAX
+                    if h < floor:
+                        raise FloatingPointError(
+                            f"variational step failed at t={t:.6g}: the error stays above rtol={rtol:g}"
+                            f" down to step {tried:.3g}"
+                        )
+            times.append(target)
             states.append(VariationalState.unpack(x, members, modes))
+    if stats is not None:
+        stats.update(counts)
     return np.array(times), states
 
 

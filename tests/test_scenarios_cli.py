@@ -267,6 +267,7 @@ _VARIATIONAL_SMALL = "kind: variational\ncomponents: 4\nt_max: 0.1\ndt: 0.01\n"
         (_PLUSP_SMALL + "times: [0, .inf]\n", "times"),
         (_WIGNER_SMALL + "times: [0.0, 0.1]\ndt: .inf\n", "dt"),
         (_VARIATIONAL_SMALL + "omega: .nan\n", "omega"),
+        (_VARIATIONAL_SMALL + "rtol: 0\n", "rtol"),
         (_PLUSP_SMALL + "times: [0.0, 0.1]\ntrajectories: 1\n", "trajectories"),
         (_DOUBLEWELL + "taus: [1]\nmixing_angle: .nan\n", "mixing_angle"),
         (
@@ -401,6 +402,7 @@ def test_defaults_fill_in():
     assert var.params["components"] == 16
     assert var.params["alpha"] == pytest.approx(math.sqrt(3.0))
     assert var.params["radius"] == pytest.approx(0.1)
+    assert var.params["rtol"] == 1e-5
 
 
 def test_times_grid_forms():
@@ -986,13 +988,59 @@ def test_cli_doublewell_fock_check_failure_exits_3(tmp_path, monkeypatch):
     assert "max relative gap of 1.000e-06 (tolerance 1e-09) at N = 20, tau = 1" in result.stderr
 
 
-def test_cli_variational_step_failure_names_step_size(tmp_path):
-    scenario = tmp_path / "coarse.yaml"
-    scenario.write_text("kind: variational\ndt: 0.314\n")
-    proc = _run_cli("run", str(scenario), "--out", str(tmp_path))
-    assert proc.returncode == 3
-    assert "runtime failure" in proc.stderr and "dt=0.314" in proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+def test_cli_variational_reports_its_step_control(tmp_path):
+    """The report counts the right-hand-side evaluations and the accepted
+    and rejected steps, and gives the smallest accepted step."""
+    scenario = tmp_path / "short.yaml"
+    scenario.write_text(_VARIATIONAL_SMALL + "rtol: 1.0e-6\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "short.json").read_text())
+    assert set(report) == {"norm_drift", "energy_drift", "rhs_evaluations", "steps_accepted",
+                           "steps_rejected", "smallest_step"}
+    assert report["steps_accepted"] >= 1 and report["steps_rejected"] >= 0
+    assert report["rhs_evaluations"] == 2 + 6 * (report["steps_accepted"] + report["steps_rejected"])
+    assert 0 < report["smallest_step"] <= 0.1
+
+
+def test_cli_variational_without_a_step_writes_a_null_smallest_step(tmp_path):
+    """A t_max below dt / 2 rounds to no step: one row, and no smallest
+    step, which strict JSON writes as null."""
+    scenario = tmp_path / "empty.yaml"
+    scenario.write_text("kind: variational\ncomponents: 4\nt_max: 0.001\ndt: 0.01\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "empty.json").read_text())
+    assert report["smallest_step"] is None and report["steps_accepted"] == 0
+    assert len((tmp_path / "empty.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("steps", [20, 50, 100, 200, 400])
+def test_variational_full_period_completes_on_a_coarse_record_grid(steps):
+    """dt = 2 pi / N only sets the record grid: a full Kerr period
+    completes for every N, each row within 0.05 of the exact <a>."""
+    scenario = parse_scenario(f"kind: variational\ndt: {2 * math.pi / steps!r}\nrecord_every: 1\n")
+    outcome = run_scenario(scenario)
+    assert len(outcome.rows) == steps + 1
+    assert outcome.rows[-1]["t"] == pytest.approx(2 * math.pi)
+    for row in outcome.rows:
+        assert abs(row["x"] - row["exact_x"]) <= 0.05 and abs(row["y"] - row["exact_y"]) <= 0.05
+
+
+def test_cli_variational_step_failure_exits_3(tmp_path, monkeypatch):
+    """A step that falls below the floor is a runtime failure: one line on
+    stderr naming t and the smallest step tried.  No validated input
+    reaches the floor, so a NaN chi stands in for one."""
+    from qphase import variational
+
+    kerr_hamiltonian = variational.kerr_hamiltonian
+    monkeypatch.setattr(variational, "kerr_hamiltonian", lambda chi, omega: kerr_hamiltonian(math.nan, omega=omega))
+    scenario = tmp_path / "nan.yaml"
+    scenario.write_text(_VARIATIONAL_SMALL)
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("runtime failure: variational step failed at t=0: ")
+    assert "down to step" in result.stderr and result.stderr.count("\n") == 1
 
 
 def test_cli_inconclusive_exit_code(tmp_path):

@@ -634,6 +634,42 @@ def test_run_ensemble_copies_no_state_between_measurements():
     assert max(in_use) - min(in_use) < n * 16
 
 
+def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record():
+    """A stepped run reads its initial state only at step 0 and each
+    record only while it measures it.  While it steps it holds no
+    state-sized array beyond evolve's own three (the stepped copy, the
+    midpoint and the drift buffer): keeping the sampler's array alive
+    from outside raises the memory in use at every later draw by one
+    state, and without that the peak stays under 3.5 states."""
+    n, dt = 4096, 0.01
+    size = n * 2 * 16
+
+    def in_use_while_stepping(keep):
+        in_use, kept = [], []
+
+        class Probe(Linear):
+            def noise(self, step_index, n_traj, dt):
+                in_use.append(tracemalloc.get_traced_memory()[0])
+                return None
+
+        def sampler(seed, n_traj):
+            kept.append(np.ones((n_traj, 2), dtype=complex))
+            return kept[-1] if keep else kept.pop()
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_ensemble(sampler, Probe(-1.0), {"y": lambda s: s[:, 0]}, n,
+                         np.array([0.0, 10 * dt, 20 * dt]), dt, 0)
+        finally:
+            tracemalloc.stop()
+        return max(in_use) - base
+
+    released, kept = in_use_while_stepping(False), in_use_while_stepping(True)
+    assert kept - released > 0.9 * size
+    assert released < 3.5 * size
+
+
 def test_run_ensemble_draws_noise_once_per_step():
     """Every midpoint iteration of a step sees the one noise object drawn
     for that step."""

@@ -217,18 +217,21 @@ def test_variational_velocity_matches_schroedinger():
     assert np.allclose(dpsi_fd, dpsi_exact, atol=1e-4)
 
 
-def test_tikhonov_solve_converges_to_midpoint_equation():
+@pytest.mark.parametrize("iters", [1, 4])
+def test_tikhonov_solve_is_the_spectral_filter(iters):
+    """k steps of iterated Tikhonov with shift i lam filter each
+    eigenvalue s of a Hermitian V to (1 - (i lam / (s + i lam))^k) / s:
+    V^-1 on the large eigenvalues, finite on the ones below lam."""
     rng = np.random.default_rng(9)
-    dim = 6
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    v = m @ m.conj().T + np.eye(dim)  # well conditioned
+    dim, lam = 6, 1e-3
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    s = np.array([1e-7, 1e-4, 1e-3, 0.1, 1.0, 3.0])
+    v = (q * s) @ q.conj().T
     h_vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    dt = 0.01
-    dx = np.zeros(dim, dtype=complex)
-    for _ in range(30):
-        dx = tikhonov_solve(v, dx, h_vec, dt, 1j * 1e-12 * np.eye(dim))
-    # fixed point: V dx = -i dt h / 2
-    assert np.allclose(v @ dx, -0.5j * dt * h_vec, atol=1e-10)
+    ratio = 1j * lam / (s + 1j * lam)
+    expected = q @ ((1 - ratio**iters) / s * (q.conj().T @ h_vec))
+    got = tikhonov_solve(v, h_vec, lam, iters)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_propagate_zero_hamiltonian_is_identity():
@@ -263,3 +266,44 @@ def test_cat_state_emerges_at_half_revival():
     assert abs(oracle["a"][0]) < 0.01  # the mean really collapses
     n_val = expectation(cat, (0,), (0,)).real
     assert n_val == pytest.approx(3.0, abs=0.1)
+
+
+def test_propagate_records_on_the_record_grid():
+    """Records land on every record_every multiple of dt and on the end
+    time, whatever the steps taken; each accepted or rejected step costs
+    six evaluations, on top of the first slope and the starting-step probe."""
+    state = ring_initial_state([1.0], members=4, radius=0.1)
+    stats = {}
+    times, states = propagate(state, kerr_hamiltonian(1.0), 0.01, 25, record_every=10, rtol=1e-6, stats=stats)
+    assert times.tolist() == [0.0, 10 * 0.01, 20 * 0.01, 25 * 0.01]
+    assert len(states) == 4
+    assert stats["rhs_evaluations"] == 2 + 6 * (stats["steps_accepted"] + stats["steps_rejected"])
+    assert 0 < stats["smallest_step"] <= 0.05
+
+
+def test_propagate_error_falls_with_rtol():
+    """The decoupled linear case has the exact solution alpha e^{-i omega t}
+    with constant log-weights; the error at the end tracks rtol."""
+    rng = np.random.default_rng(5)
+    amps = 2.0 * (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
+    alpha0 = 0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    state = VariationalState(alpha0=alpha0.astype(complex), amps=amps)
+    ham = kerr_hamiltonian(0.0, modes=1, omega=[0.5])
+    deviations = []
+    for rtol in (1e-5, 1e-7, 1e-9):
+        _, states = propagate(state, ham, 0.01, 1000, lam=1e-10, record_every=1000, rtol=rtol)
+        final = states[-1]
+        deviation = max(np.abs(final.amps - amps * np.exp(-5j)).max(), np.abs(final.alpha0 - alpha0).max())
+        assert deviation < 20 * rtol
+        deviations.append(deviation)
+    assert deviations[0] > deviations[1] > deviations[2]
+
+
+def test_propagate_fails_cleanly_below_the_step_floor():
+    """A right-hand side that is never finite rejects every step; once the
+    step falls below 1e-12 of the end time propagate raises
+    FloatingPointError naming t and the smallest step tried.  No scenario
+    reaches this: its inputs are validated finite, so chi is NaN here."""
+    state = ring_initial_state([1.0], members=4, radius=0.1)
+    with pytest.raises(FloatingPointError, match=r"at t=0: .* down to step \d"):
+        propagate(state, kerr_hamiltonian(math.nan), 0.1, 10)
