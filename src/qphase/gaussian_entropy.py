@@ -31,7 +31,6 @@ from .fock import _cmul
 __all__ = [
     "GaussianPhasePoint",
     "inner_product",
-    "log_inner_product",
     "RenyiResult",
     "renyi_entropy",
     "boson_gaussian_matrix",
@@ -58,26 +57,22 @@ class GaussianPhasePoint:
         self.n = np.atleast_2d(np.asarray(self.n, dtype=complex))
 
 
-def log_inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint):
-    """log Tr[Lambda(n1) Lambda(n2)] via slogdet (overflow-safe).
+def inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint):
+    """Tr[Lambda(n1) Lambda(n2)], exponentiated from its logarithm via
+    slogdet (overflow-safe): a Python complex for one (M, M) pair.
 
     Broadcasts over the leading stack axes of ``n``: stacked points give
-    an array with one value per pair, a single pair a complex scalar.
+    an array with one value per pair.
     """
     if p1.statistics != p2.statistics:
         raise ValueError("cannot pair boson with fermion points")
     eye = np.eye(p1.n.shape[-1])
     if p1.statistics == "boson":
         sign, logabs = np.linalg.slogdet(eye + p1.n + p2.n)
-        return -(np.log(sign.astype(complex)) + logabs)
-    sign, logabs = np.linalg.slogdet((eye - p1.n) @ (eye - p2.n) + p1.n @ p2.n)
-    return np.log(sign.astype(complex)) + logabs
-
-
-def inner_product(p1: GaussianPhasePoint, p2: GaussianPhasePoint):
-    """Tr[Lambda(n1) Lambda(n2)]: a Python complex for one (M, M) pair,
-    an array with one value per pair for stacked points."""
-    value = np.exp(log_inner_product(p1, p2))
+        value = np.exp(-(np.log(sign.astype(complex)) + logabs))
+    else:
+        sign, logabs = np.linalg.slogdet((eye - p1.n) @ (eye - p2.n) + p1.n @ p2.n)
+        value = np.exp(np.log(sign.astype(complex)) + logabs)
     return complex(value) if value.ndim == 0 else value
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,7 +35,6 @@ class Scenario:
     seed: int
     params: dict
     name: str = ""
-    raw: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -213,14 +212,11 @@ def _check_schedule(key, times, dt, errors):
     return True
 
 
-def _snap_times(times, dt):
-    return np.rint(times / dt).astype(int) * dt
-
-
 def _check_times(p, errors):
-    """An ensemble records each time at its nearest dt step."""
+    """An ensemble records each time at its nearest dt step: `times` becomes that grid."""
     if p["times"] is not None and p["dt"] is not None:
-        _check_schedule("times", _snap_times(p["times"], p["dt"]), p["dt"], errors)
+        p["times"] = np.rint(p["times"] / p["dt"]).astype(int) * p["dt"]
+        _check_schedule("times", p["times"], p["dt"], errors)
 
 
 def _check_pairs(p, errors):
@@ -342,7 +338,7 @@ def parse_scenario(text: str) -> Scenario:
         check(params, errors)
     if errors:
         raise ValidationError(errors)
-    return Scenario(kind=kind, seed=seed, params=params, name=name, raw=cfg)
+    return Scenario(kind=kind, seed=seed, params=params, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +403,27 @@ def _defined(value):
     return value if math.isfinite(value) else None
 
 
-def _divergence(result):
-    """Why a run with over 1 % of its trajectories diverged is inconclusive, else None."""
-    if result.unreliable:
-        return f"{result.diverged} of {result.trajectories} trajectories diverged (over 1 %)"
-    return None
+def _ensemble_outcome(rows, report, result, reason=None, step_noise=True):
+    """The outcome of a stochastic run's `result`: `report` gains the keys
+    every such run shares, and the run is inconclusive for `reason`, else
+    when over 1 % of its trajectories diverged.  The manifest names the
+    estimator and, where the run drew step noise, its law.
 
+    `first_divergence_time` is the first recorded time by which a
+    trajectory had died, or None: the `t` of the first row with a nonzero
+    `diverged_count`, not the step at which the trajectory died, which
+    lies after the previous recorded time."""
+    from .stochastic import ESTIMATOR, STEP_NOISE_LAW
 
-def _divergence_report(result):
-    """The report keys every stochastic run shares.  `first_divergence_time`
-    is the first recorded time by which a trajectory had died, or None: the
-    `t` of the first row with a nonzero `diverged_count`, not the step at
-    which the trajectory died, which lies after the previous recorded time."""
     dead = np.flatnonzero(result.diverged_count)
-    return {
+    report.update({
         "diverged": result.diverged,
         "first_divergence_time": float(result.times[dead[0]]) if dead.size else None,
         "unreliable": result.unreliable,
-    }
+    })
+    if reason is None and result.unreliable:
+        reason = f"{result.diverged} of {result.trajectories} trajectories diverged (over 1 %)"
+    return ScenarioOutcome(rows, report, reason, STEP_NOISE_LAW if step_noise else None, ESTIMATOR)
 
 
 def _x_rows(result):
@@ -437,13 +436,11 @@ def _x_rows(result):
 
 def _run_wigner(p, seed):
     from .fock import kerr_oracle
-    from .stochastic import STEP_NOISE_LAW
     from .wigner import LossChannel, run_wigner_x
 
-    times = _snap_times(p["times"], p["dt"])
     channels = [LossChannel(powers, rate) for powers, rate in p["channels"]]
     result = run_wigner_x(
-        p["alpha0"], p["chi"], times, p["trajectories"], seed, p["dt"], channels=channels
+        p["alpha0"], p["chi"], p["times"], p["trajectories"], seed, p["dt"], channels=channels
     )
     rows = [
         {"t": t, "observable": name, "mean": mean.real, "error": error, "diverged_count": int(dead)}
@@ -453,28 +450,22 @@ def _run_wigner(p, seed):
     if not channels:  # lossless: Re <a_0> of the closed-form Kerr solution, then |alpha_0|^2 + 1/2
         alpha0 = p["alpha0"]
         chi = np.zeros((len(alpha0),) * 2) if p["chi"] is None else p["chi"]
-        exact = [kerr_oracle(alpha0, chi, t)["a"][0].real for t in times]
-        exact += [abs(alpha0[0]) ** 2 + 0.5] * len(times)
+        exact = [kerr_oracle(alpha0, chi, t)["a"][0].real for t in result.times]
+        exact += [abs(alpha0[0]) ** 2 + 0.5] * len(result.times)
         for row, value in zip(rows, exact):
             row["exact"] = value
-    report = {
-        **_divergence_report(result),
-        "trajectories": result.trajectories,
-        "integrator": result.integrator,
-    }
+    report = {"trajectories": result.trajectories, "integrator": result.integrator}
     # only loss channels draw step noise
-    return ScenarioOutcome(rows, report, _divergence(result), STEP_NOISE_LAW if channels else None,
-                           result.estimator)
+    return _ensemble_outcome(rows, report, result, step_noise=bool(channels))
 
 
 def _run_plusp(p, seed):
     from .plusp import run_kerr_plusp
-    from .stochastic import STEP_NOISE_LAW
 
     result = run_kerr_plusp(
         p["state"],
         p["chi"],
-        _snap_times(p["times"], p["dt"]),
+        p["times"],
         p["trajectories"],
         seed,
         p["dt"],
@@ -482,13 +473,11 @@ def _run_plusp(p, seed):
         divergence_ceiling=p["divergence_ceiling"],
         extra_observables={"n": lambda s: s[:, 0] * s[:, s.shape[1] // 2]},
     )
-    report = {**_divergence_report(result), "final_n": result.mean("n")[-1].real}
-    return ScenarioOutcome(_x_rows(result), report, _divergence(result), STEP_NOISE_LAW, result.estimator)
+    return _ensemble_outcome(_x_rows(result), {"final_n": result.mean("n")[-1].real}, result)
 
 
 def _run_plusp_reverse(p, seed):
     from .plusp import time_reversal_test
-    from .stochastic import STEP_NOISE_LAW
 
     report_obj = time_reversal_test(
         p["alpha0"],
@@ -509,16 +498,13 @@ def _run_plusp_reverse(p, seed):
         "error_growth": report_obj.error_growth,
         "recovered_within_2bar": report_obj.recovery_residual
         <= 2.0 * report_obj.residual_bar,
-        **_divergence_report(report_obj.ensemble),
         "inconclusive": report_obj.inconclusive,
     }
+    reason = None
     if report_obj.inconclusive:
         reason = (f"sampling bar {report_obj.residual_bar:.3g} at twice the reversal time"
                   f" exceeds error_ceiling {p['error_ceiling']:g}")
-    else:
-        reason = _divergence(report_obj.ensemble)
-    return ScenarioOutcome(_x_rows(report_obj.ensemble), report, reason, STEP_NOISE_LAW,
-                           report_obj.ensemble.estimator)
+    return _ensemble_outcome(_x_rows(report_obj.ensemble), report, report_obj.ensemble, reason)
 
 
 def _run_entropy(p, seed):

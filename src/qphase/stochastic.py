@@ -19,7 +19,7 @@ Stochastic Differential Equations* (1992), section 14.1.
 `draw_rows` caller) stay Gaussian: they are the phase-space distribution
 itself.
 
-Ensemble runs estimate from antithetic pairs (Hammersley & Morton, Proc.
+Every ensemble estimates from antithetic pairs (Hammersley & Morton, Proc.
 Camb. Phil. Soc. 52, 449 (1956); Glasserman, *Monte Carlo Methods in
 Financial Engineering* (2004), section 4.2).  For 2h trajectories the
 sampler draws h rows, and rows h..2h-1 are their reflection about the
@@ -36,8 +36,8 @@ the coherent amplitude.  It also reports the trajectory spread, the
 sample sd of the single members of the live pairs, which the mirrored
 noise does not cancel: the +P time reversal's `error_growth` reads it,
 as its pair bar falls again on the way back.  Only the snapshots behind
-xi^2 stay unpaired: they feed a block bar that was calibrated on
-independent samples.
+xi^2 (`wigner.evolve_snapshots`) stay unpaired: they feed a block bar
+that was calibrated on independent samples.
 
 `schedule_steps` is the one rule that turns recorded times into step
 indices: from t = 0, on the dt grid, one step per time.
@@ -45,7 +45,7 @@ indices: from t = 0, on the dt grid, one step per time.
 
     noise(step_index, n_traj, dt) -> this step's noise term (or None)
     noise(step_index, n_traj, dt, pairs=True) -> the same as antithetic
-        pairs (only paired runs call it)
+        pairs (every `run_ensemble` step calls it)
     derivative(state, step_index, noise, out) -> writes dy/dt with that
         noise into `out` (an array shaped and laid out like `state`)
         and returns `out`
@@ -87,6 +87,7 @@ __all__ = [
     "BLOCK_ROWS",
     "STEP_NOISE",
     "STEP_NOISE_LAW",
+    "ESTIMATOR",
     "HUSIMI_MEANS",
     "CANONICAL_WIDTHS",
     "FOCK_RADII",
@@ -118,6 +119,8 @@ WIGNER_SAMPLES = 6  # truncated-Wigner coherent samples
 
 # The law `noise_block` draws step noise from, as run manifests record it.
 STEP_NOISE_LAW = "two-point"
+# How `run_ensemble` estimates its bars, as run manifests record it.
+ESTIMATOR = "antithetic-pairs"
 
 
 def stream(seed: int, domain: int, index: int = 0, block: int = 0) -> np.random.Generator:
@@ -392,6 +395,8 @@ def schedule_steps(times, dt: float) -> np.ndarray:
 
 @dataclass
 class EnsembleResult:
+    """A `run_ensemble` run: means and bars over pairs, counts in trajectories."""
+
     times: np.ndarray
     observables: dict  # name -> dict(mean=array, error=array, spread=array)
     diverged: int = 0  # total by the final step
@@ -399,7 +404,6 @@ class EnsembleResult:
     unreliable: bool = False
     diverged_count: np.ndarray = None  # trajectories dead by each measurement time
     integrator: str = "midpoint"  # or "exact_flow" (see `evolve`)
-    estimator: str = "independent"  # or "antithetic-pairs" (see `run_ensemble`)
 
     def mean(self, name):
         return self.observables[name]["mean"]
@@ -420,12 +424,13 @@ def run_ensemble(
     dt: float,
     seed: int,
     divergence_ceiling: float = 1e6,
-    pair_centre=None,
+    *,
+    pair_centre,
 ):
-    """Evolve an ensemble and accumulate observable means with CLT bars.
+    """Evolve an ensemble of antithetic pairs and accumulate observable means with CLT bars.
 
     sampler(seed, n) -> initial state array with leading trajectory axis.
-    model: provides noise(step_index, n_traj, dt) and
+    model: provides noise(step_index, n_traj, dt, pairs=True) and
     derivative(state, step_index, noise, out), as driven by `evolve`.
     observables: name -> fn(state) -> per-trajectory complex values.
 
@@ -434,24 +439,19 @@ def run_ensemble(
     later statistics and counted by each measurement time; a RuntimeError
     names the time by which none is left.
 
-    With `pair_centre`, the point the sampler's law is symmetric about (a
-    scalar, or a row of the state), the run estimates from antithetic
-    pairs (module docstring): the trajectory count must be even and at
-    least 4, the sampler draws half of it and `antithetic` mirrors those
-    rows about the centre, every step's noise comes from
-    ``model.noise(..., pairs=True)``, and each observable is averaged over
-    its pair before it is accumulated.  A pair counts only while both
-    members live; the divergence counts stay in trajectories.
+    Every run is paired (module docstring), about `pair_centre`, the point
+    the sampler's law is symmetric about (a scalar, or a row of the
+    state): the trajectory count must be even and at least 4, the sampler
+    draws half of it and `antithetic` mirrors those rows about the centre,
+    and each observable is averaged over its pair before it is
+    accumulated.  A pair counts only while both members live; the
+    divergence counts stay in trajectories.
 
     Besides each mean and bar, the result holds each observable's
     `spread`: the sample sd of the single trajectories that count (both
-    members of every live pair), which is the bar times sqrt(n) in an
-    unpaired run of n live trajectories.
+    members of every live pair).
     """
-    if trajectory_count < 2:
-        raise ValueError("need at least 2 trajectories")
-    pairs = pair_centre is not None
-    if pairs and (trajectory_count % 2 or trajectory_count < 4):
+    if trajectory_count % 2 or trajectory_count < 4:
         raise ValueError(f"antithetic pairs need an even trajectory count of at least 4 (two pairs give "
                          f"the first bar), not {trajectory_count}")
     times = np.asarray(times, dtype=float)
@@ -463,29 +463,25 @@ def run_ensemble(
     }
     diverged_count = np.zeros(len(times), dtype=int)
     half = trajectory_count // 2
-    if pairs:
-        initial = antithetic(lambda n: sampler(seed, n), trajectory_count, pair_centre)
-    else:
-        initial = sampler(seed, trajectory_count)
+    initial = antithetic(lambda n: sampler(seed, n), trajectory_count, pair_centre)
     integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
-    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs)
+    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs=True)
     del initial  # `evolve` holds it as long as it reads it
     for t_idx in range(len(times)):  # enumerate would hold each record until the next
         _, state, alive = next(recorded)
         diverged_count[t_idx] = trajectory_count - alive.sum()
-        live = alive[:half] & alive[half:] if pairs else alive
+        live = alive[:half] & alive[half:]
         if not live.any():
             lost = (f"every pair of the {trajectory_count} trajectories lost a member" if alive.any()
                     else f"all {trajectory_count} trajectories diverged")
             raise RuntimeError(f"{lost} by t = {times[t_idx]:g}")
         for name, fn in observables.items():
             values = np.asarray(fn(state))
-            if pairs:
-                single = MomentAccumulator()
-                # both members of every live pair: all of `values` while every pair lives
-                single.add(values if live.all() else values.reshape(2, half)[:, live])
-                values = values[:half] + values[half:]
-                values *= 0.5
+            single = MomentAccumulator()
+            # both members of every live pair: all of `values` while every pair lives
+            single.add(values if live.all() else values.reshape(2, half)[:, live])
+            values = values[:half] + values[half:]
+            values *= 0.5
             if not live.all():
                 values = values[live]  # rebinding frees the full array before `add` runs
             acc = MomentAccumulator()
@@ -493,7 +489,7 @@ def run_ensemble(
             del values  # hold no rows while the next steps run
             series[name]["mean"][t_idx] = acc.mean
             series[name]["error"][t_idx] = acc.error
-            series[name]["spread"][t_idx] = (single if pairs else acc).spread
+            series[name]["spread"][t_idx] = single.spread
         del state  # nor the record, while the next steps run
 
     diverged = int(diverged_count[-1])
@@ -505,5 +501,4 @@ def run_ensemble(
         unreliable=diverged > 0.01 * trajectory_count,
         diverged_count=diverged_count,
         integrator=integrator,
-        estimator="antithetic-pairs" if pairs else "independent",
     )

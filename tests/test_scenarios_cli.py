@@ -373,7 +373,7 @@ def test_parse_scenario_falls_back_without_libyaml(monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader")
     for text, want in zip(texts, expected):
         got = parse_scenario(text)
-        assert (got.kind, got.seed, got.name, got.raw) == (want.kind, want.seed, want.name, want.raw)
+        assert (got.kind, got.seed, got.name) == (want.kind, want.seed, want.name)
         np.testing.assert_equal(got.params, want.params)
     with pytest.raises(ValidationError, match="not valid YAML"):
         parse_scenario("kind: [unclosed")
@@ -412,6 +412,15 @@ def test_times_grid_forms():
     assert list(s2.params["times"]) == [0.0, 0.1, 0.2]
     with pytest.raises(ValidationError):
         parse_scenario("kind: wigner\nalpha0: 1.0\ntimes: [0.2, 0.1]\n")
+
+
+def test_ensemble_times_are_snapped_to_the_dt_grid_at_parse():
+    """`times` is stored as the dt steps it records at, and the run's rows
+    carry those snapped times."""
+    scenario = parse_scenario(_WIGNER_SMALL + "dt: 0.002\ntimes: [0, 0.0502, 0.1004]\n")
+    assert scenario.params["times"].tolist() == [0.0, 25 * 0.002, 50 * 0.002]
+    outcome = run_scenario(scenario)
+    assert sorted({row["t"] for row in outcome.rows}) == scenario.params["times"].tolist()
 
 
 def test_complex_number_forms():

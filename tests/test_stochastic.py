@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -339,7 +340,7 @@ def test_scheme_validation():
             next(evolve(np.ones((2, 1)), Linear(1.0), dt, 1))
         with pytest.raises(ValueError, match="dt must be positive"):
             run_ensemble(
-                lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2, np.array([0.0, 1.0]), dt, 0
+                lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 4, np.array([0.0, 1.0]), dt, 0, pair_centre=1.0
             )
 
 
@@ -365,6 +366,7 @@ def test_run_ensemble_exponential_decay():
         times=times,
         dt=0.01,
         seed=0,
+        pair_centre=1.0,
     )
     assert np.allclose(result.mean("y").real, np.exp(-times), atol=1e-4)
     assert result.diverged == 0
@@ -373,7 +375,9 @@ def test_run_ensemble_exponential_decay():
 def test_run_ensemble_masks_divergent_trajectories():
     def sampler(seed, n):
         init = np.ones((n, 1), dtype=complex)
-        init[0] = 999.0  # this trajectory blows through the ceiling
+        # this trajectory blows through the ceiling (369 e > 1e3); its
+        # mirror about 1, 2 - 369, stays under it (367 e < 1e3)
+        init[0] = 369.0
         return init
 
     result = run_ensemble(
@@ -385,6 +389,7 @@ def test_run_ensemble_masks_divergent_trajectories():
         dt=0.05,
         seed=0,
         divergence_ceiling=1e3,
+        pair_centre=1.0,
     )
     assert result.diverged == 1
     assert result.unreliable  # 1/8 > 1%
@@ -401,6 +406,7 @@ def test_run_ensemble_counts_divergence_by_measurement_time():
         init[0] = 500.0  # crosses 1e3 at t = ln 2, between t = 0.5 and 1
         return init
 
+    # about 100 the mirrors are -300 and 199, which stay under 1e3 up to t = 1
     result = run_ensemble(
         sampler=sampler,
         model=Linear(1.0),
@@ -410,6 +416,7 @@ def test_run_ensemble_counts_divergence_by_measurement_time():
         dt=0.05,
         seed=0,
         divergence_ceiling=1e3,
+        pair_centre=100.0,
     )
     assert result.diverged_count.tolist() == [0, 0, 1]
     assert result.diverged == 1
@@ -502,8 +509,9 @@ def test_run_ensemble_does_not_depend_on_the_initial_layout():
     model.chi = 2.0  # strong enough that some trajectories diverge
     observables = {"a0": lambda s: s[:, 0], "n1": lambda s: s[:, 1] * s[:, 4]}
     results = [
-        run_ensemble(lambda seed, n, layout=layout: layout(initial), model, observables,
-                     initial.shape[0], np.linspace(0.0, 0.4, 5), 0.02, 0, divergence_ceiling=50.0)
+        run_ensemble(lambda seed, n, layout=layout: layout(initial[:n]), model, observables,
+                     initial.shape[0], np.linspace(0.0, 0.4, 5), 0.02, 0, divergence_ceiling=50.0,
+                     pair_centre=0.0)
         for layout in (np.ascontiguousarray, np.asfortranarray)
     ]
     c_run, f_run = results
@@ -619,15 +627,15 @@ def test_run_ensemble_copies_no_state_between_measurements():
     n, dt, in_use = 4096, 0.01, []
 
     class Probe(Linear):
-        def noise(self, step_index, n_traj, dt):
+        def noise(self, step_index, n_traj, dt, pairs=False):
             in_use.append(tracemalloc.get_traced_memory()[0])
             return None
 
-    initial = np.ones((n, 2), dtype=complex)
+    initial = np.ones((n // 2, 2), dtype=complex)
     tracemalloc.start()
     try:
         run_ensemble(lambda seed, n_traj: initial, Probe(-1.0), {"y": lambda s: s[:, 0]}, n,
-                     np.array([0.0, 20 * dt]), dt, 0)
+                     np.array([0.0, 20 * dt]), dt, 0, pair_centre=1.0)
     finally:
         tracemalloc.stop()
     assert len(in_use) == 20
@@ -638,9 +646,10 @@ def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record():
     """A stepped run reads its initial state only at step 0 and each
     record only while it measures it.  While it steps it holds no
     state-sized array beyond evolve's own three (the stepped copy, the
-    midpoint and the drift buffer): keeping the sampler's array alive
-    from outside raises the memory in use at every later draw by one
-    state, and without that the peak stays under 3.5 states."""
+    midpoint and the drift buffer): keeping a state-sized array that the
+    sampler's half rows view alive from outside raises the memory in use
+    at every later draw by one state, and without that the peak stays
+    under 3.5 states."""
     n, dt = 4096, 0.01
     size = n * 2 * 16
 
@@ -648,19 +657,19 @@ def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record():
         in_use, kept = [], []
 
         class Probe(Linear):
-            def noise(self, step_index, n_traj, dt):
+            def noise(self, step_index, n_traj, dt, pairs=False):
                 in_use.append(tracemalloc.get_traced_memory()[0])
                 return None
 
-        def sampler(seed, n_traj):
-            kept.append(np.ones((n_traj, 2), dtype=complex))
-            return kept[-1] if keep else kept.pop()
+        def sampler(seed, half):
+            kept.append(np.ones((2 * half, 2), dtype=complex))
+            return (kept[-1] if keep else kept.pop())[:half]
 
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             run_ensemble(sampler, Probe(-1.0), {"y": lambda s: s[:, 0]}, n,
-                         np.array([0.0, 10 * dt, 20 * dt]), dt, 0)
+                         np.array([0.0, 10 * dt, 20 * dt]), dt, 0, pair_centre=1.0)
         finally:
             tracemalloc.stop()
         return max(in_use) - base
@@ -679,8 +688,8 @@ def test_run_ensemble_draws_noise_once_per_step():
             self.drawn = []  # (step index, noise) per noise call
             self.seen = []  # (step index, noise) per derivative call
 
-        def noise(self, step_index, n_traj, dt):
-            xi = noise_block(0, step_index, n_traj, 1) / math.sqrt(dt)
+        def noise(self, step_index, n_traj, dt, pairs=False):
+            xi = noise_block(0, step_index, n_traj, 1, pairs) / math.sqrt(dt)
             self.drawn.append((step_index, xi))
             return xi
 
@@ -697,6 +706,7 @@ def test_run_ensemble_draws_noise_once_per_step():
         times=np.array([0.0, 0.5]),
         dt=0.1,
         seed=0,
+        pair_centre=1.0,
     )
     assert [k for k, _ in model.drawn] == list(range(5))
     assert len(model.seen) == 5 * MIDPOINT_ITERS
@@ -709,18 +719,18 @@ def test_run_ensemble_validates_schedule():
     dt = 0.01
     with pytest.raises(ValueError):
         run_ensemble(
-            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
-            np.array([0.1, 0.2]), dt, 0,
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 4,
+            np.array([0.1, 0.2]), dt, 0, pair_centre=1.0,
         )
     with pytest.raises(ValueError):
         run_ensemble(
-            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
-            np.array([0.0, 0.015]), dt, 0,
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 4,
+            np.array([0.0, 0.015]), dt, 0, pair_centre=1.0,
         )
     with pytest.raises(ValueError):
         run_ensemble(
             lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 1,
-            np.array([0.0, 0.01]), dt, 0,
+            np.array([0.0, 0.01]), dt, 0, pair_centre=1.0,
         )
 
 
@@ -729,8 +739,8 @@ def test_run_ensemble_records_each_time_at_its_own_step():
     assert schedule_steps([0.0, 0.1, 0.30000000000000004], 0.1).tolist() == [0, 1, 3]
     with pytest.raises(ValueError, match="steps must increase"):
         run_ensemble(
-            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 2,
-            np.array([0.0, 0.01, 0.01]), 0.01, 0,
+            lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 4,
+            np.array([0.0, 0.01, 0.01]), 0.01, 0, pair_centre=1.0,
         )
 
 
@@ -739,7 +749,7 @@ def test_run_ensemble_names_the_time_by_which_every_trajectory_died():
     with pytest.raises(RuntimeError, match=r"all 4 trajectories diverged by t = 0\.02"):
         run_ensemble(
             lambda s, n: np.ones((n, 1)), Linear(30.0), {"y": lambda y: y[:, 0]}, 4,
-            np.array([0.0, 0.01, 0.02]), 0.01, 0, divergence_ceiling=1.5,
+            np.array([0.0, 0.01, 0.02]), 0.01, 0, divergence_ceiling=1.5, pair_centre=1.0,
         )
 
 
@@ -764,10 +774,10 @@ def test_antithetic_reflects_the_draw_about_its_centre():
 
 
 def test_paired_runs_need_an_even_trajectory_count():
-    """An odd count has no pairing and one pair no bar: every paired entry
-    point refuses them, the +P time reversal too."""
+    """An odd count has no pairing and fewer than two pairs no bar: every
+    paired entry point refuses them, the +P time reversal too."""
     times = np.array([0.0, 0.02])
-    for count in (5, 2):
+    for count in (0, 1, 2, 3, 5):
         with pytest.raises(ValueError, match=f"even trajectory count of at least 4 .*, not {count}"):
             run_ensemble(lambda s, n: np.ones((n, 1)), Linear(-1.0), {}, count, times, 0.01, 0, pair_centre=1.0)
     with pytest.raises(ValueError, match="even trajectory count"):
@@ -777,7 +787,18 @@ def test_paired_runs_need_an_even_trajectory_count():
     with pytest.raises(ValueError, match="even trajectory count"):
         run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 7, 0, 0.01, reverse_at=0.01)
     reversed_run = run_kerr_plusp({"kind": "coherent", "alpha": [1.0]}, 0.1, times, 8, 0, 0.01, reverse_at=0.01)
-    assert reversed_run.estimator == "antithetic-pairs" and reversed_run.trajectories == 8
+    assert reversed_run.trajectories == 8
+
+
+def test_run_ensemble_has_no_unpaired_path():
+    """Every ensemble is antithetic pairs: `pair_centre` has no default,
+    and a call without one is refused before anything is sampled."""
+    assert inspect.signature(run_ensemble).parameters["pair_centre"].default is inspect.Parameter.empty
+    sampled = []
+    with pytest.raises(TypeError, match="pair_centre"):
+        run_ensemble(lambda s, n: sampled.append(n) or np.ones((n, 1)), Linear(-1.0), {}, 4,
+                     np.array([0.0, 0.02]), 0.01, 0)
+    assert sampled == []
 
 
 def test_a_pair_counts_only_while_both_members_live():
@@ -794,7 +815,6 @@ def test_a_pair_counts_only_while_both_members_live():
     # rows 4..7 mirror rows 0..3 about 1: 2 - 999, then 1, 1, 1
     assert result.diverged_count.tolist() == [0, 2]
     assert result.mean("y")[-1].real == pytest.approx(math.exp(0.5), rel=1e-3)
-    assert result.estimator == "antithetic-pairs"
     # about 500, rows 999 mirror to 1: every pair loses its first member
     with pytest.raises(RuntimeError, match=r"every pair of the 4 trajectories lost a member by t = 0\.5"):
         run_ensemble(lambda seed, n: np.full((n, 1), 999.0), Linear(1.0), {"y": lambda s: s[:, 0]}, 4,
@@ -809,15 +829,6 @@ def test_a_paired_noise_draw_holds_one_noise_block():
     n, per_traj = 4096, 8
     peak = _peak_bytes_of_second_call(lambda: noise_block(3, 1, n, per_traj, pairs=True))
     assert peak < 1.2 * n * per_traj * 8
-
-
-def test_unpaired_spread_is_the_bar_times_root_n():
-    """Unpaired, `spread` (the sample sd of the trajectories) is the bar
-    times the square root of the trajectory count, to rounding."""
-    state = {"kind": "coherent", "alpha": [2.0]}
-    result = run_ensemble(lambda seed, n: sample_canonical(state, seed, n), KerrPlusP(chi=0.2, seed=3),
-                          {"X": lambda s: s[:, 0]}, 41, np.array([0.0, 0.2, 0.4]), 0.01, 3)
-    np.testing.assert_allclose(result.spread("X"), result.error("X") * math.sqrt(41), rtol=1e-12)
 
 
 def test_paired_spread_is_the_sample_sd_of_the_members_of_live_pairs():

@@ -16,7 +16,7 @@ from qphase.fock import (
     kerr_oracle,
 )
 from qphase.scenarios import parse_scenario, run_scenario
-from qphase.stochastic import MomentAccumulator, antithetic, evolve, noise_block, run_ensemble, step
+from qphase.stochastic import MomentAccumulator, antithetic, evolve, noise_block, step
 from qphase.wigner import (
     LossChannel,
     WignerModel,
@@ -330,24 +330,24 @@ def test_diverged_trajectory_leaves_later_snapshots():
 def test_snapshot_mean_equals_run_ensemble_mean():
     """Snapshots and run_ensemble share one time loop: on the same seeded
     lossy model and the same independent samples, the snapshot mean of X
-    is the unpaired ensemble mean bit for bit; and the paired run of
-    run_wigner_x is that loop on the mirrored samples with mirrored noise,
-    averaged over each pair."""
+    is the mean of the unpaired `evolve` loop over its live rows bit for
+    bit; and the paired run of run_wigner_x is that loop on the mirrored
+    samples with mirrored noise, averaged over each pair."""
     alpha, chi, seed, dt, n = [1.5, 1.0], [[0.1, 0.05], [0.05, 0.1]], 12, 0.01, 500
     channels = (LossChannel((1, 0), 0.1), LossChannel((1, 1), 0.02))
     times = np.array([0.0, 0.1, 0.2])
     model = WignerModel(chi=np.asarray(chi), channels=channels, components=2, seed=seed)
-    x = {"X": lambda f: f[:, 0].real}
-    unpaired = run_ensemble(lambda s, k: sample_wigner_coherent(alpha, s, k), model, x, n, times, dt, seed)
     paired = run_wigner_x(alpha, chi, times, n, seed, dt, channels=channels)
     fields = sample_wigner_coherent(alpha, seed, n)
+    unpaired = {k: s[alive, 0].real for k, s, alive in evolve(fields, model, dt, 20, record=[10, 20])}
     snaps = evolve_snapshots(fields, model, dt, snapshot_steps=[10, 20])
     mirrored = antithetic(lambda k: sample_wigner_coherent(alpha, seed, k), n, np.asarray(alpha, dtype=complex))
     pair_states = {k: s for k, s, _ in evolve(mirrored, model, dt, 20, record=[10, 20], pairs=True)}
     for i, k in ((1, 10), (2, 20)):
-        acc = MomentAccumulator()
+        acc, loop = MomentAccumulator(), MomentAccumulator()
         acc.add(snaps[k][:, 0].real)
-        assert acc.mean == unpaired.mean("X")[i]
+        loop.add(unpaired[k])
+        assert acc.mean == loop.mean
         acc = MomentAccumulator()
         values = pair_states[k][:, 0].real
         acc.add(0.5 * (values[: n // 2] + values[n // 2:]))
