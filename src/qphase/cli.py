@@ -174,6 +174,7 @@ def run(scenario_file, seed, out_dir):
         "write_time_s": write_time,
         "step_noise": outcome.step_noise,
         "estimator": outcome.estimator,
+        "shards": outcome.shards,
         "environment": _environment(),
         "outputs": written,
     }

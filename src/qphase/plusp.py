@@ -149,15 +149,16 @@ class KerrPlusP:
     def _sign(self, step_index: int) -> float:
         return -1.0 if self.reverse_step is not None and step_index >= self.reverse_step else 1.0
 
-    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False) -> np.ndarray:
+    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False, first: int = 0) -> np.ndarray:
         """This step's rate columns, laid out column-contiguous like the
         state: -i sqrt(i chi) xi1 + i chi / 2 in columns :M and
         i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi
         and 2M real two-point noises xi of variance 1/dt (see
         `stochastic.noise_block`).  With `pairs`, the xi of rows
         n_traj/2.. negate those of rows ..n_traj/2 before the Stratonovich
-        shift is added."""
-        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes, pairs=pairs)
+        shift is added.  With `first`, the xi are those of stream rows
+        first.., a shard's (`stochastic.evolve`)."""
+        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes, pairs=pairs, first=first)
         xi *= 1.0 / math.sqrt(dt)
         return self.rates(xi, step_index)
 

@@ -188,7 +188,7 @@ _STATES = {
     "fock": {"n": _numbers(required=True, item=_int(low=0))},
 }
 _ENSEMBLE = {
-    "trajectories": _int(1000, low=2),
+    "trajectories": Key("number", 1000, integer=True),  # bounded by `_check_pairs` alone
     "dt": _positive(1e-3),
     "times": _numbers(type="grid", required=True, low=2, keys={
         "stop": _positive(required=True),
@@ -353,6 +353,7 @@ class ScenarioOutcome:
     inconclusive: str | None = None  # why the result cannot be trusted
     step_noise: str | None = None  # the law the run drew step noise from, if it drew any
     estimator: str | None = None  # how its bars were estimated, if it ran an ensemble
+    shards: int | None = None  # how many processes stepped it, if it ran an ensemble
 
 
 def run_scenario(scenario: Scenario, seed=None) -> ScenarioOutcome:
@@ -407,7 +408,7 @@ def _ensemble_outcome(rows, report, result, reason=None, step_noise=True):
     """The outcome of a stochastic run's `result`: `report` gains the keys
     every such run shares, and the run is inconclusive for `reason`, else
     when over 1 % of its trajectories diverged.  The manifest names the
-    estimator and, where the run drew step noise, its law.
+    estimator, the shard count and, where the run drew step noise, its law.
 
     `first_divergence_time` is the first recorded time by which a
     trajectory had died, or None: the `t` of the first row with a nonzero
@@ -423,7 +424,7 @@ def _ensemble_outcome(rows, report, result, reason=None, step_noise=True):
     })
     if reason is None and result.unreliable:
         reason = f"{result.diverged} of {result.trajectories} trajectories diverged (over 1 %)"
-    return ScenarioOutcome(rows, report, reason, STEP_NOISE_LAW if step_noise else None, ESTIMATOR)
+    return ScenarioOutcome(rows, report, reason, STEP_NOISE_LAW if step_noise else None, ESTIMATOR, result.shards)
 
 
 def _x_rows(result):
@@ -619,7 +620,7 @@ _KINDS = {
         "alpha0": Key("complex", complex(10.0)),
         "chi": Key("number"),
         "reversal_time": _positive(0.5),
-        "trajectories": _int(10000, low=2),
+        "trajectories": Key("number", 10000, integer=True),  # bounded by `_check_pairs` alone
         "dt": _positive(0.002),
         "canonical_width": _WIDTH,
         "error_ceiling": _positive(0.5, inf=True),

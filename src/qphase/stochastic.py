@@ -46,6 +46,8 @@ indices: from t = 0, on the dt grid, one step per time.
     noise(step_index, n_traj, dt) -> this step's noise term (or None)
     noise(step_index, n_traj, dt, pairs=True) -> the same as antithetic
         pairs (every `run_ensemble` step calls it)
+    noise(..., first=f) -> the same for a shard whose rows (pair rows,
+        when paired) are stream rows f.. (`noise_block`'s `first`)
     derivative(state, step_index, noise, out) -> writes dy/dt with that
         noise into `out` (an array shaped and laid out like `state`)
         and returns `out`
@@ -73,11 +75,34 @@ declares, whatever the caller's layout: +P steps column-contiguous
 (every mode column is one contiguous run), Wigner row-major.  A
 trajectory dies when any component of its state is non-finite or
 exceeds the divergence ceiling in modulus.
+
+A large stepped run is split into shards, one per CPU in
+``os.sched_getaffinity(0)``: whole pairs k..l (rows k..l and their
+mirrors) of a paired run, plain rows of an unpaired one, each of at
+least `MIN_SHARD_ROWS` rows.  The process that calls `evolve` steps shard
+0; each other shard is stepped by a child it forks, through the same
+loop, on its own rows and with its own step-noise rows (its first stream
+row is passed as `first`), so every row holds the bits it holds in one
+process.  At each record the children write their rows and alive flags
+into one shared anonymous mmap and the parent copies a fresh record out
+of it.  The parent reaps the children before it yields the last record,
+and when the run ends early; a child's exception is raised in the parent
+with its type and message.  A run stays in one process on a platform
+other than Linux, while another thread is alive (a forked child could
+inherit a lock that thread held), with one CPU, and where a shard would
+get fewer than `MIN_SHARD_ROWS` rows; ``taskset -c 0 qphase run ...``
+pins a run to one shard.  Threads are no substitute: numpy ufunc calls
+on these array sizes hand the interpreter lock over every ~10 us.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -133,19 +158,26 @@ def stream(seed: int, domain: int, index: int = 0, block: int = 0) -> np.random.
     return np.random.Generator(np.random.SFC64(key))
 
 
-def draw_rows(seed: int, domain: int, index: int, rows: int, draw, out=None) -> np.ndarray:
-    """`rows` rows of `draw(generator, k)` (which returns k rows), where
-    rows [b BLOCK_ROWS, (b + 1) BLOCK_ROWS) come from block b's stream.
-    Each block draws its rows in order, so adding rows never changes
-    the rows before them.  With `out`, ``draw(generator, k, out=view)``
-    writes each block's k rows into its rows of `out`, which is returned."""
-    blocks = [(block, lo, min(BLOCK_ROWS, rows - lo))
-              for block, lo in enumerate(range(0, max(rows, 1), BLOCK_ROWS))]
+def draw_rows(seed: int, domain: int, index: int, rows: int, draw, out=None, first: int = 0) -> np.ndarray:
+    """Stream rows first..first + rows of `draw(generator, k)` (which
+    returns k rows), where rows [b BLOCK_ROWS, (b + 1) BLOCK_ROWS) come from
+    block b's stream.  Each block draws its rows in order, so adding rows
+    never changes the rows before them.  With `out`,
+    ``draw(generator, k, out=view)`` writes each block's k rows into its
+    rows of `out`, which is returned.  Where the rows start j > 0 rows into
+    a block, that block's call also gets ``skip=j``: the draw passes over
+    its stream's first j rows."""
+    edges = [first, *range((first // BLOCK_ROWS + 1) * BLOCK_ROWS, first + rows, BLOCK_ROWS), first + rows]
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        gen = stream(seed, domain, index, lo // BLOCK_ROWS)
+        skip = {"skip": lo % BLOCK_ROWS} if lo % BLOCK_ROWS else {}
+        if out is None:
+            parts.append(draw(gen, hi - lo, **skip))
+        else:
+            draw(gen, hi - lo, out=out[lo - first:hi - first], **skip)
     if out is not None:
-        for block, lo, k in blocks:
-            draw(stream(seed, domain, index, block), k, out=out[lo:lo + k])
         return out
-    parts = [draw(stream(seed, domain, index, block), k) for block, _, k in blocks]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -153,16 +185,20 @@ def draw_rows(seed: int, domain: int, index: int, rows: int, draw, out=None) -> 
 _BIT_SIGNS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1)
 
 
-def _two_point(gen: np.random.Generator, rows: int, per_traj: int, out: np.ndarray) -> np.ndarray:
+def _two_point(gen: np.random.Generator, rows: int, per_traj: int, out: np.ndarray, skip: int = 0) -> np.ndarray:
     """(rows, per_traj) two-point variates, one bit of ``gen.bytes(n)`` each
-    for n = ceil(rows per_traj / 8), read row-major, written into the
-    row-major contiguous `out`."""
-    count = rows * per_traj
+    for n = ceil((skip + rows) per_traj / 8), read row-major from bit
+    skip per_traj on, written into the row-major contiguous `out`."""
+    start, count = skip * per_traj, rows * per_traj
     # gen.bytes(n) is the bit generator's raw 64-bit words as little-endian
-    # bytes; reading the words directly skips its bounded-integer path
-    words = gen.bit_generator.random_raw(-(-count // 64))
-    raw = words.astype("<u8", copy=False).view(np.uint8)[: -(-count // 8)]
+    # bytes; reading the words directly skips its bounded-integer path.
+    # SFC64 cannot jump, so the skipped rows' words are generated, not expanded.
+    words = gen.bit_generator.random_raw(-(-(start + count) // 64))
+    raw = words.astype("<u8", copy=False).view(np.uint8)[start // 8: -(-(start + count) // 8)]
     flat = out.reshape(-1)  # a view: `out` is contiguous
+    if start % 8:  # the rows start inside a byte: expand whole bytes, then cut
+        flat[:] = _BIT_SIGNS[raw].reshape(-1)[start % 8: start % 8 + count]
+        return out
     whole = count // 8
     # a byte indexes one of 256 rows, so "clip" never clips; it takes
     # straight into `out`, where the default "raise" buffers a copy
@@ -171,7 +207,8 @@ def _two_point(gen: np.random.Generator, rows: int, per_traj: int, out: np.ndarr
     return out
 
 
-def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int, pairs: bool = False) -> np.ndarray:
+def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int, pairs: bool = False,
+                first: int = 0) -> np.ndarray:
     """Two-point step noise of shape (n_traj, per_traj) for one time step.
 
     Each entry is +1.0 or -1.0 with probability 1/2: mean 0, variance
@@ -188,10 +225,14 @@ def noise_block(master_seed: int, step_index: int, n_traj: int, per_traj: int, p
     With `pairs` (an even `n_traj`), rows ..n_traj/2 are drawn as above,
     straight into the returned array, and rows n_traj/2.. are their
     negation: the antithetic pairs of `antithetic`, in one noise block.
+
+    With `first`, the drawn rows are stream rows first.. rather than 0..:
+    the rows of one shard of a larger block (see `evolve`).
     """
     out = np.empty((n_traj, per_traj))
     half = n_traj // 2 if pairs else n_traj
-    draw_rows(master_seed, STEP_NOISE, step_index, half, partial(_two_point, per_traj=per_traj), out=out[:half])
+    draw_rows(master_seed, STEP_NOISE, step_index, half, partial(_two_point, per_traj=per_traj), out=out[:half],
+              first=first)
     if pairs:
         np.negative(out[:half], out=out[half:])
     return out
@@ -313,6 +354,167 @@ def _cull(state, parts, alive, ceiling):
         state[~alive] = 0.0
 
 
+# Fewest trajectory rows (a pair counts two) a shard of a stepped run is
+# given (see `evolve`).  A fork, the copy-on-write faults after it and the
+# per-record hand-off cost about 4 ms.  Measured on a 2-core host at 200
+# steps and 21 records: two shards of 1,024 rows took 1.10x (forward +P)
+# and 0.85x (lossy two-component Wigner) the one-process time, two of
+# 2,048 rows 0.78x and 0.68x.
+MIN_SHARD_ROWS = 2000
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _shard_rows(n_traj: int, pairs: bool) -> list:
+    """The rows of each shard a stepped run of `n_traj` trajectories takes,
+    as a tuple of row slices per shard, shard 0 first: whole pairs k..l
+    (rows k..l and h + k..h + l of a paired run, h = n_traj / 2), or rows
+    k..l of an unpaired one.  One shard per CPU this process may run on,
+    each of at least MIN_SHARD_ROWS rows; one shard in all when the
+    platform is not Linux or another thread is alive, as a forked child
+    would inherit no thread but might inherit a lock one held."""
+    units = n_traj // 2 if pairs else n_traj
+    shards = 1
+    if sys.platform == "linux" and threading.active_count() == 1:
+        shards = max(1, min(_cpu_count(), units, n_traj // MIN_SHARD_ROWS))
+    edges = [units * s // shards for s in range(shards + 1)]
+    return [(slice(lo, hi), slice(units + lo, units + hi)) if pairs else (slice(lo, hi),)
+            for lo, hi in zip(edges, edges[1:])]
+
+
+def _gather(state, rows, order):
+    """The rows of `state` a shard holds, stacked in order, as a new array in `order`."""
+    sizes = [s.stop - s.start for s in rows]
+    out = np.empty((sum(sizes),) + state.shape[1:], dtype=state.dtype, order=order)
+    for s, at in zip(rows, itertools.accumulate([0, *sizes])):
+        out[at:at + s.stop - s.start] = state[s]
+    return out
+
+
+def _scatter(full, rows, part):
+    """Write a shard's stacked rows `part` back into its rows of `full`."""
+    at = 0
+    for s in rows:
+        full[s] = part[at:at + s.stop - s.start]
+        at += s.stop - s.start
+
+
+def _march(work, alive, model, dt: float, n_steps: int, ceiling: float, recorded, draw):
+    """Step `work` in place through `n_steps` midpoint steps, drawing each
+    step's noise once as ``draw(step, rows, dt)``, cull it into `alive`
+    after every step, and yield each step index in `recorded` as it is
+    reached."""
+    mid, slope = np.empty_like(work), np.empty_like(work)
+    parts = _parts(work)
+    for step_idx in range(n_steps):
+        noise = draw(step_idx, len(work), dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow die in _cull
+            step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
+            _cull(work, parts, alive, ceiling)
+        if step_idx + 1 in recorded:
+            yield step_idx + 1
+
+
+def _read(fd: int, size: int) -> bytes:
+    """`size` bytes from the pipe `fd`, or fewer if its writer closed it first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+class _Forked:
+    """Shards 1.. of a stepped run, each stepped by a forked child.
+
+    At each record a child writes its rows and alive flags into one
+    shared anonymous mmap, sends "R" up its pipe, and waits for a byte
+    down the other before it overwrites them with the next record.  A
+    child that raises sends "E", the length and its pickled exception,
+    and exits.  ``close`` kills and reaps every child.
+    """
+
+    def __init__(self, state, shards, order, march):
+        import mmap
+
+        self.mapping = mmap.mmap(-1, state.nbytes + state.shape[0])
+        self.state = np.ndarray(state.shape, state.dtype, buffer=self.mapping, order=order)
+        self.alive = np.ndarray(state.shape[:1], bool, buffer=self.mapping, offset=state.nbytes)
+        self.children = []  # (pid, rows, read end of its pipe up, write end of its pipe down)
+        try:
+            for rows in shards[1:]:
+                up, down = os.pipe(), os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    self._child(state, rows, order, march, up[1], down[0])
+                os.close(up[1])
+                os.close(down[0])
+                self.children.append((pid, rows, up[0], down[1]))
+        except BaseException:
+            self.close()
+            raise
+
+    def _child(self, state, rows, order, march, up, down):
+        """Step `rows` of `state` and hand each record over; never returns."""
+        code = 1
+        try:
+            for _, _, read_end, write_end in self.children:  # the older siblings' pipes
+                os.close(read_end)
+                os.close(write_end)
+            work = _gather(state, rows, order)
+            alive = np.ones(len(work), dtype=bool)
+            for k, _ in enumerate(march(work, alive, rows[0].start)):
+                if k and not os.read(down, 1):
+                    break  # the parent has gone
+                _scatter(self.state, rows, work)
+                _scatter(self.alive, rows, alive)
+                os.write(up, b"R")
+            code = 0
+        except Exception as exc:  # noqa: BLE001 - every failure goes to the parent, which raises it
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:  # noqa: BLE001 - an exception that cannot be pickled goes as its text
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            os.write(up, b"E" + len(payload).to_bytes(8, "little") + payload)
+        finally:
+            os._exit(code)
+
+    def collect(self, record, alive, last: bool):
+        """Copy every child's rows and flags of this record into `record`
+        and `alive`; then reap the children after the `last` record, or
+        let them go on.  A child's exception is raised here."""
+        for pid, rows, up, _ in self.children:
+            tag = _read(up, 1)
+            if tag == b"E":
+                raise pickle.loads(_read(up, int.from_bytes(_read(up, 8), "little")))
+            if tag != b"R":
+                raise RuntimeError(f"the shard process {pid} ended without its record")
+            for s in rows:
+                record[s] = self.state[s]
+                alive[s] = self.alive[s]
+        if last:
+            self.close()
+        for *_, down in self.children:
+            try:
+                os.write(down, b"G")
+            except BrokenPipeError:  # the child failed after its record: the next collect raises why
+                pass
+
+    def close(self):
+        from signal import SIGKILL
+
+        for pid, _, up, down in self.children:
+            os.close(up)
+            os.close(down)
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        self.children = []
+
+
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, record=None,
            pairs: bool = False):
     """Yield (step index, state, alive mask) at the step indices in
@@ -332,7 +534,9 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     the caller's `state`, and every later recorded step a fresh array in
     the model's layout, so no yielded state is overwritten.  The stepped
     run advances its own copy of `state` in place, so a step that is not
-    recorded copies nothing.
+    recorded copies nothing.  A large stepped run is stepped in shards, by
+    this process and children it forks (see the module docstring); every
+    record holds the same bits either way.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -352,18 +556,35 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
             _cull(flowed, _parts(flowed), alive, ceiling)
             yield step_idx, flowed, alive
         return
-    work = np.array(state, order=order)  # contiguous, so ravel is a view
-    del state  # a stepped run reads only its copy: drop the caller's array
-    mid, slope = np.empty_like(work), np.empty_like(work)
-    parts = _parts(work)
-    draw = partial(model.noise, pairs=True) if pairs else model.noise
-    for step_idx in range(n_steps):
-        noise = draw(step_idx, n_traj, dt)
-        with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow die in _cull
-            step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
-            _cull(work, parts, alive, ceiling)
-        if step_idx + 1 in recorded:
-            yield step_idx + 1, work.copy(order="K"), alive
+
+    def march(work, shard_alive, first):
+        kwargs = {"pairs": True} if pairs else {}
+        if first:
+            kwargs["first"] = first
+        return _march(work, shard_alive, model, dt, n_steps, ceiling, recorded, partial(model.noise, **kwargs))
+
+    shards = _shard_rows(n_traj, pairs)
+    if len(shards) == 1:
+        work = np.array(state, order=order)  # contiguous, so ravel is a view
+        del state  # a stepped run reads only its copy: drop the caller's array
+        for step_idx in march(work, alive, 0):
+            yield step_idx, work.copy(order="K"), alive
+        return
+    forked = _Forked(state, shards, order, march)
+    try:
+        work = _gather(state, shards[0], order)
+        shape, dtype = state.shape, state.dtype
+        del state
+        own_alive = np.ones(len(work), dtype=bool)
+        last = max((k for k in recorded if 0 < k <= n_steps), default=0)
+        for step_idx in march(work, own_alive, 0):
+            record = np.empty(shape, dtype=dtype, order=order)
+            _scatter(record, shards[0], work)
+            _scatter(alive, shards[0], own_alive)
+            forked.collect(record, alive, step_idx == last)
+            yield step_idx, record, alive
+    finally:
+        forked.close()
 
 
 def schedule_steps(times, dt: float) -> np.ndarray:
@@ -404,6 +625,7 @@ class EnsembleResult:
     unreliable: bool = False
     diverged_count: np.ndarray = None  # trajectories dead by each measurement time
     integrator: str = "midpoint"  # or "exact_flow" (see `evolve`)
+    shards: int = 1  # processes that stepped the run (see `evolve`)
 
     def mean(self, name):
         return self.observables[name]["mean"]
@@ -465,32 +687,36 @@ def run_ensemble(
     half = trajectory_count // 2
     initial = antithetic(lambda n: sampler(seed, n), trajectory_count, pair_centre)
     integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
+    shards = len(_shard_rows(trajectory_count, pairs=True)) if integrator == "midpoint" else 1
     recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs=True)
     del initial  # `evolve` holds it as long as it reads it
-    for t_idx in range(len(times)):  # enumerate would hold each record until the next
-        _, state, alive = next(recorded)
-        diverged_count[t_idx] = trajectory_count - alive.sum()
-        live = alive[:half] & alive[half:]
-        if not live.any():
-            lost = (f"every pair of the {trajectory_count} trajectories lost a member" if alive.any()
-                    else f"all {trajectory_count} trajectories diverged")
-            raise RuntimeError(f"{lost} by t = {times[t_idx]:g}")
-        for name, fn in observables.items():
-            values = np.asarray(fn(state))
-            single = MomentAccumulator()
-            # both members of every live pair: all of `values` while every pair lives
-            single.add(values if live.all() else values.reshape(2, half)[:, live])
-            values = values[:half] + values[half:]
-            values *= 0.5
-            if not live.all():
-                values = values[live]  # rebinding frees the full array before `add` runs
-            acc = MomentAccumulator()
-            acc.add(values)
-            del values  # hold no rows while the next steps run
-            series[name]["mean"][t_idx] = acc.mean
-            series[name]["error"][t_idx] = acc.error
-            series[name]["spread"][t_idx] = single.spread
-        del state  # nor the record, while the next steps run
+    try:
+        for t_idx in range(len(times)):  # enumerate would hold each record until the next
+            _, state, alive = next(recorded)
+            diverged_count[t_idx] = trajectory_count - alive.sum()
+            live = alive[:half] & alive[half:]
+            if not live.any():
+                lost = (f"every pair of the {trajectory_count} trajectories lost a member" if alive.any()
+                        else f"all {trajectory_count} trajectories diverged")
+                raise RuntimeError(f"{lost} by t = {times[t_idx]:g}")
+            for name, fn in observables.items():
+                values = np.asarray(fn(state))
+                single = MomentAccumulator()
+                # both members of every live pair: all of `values` while every pair lives
+                single.add(values if live.all() else values.reshape(2, half)[:, live])
+                values = values[:half] + values[half:]
+                values *= 0.5
+                if not live.all():
+                    values = values[live]  # rebinding frees the full array before `add` runs
+                acc = MomentAccumulator()
+                acc.add(values)
+                del values  # hold no rows while the next steps run
+                series[name]["mean"][t_idx] = acc.mean
+                series[name]["error"][t_idx] = acc.error
+                series[name]["spread"][t_idx] = single.spread
+            del state  # nor the record, while the next steps run
+    finally:
+        recorded.close()  # stops and reaps any shard processes a run that ends early leaves
 
     diverged = int(diverged_count[-1])
     return EnsembleResult(
@@ -501,4 +727,5 @@ def run_ensemble(
         unreliable=diverged > 0.01 * trajectory_count,
         diverged_count=diverged_count,
         integrator=integrator,
+        shards=shards,
     )

@@ -259,7 +259,11 @@ def propagate(
                 h = remaining if landing else min(h, 0.5 * remaining)
                 for i in range(1, 7):
                     trial = x + h * (_DP_A[i, :i] @ slopes[:i])
-                    slopes[i] = rhs(trial)
+                    try:
+                        slopes[i] = rhs(trial)
+                    except np.linalg.LinAlgError:  # V + i lam exactly singular: a non-finite trial
+                        slopes[i:] = np.nan
+                        break
                 scale = rtol * (1.0 + np.maximum(np.abs(x), np.abs(trial)))
                 error = rms(h * (_DP_E @ slopes), scale)
                 if error <= 1.0:

@@ -265,15 +265,16 @@ class WignerModel:
         channels = tuple(LossChannel(tuple(ch.powers), ch.rate) for ch in self.channels)
         object.__setattr__(self, "channels", channels)
 
-    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False):
+    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False, first: int = 0):
         """sqrt(kappa_l) zeta_l for every loss channel l, with complex zeta_l
         of <zeta zeta*> = 1/dt whose real and imaginary parts are two-point
         noises of variance 1/(2 dt) (see `stochastic.noise_block`), or None
         without losses.  With `pairs`, rows n_traj/2.. negate the draws of
-        rows ..n_traj/2 (`stochastic.noise_block`)."""
+        rows ..n_traj/2 (`stochastic.noise_block`); with `first`, the draws
+        are those of stream rows first.., a shard's (`stochastic.evolve`)."""
         if not self.channels:
             return None
-        raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels), pairs=pairs)
+        raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels), pairs=pairs, first=first)
         zeta = raw.view(complex)  # the model's own block, scaled in place
         row = np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
         for l, scale in enumerate(row):  # a scalar per column: cheaper than a broadcast row

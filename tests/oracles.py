@@ -83,13 +83,18 @@ def allocating_step(state, derivative, dt):
     return np.subtract(np.multiply(2.0, mid, out=mid), state, out=mid)
 
 
-def gaussian_noise_block(master_seed, step_index, n_traj, per_traj, pairs=False):
+def gaussian_noise_block(master_seed, step_index, n_traj, per_traj, pairs=False, first=0):
     """Standard normals of shape (n_traj, per_traj) from the step-noise
     stream addresses ``stochastic.noise_block`` reads, row-major per block:
     the Gaussian reference law for its two-point step noise.  With `pairs`,
-    rows n_traj/2.. negate the first n_traj/2 rows, as there."""
+    rows n_traj/2.. negate the first n_traj/2 rows, as there; with `first`,
+    the rows start at stream row `first`, as there."""
+    def normals(gen, k, skip=0):
+        gen.standard_normal((skip, per_traj))  # the block's rows before `first`
+        return gen.standard_normal((k, per_traj))
+
     def draw(rows):
-        return draw_rows(master_seed, STEP_NOISE, step_index, rows, lambda gen, k: gen.standard_normal((k, per_traj)))
+        return draw_rows(master_seed, STEP_NOISE, step_index, rows, normals, first=first)
 
     return antithetic(draw, n_traj) if pairs else draw(n_traj)
 

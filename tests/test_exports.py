@@ -114,18 +114,26 @@ def _lossy_wigner_run(n_traj, steps, dt):
                  channels=[LossChannel((1, 0), 0.05), LossChannel((1, 1), 0.002)])
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "sharded"])
 @pytest.mark.parametrize(
     "run, drift",
     [(_plusp_run, "plusp.KerrPlusP.derivative"), (_lossy_wigner_run, "wigner.WignerModel.derivative")],
 )
-def test_benchmark_tracer_sees_every_stochastic_layer_per_step(run, drift):
+def test_benchmark_tracer_sees_every_stochastic_layer_per_step(monkeypatch, run, drift, cpus):
     """Under the benchmark's tracer a tiny ensemble records one noise draw,
     one step and MIDPOINT_ITERS drift calls per step, and n_traj x steps
     trajectory steps, so a time loop that bypasses a traced layer fails
-    here and not only in the benchmark's smoke run."""
+    here and not only in the benchmark's smoke run.  A sharded run records
+    the same calls in the parent, which steps shard 0: the trajectory
+    steps count that shard's rows only."""
+    from qphase import stochastic
     from qphase.stochastic import MIDPOINT_ITERS
 
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(stochastic, "MIN_SHARD_ROWS", 1)
     n_traj, steps = 6, 5
+    shards = stochastic._shard_rows(n_traj, pairs=True)
+    assert len(shards) == cpus
     t = _benchmark_tracer().Tracer()
     t.install()
     try:
@@ -136,7 +144,7 @@ def test_benchmark_tracer_sees_every_stochastic_layer_per_step(run, drift):
     assert t.target_calls["stochastic.step"] == steps
     assert t.target_calls[drift] == steps * MIDPOINT_ITERS
     assert t.target_calls["stochastic.run_ensemble"] == 1
-    assert t.counts["stochastic.traj_steps"] == n_traj * steps
+    assert t.counts["stochastic.traj_steps"] == sum(s.stop - s.start for s in shards[0]) * steps
 
 
 def test_benchmark_tracer_sees_every_variational_solve():

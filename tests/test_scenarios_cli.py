@@ -750,9 +750,12 @@ def test_manifest_names_the_estimator_behind_its_bars(tmp_path, text, estimator)
         _PLUSP_SMALL + "trajectories: 21\ntimes: [0.0, 0.1]\n",
         _WIGNER_ONE + "trajectories: 1001\n",
         _WIGNER_ONE + "trajectories: 2\n",  # one pair: no bar
+        _WIGNER_ONE + "trajectories: 1\n",
+        _WIGNER_ONE + "trajectories: 0\n",
         _REVERSE_SMALL + "trajectories: 21\n",
+        _REVERSE_SMALL + "trajectories: 1\n",
     ],
-    ids=["plusp", "wigner", "one-pair", "plusp-reverse"],
+    ids=["plusp", "wigner", "one-pair", "one", "none", "plusp-reverse", "plusp-reverse-one"],
 )
 def test_cli_rejects_a_trajectory_count_that_pairs_cannot_take(tmp_path, text):
     scenario = tmp_path / "odd.yaml"
@@ -1050,6 +1053,60 @@ def test_cli_variational_step_failure_exits_3(tmp_path, monkeypatch):
     assert result.exit_code == 3
     assert result.stderr.startswith("runtime failure: variational step failed at t=0: ")
     assert "down to step" in result.stderr and result.stderr.count("\n") == 1
+
+
+def test_cli_variational_treats_a_singular_trial_as_a_rejected_step(tmp_path, monkeypatch):
+    """At rtol 1e-3 the shipped Kerr revival tries a stage whose V + i lam
+    is exactly singular.  The step counts as rejected, like a non-finite
+    trial, and is retried smaller; the run completes with every row within
+    0.15 of the exact <a>."""
+    from qphase import variational
+
+    singular, solve = [], variational.tikhonov_solve
+
+    def counting(*args):
+        try:
+            return solve(*args)
+        except np.linalg.LinAlgError:
+            singular.append(args)
+            raise
+
+    monkeypatch.setattr(variational, "tikhonov_solve", counting)
+    scenario = tmp_path / "loose.yaml"
+    scenario.write_text((SCENARIO_DIR / "variational_kerr.yaml").read_text() + "rtol: 1.0e-3\n")
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert singular
+    report = json.loads((tmp_path / "variational-kerr-16.json").read_text())
+    assert report["steps_rejected"] >= len(singular)
+    with open(tmp_path / "variational-kerr-16.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert max(abs(complex(float(r["x"]) - float(r["exact_x"]), float(r["y"]) - float(r["exact_y"])))
+               for r in rows) <= 0.15
+
+
+def test_manifest_says_how_many_shards_stepped_the_run(tmp_path, monkeypatch):
+    """`shards` in the manifest: 1 for a run in one process, the number of
+    forked shards otherwise, with byte-identical outputs either way, and
+    null where no ensemble runs."""
+    from qphase import stochastic
+
+    scenario = tmp_path / "case.yaml"
+    scenario.write_text(_PLUSP_SMALL + "trajectories: 12\ntimes: [0.0, 0.05, 0.1]\n")
+    monkeypatch.setattr(stochastic, "MIN_SHARD_ROWS", 4)
+    outputs = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "case.manifest.json").read_text())["shards"] == cpus
+        outputs[cpus] = [(out / f"case.{suffix}").read_bytes() for suffix in ("csv", "json")]
+    assert outputs[1] == outputs[3]
+    scenario.write_text(_DIMENSIONS)
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "case.manifest.json").read_text())["shards"] is None
 
 
 def test_cli_inconclusive_exit_code(tmp_path):

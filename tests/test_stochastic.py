@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import allocating_step, gaussian_noise_block
 
 import qphase
+from qphase import stochastic
 from qphase.fock import kerr_oracle
 from qphase.plusp import KerrPlusP, run_kerr_plusp, sample_canonical
 from qphase.stochastic import (
@@ -42,7 +44,7 @@ class Linear:
     def __init__(self, rate):
         self.rate = rate
 
-    def noise(self, step_index, n_traj, dt, pairs=False):
+    def noise(self, step_index, n_traj, dt, pairs=False, first=0):
         return None
 
     def derivative(self, state, step_index, noise, out):
@@ -627,7 +629,7 @@ def test_run_ensemble_copies_no_state_between_measurements():
     n, dt, in_use = 4096, 0.01, []
 
     class Probe(Linear):
-        def noise(self, step_index, n_traj, dt, pairs=False):
+        def noise(self, step_index, n_traj, dt, pairs=False, first=0):
             in_use.append(tracemalloc.get_traced_memory()[0])
             return None
 
@@ -657,7 +659,7 @@ def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record():
         in_use, kept = [], []
 
         class Probe(Linear):
-            def noise(self, step_index, n_traj, dt, pairs=False):
+            def noise(self, step_index, n_traj, dt, pairs=False, first=0):
                 in_use.append(tracemalloc.get_traced_memory()[0])
                 return None
 
@@ -688,8 +690,8 @@ def test_run_ensemble_draws_noise_once_per_step():
             self.drawn = []  # (step index, noise) per noise call
             self.seen = []  # (step index, noise) per derivative call
 
-        def noise(self, step_index, n_traj, dt, pairs=False):
-            xi = noise_block(0, step_index, n_traj, 1, pairs) / math.sqrt(dt)
+        def noise(self, step_index, n_traj, dt, pairs=False, first=0):
+            xi = noise_block(0, step_index, n_traj, 1, pairs, first) / math.sqrt(dt)
             self.drawn.append((step_index, xi))
             return xi
 
@@ -910,3 +912,170 @@ def test_paired_bar_is_calibrated_on_a_small_lossy_wigner_run():
         bars.append(result.error("X")[-1])
     ratio = np.std(estimates, ddof=1) / math.sqrt(np.mean(np.square(bars)))
     assert 0.6 <= ratio <= 1.5, ratio
+
+
+# ---------------------------------------------------------------------------
+# shards
+# ---------------------------------------------------------------------------
+
+
+def _forced_shards(monkeypatch, cpus, min_rows=1, block_rows=None):
+    """Let a stepped run take up to `cpus` shards of at least `min_rows`
+    rows, whatever this machine has, and optionally shrink BLOCK_ROWS."""
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(stochastic, "MIN_SHARD_ROWS", min_rows)
+    if block_rows is not None:
+        monkeypatch.setattr(stochastic, "BLOCK_ROWS", block_rows)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 40), first=st.integers(0, 40), per_traj=st.integers(1, 5),
+       block_rows=st.sampled_from([4, 5, 8, 13]), pairs=st.booleans())
+def test_noise_block_from_a_first_row_is_that_slice_of_the_whole_block(rows, first, per_traj, block_rows, pairs):
+    """A shard's noise, drawn from stream row `first` on, holds the bits of
+    those rows of the whole block, across block boundaries and from inside
+    a byte; paired, the first half is those rows and the second their
+    negation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochastic, "BLOCK_ROWS", block_rows)
+        whole = noise_block(9, 2, first + rows, per_traj)[first:]
+        part = noise_block(9, 2, 2 * rows if pairs else rows, per_traj, pairs=pairs, first=first)
+    assert part[:rows].tobytes() == whole.tobytes()
+    if pairs:
+        assert part[rows:].tobytes() == (-whole).tobytes()
+
+
+_SHARD_CASES = ("plusp-reverse", "lossy wigner", "snapshots")
+
+
+def _shard_case_records(case, n, ceiling):
+    """(step, state bytes, alive bytes) of every record of a run of `case`,
+    and whether it ran as antithetic pairs."""
+    dt, steps = 0.01, 6
+    if case == "plusp-reverse":
+        model = KerrPlusP(chi=0.3, seed=5, reverse_step=3)
+        initial = antithetic(lambda k: sample_canonical({"kind": "coherent", "alpha": [2.0]}, 5, k), n,
+                             np.array([2.0, 2.0]))
+        pairs = True
+    else:
+        alpha = np.array([1.5, 1.0 + 0.5j])
+        channels = (LossChannel((1, 0), 0.2), LossChannel((2, 0), 0.05), LossChannel((1, 1), 0.05))
+        model = WignerModel(chi=np.array([[0.3, 0.1], [0.1, 0.3]]), channels=channels, seed=5)
+        pairs = case == "lossy wigner"
+        initial = (antithetic(lambda k: sample_wigner_coherent(alpha, 5, k), n, alpha) if pairs
+                   else sample_wigner_coherent(alpha, 5, n))
+    records = [(k, s.tobytes(), a.tobytes())
+               for k, s, a in evolve(initial, model, dt, steps, ceiling, [0, 2, 5, 6], pairs=pairs)]
+    return records, pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(_SHARD_CASES), units=st.integers(2, 30), cpus=st.integers(2, 4),
+       block_rows=st.sampled_from([3, 8, 2**16]), ceiling=st.sampled_from([1e6, 2.2]))
+def test_a_sharded_run_equals_the_serial_run_bit_for_bit(case, units, cpus, block_rows, ceiling):
+    """Paired +P with a reversal, paired lossy two-component Wigner and
+    unpaired snapshots record the same bits, alive flags included, from
+    one process and from up to `cpus` forked shards of unequal size, with
+    shards that start inside or cross a BLOCK_ROWS block, and with a
+    ceiling low enough that trajectories die."""
+    n = 2 * units
+    with pytest.MonkeyPatch.context() as mp:
+        _forced_shards(mp, 1, block_rows=block_rows)
+        serial, pairs = _shard_case_records(case, n, ceiling)
+        _forced_shards(mp, cpus, block_rows=block_rows)
+        assert len(stochastic._shard_rows(n, pairs)) == min(cpus, n // 2 if pairs else n)
+        sharded, _ = _shard_case_records(case, n, ceiling)
+    assert sharded == serial
+    _assert_no_child_left()
+
+
+def test_sharded_runs_match_where_trajectories_die(monkeypatch):
+    """The low ceiling of the bit-for-bit test kills some trajectories
+    and leaves others: the dead rows are masked and zeroed alike in
+    every shard."""
+    _forced_shards(monkeypatch, 3)
+    for case in _SHARD_CASES:
+        records, _ = _shard_case_records(case, 40, 2.2)
+        alive = np.frombuffer(records[-1][2], dtype=bool)
+        assert 0 < alive.sum() < alive.size, case
+        _forced_shards(monkeypatch, 1)
+        assert _shard_case_records(case, 40, 2.2)[0] == records
+        _forced_shards(monkeypatch, 3)
+
+
+def test_a_sharded_ensemble_reports_its_shards_and_leaves_no_process(monkeypatch):
+    """A paired run reports the shards that stepped it, 1 in one process,
+    with the same bits either way, and reaps every shard it forked."""
+    times = np.linspace(0.0, 0.1, 6)
+
+    def run():
+        return run_kerr_plusp({"kind": "coherent", "alpha": [2.0]}, 0.2, times, 24, 3, 0.01, reverse_at=0.05)
+
+    _forced_shards(monkeypatch, 1)
+    serial = run()
+    _forced_shards(monkeypatch, 3)
+    sharded = run()
+    assert (serial.shards, sharded.shards) == (1, 3)
+    for field in ("mean", "error", "spread"):
+        assert sharded.observables["X"][field].tobytes() == serial.observables["X"][field].tobytes()
+    _assert_no_child_left()
+
+
+def test_a_sharded_run_whose_pairs_all_die_leaves_no_process(monkeypatch):
+    """run_ensemble stops at the record by which every trajectory died and
+    stops and reaps the shards still stepping, before the error reaches
+    the caller."""
+    _forced_shards(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="all 8 trajectories diverged by t = 0.2"):
+        run_ensemble(lambda s, n: np.ones((n, 1)), Linear(40.0), {"y": lambda s: s[:, 0]}, 8,
+                     np.linspace(0.0, 1.0, 11), 0.01, 0, divergence_ceiling=1e3, pair_centre=1.0)
+    _assert_no_child_left()
+
+
+class ShardFailure(Exception):
+    pass
+
+
+def test_a_failing_shard_raises_its_exception_in_the_parent(monkeypatch):
+    """A shard process that raises hands its exception to the parent,
+    which raises it with the shard's type and message at the next record
+    and reaps every shard."""
+
+    class Failing(Linear):
+        def noise(self, step_index, n_traj, dt, pairs=False, first=0):
+            if first and step_index == 3:
+                raise ShardFailure(f"no noise for rows {first}.. at step {step_index}")
+            return None
+
+    _forced_shards(monkeypatch, 3)
+    with pytest.raises(ShardFailure) as failure:
+        run_ensemble(lambda s, n: np.ones((n, 1)), Failing(-1.0), {"y": lambda s: s[:, 0]}, 12,
+                     np.linspace(0.0, 0.1, 11), 0.01, 0, pair_centre=1.0)
+    assert str(failure.value) == "no noise for rows 2.. at step 3"
+    _assert_no_child_left()
+
+
+def test_one_cpu_or_a_small_run_steps_in_one_process(monkeypatch):
+    """No fork where one CPU is allowed, where a shard would get fewer
+    than MIN_SHARD_ROWS rows, or where another thread is alive."""
+    import threading
+
+    _forced_shards(monkeypatch, 1)
+    assert len(stochastic._shard_rows(10**6, True)) == 1
+    _forced_shards(monkeypatch, 4, min_rows=stochastic.MIN_SHARD_ROWS)
+    assert len(stochastic._shard_rows(2 * stochastic.MIN_SHARD_ROWS - 2, True)) == 1
+    assert len(stochastic._shard_rows(3 * stochastic.MIN_SHARD_ROWS, False)) == 3
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert len(stochastic._shard_rows(10**6, True)) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
