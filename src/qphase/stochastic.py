@@ -78,21 +78,23 @@ exceeds the divergence ceiling in modulus.
 
 A large stepped run is split into shards, one per CPU in
 ``os.sched_getaffinity(0)``: whole pairs k..l (rows k..l and their
-mirrors) of a paired run, plain rows of an unpaired one, each of at
-least `MIN_SHARD_ROWS` rows.  The process that calls `evolve` steps shard
-0; each other shard is stepped by a child it forks, through the same
-loop, on its own rows and with its own step-noise rows (its first stream
-row is passed as `first`), so every row holds the bits it holds in one
-process.  At each record the children write their rows and alive flags
-into one shared anonymous mmap and the parent copies a fresh record out
-of it.  The parent reaps the children before it yields the last record,
-and when the run ends early; a child's exception is raised in the parent
-with its type and message.  A run stays in one process on a platform
-other than Linux, while another thread is alive (a forked child could
-inherit a lock that thread held), with one CPU, and where a shard would
-get fewer than `MIN_SHARD_ROWS` rows; ``taskset -c 0 qphase run ...``
-pins a run to one shard.  Threads are no substitute: numpy ufunc calls
-on these array sizes hand the interpreter lock over every ~10 us.
+mirrors) of a paired run, plain rows of an unpaired one, each with at
+least `MIN_SHARD_WORK` rows x steps to do.  The process that calls
+`evolve` steps shard 0; each other shard is stepped by a child it forks,
+through the same loop, on its own rows and with its own step-noise rows
+(its first stream row is passed as `first`), so every row holds the bits
+it holds in one process.  At each record the children write their rows
+and alive flags into one shared anonymous mmap and the parent copies a
+fresh record out of it.  The parent reaps the children before it yields
+the last record, and when the run ends early; a child's exception is
+raised in the parent with its type and message, and a child whose
+parent has gone exits at its next record.  A run stays in one process
+on a platform other than Linux, while another thread is alive (a forked
+child could inherit a lock that thread held), with one CPU, and where a
+shard would get less than `MIN_SHARD_WORK` rows x steps;
+``taskset -c 0 qphase run ...`` pins a run to one shard.  Threads are no
+substitute: numpy ufunc calls on these array sizes hand the interpreter
+lock over every ~10 us.
 """
 
 from __future__ import annotations
@@ -354,31 +356,33 @@ def _cull(state, parts, alive, ceiling):
         state[~alive] = 0.0
 
 
-# Fewest trajectory rows (a pair counts two) a shard of a stepped run is
-# given (see `evolve`).  A fork, the copy-on-write faults after it and the
-# per-record hand-off cost about 4 ms.  Measured on a 2-core host at 200
-# steps and 21 records: two shards of 1,024 rows took 1.10x (forward +P)
-# and 0.85x (lossy two-component Wigner) the one-process time, two of
-# 2,048 rows 0.78x and 0.68x.
-MIN_SHARD_ROWS = 2000
+# Least work, in trajectory rows x steps (a pair counts two rows), that a
+# shard of a stepped run is given (see `evolve`).  A fork, the
+# copy-on-write faults after it and the per-record hand-off cost 5-10 ms
+# however few the steps.  Measured on a 2-core host, two shards against
+# one process (forward +P, lossy two-component Wigner, unpaired lossy
+# snapshots): at up to 205k rows x steps a shard, 1.05-2.5x the time
+# (4,096 or 8,192 +P rows at 20 steps 1.4x and 1.2x, 4,000 snapshot rows
+# at 100 steps 1.1x); at 307k-819k, 0.55-0.92x.
+MIN_SHARD_WORK = 300_000
 
 
 def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shard_rows(n_traj: int, pairs: bool) -> list:
-    """The rows of each shard a stepped run of `n_traj` trajectories takes,
-    as a tuple of row slices per shard, shard 0 first: whole pairs k..l
-    (rows k..l and h + k..h + l of a paired run, h = n_traj / 2), or rows
-    k..l of an unpaired one.  One shard per CPU this process may run on,
-    each of at least MIN_SHARD_ROWS rows; one shard in all when the
-    platform is not Linux or another thread is alive, as a forked child
-    would inherit no thread but might inherit a lock one held."""
+def _shard_rows(n_traj: int, n_steps: int, pairs: bool) -> list:
+    """The rows of each shard a run of `n_traj` trajectories over `n_steps`
+    steps takes, as a tuple of row slices per shard, shard 0 first: whole
+    pairs k..l (rows k..l and h + k..h + l of a paired run, h = n_traj / 2),
+    or rows k..l of an unpaired one.  One shard per CPU this process may
+    run on, each of at least MIN_SHARD_WORK rows x steps; one shard in all
+    when the platform is not Linux or another thread is alive, as a forked
+    child would inherit no thread but might inherit a lock one held."""
     units = n_traj // 2 if pairs else n_traj
     shards = 1
     if sys.platform == "linux" and threading.active_count() == 1:
-        shards = max(1, min(_cpu_count(), units, n_traj // MIN_SHARD_ROWS))
+        shards = max(1, min(_cpu_count(), units, n_traj * n_steps // MIN_SHARD_WORK))
     edges = [units * s // shards for s in range(shards + 1)]
     return [(slice(lo, hi), slice(units + lo, units + hi)) if pairs else (slice(lo, hi),)
             for lo, hi in zip(edges, edges[1:])]
@@ -435,22 +439,27 @@ class _Forked:
     shared anonymous mmap, sends "R" up its pipe, and waits for a byte
     down the other before it overwrites them with the next record.  A
     child that raises sends "E", the length and its pickled exception,
-    and exits.  ``close`` kills and reaps every child.
+    and exits.  A child holds no end of its pipes but its own two, so it
+    sees the parent go (EOF or a broken pipe at its next record) and
+    exits, even if the parent never ran ``close``.  ``close`` kills and
+    reaps every child.  A run of one shard forks and maps nothing.
     """
 
     def __init__(self, state, shards, order, march):
+        self.children = []  # (pid, rows, read end of its pipe up, write end of its pipe down)
+        if len(shards) == 1:
+            return
         import mmap
 
         self.mapping = mmap.mmap(-1, state.nbytes + state.shape[0])
         self.state = np.ndarray(state.shape, state.dtype, buffer=self.mapping, order=order)
         self.alive = np.ndarray(state.shape[:1], bool, buffer=self.mapping, offset=state.nbytes)
-        self.children = []  # (pid, rows, read end of its pipe up, write end of its pipe down)
         try:
             for rows in shards[1:]:
                 up, down = os.pipe(), os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    self._child(state, rows, order, march, up[1], down[0])
+                    self._child(state, rows, order, march, up, down)
                 os.close(up[1])
                 os.close(down[0])
                 self.children.append((pid, rows, up[0], down[1]))
@@ -458,10 +467,13 @@ class _Forked:
             self.close()
             raise
 
-    def _child(self, state, rows, order, march, up, down):
+    def _child(self, state, rows, order, march, up_pipe, down_pipe):
         """Step `rows` of `state` and hand each record over; never returns."""
         code = 1
         try:
+            up, down = up_pipe[1], down_pipe[0]
+            os.close(up_pipe[0])  # the parent's ends, so that the parent's exit closes the pipes
+            os.close(down_pipe[1])
             for _, _, read_end, write_end in self.children:  # the older siblings' pipes
                 os.close(read_end)
                 os.close(write_end)
@@ -505,6 +517,8 @@ class _Forked:
                 pass
 
     def close(self):
+        if not self.children:
+            return
         from signal import SIGKILL
 
         for pid, _, up, down in self.children:
@@ -516,7 +530,7 @@ class _Forked:
 
 
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, record=None,
-           pairs: bool = False):
+           pairs: bool = False, shards=None):
     """Yield (step index, state, alive mask) at the step indices in
     `record`, or at step 0 and after every step if `record` is None.
     With `pairs`, each step's noise is drawn as ``model.noise(...,
@@ -536,7 +550,9 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     run advances its own copy of `state` in place, so a step that is not
     recorded copies nothing.  A large stepped run is stepped in shards, by
     this process and children it forks (see the module docstring); every
-    record holds the same bits either way.
+    record holds the same bits either way.  `shards` takes the rows of
+    each shard as ``_shard_rows`` plans them, for a caller that reports
+    the plan; by default the plan is made here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -563,18 +579,13 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
             kwargs["first"] = first
         return _march(work, shard_alive, model, dt, n_steps, ceiling, recorded, partial(model.noise, **kwargs))
 
-    shards = _shard_rows(n_traj, pairs)
-    if len(shards) == 1:
-        work = np.array(state, order=order)  # contiguous, so ravel is a view
-        del state  # a stepped run reads only its copy: drop the caller's array
-        for step_idx in march(work, alive, 0):
-            yield step_idx, work.copy(order="K"), alive
-        return
+    if shards is None:
+        shards = _shard_rows(n_traj, n_steps, pairs)
     forked = _Forked(state, shards, order, march)
     try:
-        work = _gather(state, shards[0], order)
+        work = _gather(state, shards[0], order)  # contiguous, so ravel is a view
         shape, dtype = state.shape, state.dtype
-        del state
+        del state  # a stepped run reads only its copy: drop the caller's array
         own_alive = np.ones(len(work), dtype=bool)
         last = max((k for k in recorded if 0 < k <= n_steps), default=0)
         for step_idx in march(work, own_alive, 0):
@@ -583,6 +594,7 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
             _scatter(alive, shards[0], own_alive)
             forked.collect(record, alive, step_idx == last)
             yield step_idx, record, alive
+            del record  # the consumer's alone while the next steps run
     finally:
         forked.close()
 
@@ -687,8 +699,9 @@ def run_ensemble(
     half = trajectory_count // 2
     initial = antithetic(lambda n: sampler(seed, n), trajectory_count, pair_centre)
     integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
-    shards = len(_shard_rows(trajectory_count, pairs=True)) if integrator == "midpoint" else 1
-    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs=True)
+    # the shards `evolve` steps in; an exact flow steps nothing
+    shards = _shard_rows(trajectory_count, steps[-1], pairs=True) if integrator == "midpoint" else None
+    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs=True, shards=shards)
     del initial  # `evolve` holds it as long as it reads it
     try:
         for t_idx in range(len(times)):  # enumerate would hold each record until the next
@@ -727,5 +740,5 @@ def run_ensemble(
         unreliable=diverged > 0.01 * trajectory_count,
         diverged_count=diverged_count,
         integrator=integrator,
-        shards=shards,
+        shards=len(shards) if shards else 1,
     )

@@ -130,9 +130,9 @@ def test_benchmark_tracer_sees_every_stochastic_layer_per_step(monkeypatch, run,
     from qphase.stochastic import MIDPOINT_ITERS
 
     monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(stochastic, "MIN_SHARD_ROWS", 1)
+    monkeypatch.setattr(stochastic, "MIN_SHARD_WORK", 1)
     n_traj, steps = 6, 5
-    shards = stochastic._shard_rows(n_traj, pairs=True)
+    shards = stochastic._shard_rows(n_traj, steps, pairs=True)
     assert len(shards) == cpus
     t = _benchmark_tracer().Tracer()
     t.install()

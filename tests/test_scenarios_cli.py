@@ -1093,7 +1093,7 @@ def test_manifest_says_how_many_shards_stepped_the_run(tmp_path, monkeypatch):
 
     scenario = tmp_path / "case.yaml"
     scenario.write_text(_PLUSP_SMALL + "trajectories: 12\ntimes: [0.0, 0.05, 0.1]\n")
-    monkeypatch.setattr(stochastic, "MIN_SHARD_ROWS", 4)
+    monkeypatch.setattr(stochastic, "MIN_SHARD_WORK", 1)
     outputs = {}
     for cpus in (1, 3):
         monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)

@@ -622,10 +622,12 @@ def test_plusp_evolve_steps_a_row_major_state_in_its_own_layout():
         assert k == 0 or state.flags.f_contiguous
 
 
-def test_run_ensemble_copies_no_state_between_measurements():
+def test_run_ensemble_copies_no_state_between_measurements(monkeypatch):
     """With measurement times 0 and 20 dt, no state copy made at one step
     is still held when the next step draws its noise: the memory in use
-    at every step's draw equals that at step 0."""
+    at every step's draw equals that at step 0.  One process steps the run,
+    whose whole state tracemalloc sees."""
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 1)
     n, dt, in_use = 4096, 0.01, []
 
     class Probe(Linear):
@@ -644,14 +646,16 @@ def test_run_ensemble_copies_no_state_between_measurements():
     assert max(in_use) - min(in_use) < n * 16
 
 
-def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record():
+def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record(monkeypatch):
     """A stepped run reads its initial state only at step 0 and each
     record only while it measures it.  While it steps it holds no
     state-sized array beyond evolve's own three (the stepped copy, the
     midpoint and the drift buffer): keeping a state-sized array that the
     sampler's half rows view alive from outside raises the memory in use
     at every later draw by one state, and without that the peak stays
-    under 3.5 states."""
+    under 3.5 states.  One process steps the run, whose whole state
+    tracemalloc sees."""
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 1)
     n, dt = 4096, 0.01
     size = n * 2 * 16
 
@@ -919,11 +923,12 @@ def test_paired_bar_is_calibrated_on_a_small_lossy_wigner_run():
 # ---------------------------------------------------------------------------
 
 
-def _forced_shards(monkeypatch, cpus, min_rows=1, block_rows=None):
-    """Let a stepped run take up to `cpus` shards of at least `min_rows`
-    rows, whatever this machine has, and optionally shrink BLOCK_ROWS."""
+def _forced_shards(monkeypatch, cpus, min_work=1, block_rows=None):
+    """Let a stepped run take up to `cpus` shards of at least `min_work`
+    rows x steps, whatever this machine has, and optionally shrink
+    BLOCK_ROWS."""
     monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(stochastic, "MIN_SHARD_ROWS", min_rows)
+    monkeypatch.setattr(stochastic, "MIN_SHARD_WORK", min_work)
     if block_rows is not None:
         monkeypatch.setattr(stochastic, "BLOCK_ROWS", block_rows)
 
@@ -988,7 +993,7 @@ def test_a_sharded_run_equals_the_serial_run_bit_for_bit(case, units, cpus, bloc
         _forced_shards(mp, 1, block_rows=block_rows)
         serial, pairs = _shard_case_records(case, n, ceiling)
         _forced_shards(mp, cpus, block_rows=block_rows)
-        assert len(stochastic._shard_rows(n, pairs)) == min(cpus, n // 2 if pairs else n)
+        assert len(stochastic._shard_rows(n, 6, pairs)) == min(cpus, n // 2 if pairs else n)
         sharded, _ = _shard_case_records(case, n, ceiling)
     assert sharded == serial
     _assert_no_child_left()
@@ -1061,21 +1066,103 @@ def test_a_failing_shard_raises_its_exception_in_the_parent(monkeypatch):
 
 
 def test_one_cpu_or_a_small_run_steps_in_one_process(monkeypatch):
-    """No fork where one CPU is allowed, where a shard would get fewer
-    than MIN_SHARD_ROWS rows, or where another thread is alive."""
+    """No fork where one CPU is allowed, where a shard would get less than
+    MIN_SHARD_WORK rows x steps, or where another thread is alive.  Many
+    rows over few steps count as little work: 8,192 +P rows at 20 steps
+    ran slower in two shards than in one process."""
     import threading
 
+    floor = stochastic.MIN_SHARD_WORK
     _forced_shards(monkeypatch, 1)
-    assert len(stochastic._shard_rows(10**6, True)) == 1
-    _forced_shards(monkeypatch, 4, min_rows=stochastic.MIN_SHARD_ROWS)
-    assert len(stochastic._shard_rows(2 * stochastic.MIN_SHARD_ROWS - 2, True)) == 1
-    assert len(stochastic._shard_rows(3 * stochastic.MIN_SHARD_ROWS, False)) == 3
+    assert len(stochastic._shard_rows(10**6, 100, True)) == 1
+    _forced_shards(monkeypatch, 4, min_work=floor)
+    assert len(stochastic._shard_rows(8192, 20, True)) == 1
+    assert len(stochastic._shard_rows(8192, 200, True)) == 4
+    assert len(stochastic._shard_rows(4000, 100, False)) == 1
+    assert len(stochastic._shard_rows(2 * floor // 100 - 2, 100, True)) == 1
+    assert len(stochastic._shard_rows(3 * floor // 100, 100, False)) == 3
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert len(stochastic._shard_rows(10**6, True)) == 1
+        assert len(stochastic._shard_rows(10**6, 100, True)) == 1
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+_ORPHANED_SHARDS = """
+import os, sys, time
+import numpy as np
+from qphase import stochastic
+
+class Still:
+    def noise(self, step_index, n_traj, dt, pairs=False, first=0):
+        return None
+
+    def derivative(self, state, step_index, noise, out):
+        out[...] = 0.0
+        return out
+
+stochastic._cpu_count = lambda: 3
+stochastic.MIN_SHARD_WORK = 1
+fork = os.fork
+
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = reporting_fork
+run = stochastic.evolve(np.ones((12, 1)), Still(), 0.01, 1000)
+next(run)
+next(run)  # the shards are forked and wait to hand over step 2
+print("stepping", flush=True)
+time.sleep(120)
+"""
+
+
+def _has_exited(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return stat[stat.rindex(")") + 2] in "ZX"  # exited, not yet reaped by its new parent
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_shards_exit_when_their_parent_is_killed():
+    """A parent killed mid-run (SIGKILL, so no `close` runs) leaves no
+    shard process behind: each child sees its pipes close and exits."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qphase.__file__).parents[1]))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHANED_SHARDS], stdout=subprocess.PIPE, text=True, env=env)
+    children = []
+    try:
+        for line in parent.stdout:
+            if line.strip() == "stepping":
+                break
+            children.append(int(line))
+        assert len(children) == 2
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while not all(map(_has_exited, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_has_exited, children)), children
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
