@@ -6,8 +6,8 @@ conditions come from the constructive canonical distribution
 P ~ exp(-|alpha - beta*|^2 / 4) <mu|rho|mu>, mu = (alpha + beta*)/2,
 and normally ordered operator moments are plain averages of
 beta...alpha products.  Each step's noise and Ito->Stratonovich
-correction are folded into rate columns when the noise is drawn, so the
-drift is a few whole-array operations written in place.
+correction are folded into rate columns once per step, so the drift is
+a few whole-array operations written in place.
 `time_reversal_test` records at `reversal_schedule`'s times, checked by
 `stochastic.schedule_steps`, and its report keeps the run's
 `EnsembleResult`.
@@ -27,7 +27,7 @@ from .stochastic import (
     HUSIMI_MEANS,
     EnsembleResult,
     draw_rows,
-    noise_block,
+    noise_block,  # unused here: perfbench/tests/test_smoke.py checks the tracer wraps this binding
     run_ensemble,
     schedule_steps,
 )
@@ -133,11 +133,11 @@ class KerrPlusP:
     From ``reverse_step`` on, the Hamiltonian changes sign (chi is
     negated), which runs the dynamics backwards in time.
 
-    ``noise`` folds each step's noise and Stratonovich correction into
-    rate columns r, so the drift is (-+i chi alpha beta + r) (alpha, beta):
-    a few whole-array operations written into ``out``.  Nothing is
-    compiled from chi or ``reverse_step``, so changing a field changes
-    the next step.
+    ``noise`` folds each step's noise block and the Stratonovich
+    correction into rate columns r, so the drift is
+    (-+i chi alpha beta + r) (alpha, beta): a few whole-array operations
+    written into ``out``.  Nothing is compiled from chi or
+    ``reverse_step``, so changing a field changes the next step.
     """
 
     chi: float
@@ -149,22 +149,19 @@ class KerrPlusP:
     def _sign(self, step_index: int) -> float:
         return -1.0 if self.reverse_step is not None and step_index >= self.reverse_step else 1.0
 
-    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False, first: int = 0) -> np.ndarray:
+    @property
+    def noise_columns(self) -> int:
+        """Real step-noise columns per trajectory: xi1 and xi2 of each mode."""
+        return 2 * self.modes
+
+    def noise(self, xi: np.ndarray, step_index: int, dt: float) -> np.ndarray:
         """This step's rate columns, laid out column-contiguous like the
         state: -i sqrt(i chi) xi1 + i chi / 2 in columns :M and
-        i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi
-        and 2M real two-point noises xi of variance 1/dt (see
-        `stochastic.noise_block`).  With `pairs`, the xi of rows
-        n_traj/2.. negate those of rows ..n_traj/2 before the Stratonovich
-        shift is added.  With `first`, the xi are those of stream rows
-        first.., a shard's (`stochastic.evolve`)."""
-        xi = noise_block(self.seed, step_index, n_traj, 2 * self.modes, pairs=pairs, first=first)
+        i sqrt(-i chi) xi2 - i chi / 2 in M:, with the step's sign on chi.
+        `xi` is the step's (rows, 2M) block of unit two-point noises (see
+        `stochastic.noise_block`); it is scaled in place to variance 1/dt
+        first, so zero `xi` gives the noise-free drift."""
         xi *= 1.0 / math.sqrt(dt)
-        return self.rates(xi, step_index)
-
-    def rates(self, xi: np.ndarray, step_index: int) -> np.ndarray:
-        """Rate columns (see ``noise``) for real noises xi already scaled
-        by 1/sqrt(dt); zero xi gives the noise-free drift."""
         m = self.modes
         chi = self._sign(step_index) * self.chi
         rates = np.empty(xi.shape, dtype=complex, order="F")

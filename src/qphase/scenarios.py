@@ -3,8 +3,8 @@
 A scenario is a YAML mapping whose ``kind`` picks an entry of ``_KINDS``:
 its key spec, cross-field check and runner.  Validation reports *all*
 problems, each under its full key path (``state.alpha``, ``times.stop``,
-``losses[1].powers``); running a validated scenario produces CSV/JSON
-outputs plus a manifest sufficient to re-run bit-exactly.
+``losses[1].powers``); a validated scenario runs to CSV/JSON outputs and
+a manifest that reruns them bit-exactly on one numpy build and SIMD dispatch.
 """
 
 from __future__ import annotations

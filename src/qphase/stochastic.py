@@ -43,14 +43,13 @@ that was calibrated on independent samples.
 indices: from t = 0, on the dt grid, one step per time.
 `evolve` is the one time loop.  It drives a model that provides
 
-    noise(step_index, n_traj, dt) -> this step's noise term (or None)
-    noise(step_index, n_traj, dt, pairs=True) -> the same as antithetic
-        pairs (every `run_ensemble` step calls it)
-    noise(..., first=f) -> the same for a shard whose rows (pair rows,
-        when paired) are stream rows f.. (`noise_block`'s `first`)
+    seed, noise_columns -> the master seed of its step noise and k, the
+        real noise columns a trajectory draws per step (0 without noise)
+    noise(xi, step_index, dt) -> this step's noise term made, in place,
+        from its (rows, k) `noise_block` xi (called only if k > 0)
     derivative(state, step_index, noise, out) -> writes dy/dt with that
-        noise into `out` (an array shaped and laid out like `state`)
-        and returns `out`
+        noise (None if k is 0) into `out` (an array shaped and laid out
+        like `state`) and returns `out`
 
 and may declare
 
@@ -63,18 +62,20 @@ When `flow` gives rates, nothing is stepped: `evolve` yields
 y(t) = y(0) exp(t G) at the recorded steps (Wigner fields of a lossless
 model with real chi keep every density, so their rates never change and
 each trajectory is one phase rotation).  Otherwise it steps the midpoint
-scheme and draws the noise once per step, so every midpoint iteration
-sees the same object, already scaled by 1/sqrt(dt) and any factor fixed
-for the step (+P's rate columns, Wigner's sqrt(kappa_l) per loss
-channel).  A run allocates its state, midpoint and drift buffers once,
-steps the state in place and copies it only at the steps its consumer
-records; models write their drift in place, through per-run scratch of
-their own where they need any, so no step allocates state-sized memory
-beyond its noise draw.  The state is copied into the layout the model
-declares, whatever the caller's layout: +P steps column-contiguous
-(every mode column is one contiguous run), Wigner row-major.  A
-trajectory dies when any component of its state is non-finite or
-exceeds the divergence ceiling in modulus.
+scheme.  Each step it draws the step's `noise_block` itself, the one
+place that picks its stream rows (paired in a `run_ensemble` run, from
+a shard's first row in a shard), and ``model.noise`` maps it, once,
+into the noise term every midpoint iteration sees, already scaled by
+1/sqrt(dt) and any factor fixed for the step (+P's rate columns,
+Wigner's sqrt(kappa_l) per loss channel).  A run allocates its state,
+midpoint and drift buffers once, steps the state in place and copies
+it only at the steps its consumer records; models write their drift in
+place, through per-run scratch of their own where they need any, so no
+step allocates state-sized memory beyond its noise draw.  The state is
+copied into the layout the model declares, whatever the caller's
+layout: +P steps column-contiguous (every mode column is one contiguous
+run), Wigner row-major.  A trajectory dies when any component of its
+state is non-finite or exceeds the divergence ceiling in modulus.
 
 A large stepped run is split into shards, one per CPU in
 ``os.sched_getaffinity(0)``: whole pairs k..l (rows k..l and their
@@ -82,7 +83,7 @@ mirrors) of a paired run, plain rows of an unpaired one, each with at
 least `MIN_SHARD_WORK` rows x steps to do.  The process that calls
 `evolve` steps shard 0; each other shard is stepped by a child it forks,
 through the same loop, on its own rows and with its own step-noise rows
-(its first stream row is passed as `first`), so every row holds the bits
+(`noise_block` from its first stream row), so every row holds the bits
 it holds in one process.  At each record the children write their rows
 and alive flags into one shared anonymous mmap and the parent copies a
 fresh record out of it.  The parent reaps the children before it yields
@@ -405,15 +406,18 @@ def _scatter(full, rows, part):
         at += s.stop - s.start
 
 
-def _march(work, alive, model, dt: float, n_steps: int, ceiling: float, recorded, draw):
-    """Step `work` in place through `n_steps` midpoint steps, drawing each
-    step's noise once as ``draw(step, rows, dt)``, cull it into `alive`
-    after every step, and yield each step index in `recorded` as it is
-    reached."""
+def _march(work, alive, model, dt: float, n_steps: int, ceiling: float, recorded, pairs: bool, first: int):
+    """Step `work` in place through `n_steps` midpoint steps, cull it into
+    `alive` after every step, and yield each step index in `recorded` as
+    it is reached.  Each step maps its `noise_block` rows (stream rows
+    from `first`, paired with `pairs`) through ``model.noise`` once."""
     mid, slope = np.empty_like(work), np.empty_like(work)
     parts = _parts(work)
+    columns = model.noise_columns
     for step_idx in range(n_steps):
-        noise = draw(step_idx, len(work), dt)
+        # the block is passed, not bound: +P's noise frees it once its rates are made
+        noise = (model.noise(noise_block(model.seed, step_idx, len(work), columns, pairs, first), step_idx, dt)
+                 if columns else None)
         with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow die in _cull
             step(work, lambda y, out: model.derivative(y, step_idx, noise, out), dt, mid, slope)
             _cull(work, parts, alive, ceiling)
@@ -529,30 +533,30 @@ class _Forked:
         self.children = []
 
 
-def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, record=None,
+def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, *, record,
            pairs: bool = False, shards=None):
     """Yield (step index, state, alive mask) at the step indices in
-    `record`, or at step 0 and after every step if `record` is None.
-    With `pairs`, each step's noise is drawn as ``model.noise(...,
-    pairs=True)``: antithetic pairs (see the module docstring).
+    `record`.  With `pairs`, each step's `noise_block` is drawn as
+    antithetic pairs (see the module docstring).
 
     When ``model.flow`` gives rates G for `state` (see the module
     docstring), each recorded state is the exact y(0) exp(t G) at
-    t = step * dt and nothing is stepped.  Otherwise each step draws
-    `model.noise` once and passes it to every `model.derivative` call of
-    that step.  Dead trajectories (see the module docstring) are marked in
-    the mask and zeroed after every step, even where additive noise moved
-    them within it; a step's overflow warns of nothing, as the rows it
-    reaches die.  The mask is updated in place, so a
-    consumer that keeps it past the next step must copy it.  Step 0 yields
-    the caller's `state`, and every later recorded step a fresh array in
-    the model's layout, so no yielded state is overwritten.  The stepped
-    run advances its own copy of `state` in place, so a step that is not
-    recorded copies nothing.  A large stepped run is stepped in shards, by
-    this process and children it forks (see the module docstring); every
-    record holds the same bits either way.  `shards` takes the rows of
-    each shard as ``_shard_rows`` plans them, for a caller that reports
-    the plan; by default the plan is made here.
+    t = step * dt and nothing is stepped.  Otherwise each step maps its
+    `noise_block` through `model.noise` once and passes the result to
+    every `model.derivative` call of that step.  Dead trajectories (see
+    the module docstring) are marked in the mask and zeroed after every
+    step, even where additive noise moved them within it; a step's
+    overflow warns of nothing, as the rows it reaches die.  The mask is
+    updated in place, so a consumer that keeps it past the next step must
+    copy it.  Step 0 yields the caller's `state`, and every later
+    recorded step a fresh array in the model's layout, so no yielded
+    state is overwritten.  The stepped run advances its own copy of
+    `state` in place, so a step that is not recorded copies nothing.  A
+    large stepped run is stepped in shards, by this process and children
+    it forks (see the module docstring); every record holds the same bits
+    either way.  `shards` takes the rows of each shard as ``_shard_rows``
+    plans them, for a caller that reports the plan; by default the plan
+    is made here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -560,7 +564,7 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     n_traj = state.shape[0]
     alive = np.ones(n_traj, dtype=bool)
     order = getattr(model, "order", "C")
-    recorded = range(n_steps + 1) if record is None else frozenset(record)
+    recorded = frozenset(record)
     rates = _flow_rates(model, state)
     if 0 in recorded:
         yield 0, state, alive
@@ -574,10 +578,7 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
         return
 
     def march(work, shard_alive, first):
-        kwargs = {"pairs": True} if pairs else {}
-        if first:
-            kwargs["first"] = first
-        return _march(work, shard_alive, model, dt, n_steps, ceiling, recorded, partial(model.noise, **kwargs))
+        return _march(work, shard_alive, model, dt, n_steps, ceiling, recorded, pairs, first)
 
     if shards is None:
         shards = _shard_rows(n_traj, n_steps, pairs)
@@ -664,7 +665,7 @@ def run_ensemble(
     """Evolve an ensemble of antithetic pairs and accumulate observable means with CLT bars.
 
     sampler(seed, n) -> initial state array with leading trajectory axis.
-    model: provides noise(step_index, n_traj, dt, pairs=True) and
+    model: provides seed, noise_columns, noise(xi, step_index, dt) and
     derivative(state, step_index, noise, out), as driven by `evolve`.
     observables: name -> fn(state) -> per-trajectory complex values.
 
@@ -701,7 +702,7 @@ def run_ensemble(
     integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
     # the shards `evolve` steps in; an exact flow steps nothing
     shards = _shard_rows(trajectory_count, steps[-1], pairs=True) if integrator == "midpoint" else None
-    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, steps, pairs=True, shards=shards)
+    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, record=steps, pairs=True, shards=shards)
     del initial  # `evolve` holds it as long as it reads it
     try:
         for t_idx in range(len(times)):  # enumerate would hold each record until the next

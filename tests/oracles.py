@@ -13,7 +13,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from qphase.fock import StateVector
 from qphase.gaussian_entropy import RenyiResult, inner_product
-from qphase.stochastic import MIDPOINT_ITERS, STEP_NOISE, antithetic, draw_rows
+from qphase.stochastic import MIDPOINT_ITERS, STEP_NOISE, antithetic, draw_rows, noise_block
 from qphase.wigner import (
     XI2_BLOCKS,
     SqueezingResult,
@@ -81,6 +81,14 @@ def allocating_step(state, derivative, dt):
         np.multiply(derivative(mid), 0.5 * dt, out=mid)
         mid += state
     return np.subtract(np.multiply(2.0, mid, out=mid), state, out=mid)
+
+
+def step_noise(model, step_index, n_traj, dt):
+    """The noise term `stochastic.evolve` hands the model's drift at one
+    step of an unpaired one-process run of `n_traj` trajectories: the
+    model's map of that step's `noise_block` (or None without noise)."""
+    columns = model.noise_columns
+    return model.noise(noise_block(model.seed, step_index, n_traj, columns), step_index, dt) if columns else None
 
 
 def gaussian_noise_block(master_seed, step_index, n_traj, per_traj, pairs=False, first=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import plusp_derivative
+from oracles import plusp_derivative, step_noise
 
 from qphase.fock import kerr_oracle
 from qphase.plusp import (
@@ -140,7 +140,7 @@ def test_drift_carries_the_stratonovich_correction():
     beta = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
     model = KerrPlusP(chi=chi)
     d = model.derivative(
-        np.concatenate([alpha, beta], axis=1), 0, model.rates(np.zeros((6, 2)), 0),
+        np.concatenate([alpha, beta], axis=1), 0, model.noise(np.zeros((6, 2)), 0, 0.01),
         np.empty((6, 2), dtype=complex),
     )
     expected_alpha = -1j * chi * alpha**2 * beta + 0.5j * chi * alpha
@@ -171,10 +171,10 @@ def test_drift_matches_the_per_half_reference(seed, modes, reversed_, noisy, col
     state = rng.standard_normal((n, 2 * modes)) + 1j * rng.standard_normal((n, 2 * modes))
     state = np.asfortranarray(state) if column_major else state
     if noisy:
-        rates, xi = model.noise(k, n, dt), _scaled_normals(model, k, n, dt)
+        rates, xi = step_noise(model, k, n, dt), _scaled_normals(model, k, n, dt)
     else:
         xi = np.zeros((n, 2 * modes))
-        rates = model.rates(xi, k)
+        rates = model.noise(np.zeros_like(xi), k, dt)
     got = model.derivative(state, k, rates, np.empty_like(state))
     np.testing.assert_allclose(got, plusp_derivative(model, state, k, xi), rtol=1e-13, atol=1e-15)
 
@@ -188,7 +188,7 @@ def test_changed_fields_change_the_next_drift():
     dt = 0.01
 
     def check(k):
-        got = model.derivative(state, k, model.noise(k, 8, dt), np.empty_like(state))
+        got = model.derivative(state, k, step_noise(model, k, 8, dt), np.empty_like(state))
         np.testing.assert_allclose(got, plusp_derivative(model, state, k, _scaled_normals(model, k, 8, dt)),
                                    rtol=1e-13, atol=1e-15)
         return got
@@ -210,13 +210,13 @@ def test_reverse_step_flips_dynamics():
     flipped = KerrPlusP(chi=-0.1, modes=1, seed=5)
     forward = KerrPlusP(chi=0.1, modes=1, seed=5)
     for k, same in ((10, flipped), (9, forward)):
-        xi = reversing.noise(k, 4, 0.01)
-        xi_same = same.noise(k, 4, 0.01)
+        xi = step_noise(reversing, k, 4, 0.01)
+        xi_same = step_noise(same, k, 4, 0.01)
         assert xi.tobytes() == xi_same.tobytes()
         d = reversing.derivative(state, k, xi, np.empty_like(state))
         assert d.tobytes() == same.derivative(state, k, xi_same, np.empty_like(state)).tobytes()
     # the sign really is in the noise: sqrt(-i chi) differs from sqrt(i chi)
-    assert not np.array_equal(reversing.noise(10, 4, 0.01), forward.noise(10, 4, 0.01))
+    assert not np.array_equal(step_noise(reversing, 10, 4, 0.01), step_noise(forward, 10, 4, 0.01))
 
 
 def test_time_reversal_report_fields():

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qphase
 from qphase.cli import main
 from qphase.doublewell import DoubleWellPoint, doublewell_scan, rb_interaction_matrix
 from qphase.fock import kerr_oracle
@@ -29,9 +30,9 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
+    # the child imports the qphase this test imported, installed or not
+    src = str(Path(qphase.__file__).parents[1])
+    full_env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     if env:
         full_env.update(env)
     return subprocess.run(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import allocating_step, gaussian_noise_block
+from oracles import allocating_step, gaussian_noise_block, step_noise
 
 import qphase
 from qphase import stochastic
@@ -41,11 +41,10 @@ from qphase.wigner import LossChannel, WignerModel, run_wigner_x, sample_wigner_
 class Linear:
     """Noise-free model dy/dt = rate * y."""
 
+    noise_columns = 0
+
     def __init__(self, rate):
         self.rate = rate
-
-    def noise(self, step_index, n_traj, dt, pairs=False, first=0):
-        return None
 
     def derivative(self, state, step_index, noise, out):
         return np.multiply(self.rate, state, out=out)
@@ -213,10 +212,11 @@ def test_field_noise_scaling():
     channel means no noise."""
     channels = _loss_channels(2)
     dt = 0.01
-    z = WignerModel(channels=channels, seed=1).noise(0, 50000, dt)
+    z = step_noise(WignerModel(channels=channels, seed=1), 0, 50000, dt)
     rates = np.array([ch.rate for ch in channels])
     assert np.mean(np.abs(z) ** 2, axis=0) == pytest.approx(rates / dt, rel=0.03)
-    assert WignerModel(seed=1).noise(0, 50000, dt) is None
+    assert WignerModel(seed=1).noise_columns == 0
+    assert step_noise(WignerModel(seed=1), 0, 50000, dt) is None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -228,7 +228,7 @@ def test_field_noise_equals_the_quadrature_sum_byte_for_byte(seed):
     raw = noise_block(seed, seed + 1, 300, 2 * len(channels))
     scale = np.sqrt([ch.rate for ch in channels]) / math.sqrt(2.0 * dt)
     explicit = (raw[:, 0::2] + 1j * raw[:, 1::2]) * scale
-    zeta = WignerModel(channels=channels, seed=seed).noise(seed + 1, 300, dt)
+    zeta = step_noise(WignerModel(channels=channels, seed=seed), seed + 1, 300, dt)
     assert zeta.tobytes() == explicit.tobytes()
 
 
@@ -239,10 +239,10 @@ def test_field_noise_equals_the_quadrature_sum_byte_for_byte(seed):
 
 def _under_both_laws(monkeypatch, run):
     """`run()` with the two-point step noise, then with the Gaussian
-    reference law in its place in both engines."""
+    reference law in its place, where `evolve` draws the step noise of
+    both engines."""
     two_point = run()
-    monkeypatch.setattr("qphase.plusp.noise_block", gaussian_noise_block)
-    monkeypatch.setattr("qphase.wigner.noise_block", gaussian_noise_block)
+    monkeypatch.setattr("qphase.stochastic.noise_block", gaussian_noise_block)
     return two_point, run()
 
 
@@ -339,7 +339,7 @@ def test_accumulator_empty_and_single():
 def test_scheme_validation():
     for dt in (-1.0, 0.0):
         with pytest.raises(ValueError, match="dt must be positive"):
-            next(evolve(np.ones((2, 1)), Linear(1.0), dt, 1))
+            next(evolve(np.ones((2, 1)), Linear(1.0), dt, 1, record=range(2)))
         with pytest.raises(ValueError, match="dt must be positive"):
             run_ensemble(
                 lambda s, n: np.ones((n, 1)), Linear(1.0), {}, 4, np.array([0.0, 1.0]), dt, 0, pair_centre=1.0
@@ -425,8 +425,7 @@ def test_run_ensemble_counts_divergence_by_measurement_time():
 
 
 class ZeroDrift:
-    def noise(self, step_index, n_traj, dt):
-        return None
+    noise_columns = 0
 
     def derivative(self, state, step_index, noise, out):
         out.fill(0.0)
@@ -444,14 +443,14 @@ def test_divergence_mask_edge_rows(ceiling):
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = allocating_step(state, np.zeros_like, 0.01)
         expected_dead = ~np.isfinite(stepped).all(1) | (np.abs(stepped).max(1) > ceiling)
-        _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling)
+        _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling, record=[0, 1])
     assert np.isposinf(stepped[3, 0].real) and np.isposinf(stepped[4, 0].imag)
     assert np.array_equal(~alive, expected_dead)
     # a row exactly at a finite ceiling lives; at an infinite one it is inf
     assert expected_dead.tolist() == [True] * 5 + [math.isinf(ceiling), True, False]
 
     clean = np.array([[2.0, 1.0], [1e2, -3j]])
-    *_, (_, _, alive) = evolve(clean, ZeroDrift(), 0.01, 5, divergence_ceiling=ceiling)
+    [(_, _, alive)] = evolve(clean, ZeroDrift(), 0.01, 5, divergence_ceiling=ceiling, record=[5])
     assert alive.all()
 
 
@@ -471,7 +470,7 @@ def test_prefiltered_mask_equals_the_exact_mask(ceiling, order):
         with np.errstate(over="ignore", invalid="ignore"):
             stepped = allocating_step(state, np.zeros_like, 0.01)
             exact = (np.abs(stepped) <= big).all(axis=1)
-            _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling)
+            _, (_, _, alive) = evolve(state, ZeroDrift(), 0.01, 1, divergence_ceiling=ceiling, record=[0, 1])
         assert np.array_equal(alive, exact), picked
 
 
@@ -498,7 +497,7 @@ def test_in_place_step_matches_the_allocating_reference(case):
     state, ref = initial.copy(order="K"), np.ascontiguousarray(initial)
     mid, slope = np.empty_like(state), np.empty_like(state)
     for k in range(4):
-        noise = model.noise(k, n, dt)
+        noise = step_noise(model, k, n, dt)
         step(state, lambda y, out: model.derivative(y, k, noise, out), dt, mid, slope)
         ref = allocating_step(ref, lambda y: model.derivative(y, k, noise, np.empty_like(y)), dt)
         assert np.ascontiguousarray(state).tobytes() == ref.tobytes()
@@ -532,8 +531,8 @@ def test_dead_rows_stay_zero_under_additive_noise():
     fields = sample_wigner_coherent([2.0], 1, 6)
     wild = fields.copy()
     wild[2] = 1e7  # beyond the default ceiling after one step
-    ref = {k: s for k, s, _ in evolve(fields, model, 0.01, 6)}
-    for k, state, alive in evolve(wild, model, 0.01, 6):
+    ref = {k: s for k, s, _ in evolve(fields, model, 0.01, 6, record=range(7))}
+    for k, state, alive in evolve(wild, model, 0.01, 6, record=range(7)):
         if k > 0:
             assert alive.tolist() == [True, True, False, True, True, True]
             assert np.all(state[2] == 0)
@@ -543,7 +542,7 @@ def test_dead_rows_stay_zero_under_additive_noise():
 def test_evolve_keeps_yielded_states_intact():
     """A state yielded at step k is not overwritten by later steps."""
     kept = []
-    for k, state, _ in evolve(np.ones((3, 2), dtype=complex), Linear(-1.0), 0.1, 5):
+    for k, state, _ in evolve(np.ones((3, 2), dtype=complex), Linear(-1.0), 0.1, 5, record=range(6)):
         kept.append((state, state.copy()))
     for state, copy in kept:
         assert np.array_equal(state, copy)
@@ -584,7 +583,7 @@ def test_drift_allocates_less_than_one_state_column(case):
     than one complex state column."""
     n = 4096
     model, state = _drift_cases(n)[case]
-    noise, out = model.noise(1, n, 0.01), np.empty_like(state)
+    noise, out = step_noise(model, 1, n, 0.01), np.empty_like(state)
     assert _peak_bytes_of_second_call(lambda: model.derivative(state, 1, noise, out)) < n * 16
 
 
@@ -606,11 +605,11 @@ def test_plusp_evolve_steps_a_row_major_state_in_its_own_layout():
     model = Probe(chi=0.05, seed=4)
     packed = sample_canonical({"kind": "coherent", "alpha": [2.0]}, 4, n)
     row_major = np.ascontiguousarray(packed)
-    column_major = list(evolve(packed, model, dt, steps))
+    column_major = list(evolve(packed, model, dt, steps, record=range(steps + 1)))
     grown.clear()
     tracemalloc.start()
     try:
-        runs = list(evolve(row_major, model, dt, steps))
+        runs = list(evolve(row_major, model, dt, steps, record=range(steps + 1)))
     finally:
         tracemalloc.stop()
     assert runs[0][1] is row_major
@@ -624,16 +623,17 @@ def test_plusp_evolve_steps_a_row_major_state_in_its_own_layout():
 
 def test_run_ensemble_copies_no_state_between_measurements(monkeypatch):
     """With measurement times 0 and 20 dt, no state copy made at one step
-    is still held when the next step draws its noise: the memory in use
-    at every step's draw equals that at step 0.  One process steps the run,
-    whose whole state tracemalloc sees."""
+    is still held when the next step starts: the memory in use at every
+    step's first drift call equals that at step 0.  One process steps the
+    run, whose whole state tracemalloc sees."""
     monkeypatch.setattr(stochastic, "_cpu_count", lambda: 1)
     n, dt, in_use = 4096, 0.01, []
 
     class Probe(Linear):
-        def noise(self, step_index, n_traj, dt, pairs=False, first=0):
-            in_use.append(tracemalloc.get_traced_memory()[0])
-            return None
+        def derivative(self, state, step_index, noise, out):
+            if len(in_use) == step_index:  # the step's first call
+                in_use.append(tracemalloc.get_traced_memory()[0])
+            return super().derivative(state, step_index, noise, out)
 
     initial = np.ones((n // 2, 2), dtype=complex)
     tracemalloc.start()
@@ -663,9 +663,10 @@ def test_stepped_run_ensemble_holds_neither_the_initial_state_nor_a_record(monke
         in_use, kept = [], []
 
         class Probe(Linear):
-            def noise(self, step_index, n_traj, dt, pairs=False, first=0):
-                in_use.append(tracemalloc.get_traced_memory()[0])
-                return None
+            def derivative(self, state, step_index, noise, out):
+                if len(in_use) == step_index:  # the step's first call
+                    in_use.append(tracemalloc.get_traced_memory()[0])
+                return super().derivative(state, step_index, noise, out)
 
         def sampler(seed, half):
             kept.append(np.ones((2 * half, 2), dtype=complex))
@@ -690,12 +691,14 @@ def test_run_ensemble_draws_noise_once_per_step():
     for that step."""
 
     class Counting:
+        seed, noise_columns = 0, 1
+
         def __init__(self):
             self.drawn = []  # (step index, noise) per noise call
             self.seen = []  # (step index, noise) per derivative call
 
-        def noise(self, step_index, n_traj, dt, pairs=False, first=0):
-            xi = noise_block(0, step_index, n_traj, 1, pairs, first) / math.sqrt(dt)
+        def noise(self, xi, step_index, dt):
+            xi = xi / math.sqrt(dt)
             self.drawn.append((step_index, xi))
             return xi
 
@@ -975,7 +978,7 @@ def _shard_case_records(case, n, ceiling):
         initial = (antithetic(lambda k: sample_wigner_coherent(alpha, 5, k), n, alpha) if pairs
                    else sample_wigner_coherent(alpha, 5, n))
     records = [(k, s.tobytes(), a.tobytes())
-               for k, s, a in evolve(initial, model, dt, steps, ceiling, [0, 2, 5, 6], pairs=pairs)]
+               for k, s, a in evolve(initial, model, dt, steps, ceiling, record=[0, 2, 5, 6], pairs=pairs)]
     return records, pairs
 
 
@@ -996,6 +999,60 @@ def test_a_sharded_run_equals_the_serial_run_bit_for_bit(case, units, cpus, bloc
         assert len(stochastic._shard_rows(n, 6, pairs)) == min(cpus, n // 2 if pairs else n)
         sharded, _ = _shard_case_records(case, n, ceiling)
     assert sharded == serial
+    _assert_no_child_left()
+
+
+class BlockCheck:
+    """Zero drift that checks the block `evolve` hands its `noise`: column 0
+    of the state holds each row's index in the whole run, so a shard's
+    rows can be matched with their rows of the run's `noise_block`.  A
+    mismatch raises, in a shard process too (its parent re-raises it)."""
+
+    seed = 7
+
+    def __init__(self, columns, n_traj, pairs):
+        self.noise_columns, self.n_traj, self.pairs = columns, n_traj, pairs
+        self.calls = []  # (step index, block rows) per noise call in this process
+
+    def noise(self, xi, step_index, dt):
+        self.calls.append((step_index, len(xi)))
+        return (step_index, xi)
+
+    def derivative(self, state, step_index, noise, out):
+        if not self.noise_columns:
+            assert noise is None
+        else:
+            drawn_at, xi = noise
+            assert drawn_at == step_index
+            rows = state[:, 0].real.astype(int)
+            whole = noise_block(self.seed, step_index, self.n_traj, self.noise_columns, pairs=self.pairs)
+            assert xi.shape == (len(state), self.noise_columns), xi.shape
+            assert xi.tobytes() == whole[rows].tobytes(), f"rows {rows.min()}.. at step {step_index}"
+        out.fill(0.0)
+        return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("pairs", [True, False], ids=["paired", "unpaired"])
+@pytest.mark.parametrize("columns", [0, 1, 3])
+def test_evolve_hands_each_noise_call_its_rows_of_the_step_block(monkeypatch, columns, pairs, cpus):
+    """Each stepped `noise` call of a model with k noise columns gets a
+    (rows, k) block holding the bits of that shard's rows of the step's
+    `noise_block` of the whole run (as antithetic pairs when paired), in
+    one process and from forced shards.  With 0 columns nothing is drawn,
+    `noise` is never called and the drift gets None.  The parent steps
+    shard 0 and calls `noise` once per step."""
+    n, steps = 14, 4
+    _forced_shards(monkeypatch, cpus, block_rows=5)
+    shards = stochastic._shard_rows(n, steps, pairs)
+    assert len(shards) == cpus
+    model = BlockCheck(columns, n, pairs)
+    initial = np.zeros((n, 1), dtype=complex)
+    initial[:, 0] = np.arange(n)
+    [(_, final, alive)] = evolve(initial, model, 0.01, steps, record=[steps], pairs=pairs)
+    assert alive.all() and final.tobytes() == initial.tobytes()
+    shard_rows = sum(s.stop - s.start for s in shards[0])
+    assert model.calls == ([(k, shard_rows) for k in range(steps)] if columns else [])
     _assert_no_child_left()
 
 
@@ -1049,19 +1106,20 @@ class ShardFailure(Exception):
 def test_a_failing_shard_raises_its_exception_in_the_parent(monkeypatch):
     """A shard process that raises hands its exception to the parent,
     which raises it with the shard's type and message at the next record
-    and reaps every shard."""
+    and reaps every shard.  A shard process is any but the test's own."""
+    parent = os.getpid()
 
     class Failing(Linear):
-        def noise(self, step_index, n_traj, dt, pairs=False, first=0):
-            if first and step_index == 3:
-                raise ShardFailure(f"no noise for rows {first}.. at step {step_index}")
-            return None
+        def derivative(self, state, step_index, noise, out):
+            if os.getpid() != parent and step_index == 3:
+                raise ShardFailure(f"no drift in a shard process at step {step_index}")
+            return super().derivative(state, step_index, noise, out)
 
     _forced_shards(monkeypatch, 3)
     with pytest.raises(ShardFailure) as failure:
         run_ensemble(lambda s, n: np.ones((n, 1)), Failing(-1.0), {"y": lambda s: s[:, 0]}, 12,
                      np.linspace(0.0, 0.1, 11), 0.01, 0, pair_centre=1.0)
-    assert str(failure.value) == "no noise for rows 2.. at step 3"
+    assert str(failure.value) == "no drift in a shard process at step 3"
     _assert_no_child_left()
 
 
@@ -1098,8 +1156,7 @@ import numpy as np
 from qphase import stochastic
 
 class Still:
-    def noise(self, step_index, n_traj, dt, pairs=False, first=0):
-        return None
+    noise_columns = 0
 
     def derivative(self, state, step_index, noise, out):
         out[...] = 0.0
@@ -1116,7 +1173,7 @@ def reporting_fork():
     return pid
 
 os.fork = reporting_fork
-run = stochastic.evolve(np.ones((12, 1)), Still(), 0.01, 1000)
+run = stochastic.evolve(np.ones((12, 1)), Still(), 0.01, 1000, record=range(1001))
 next(run)
 next(run)  # the shards are forked and wait to hand over step 2
 print("stepping", flush=True)

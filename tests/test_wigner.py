@@ -34,7 +34,7 @@ from qphase.wigner import (
 )
 
 from oracles import squeezing_xi2 as per_block_xi2
-from oracles import two_body_loss_number, wigner_derivative
+from oracles import step_noise, two_body_loss_number, wigner_derivative
 
 
 def test_sampling_half_quantum_width():
@@ -244,7 +244,7 @@ def test_loss_drift_matches_the_per_channel_reference(seed, components, with_chi
         seed=seed,
     )
     fields = rng.standard_normal((16, components)) + 1j * rng.standard_normal((16, components))
-    zeta = model.noise(3, fields.shape[0], 0.01)
+    zeta = step_noise(model, 3, fields.shape[0], 0.01)
     np.testing.assert_allclose(
         model.derivative(fields, 3, zeta, np.empty_like(fields)), wigner_derivative(model, fields, zeta),
         rtol=1e-12, atol=1e-12,
@@ -261,7 +261,7 @@ def test_noise_scales_each_channel_column_exactly():
     row = np.sqrt([ch.rate for ch in channels]) / math.sqrt(2.0 * dt)
     for step_index in (0, 7):
         raw = noise_block(9, step_index, 1000, 2 * len(channels))
-        zeta = model.noise(step_index, 1000, dt)
+        zeta = step_noise(model, step_index, 1000, dt)
         assert zeta.tobytes() == (raw.view(complex) * row).tobytes()
 
 
@@ -273,7 +273,8 @@ def test_lossless_drift_matches_the_reference():
     rng = np.random.default_rng(11)
     fields = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
     for model in (WignerModel(), WignerModel(chi=_random_chi(rng, 3))):
-        zeta = model.noise(5, fields.shape[0], 0.01)
+        assert model.noise_columns == 0
+        zeta = step_noise(model, 5, fields.shape[0], 0.01)
         assert zeta is None
         d = model.derivative(fields, 5, zeta, np.empty_like(fields))
         np.testing.assert_allclose(
@@ -293,7 +294,7 @@ def test_model_is_frozen_over_its_own_copies():
     channels = [LossChannel(powers, 0.3)]
     model = WignerModel(chi=chi, channels=channels, seed=2)
     fields = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
-    zeta = model.noise(0, 16, 0.01)
+    zeta = step_noise(model, 0, 16, 0.01)
     before = model.derivative(fields, 0, zeta, np.empty_like(fields)).copy()
     for name, value in (("chi", chi), ("channels", ()), ("seed", 3)):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -305,7 +306,7 @@ def test_model_is_frozen_over_its_own_copies():
     channels.append(LossChannel((0, 2), 1.0))
     assert model.derivative(fields, 0, zeta, np.empty_like(fields)).tobytes() == before.tobytes()
     changed = dataclasses.replace(model, chi=chi, channels=channels)
-    zeta = changed.noise(0, 16, 0.01)
+    zeta = step_noise(changed, 0, 16, 0.01)
     d = changed.derivative(fields, 0, zeta, np.empty_like(fields))
     np.testing.assert_allclose(d, wigner_derivative(changed, fields, zeta), rtol=1e-12, atol=1e-12)
     assert not np.allclose(d, before)
@@ -455,7 +456,7 @@ def _stepped_reference(model, fields, dt, n_steps):
     work = fields.copy()
     mid, slope = np.empty_like(work), np.empty_like(work)
     for k in range(n_steps):
-        noise = model.noise(k, work.shape[0], dt)
+        noise = step_noise(model, k, work.shape[0], dt)
         step(work, lambda y, out: model.derivative(y, k, noise, out), dt, mid, slope)
     return work
 
