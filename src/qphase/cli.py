@@ -61,8 +61,15 @@ def _write_output(path: Path, text: str) -> None:
 
 def _environment() -> dict:
     """The CPUs this process may run on, the BLAS/OpenMP thread settings
-    (None where unset), numpy's version and the BLAS library numpy was
-    built against ("unknown" where numpy does not say), for the run manifest."""
+    (None where unset), numpy's version, the BLAS library numpy was built
+    against ("unknown" where numpy does not say), and the SIMD targets
+    numpy was built for (its baseline) and dispatches to on this CPU, for
+    the run manifest: another dispatch can move the last bits of a run."""
+    try:
+        from numpy._core import _multiarray_umath as simd
+    except ImportError:  # numpy before 2
+        from numpy.core import _multiarray_umath as simd
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -73,6 +80,8 @@ def _environment() -> dict:
         **{var: os.environ.get(var) for var in THREAD_VARS},
         "numpy": np.__version__,
         "blas": blas,
+        "numpy_cpu_baseline": list(simd.__cpu_baseline__),
+        "numpy_cpu_dispatch": [target for target in simd.__cpu_dispatch__ if simd.__cpu_features__.get(target)],
     }
 
 

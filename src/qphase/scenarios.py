@@ -404,7 +404,7 @@ def _defined(value):
     return value if math.isfinite(value) else None
 
 
-def _ensemble_outcome(rows, report, result, reason=None, step_noise=True):
+def _ensemble_outcome(rows, report, result, reason=None):
     """The outcome of a stochastic run's `result`: `report` gains the keys
     every such run shares, and the run is inconclusive for `reason`, else
     when over 1 % of its trajectories diverged.  The manifest names the
@@ -414,7 +414,7 @@ def _ensemble_outcome(rows, report, result, reason=None, step_noise=True):
     trajectory had died, or None: the `t` of the first row with a nonzero
     `diverged_count`, not the step at which the trajectory died, which
     lies after the previous recorded time."""
-    from .stochastic import ESTIMATOR, STEP_NOISE_LAW
+    from .stochastic import ESTIMATOR
 
     dead = np.flatnonzero(result.diverged_count)
     report.update({
@@ -424,7 +424,7 @@ def _ensemble_outcome(rows, report, result, reason=None, step_noise=True):
     })
     if reason is None and result.unreliable:
         reason = f"{result.diverged} of {result.trajectories} trajectories diverged (over 1 %)"
-    return ScenarioOutcome(rows, report, reason, STEP_NOISE_LAW if step_noise else None, ESTIMATOR, result.shards)
+    return ScenarioOutcome(rows, report, reason, result.step_noise, ESTIMATOR, result.shards)
 
 
 def _x_rows(result):
@@ -456,8 +456,7 @@ def _run_wigner(p, seed):
         for row, value in zip(rows, exact):
             row["exact"] = value
     report = {"trajectories": result.trajectories, "integrator": result.integrator}
-    # only loss channels draw step noise
-    return _ensemble_outcome(rows, report, result, step_noise=bool(channels))
+    return _ensemble_outcome(rows, report, result)
 
 
 def _run_plusp(p, seed):

@@ -41,7 +41,8 @@ that was calibrated on independent samples.
 
 `schedule_steps` is the one rule that turns recorded times into step
 indices: from t = 0, on the dt grid, one step per time.
-`evolve` is the one time loop.  It drives a model that provides
+`evolve` is the one time loop; it alone decides how a run goes and
+reports it in `stats`.  It drives a model that provides
 
     seed, noise_columns -> the master seed of its step noise and k, the
         real noise columns a trajectory draws per step (0 without noise)
@@ -91,11 +92,13 @@ the last record, and when the run ends early; a child's exception is
 raised in the parent with its type and message, and a child whose
 parent has gone exits at its next record.  A run stays in one process
 on a platform other than Linux, while another thread is alive (a forked
-child could inherit a lock that thread held), with one CPU, and where a
-shard would get less than `MIN_SHARD_WORK` rows x steps;
-``taskset -c 0 qphase run ...`` pins a run to one shard.  Threads are no
-substitute: numpy ufunc calls on these array sizes hand the interpreter
-lock over every ~10 us.
+child could inherit a lock that thread held), with one CPU, where a
+shard would get less than `MIN_SHARD_WORK` rows x steps, and when no
+child can be forked (no process id or memory left: the children forked
+so far are reaped, and this process steps every row, with the same
+bits); ``taskset -c 0 qphase run ...`` pins a run to one shard.
+Threads are no substitute: numpy ufunc calls on these array sizes hand
+the interpreter lock over every ~10 us.
 """
 
 from __future__ import annotations
@@ -331,12 +334,6 @@ def step(state, derivative, dt: float, mid, slope):
     return state
 
 
-def _flow_rates(model, state):
-    """The rates G of the exact flow the model declares for `state`, or None."""
-    flow = getattr(model, "flow", None)
-    return None if flow is None else flow(state)
-
-
 def _parts(state):
     """Every real and imaginary part of the contiguous `state` as one flat view."""
     parts = state.ravel(order="K")
@@ -461,7 +458,12 @@ class _Forked:
         try:
             for rows in shards[1:]:
                 up, down = os.pipe(), os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    for fd in up + down:
+                        os.close(fd)
+                    raise
                 if pid == 0:
                     self._child(state, rows, order, march, up, down)
                 os.close(up[1])
@@ -534,7 +536,7 @@ class _Forked:
 
 
 def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e6, *, record,
-           pairs: bool = False, shards=None):
+           pairs: bool = False, stats: dict | None = None):
     """Yield (step index, state, alive mask) at the step indices in
     `record`.  With `pairs`, each step's `noise_block` is drawn as
     antithetic pairs (see the module docstring).
@@ -554,9 +556,10 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     `state` in place, so a step that is not recorded copies nothing.  A
     large stepped run is stepped in shards, by this process and children
     it forks (see the module docstring); every record holds the same bits
-    either way.  `shards` takes the rows of each shard as ``_shard_rows``
-    plans them, for a caller that reports the plan; by default the plan
-    is made here.
+    either way.  ``stats``, when given, gets ``integrator`` ("exact_flow"
+    or "midpoint"), ``shards`` (the processes that stepped it: 1 for an
+    exact flow, or when no child could be forked) and ``step_noise``
+    (`STEP_NOISE_LAW` where a midpoint step drew noise, else None).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -565,7 +568,11 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     alive = np.ones(n_traj, dtype=bool)
     order = getattr(model, "order", "C")
     recorded = frozenset(record)
-    rates = _flow_rates(model, state)
+    flow = getattr(model, "flow", None)
+    rates = None if flow is None else flow(state)
+    stats = {} if stats is None else stats
+    stats.update(integrator="midpoint" if rates is None else "exact_flow", shards=1,
+                 step_noise=STEP_NOISE_LAW if rates is None and model.noise_columns else None)
     if 0 in recorded:
         yield 0, state, alive
     if rates is not None:
@@ -580,9 +587,13 @@ def evolve(state, model, dt: float, n_steps: int, divergence_ceiling: float = 1e
     def march(work, shard_alive, first):
         return _march(work, shard_alive, model, dt, n_steps, ceiling, recorded, pairs, first)
 
-    if shards is None:
-        shards = _shard_rows(n_traj, n_steps, pairs)
-    forked = _Forked(state, shards, order, march)
+    shards = _shard_rows(n_traj, n_steps, pairs)
+    try:
+        forked = _Forked(state, shards, order, march)
+    except OSError:  # no child could be forked (no process id or memory left): step every row here
+        shards = _shard_rows(n_traj, 0, pairs)
+        forked = _Forked(state, shards, order, march)
+    stats["shards"] = len(shards)
     try:
         work = _gather(state, shards[0], order)  # contiguous, so ravel is a view
         shape, dtype = state.shape, state.dtype
@@ -639,6 +650,7 @@ class EnsembleResult:
     diverged_count: np.ndarray = None  # trajectories dead by each measurement time
     integrator: str = "midpoint"  # or "exact_flow" (see `evolve`)
     shards: int = 1  # processes that stepped the run (see `evolve`)
+    step_noise: str | None = None  # the law its steps drew noise from, if any (see `evolve`)
 
     def mean(self, name):
         return self.observables[name]["mean"]
@@ -699,10 +711,8 @@ def run_ensemble(
     diverged_count = np.zeros(len(times), dtype=int)
     half = trajectory_count // 2
     initial = antithetic(lambda n: sampler(seed, n), trajectory_count, pair_centre)
-    integrator = "midpoint" if _flow_rates(model, initial) is None else "exact_flow"
-    # the shards `evolve` steps in; an exact flow steps nothing
-    shards = _shard_rows(trajectory_count, steps[-1], pairs=True) if integrator == "midpoint" else None
-    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, record=steps, pairs=True, shards=shards)
+    stats = {}
+    recorded = evolve(initial, model, dt, steps[-1], divergence_ceiling, record=steps, pairs=True, stats=stats)
     del initial  # `evolve` holds it as long as it reads it
     try:
         for t_idx in range(len(times)):  # enumerate would hold each record until the next
@@ -740,6 +750,5 @@ def run_ensemble(
         trajectories=trajectory_count,
         unreliable=diverged > 0.01 * trajectory_count,
         diverged_count=diverged_count,
-        integrator=integrator,
-        shards=len(shards) if shards else 1,
+        **stats,
     )

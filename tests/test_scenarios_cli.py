@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -638,7 +639,8 @@ def test_cli_run_writes_outputs_and_manifest(tmp_path):
     assert manifest["step_noise"] == "two-point"
     environment = manifest["environment"]
     assert set(environment) == {
-        "cpus", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "numpy", "blas"
+        "cpus", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "numpy", "blas",
+        "numpy_cpu_baseline", "numpy_cpu_dispatch",
     }
     assert environment["cpus"] == len(os.sched_getaffinity(0))
     assert environment["numpy"] == np.__version__
@@ -662,6 +664,44 @@ def test_cli_manifest_names_the_blas_library(tmp_path):
     assert result.exit_code == 0, result.output
     blas = json.loads((tmp_path / "tiny.manifest.json").read_text())["environment"]["blas"]
     assert isinstance(blas, str) and blas
+
+
+def _numpy_simd():
+    try:
+        from numpy._core import _multiarray_umath as simd
+    except ImportError:  # numpy before 2
+        from numpy.core import _multiarray_umath as simd
+    return simd
+
+
+def test_cli_manifest_names_numpy_simd_targets(tmp_path):
+    """The manifest records numpy's baseline SIMD targets and the dispatch
+    targets active on this CPU, as numpy lists them, since another
+    dispatch can move the last bits of an output."""
+    simd = _numpy_simd()
+    result = CliRunner().invoke(main, ["run", str(SCENARIO_DIR / "dimension_count.yaml"), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    environment = json.loads((tmp_path / "dimension-2-2.manifest.json").read_text())["environment"]
+    assert environment["numpy_cpu_baseline"] == list(simd.__cpu_baseline__)
+    assert environment["numpy_cpu_dispatch"] == [t for t in simd.__cpu_dispatch__ if simd.__cpu_features__[t]]
+
+
+def test_cli_manifest_records_a_disabled_dispatch(tmp_path):
+    """A run under NPY_DISABLE_CPU_FEATURES, naming every dispatch target
+    active here, records a different dispatch list from a plain run."""
+    simd = _numpy_simd()
+    active = [t for t in simd.__cpu_dispatch__ if simd.__cpu_features__[t]]
+    if not active:
+        pytest.skip("numpy dispatches to no target beyond its baseline on this CPU")
+    scenario = str(SCENARIO_DIR / "dimension_count.yaml")
+    dispatch = {}
+    for name, env in (("plain", None), ("disabled", {"NPY_DISABLE_CPU_FEATURES": " ".join(active)})):
+        proc = _run_cli("run", scenario, "--out", str(tmp_path / name), env=env)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / name / "dimension-2-2.manifest.json").read_text())
+        dispatch[name] = manifest["environment"]["numpy_cpu_dispatch"]
+    assert dispatch["plain"] == active
+    assert dispatch["disabled"] != active
 
 
 def test_cli_csv_cells_parse_as_floats(tmp_path):
@@ -1108,6 +1148,40 @@ def test_manifest_says_how_many_shards_stepped_the_run(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert json.loads((tmp_path / "case.manifest.json").read_text())["shards"] is None
+
+
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["first-fork", "second-fork"])
+def test_manifest_says_one_shard_when_a_fork_fails(tmp_path, monkeypatch, fail_at):
+    """A run of 3 forced shards whose first or second fork fails (EAGAIN,
+    as when no process id is left) runs in one process: the outputs are
+    byte-identical to a sharded run's, the manifest says 1 shard, and no
+    shard process is left."""
+    from qphase import stochastic
+
+    scenario = tmp_path / "case.yaml"
+    scenario.write_text(_PLUSP_SMALL + "trajectories: 12\ntimes: [0.0, 0.05, 0.1]\n")
+    monkeypatch.setattr(stochastic, "MIN_SHARD_WORK", 1)
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 3)
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    outputs, shards = [], []
+    for out in (tmp_path / "forked", tmp_path / "fell-back"):
+        result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / f"case.{suffix}").read_bytes() for suffix in ("csv", "json")])
+        shards.append(json.loads((out / "case.manifest.json").read_text())["shards"])
+        monkeypatch.setattr(os, "fork", failing_fork)
+    assert len(calls) == fail_at
+    assert shards == [3, 1]
+    assert outputs[0] == outputs[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_inconclusive_exit_code(tmp_path):

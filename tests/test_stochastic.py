@@ -1,3 +1,4 @@
+import errno
 import inspect
 import itertools
 import math
@@ -1086,6 +1087,78 @@ def test_a_sharded_ensemble_reports_its_shards_and_leaves_no_process(monkeypatch
     for field in ("mean", "error", "spread"):
         assert sharded.observables["X"][field].tobytes() == serial.observables["X"][field].tobytes()
     _assert_no_child_left()
+
+
+def _failing_fork(monkeypatch, fail_at):
+    """Make the `fail_at`-th `os.fork` call of this process raise EAGAIN,
+    as a fork does when no process id is left; the others fork."""
+    fork, calls = os.fork, []
+
+    def failing():
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    return calls
+
+
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["first-fork", "second-fork"])
+def test_a_run_whose_fork_fails_steps_in_one_process(monkeypatch, fail_at):
+    """A fork that fails, the first or the second of 3 forced shards,
+    falls back to one process: the bits are those of an unforked run, the
+    result reports 1 shard, the shard already forked is reaped and no
+    pipe end is left open."""
+    times = np.linspace(0.0, 0.1, 6)
+
+    def run():
+        return run_kerr_plusp({"kind": "coherent", "alpha": [2.0]}, 0.2, times, 24, 3, 0.01, reverse_at=0.05)
+
+    _forced_shards(monkeypatch, 3)
+    sharded = run()
+    fds = sorted(os.listdir("/proc/self/fd"))
+    calls = _failing_fork(monkeypatch, fail_at)
+    fallen_back = run()
+    assert len(calls) == fail_at
+    assert (sharded.shards, fallen_back.shards) == (3, 1)
+    for field in ("mean", "error", "spread"):
+        assert fallen_back.observables["X"][field].tobytes() == sharded.observables["X"][field].tobytes()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    _assert_no_child_left()
+
+
+def test_a_run_reports_how_it_was_integrated_and_its_step_noise():
+    """`EnsembleResult` reads `evolve`'s own account of the run: +P and
+    lossy Wigner runs step the midpoint scheme and draw two-point noise; a
+    lossless Wigner run is an exact flow and draws none, and so does a
+    stepped model with no noise columns."""
+    times = [0.0, 0.05, 0.1]
+    plusp = run_kerr_plusp({"kind": "coherent", "alpha": [2.0]}, 0.2, times, 20, 3, 0.01)
+    lossy = run_wigner_x([2.0], [[0.01]], times, 20, 3, 0.01, channels=[LossChannel((1,), 0.1)])
+    lossless = run_wigner_x([2.0], [[0.01]], times, 20, 3, 0.01)
+    linear = run_ensemble(lambda s, n: np.ones((n, 1)), Linear(-1.0), {"y": lambda s: s[:, 0]}, 8, times,
+                          0.01, 0, pair_centre=1.0)
+    got = [(r.integrator, r.step_noise, r.shards) for r in (plusp, lossy, lossless, linear)]
+    assert got == [("midpoint", "two-point", 1), ("midpoint", "two-point", 1), ("exact_flow", None, 1),
+                   ("midpoint", None, 1)]
+
+
+@pytest.mark.parametrize("channels", [(), (LossChannel((1,), 0.1),)], ids=["lossless", "lossy"])
+def test_a_wigner_run_asks_its_model_for_a_flow_once(monkeypatch, channels):
+    """`evolve` is the one place that asks a model for its exact flow:
+    once per `run_wigner_x` run, whether it gives rates or not."""
+    calls = []
+
+    class Counting(WignerModel):
+        def flow(self, fields):
+            calls.append(fields.shape)
+            return super().flow(fields)
+
+    monkeypatch.setattr(qphase.wigner, "WignerModel", Counting)
+    result = run_wigner_x([2.0], [[0.01]], [0.0, 0.05, 0.1], 20, 3, 0.01, channels=channels)
+    assert calls == [(20, 1)]
+    assert result.integrator == ("midpoint" if channels else "exact_flow")
 
 
 def test_a_sharded_run_whose_pairs_all_die_leaves_no_process(monkeypatch):
