@@ -86,24 +86,25 @@ least `MIN_SHARD_WORK` rows x steps to do.  The process that calls
 through the same loop, on its own rows and with its own step-noise rows
 (`noise_block` from its first stream row), so every row holds the bits
 it holds in one process.  At each record the children write their rows
-and alive flags into one shared anonymous mmap and the parent copies a
-fresh record out of it.  The parent reaps the children before it yields
-the last record, and when the run ends early; a child's exception is
-raised in the parent with its type and message, and a child whose
-parent has gone exits at its next record.  A run stays in one process
-on a platform other than Linux, while another thread is alive (a forked
-child could inherit a lock that thread held), with one CPU, where a
-shard would get less than `MIN_SHARD_WORK` rows x steps, and when no
-child can be forked (no process id or memory left: the children forked
-so far are reaped, and this process steps every row, with the same
-bits); ``taskset -c 0 qphase run ...`` pins a run to one shard.
+and alive flags into one shared anonymous mmap, and the parent copies
+each child's rows into a fresh record and lets that child step on (one
+pipe each way per child).  The parent reaps the children before it
+yields the last record, and when the run ends early; a child's
+exception is raised in the parent with its type and message, and a
+child whose parent has gone exits at its next record.  A run stays in
+one process on a platform other than Linux, while another thread is
+alive (a forked child could inherit a lock that thread held), with one
+CPU, where a shard would get less than `MIN_SHARD_WORK` rows x steps,
+and when no child can be forked (no process id or memory left: the
+children forked so far are reaped, and this process steps every row,
+with the same bits); ``taskset -c 0 qphase run ...`` pins a run to one
+shard.
 Threads are no substitute: numpy ufunc calls on these array sizes hand
 the interpreter lock over every ~10 us.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -388,10 +389,11 @@ def _shard_rows(n_traj: int, n_steps: int, pairs: bool) -> list:
 
 def _gather(state, rows, order):
     """The rows of `state` a shard holds, stacked in order, as a new array in `order`."""
-    sizes = [s.stop - s.start for s in rows]
-    out = np.empty((sum(sizes),) + state.shape[1:], dtype=state.dtype, order=order)
-    for s, at in zip(rows, itertools.accumulate([0, *sizes])):
+    out = np.empty((sum(s.stop - s.start for s in rows),) + state.shape[1:], dtype=state.dtype, order=order)
+    at = 0
+    for s in rows:
         out[at:at + s.stop - s.start] = state[s]
+        at += s.stop - s.start
     return out
 
 
@@ -422,32 +424,23 @@ def _march(work, alive, model, dt: float, n_steps: int, ceiling: float, recorded
             yield step_idx + 1
 
 
-def _read(fd: int, size: int) -> bytes:
-    """`size` bytes from the pipe `fd`, or fewer if its writer closed it first."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
 class _Forked:
     """Shards 1.. of a stepped run, each stepped by a forked child.
 
     At each record a child writes its rows and alive flags into one
     shared anonymous mmap, sends "R" up its pipe, and waits for a byte
     down the other before it overwrites them with the next record.  A
-    child that raises sends "E", the length and its pickled exception,
-    and exits.  A child holds no end of its pipes but its own two, so it
-    sees the parent go (EOF or a broken pipe at its next record) and
-    exits, even if the parent never ran ``close``.  ``close`` kills and
-    reaps every child.  A run of one shard forks and maps nothing.
+    child that raises sends "E" and its pickled exception, and exits; the
+    parent reads each pipe up as a buffered file, whose reads end early
+    only where the child has gone.  A child holds no end of its pipes but
+    its own two, so it sees the parent go (EOF or a broken pipe at its
+    next record) and exits, even if the parent never ran ``close``.
+    ``close`` kills and reaps every child.  A run of one shard forks and
+    maps nothing.
     """
 
     def __init__(self, state, shards, order, march):
-        self.children = []  # (pid, rows, read end of its pipe up, write end of its pipe down)
+        self.children = []  # (pid, rows, its pipe up read as a file, write end of its pipe down)
         if len(shards) == 1:
             return
         import mmap
@@ -468,7 +461,7 @@ class _Forked:
                     self._child(state, rows, order, march, up, down)
                 os.close(up[1])
                 os.close(down[0])
-                self.children.append((pid, rows, up[0], down[1]))
+                self.children.append((pid, rows, open(up[0], "rb"), down[1]))
         except BaseException:
             self.close()
             raise
@@ -480,8 +473,8 @@ class _Forked:
             up, down = up_pipe[1], down_pipe[0]
             os.close(up_pipe[0])  # the parent's ends, so that the parent's exit closes the pipes
             os.close(down_pipe[1])
-            for _, _, read_end, write_end in self.children:  # the older siblings' pipes
-                os.close(read_end)
+            for _, _, reader, write_end in self.children:  # the older siblings' pipes
+                reader.close()
                 os.close(write_end)
             work = _gather(state, rows, order)
             alive = np.ones(len(work), dtype=bool)
@@ -497,30 +490,30 @@ class _Forked:
                 payload = pickle.dumps(exc)
             except Exception:  # noqa: BLE001 - an exception that cannot be pickled goes as its text
                 payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            os.write(up, b"E" + len(payload).to_bytes(8, "little") + payload)
+            os.write(up, b"E" + payload)
         finally:
             os._exit(code)
 
     def collect(self, record, alive, last: bool):
-        """Copy every child's rows and flags of this record into `record`
-        and `alive`; then reap the children after the `last` record, or
-        let them go on.  A child's exception is raised here."""
-        for pid, rows, up, _ in self.children:
-            tag = _read(up, 1)
+        """Copy each child's rows and flags of this record into `record`
+        and `alive`, and let that child go on; after the `last` record,
+        reap the children instead.  A child's exception is raised here."""
+        for pid, rows, up, down in self.children:
+            tag = up.read(1)
             if tag == b"E":
-                raise pickle.loads(_read(up, int.from_bytes(_read(up, 8), "little")))
+                raise pickle.load(up)
             if tag != b"R":
                 raise RuntimeError(f"the shard process {pid} ended without its record")
             for s in rows:
                 record[s] = self.state[s]
                 alive[s] = self.alive[s]
+            if not last:
+                try:
+                    os.write(down, b"G")
+                except BrokenPipeError:  # the child failed after its record: the next collect raises why
+                    pass
         if last:
             self.close()
-        for *_, down in self.children:
-            try:
-                os.write(down, b"G")
-            except BrokenPipeError:  # the child failed after its record: the next collect raises why
-                pass
 
     def close(self):
         if not self.children:
@@ -528,7 +521,7 @@ class _Forked:
         from signal import SIGKILL
 
         for pid, _, up, down in self.children:
-            os.close(up)
+            up.close()
             os.close(down)
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)

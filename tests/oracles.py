@@ -188,6 +188,19 @@ def two_body_loss_number(alpha0, kappa, times, levels=120):
     return np.array([n @ expm(rates * t) @ p0 for t in times])
 
 
+def truncated_wigner_kerr_mean(alpha0, chi, times):
+    """E[phi(t)] of one lossless truncated-Wigner Kerr mode from the
+    coherent start |alpha0>: each trajectory turns at its own constant rate,
+    phi(t) = phi0 exp(-i theta (|phi0|^2 - 1)) with theta = chi t, and the
+    Gaussian average over phi0 = alpha0 + delta, E|delta|^2 = 1/2, gives
+    e^{i theta} alpha0 (1 + i theta/2)^-2 exp(-i theta |alpha0|^2 / (1 + i theta/2))
+    (Sinatra, Lobo & Castin, J. Phys. B 35, 3599 (2002)).  The method's own
+    mean, which the exact Kerr mean leaves by the truncation gap."""
+    theta = chi * np.asarray(times, dtype=float)
+    shrink = 1.0 + 0.5j * theta
+    return np.exp(1j * theta) * alpha0 / shrink**2 * np.exp(-1j * theta * abs(alpha0) ** 2 / shrink)
+
+
 def plusp_derivative(model, state, step_index, xi):
     """+P drift of ``plusp.KerrPlusP`` in the per-half form it had before
     the noise was folded into rate columns: sqrt(+-i chi) xi as the noise

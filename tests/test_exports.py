@@ -68,6 +68,35 @@ def test_cold_phase_space_run_loads_no_scipy(scenario, tmp_path):
     assert _within("scipy", _cold_run(scenario, tmp_path)) == []
 
 
+_COLD_STEPPED_RUN = """
+from qphase import stochastic
+from qphase.plusp import run_kerr_plusp
+
+if {cpus} > 1:
+    stochastic.MIN_SHARD_WORK = 1
+    stochastic._cpu_count = lambda: {cpus}
+result = run_kerr_plusp({{"kind": "coherent", "alpha": [2.0]}}, 0.05, [0.0, 0.05], 20, 1, 0.01, reverse_at=0.02)
+assert result.shards == {cpus}, result.shards
+"""
+
+
+def test_a_one_shard_run_maps_and_signals_nothing():
+    """A cold stepped run of one shard, below MIN_SHARD_WORK, loads neither
+    mmap nor signal: only a run that forks shards maps their rows and
+    kills its children."""
+    loaded = _loaded_in_cold_process(_COLD_STEPPED_RUN.format(cpus=1))
+    assert {"mmap", "signal"} & loaded == set()
+
+
+def test_a_sharded_run_hands_over_without_multiprocessing_or_sockets():
+    """A cold run forced to 2 shards hands its records over through plain
+    pipes and one mmap, so it loads none of multiprocessing, socket and
+    selectors (7-11 ms and 3-4 ms of cold import for the first two)."""
+    loaded = _loaded_in_cold_process(_COLD_STEPPED_RUN.format(cpus=2))
+    assert "mmap" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("multiprocessing", "socket", "selectors")] == []
+
+
 def _benchmark_tracer():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(

@@ -686,22 +686,49 @@ def test_cli_manifest_names_numpy_simd_targets(tmp_path):
     assert environment["numpy_cpu_dispatch"] == [t for t in simd.__cpu_dispatch__ if simd.__cpu_features__[t]]
 
 
-def test_cli_manifest_records_a_disabled_dispatch(tmp_path):
+@pytest.mark.parametrize("scenario", ["dimension_count.yaml", "plusp_kerr.yaml", "variational_kerr.yaml"])
+def test_cli_manifest_records_a_disabled_dispatch(tmp_path, scenario):
     """A run under NPY_DISABLE_CPU_FEATURES, naming every dispatch target
-    active here, records a different dispatch list from a plain run."""
+    active here, records a different dispatch list from a plain run, and
+    its outputs agree with the plain run's as far as another dispatch
+    lets them.
+
+    A stochastic run differs only in rounding, so each +P mean ``re_x``
+    agrees within 1e-9 of its bar.  A variational run may take another
+    step path.  Each accepted step of a run keeps its local error within
+    rtol (1 + |X|) per parameter X, so to first order the N accepted steps
+    of a run move its parameters, and with them <a> = x + iy (taken to
+    depend on them with unit sensitivity), by at most N rtol (1 + |<a>|).
+    The two runs' x and y therefore agree within
+    (N_plain + N_disabled) rtol (1 + max |<a>|) at each record.
+    """
     simd = _numpy_simd()
     active = [t for t in simd.__cpu_dispatch__ if simd.__cpu_features__[t]]
     if not active:
         pytest.skip("numpy dispatches to no target beyond its baseline on this CPU")
-    scenario = str(SCENARIO_DIR / "dimension_count.yaml")
-    dispatch = {}
+    dispatch, reports, rows = {}, {}, {}
     for name, env in (("plain", None), ("disabled", {"NPY_DISABLE_CPU_FEATURES": " ".join(active)})):
-        proc = _run_cli("run", scenario, "--out", str(tmp_path / name), env=env)
+        proc = _run_cli("run", str(SCENARIO_DIR / scenario), "--out", str(tmp_path / name), env=env)
         assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((tmp_path / name / "dimension-2-2.manifest.json").read_text())
-        dispatch[name] = manifest["environment"]["numpy_cpu_dispatch"]
+        [manifest] = (tmp_path / name).glob("*.manifest.json")
+        dispatch[name] = json.loads(manifest.read_text())["environment"]["numpy_cpu_dispatch"]
+        stem = str(manifest)[: -len(".manifest.json")]
+        reports[name] = json.loads(Path(f"{stem}.json").read_text())
+        table = Path(f"{stem}.csv")  # dimension-count writes a report alone
+        rows[name] = list(csv.DictReader(table.read_text().splitlines())) if table.exists() else []
     assert dispatch["plain"] == active
     assert dispatch["disabled"] != active
+    assert len(rows["plain"]) == len(rows["disabled"])
+    if scenario == "plusp_kerr.yaml":
+        for p, d in zip(rows["plain"], rows["disabled"]):
+            assert abs(float(p["re_x"]) - float(d["re_x"])) <= 1e-9 * float(p["error"]), (p, d)
+    elif scenario == "variational_kerr.yaml":
+        rtol = parse_scenario((SCENARIO_DIR / scenario).read_text()).params["rtol"]
+        steps = reports["plain"]["steps_accepted"] + reports["disabled"]["steps_accepted"]
+        for p, d in zip(rows["plain"], rows["disabled"]):
+            bound = steps * rtol * (1.0 + max(abs(complex(float(r["x"]), float(r["y"]))) for r in (p, d)))
+            assert abs(float(p["x"]) - float(d["x"])) <= bound, (p, d, bound)
+            assert abs(float(p["y"]) - float(d["y"])) <= bound, (p, d, bound)
 
 
 def test_cli_csv_cells_parse_as_floats(tmp_path):

@@ -1196,6 +1196,69 @@ def test_a_failing_shard_raises_its_exception_in_the_parent(monkeypatch):
     _assert_no_child_left()
 
 
+def _run_failing_shards(monkeypatch, fail):
+    """A paired 12-trajectory run over 10 recorded steps in 3 forced
+    shards, whose shard processes call `fail(step_index)` in their drift;
+    returns the exception it raises, the pids it forked, and whether the
+    run left this process's open file descriptors as they were."""
+    parent = os.getpid()
+
+    class Failing(Linear):
+        def derivative(self, state, step_index, noise, out):
+            if os.getpid() != parent:
+                fail(step_index)
+            return super().derivative(state, step_index, noise, out)
+
+    _forced_shards(monkeypatch, 3)
+    fork, pids = os.fork, []
+
+    def reporting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", reporting_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(Exception) as failure:
+        run_ensemble(lambda s, n: np.ones((n, 1)), Failing(-1.0), {"y": lambda s: s[:, 0]}, 12,
+                     np.linspace(0.0, 0.1, 11), 0.01, 0, pair_centre=1.0)
+    return failure.value, pids, sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_shard_exception_that_cannot_be_pickled_reaches_the_parent_as_its_text(monkeypatch):
+    """A shard process whose exception cannot be pickled (an instance of a
+    class local to the test) hands the parent a RuntimeError of its type
+    name and message; every shard is reaped and no pipe end is left open."""
+
+    class Local(Exception):
+        pass
+
+    def fail(step_index):
+        if step_index == 3:
+            raise Local(f"no drift in a shard process at step {step_index}")
+
+    error, pids, fds_kept = _run_failing_shards(monkeypatch, fail)
+    assert (type(error), str(error)) == (RuntimeError, "Local: no drift in a shard process at step 3")
+    assert len(pids) == 2 and fds_kept
+    _assert_no_child_left()
+
+
+def test_a_shard_that_ends_without_its_record_fails_the_run(monkeypatch):
+    """A shard process that exits at step 3 without handing over its record
+    fails the run with a RuntimeError that names the first such shard's
+    pid; every shard is reaped and no pipe end is left open."""
+
+    def fail(step_index):
+        if step_index == 3:
+            os._exit(0)
+
+    error, pids, fds_kept = _run_failing_shards(monkeypatch, fail)
+    assert len(pids) == 2 and fds_kept
+    assert (type(error), str(error)) == (RuntimeError, f"the shard process {pids[0]} ended without its record")
+    _assert_no_child_left()
+
+
 def test_one_cpu_or_a_small_run_steps_in_one_process(monkeypatch):
     """No fork where one CPU is allowed, where a shard would get less than
     MIN_SHARD_WORK rows x steps, or where another thread is alive.  Many
